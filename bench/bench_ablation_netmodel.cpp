@@ -17,7 +17,7 @@ using namespace mgbench;
 namespace {
 
 double runWith(net::NetModelKind kind, npb::Benchmark b, std::uint64_t* events) {
-  core::MicroGridOptions opts = platformOptionsFromEnv();
+  core::MicroGridOptions opts;
   opts.netmodel = kind;
   if (kind == net::NetModelKind::Hybrid) {
     // Escalate the gatekeeper/GIS control plane to packet detail; bulk MPI

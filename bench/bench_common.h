@@ -33,23 +33,6 @@ inline std::vector<grid::AllocationPart> onePerHost(const core::Platform& platfo
   return parts;
 }
 
-/// Worker count for the parallel lane engine, from MG_PARALLEL in the
-/// environment (0 = classic sequential kernel). Harnesses route this into
-/// MicroGridOptions so a perf sweep can flip worker counts without
-/// rebuilding — and since the worker count cannot change observable output
-/// (DESIGN.md §7), before/after rows stay comparable.
-inline int parallelWorkersFromEnv() {
-  const char* w = std::getenv("MG_PARALLEL");
-  return w != nullptr ? std::atoi(w) : 0;
-}
-
-/// MicroGridOptions preconfigured from the environment.
-inline core::MicroGridOptions platformOptionsFromEnv() {
-  core::MicroGridOptions opts;
-  opts.parallel_workers = parallelWorkersFromEnv();
-  return opts;
-}
-
 /// When MG_METRICS=table or MG_METRICS=json is set in the environment, dump
 /// the platform simulator's metrics snapshot to stdout (after a workload).
 inline void maybeDumpMetrics(core::Platform& platform) {
@@ -106,10 +89,8 @@ inline void printHeader(const std::string& title, const std::string& paper_ref) 
             << title << "\n"
             << "(reproduces " << paper_ref << ")\n"
             << "==========================================================\n"
-            // Timing provenance: a 4-worker wall-clock number on a 1-core
-            // box is not a speedup claim, so every report leads with both.
-            << "env: parallel_workers=" << parallelWorkersFromEnv()
-            << " hardware_cores=" << std::thread::hardware_concurrency() << "\n";
+            // Timing provenance: wall-clock numbers depend on the host.
+            << "env: hardware_cores=" << std::thread::hardware_concurrency() << "\n";
 }
 
 }  // namespace mgbench

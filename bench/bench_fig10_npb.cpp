@@ -28,7 +28,7 @@ int main() {
     for (auto b : benches) {
       core::ReferencePlatform ref(makeCfg());
       const double t_ref = runNpbOn(ref, b, npb::NpbClass::A, onePerHost(ref));
-      core::MicroGridPlatform emu(makeCfg(), platformOptionsFromEnv());
+      core::MicroGridPlatform emu(makeCfg());
       const double t_emu = runNpbOn(emu, b, npb::NpbClass::A, onePerHost(emu));
       const double err = util::percentError(t_ref, t_emu);
       table.row() << npb::benchmarkName(b) << t_ref << t_emu << err;

@@ -35,7 +35,7 @@ int main() {
   // Baseline: the same 4-process job on a single-site LAN cluster.
   std::vector<double> lan_times;
   for (auto b : benches) {
-    core::MicroGridPlatform lan(core::topologies::alphaCluster(), platformOptionsFromEnv());
+    core::MicroGridPlatform lan(core::topologies::alphaCluster());
     lan_times.push_back(runNpbOn(lan, b, npb::NpbClass::S, onePerHost(lan)));
   }
 
@@ -47,7 +47,7 @@ int main() {
     for (double bw : bottlenecks) {
       core::topologies::VbnsParams params;
       params.bottleneck_bps = bw;
-      core::MicroGridPlatform emu(core::topologies::vbns(params), platformOptionsFromEnv());
+      core::MicroGridPlatform emu(core::topologies::vbns(params));
       // 2 processes at UCSD, 2 at UIUC.
       std::vector<grid::AllocationPart> parts = {{"ucsd0.ucsd.edu", 1},
                                                  {"ucsd1.ucsd.edu", 1},

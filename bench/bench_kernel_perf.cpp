@@ -136,51 +136,6 @@ static void BM_PacketForwarding(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketForwarding)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-static void BM_ParallelLaneChurn(benchmark::State& state) {
-  // The sharded kernel under churn: four wire lanes each burn through an
-  // independent self-rescheduling event chain with periodic cross-lane
-  // handoffs, under the conservative engine at Arg(0) workers. On multicore
-  // hardware throughput scales with the worker count; the per-lane journals
-  // (and so items processed) are identical at every count. On a single core
-  // the sweep measures pure engine overhead instead — reports must cite the
-  // physical core count next to these numbers (see printHeader).
-  const int workers = static_cast<int>(state.range(0));
-  constexpr int kLanes = 4;
-  constexpr int kStepsPerLane = 2500;
-  for (auto _ : state) {
-    sim::Simulator sim;
-    sim.configureParallel(kLanes + 1, workers, /*lookahead=*/10);
-    struct alignas(64) Cell {  // one accumulator per lane: no false sharing
-      long long v = 0;
-    };
-    std::array<Cell, kLanes + 1> cells{};
-    std::vector<std::unique_ptr<std::function<void(int)>>> chains;
-    for (int lane = 1; lane <= kLanes; ++lane) {
-      chains.push_back(std::make_unique<std::function<void(int)>>());
-      auto* chain = chains.back().get();
-      *chain = [&sim, &cells, chain, lane](int step) {
-        cells[static_cast<std::size_t>(lane)].v += step;
-        if (step >= kStepsPerLane) return;
-        sim.scheduleAfter(3, [chain, step] { (*chain)(step + 1); });
-        if (step % 100 == 0) {
-          // Cross-lane handoff at >= lookahead, like a cut-link packet.
-          const int other = (lane % kLanes) + 1;
-          sim.scheduleOnLane(other, sim.now() + 10,
-                             [&cells, other] { ++cells[static_cast<std::size_t>(other)].v; });
-        }
-      };
-      sim.scheduleOnLane(lane, lane, [chain] { (*chain)(0); });
-    }
-    sim.run();
-    long long sum = 0;
-    for (const auto& c : cells) sum += c.v;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * kLanes * kStepsPerLane);
-  state.SetLabel(std::to_string(workers) + " worker(s)");
-}
-BENCHMARK(BM_ParallelLaneChurn)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
 static void BM_TcpThroughputSim(benchmark::State& state) {
   // Cost of simulating a 1 MB TCP transfer (the NSE-overhead concern).
   for (auto _ : state) {

@@ -35,6 +35,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +49,9 @@
 using namespace mg;
 
 namespace {
+
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 struct Options {
   int hosts = 10000;
@@ -71,13 +75,13 @@ Options parseArgs(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--hosts") {
-      opt.hosts = std::stoi(next());
+      opt.hosts = static_cast<int>(util::flagInt(flag, next(), kIntMin, kIntMax));
     } else if (flag == "--pairs") {
-      opt.pairs = std::stoi(next());
+      opt.pairs = static_cast<int>(util::flagInt(flag, next(), kIntMin, kIntMax));
     } else if (flag == "--messages") {
-      opt.messages = std::stoi(next());
+      opt.messages = static_cast<int>(util::flagInt(flag, next(), kIntMin, kIntMax));
     } else if (flag == "--bytes") {
-      opt.bytes = std::stoll(next());
+      opt.bytes = util::flagInt(flag, next());
     } else if (flag == "--netmodel") {
       opt.netmodel = next();
     } else if (flag == "--compare-packet") {
@@ -87,7 +91,7 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--timeline") {
       opt.timeline = next();
     } else if (flag == "--timeline-interval") {
-      opt.timeline_interval_s = std::stod(next());
+      opt.timeline_interval_s = util::flagDouble(flag, next());
       if (opt.timeline_interval_s <= 0) {
         throw mg::UsageError("--timeline-interval wants seconds > 0");
       }

@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "util/config.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 using namespace mg;
@@ -47,7 +48,7 @@ Options parseArgs(int argc, char** argv) {
     if (flag == "--workload") {
       opt.workload_path = next();
     } else if (flag == "--jobs") {
-      opt.jobs = std::stoll(next());
+      opt.jobs = util::flagInt(flag, next());
     } else {
       throw mg::UsageError("unknown flag " + flag + " (see the header of grid_economy.cpp)");
     }

@@ -21,13 +21,9 @@
 //                      default, packet detail where --netmodel-detail says)
 //   --netmodel-detail P,P,...  hybrid escalation selectors: host:GLOB (or a
 //                      bare hostname glob), port:N, port:LO-HI; repeatable
-//   --parallel N       drive the kernel with N worker threads (mgrid only;
-//                      the topology is sharded along its latency cut — any N
-//                      produces byte-identical metrics/trace/profile output,
-//                      N only changes wall-clock speed)
 //   --faults FILE      fault schedule ([fault ...] sections; mgrid only).
 //                      [fault ...] sections in --config are picked up too.
-//   --explore FILE     model-checking mode (mgrid only, sequential): FILE
+//   --explore FILE     model-checking mode (mgrid only): FILE
 //                      holds [explore] options and [candidate ...] fault
 //                      sections (DESIGN.md §11). Instead of one run, every
 //                      fault schedule composable from the candidates is
@@ -46,14 +42,13 @@
 //                      utilization, CPU occupancy, queue depths, kernel
 //                      rates; DESIGN.md §10) and write them after it — CSV,
 //                      or the JSON document form when FILE ends in .json.
-//                      Byte-identical across reruns and --parallel counts.
-//                      mgrid only.
+//                      Byte-identical across reruns. mgrid only.
 //   --timeline-interval S  sampling interval in emulation seconds
 //                      (default 0.1)
 //   --progress[=S]     live heartbeat on stderr every S wall seconds
 //                      (default 2): sim time, sim-s/wall-s, events/sec,
 //                      pending events — plus a stall watchdog that dumps
-//                      per-lane state when the kernel goes quiet. stdout is
+//                      kernel state when it goes quiet. stdout is
 //                      byte-identical with --progress on or off.
 //   --trace-out FILE   record causal spans and write a Chrome/Perfetto trace
 //                      (load FILE at ui.perfetto.dev or chrome://tracing);
@@ -76,6 +71,7 @@
 // `mgrun --trace-out=ep.json examples/grids/alpha4.ini` works.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "apps/wavetoy.h"
@@ -99,6 +95,9 @@ using namespace mg;
 
 namespace {
 
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
 struct Options {
   std::string config_path;
   std::string platform = "mgrid";
@@ -109,7 +108,6 @@ struct Options {
   double slowdown = 1.0;
   std::string netmodel;  // "", "packet", "flow", or "hybrid"
   std::vector<std::string> netmodel_detail;
-  int parallel = 0;  // 0 = classic sequential kernel
   std::string faults_path;
   std::string explore_path;  // model-checking mode when non-empty
   int explore_budget = 0;    // 0 = use the [explore] section's budget
@@ -146,26 +144,23 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--parts") {
       opt.parts = next();
     } else if (flag == "--quantum") {
-      opt.quantum_ms = std::stod(next());
+      opt.quantum_ms = util::flagDouble(flag, next());
     } else if (flag == "--slowdown") {
-      opt.slowdown = std::stod(next());
+      opt.slowdown = util::flagDouble(flag, next());
     } else if (flag == "--netmodel" || flag.rfind("--netmodel=", 0) == 0) {
       opt.netmodel = (flag == "--netmodel") ? next() : flag.substr(11);
     } else if (flag == "--netmodel-detail" || flag.rfind("--netmodel-detail=", 0) == 0) {
       const std::string val = (flag == "--netmodel-detail") ? next() : flag.substr(18);
       for (const auto& p : util::splitTrim(val, ',')) opt.netmodel_detail.push_back(p);
-    } else if (flag == "--parallel" || flag.rfind("--parallel=", 0) == 0) {
-      opt.parallel = std::stoi((flag == "--parallel") ? next() : flag.substr(11));
-      if (opt.parallel < 1) throw mg::UsageError("--parallel wants a worker count >= 1");
     } else if (flag == "--faults" || flag.rfind("--faults=", 0) == 0) {
       opt.faults_path = (flag == "--faults") ? next() : flag.substr(9);
     } else if (flag == "--explore" || flag.rfind("--explore=", 0) == 0) {
       opt.explore_path = (flag == "--explore") ? next() : flag.substr(10);
     } else if (flag == "--explore-budget" || flag.rfind("--explore-budget=", 0) == 0) {
-      opt.explore_budget = std::stoi((flag == "--explore-budget") ? next() : flag.substr(17));
-      if (opt.explore_budget < 1) throw mg::UsageError("--explore-budget wants a count >= 1");
+      opt.explore_budget = static_cast<int>(util::flagInt(
+          "--explore-budget", (flag == "--explore-budget") ? next() : flag.substr(17), 1, kIntMax));
     } else if (flag == "--resubmits") {
-      opt.resubmits = std::stoi(next());
+      opt.resubmits = static_cast<int>(util::flagInt(flag, next(), 0, kIntMax));
     } else if (flag == "--metrics" || flag.rfind("--metrics=", 0) == 0) {
       opt.metrics = (flag == "--metrics") ? next() : flag.substr(10);
       if (opt.metrics != "table" && opt.metrics != "json" && opt.metrics != "csv") {
@@ -176,15 +171,15 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--timeline" || flag.rfind("--timeline=", 0) == 0) {
       opt.timeline_out = (flag == "--timeline") ? next() : flag.substr(11);
     } else if (flag == "--timeline-interval" || flag.rfind("--timeline-interval=", 0) == 0) {
-      opt.timeline_interval_s =
-          std::stod((flag == "--timeline-interval") ? next() : flag.substr(20));
+      opt.timeline_interval_s = util::flagDouble(
+          "--timeline-interval", (flag == "--timeline-interval") ? next() : flag.substr(20));
       if (opt.timeline_interval_s <= 0) {
         throw mg::UsageError("--timeline-interval wants seconds > 0");
       }
     } else if (flag == "--progress") {
       opt.progress_s = 2.0;
     } else if (flag.rfind("--progress=", 0) == 0) {
-      opt.progress_s = std::stod(flag.substr(11));
+      opt.progress_s = util::flagDouble("--progress", flag.substr(11));
       if (opt.progress_s <= 0) throw mg::UsageError("--progress wants seconds > 0");
     } else if (flag == "--profile" || flag.rfind("--profile=", 0) == 0) {
       opt.profile = (flag == "--profile") ? next() : flag.substr(10);
@@ -196,8 +191,7 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--broker" || flag.rfind("--broker=", 0) == 0) {
       opt.broker = (flag == "--broker") ? next() : flag.substr(9);
     } else if (flag == "--jobs" || flag.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::stoll((flag == "--jobs") ? next() : flag.substr(7));
-      if (opt.jobs < 1) throw mg::UsageError("--jobs wants a count >= 1");
+      opt.jobs = util::flagInt("--jobs", (flag == "--jobs") ? next() : flag.substr(7), 1);
     } else if (flag == "--verbose") {
       opt.verbose = true;
     } else if (flag == "--list-executables") {
@@ -249,7 +243,9 @@ std::vector<grid::AllocationPart> parseParts(const std::string& spec,
     for (const auto& item : util::splitTrim(spec, ',')) {
       const auto colon = item.rfind(':');
       if (colon == std::string::npos) throw mg::UsageError("--parts wants host:count");
-      parts.push_back({item.substr(0, colon), std::stoi(item.substr(colon + 1))});
+      parts.push_back({item.substr(0, colon),
+                       static_cast<int>(util::flagInt("--parts", item.substr(colon + 1),
+                                                      kIntMin, kIntMax))});
     }
   }
   return parts;
@@ -297,7 +293,6 @@ int main(int argc, char** argv) {
       core::MicroGridOptions mopts;
       mopts.netmodel = net::NetModelKind::Flow;
       mopts.rate_override = 1.0;  // kernel time == virtual time
-      mopts.parallel_workers = opt.parallel;
       core::MicroGridPlatform platform(grid.grid, mopts);
       std::cout << "grid economy: " << grid.clusters.size() << " cluster(s), "
                 << eopts.workload.jobs << " job(s), policy "
@@ -349,12 +344,8 @@ int main(int argc, char** argv) {
     if (!opt.explore_path.empty()) {
       // Model-checking mode: enumerate and replay every fault schedule
       // composable from the [candidate ...] menu, invariants checked per
-      // branch. Each schedule rebuilds the platform from scratch, so this
-      // runs the sequential kernel regardless of --parallel.
+      // branch. Each schedule rebuilds the platform from scratch.
       if (opt.platform != "mgrid") throw mg::UsageError("--explore needs --platform mgrid");
-      if (opt.parallel > 0) {
-        throw mg::UsageError("--explore replays the sequential kernel (drop --parallel)");
-      }
       auto spec = mc::Explorer::parseSpec(util::Config::parseFile(opt.explore_path));
       if (opt.explore_budget > 0) spec.options.budget = opt.explore_budget;
       spec.options.base = plan;  // fixed faults ride along in every schedule
@@ -400,7 +391,6 @@ int main(int argc, char** argv) {
       core::MicroGridOptions mopts;
       mopts.quantum = sim::fromSeconds(opt.quantum_ms * 1e-3);
       mopts.slowdown = opt.slowdown;
-      mopts.parallel_workers = opt.parallel;
       if (!opt.netmodel.empty()) mopts.netmodel = net::parseNetModelKind(opt.netmodel);
       if (!opt.netmodel_detail.empty() && mopts.netmodel != net::NetModelKind::Hybrid) {
         throw mg::UsageError("--netmodel-detail needs --netmodel hybrid");
@@ -416,15 +406,9 @@ int main(int argc, char** argv) {
         }
         std::cout << "\n";
       }
-      if (opt.parallel > 0) {
-        const int lanes = p->simulator().laneCount();
-        std::cout << "parallel: " << opt.parallel << " worker(s), " << (lanes - 1)
-                  << " wire partition(s)\n";
-      }
       mgrid = p.get();
       platform = std::move(p);
     } else if (opt.platform == "pgrid") {
-      if (opt.parallel > 0) throw mg::UsageError("--parallel needs --platform mgrid");
       if (!opt.netmodel.empty()) {
         throw mg::UsageError("--netmodel needs --platform mgrid (pgrid is always flow-level)");
       }

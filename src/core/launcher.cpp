@@ -70,10 +70,6 @@ void Launcher::startServices(const VirtualGridConfig* publish, const std::string
     gis::serveDirectory(ctx, directory_);
   });
   for (const auto& host : hosts) {
-    // Placement → partition assignment: which event lane this host's wire
-    // traffic runs on under parallel execution (0 = unsharded platform).
-    MG_LOG_DEBUG("launcher") << "placement: " << host.hostname << " -> partition "
-                             << platform_.partitionOf(host.hostname);
     platform_.spawnOn(host.hostname, "gatekeeper." + host.hostname, [this](vos::HostContext& ctx) {
       grid::serveGatekeeper(ctx, registry_, gk_opts_);
     });

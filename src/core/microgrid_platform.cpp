@@ -234,38 +234,6 @@ MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOpti
         [this](double s) { return vt_->toKernel(s); });
   }
 
-  if (opts_.parallel_workers >= 1 && opts_.netmodel != net::NetModelKind::Packet) {
-    // Fluid flows are global state (one shared max-min computation), so flow
-    // and hybrid mode run the lane engine single-laned: parallel_workers
-    // stays a valid knob everywhere, and pure packet mode — the one with
-    // per-link locality — is the one that shards the wire.
-    sim_.configureParallel(1, opts_.parallel_workers, 1);
-    MG_LOG_INFO("core") << "parallel: " << net::netModelKindName(opts_.netmodel)
-                        << " netmodel runs single-laned";
-  } else if (opts_.parallel_workers >= 1) {
-    // Shard the wire along the topology's latency cut. The plan — and so the
-    // lane layout — depends only on the topology and max_partitions, never
-    // on the worker count: that is what makes parallel_workers a pure speed
-    // knob. When the topology has no usable cut (or the cut funds no
-    // positive lookahead) the engine still runs, single-laned, so every
-    // worker count exercises the same code path.
-    const net::PartitionPlan plan = net::planPartitions(cfg.topology(), opts_.max_partitions);
-    const sim::SimTime lookahead =
-        plan.partitions > 1
-            ? net_->scaleDuration(std::min(nopts.host_stack_delay, plan.cut_latency))
-            : 0;
-    if (plan.partitions > 1 && lookahead > 0) {
-      sim_.configureParallel(plan.partitions + 1, opts_.parallel_workers, lookahead);
-      net_->setPartitionPlan(plan);
-      MG_LOG_INFO("core") << "parallel: " << plan.partitions << " wire partitions + process lane, "
-                          << opts_.parallel_workers << " workers, lookahead "
-                          << sim::toSeconds(lookahead) * 1e6 << " us";
-    } else {
-      sim_.configureParallel(1, opts_.parallel_workers, 1);
-      MG_LOG_INFO("core") << "parallel: no usable topology cut, running single-laned";
-    }
-  }
-
   std::uint64_t seed = opts_.seed;
   for (const auto& p : physicals_) {
     schedulers_.emplace(p.name, std::make_unique<vos::CpuScheduler>(
@@ -411,10 +379,6 @@ std::size_t MicroGridPlatform::openTcpConnections() {
     if (rt.stack) n += rt.stack->tcp().openConnections();
   }
   return n;
-}
-
-int MicroGridPlatform::partitionOf(const std::string& host_or_ip) const {
-  return net_->partitionPlan().partitionOf(mapper_.resolve(host_or_ip).node);
 }
 
 sim::Process& MicroGridPlatform::spawnOn(const std::string& host_or_ip,

@@ -52,14 +52,6 @@ struct MicroGridOptions {
   /// the simulation rate, not taken from here.
   net::FlowNetworkOptions flow;
   std::uint64_t seed = 42;
-  /// Parallel execution: worker threads driving the event lanes. 0 = the
-  /// classic sequential kernel. Any N >= 1 engages the lane engine; the
-  /// partition count is a pure function of the topology (never of N), so
-  /// every N produces byte-identical metrics, spans, and traces — N only
-  /// changes wall-clock speed (DESIGN.md §7).
-  int parallel_workers = 0;
-  /// Upper bound on wire partitions when parallel execution is enabled.
-  int max_partitions = 8;
 };
 
 class MicroGridPlatform : public Platform {
@@ -76,7 +68,6 @@ class MicroGridPlatform : public Platform {
 
   /// The chosen simulation rate (virtual seconds per emulation second).
   double rate() const { return rate_; }
-  int partitionOf(const std::string& host_or_ip) const override;
   const vos::VirtualTime& virtualTime() const { return *vt_; }
   /// The network model behind the virtual wire (packet, flow, or hybrid).
   net::NetworkModel& network() { return *net_; }
@@ -99,9 +90,9 @@ class MicroGridPlatform : public Platform {
   void registerTelemetry(obs::TelemetrySampler& sampler);
 
   /// Register the platform's full state-capture set (DESIGN.md §11) on
-  /// `reg`: the kernel's lanes/heap/process table ("sim"), the metrics
+  /// `reg`: the kernel's clock/heap/process table ("sim"), the metrics
   /// registry snapshot ("obs.metrics"), the network model with its queues,
-  /// RNG streams and flows ("net"), every physical machine's CPU scheduler
+  /// RNG stream and flows ("net"), every physical machine's CPU scheduler
   /// ("vos.sched.<machine>"), and every virtual host's runtime — aliveness,
   /// CPU factor, memory accounting, TCP endpoint table ("core.hosts").
   /// The snapshot/explorer machinery folds these into one canonical digest

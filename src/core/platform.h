@@ -36,15 +36,6 @@ class Platform {
   /// Current virtual time in seconds.
   virtual double virtualNow() const = 0;
 
-  /// The wire partition the named host's node belongs to — 0 when the
-  /// platform runs unsharded. Launchers use this to annotate placement
-  /// (parts co-located in one partition share a lane; cross-partition
-  /// traffic pays the cut-link latency that funds the engine's lookahead).
-  virtual int partitionOf(const std::string& host_or_ip) const {
-    (void)host_or_ip;
-    return 0;
-  }
-
   /// Run the simulation until no work remains (daemons stay suspended);
   /// returns the final virtual time in seconds.
   double run() {

@@ -450,7 +450,7 @@ void FlowEngine::abortMatching(const std::function<bool(const Flow&)>& pred,
     if (f.drain_event != 0) sim_.cancel(f.drain_event);
     if (f.owns_span) sim_.spans().endWith(f.span, "aborted", reason);
     if (f.on_abort) {
-      // Deliver the abort in event context, never from inside a barrier op.
+      // Deliver the abort in event context, never from inside a fault hook.
       sim_.scheduleAt(now, [cb = std::move(f.on_abort), reason] { cb(reason); });
     }
     abort_seeds_.insert(abort_seeds_.end(), f.dlinks.begin(), f.dlinks.end());
@@ -533,14 +533,9 @@ void FlowEngine::registerTelemetry(obs::TelemetrySampler& sampler) {
     // Cumulative busy time in *kernel* seconds (linkBusySeconds reports
     // network seconds), so the sampled rate is the fraction of kernel time
     // the link carried >= 1 flow — utilization on the same clock as every
-    // other series. A sample tick can land before an open busy interval's
-    // start (the epoch ran ahead of the tick time at a barrier); clamping
-    // `now` up to busy_since keeps the cumulative sum monotone.
+    // other series.
     sampler.addRate("net.flow.link_util." + topo.link(l).name, [this, l](std::int64_t t) {
-      const auto lid = static_cast<std::size_t>(l);
-      sim::SimTime now = t;
-      if (link_active_[lid] > 0 && link_busy_since_[lid] > now) now = link_busy_since_[lid];
-      return linkBusySeconds(lid, now) * model_.timeScale();
+      return linkBusySeconds(static_cast<std::size_t>(l), t) * model_.timeScale();
     });
   }
 }

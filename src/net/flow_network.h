@@ -118,7 +118,7 @@ class FlowEngine {
   /// capacity (an uncontended transfer would never finish).
   sim::SimTime estimate(NodeId src, NodeId dst, std::int64_t payload_bytes) const;
 
-  /// Fault hooks (the owning model calls these from NetworkModel's barrier
+  /// Fault hooks (the owning model calls these from NetworkModel's fault
   /// hooks, after the topology flip).
   void abortFlowsOnLink(LinkId link, const std::string& reason);
   void abortFlowsAtNode(NodeId node, const std::string& reason);

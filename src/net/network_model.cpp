@@ -52,31 +52,27 @@ void NetworkModel::recomputeRoutes() {
 }
 
 void NetworkModel::setLinkUp(LinkId link, bool up) {
-  sim_.runAtBarrier([this, link, up] {
-    Link& l = topo_.mutableLink(link);
-    if (l.up == up) return;
-    l.up = up;
-    if (up) {
-      onLinkUp(link);
-    } else {
-      onLinkDown(link);
-    }
-    recomputeRoutes();
-  });
+  Link& l = topo_.mutableLink(link);
+  if (l.up == up) return;
+  l.up = up;
+  if (up) {
+    onLinkUp(link);
+  } else {
+    onLinkDown(link);
+  }
+  recomputeRoutes();
 }
 
 void NetworkModel::setNodeUp(NodeId node, bool up) {
-  sim_.runAtBarrier([this, node, up] {
-    Node& n = topo_.mutableNode(node);
-    if (n.up == up) return;
-    n.up = up;
-    if (up) {
-      onNodeUp(node);
-    } else {
-      onNodeDown(node);
-    }
-    recomputeRoutes();
-  });
+  Node& n = topo_.mutableNode(node);
+  if (n.up == up) return;
+  n.up = up;
+  if (up) {
+    onNodeUp(node);
+  } else {
+    onNodeDown(node);
+  }
+  recomputeRoutes();
 }
 
 LinkParams NetworkModel::linkParams(LinkId link) const {
@@ -85,7 +81,6 @@ LinkParams NetworkModel::linkParams(LinkId link) const {
 }
 
 void NetworkModel::applyLinkParams(LinkId link, const LinkParams& params) {
-  // Validate synchronously (the caller's error), mutate at the barrier.
   // Zero bandwidth is a legal *degraded* state (fluid flows stall on it and
   // routing steers new paths around it); models that cannot represent it
   // reject it in validateLinkParams (the packet model divides by bandwidth
@@ -95,20 +90,12 @@ void NetworkModel::applyLinkParams(LinkId link, const LinkParams& params) {
     throw UsageError("bad link parameters");
   }
   validateLinkParams(link, params);
-  sim_.runAtBarrier([this, link, params] {
-    Link& l = topo_.mutableLink(link);
-    l.bandwidth_bps = params.bandwidth_bps;
-    l.latency = params.latency;
-    l.loss_rate = params.loss_rate;
-    onLinkParamsChanged(link);
-    recomputeRoutes();
-  });
-}
-
-void NetworkModel::setPartitionPlan(const PartitionPlan& plan) {
-  (void)plan;
-  throw UsageError(std::string("network model '") + netModelKindName(kind()) +
-                   "' does not shard across event lanes");
+  Link& l = topo_.mutableLink(link);
+  l.bandwidth_bps = params.bandwidth_bps;
+  l.latency = params.latency;
+  l.loss_rate = params.loss_rate;
+  onLinkParamsChanged(link);
+  recomputeRoutes();
 }
 
 void NetworkModel::saveState(obs::StateWriter& w) const {

@@ -6,9 +6,9 @@
 // (FlowNetwork), or as a hybrid that escalates selected traffic to packet
 // detail (HybridNetwork). The base class owns everything the models share —
 // the topology, the fault-aware routing table, per-node transport handlers,
-// the time_scale rescaling, and the link/node fault surface with its
-// barrier-deferred mutation discipline — so a fault injected through
-// setLinkUp() behaves identically no matter which model is live.
+// the time_scale rescaling, and the link/node fault surface — so a fault
+// injected through setLinkUp() behaves identically no matter which model is
+// live.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "net/partition.h"
 #include "net/topology.h"
 #include "obs/sampler.h"
 #include "sim/simulator.h"
@@ -70,13 +69,9 @@ class NetworkModel {
 
   // --- fault surface (src/fault drives these) ---
   //
-  // Topology mutations touch state that every model reader depends on —
-  // routing tables, link up/down flags, queue or flow state — so under
-  // parallel execution they defer to the next barrier, where no worker runs.
-  // Without a parallel engine runAtBarrier() applies the op immediately, so
-  // classic sequential behaviour is unchanged. Each mutation fires exactly
-  // once per actual state change (a same-state call is a no-op), invokes the
-  // model-specific hook, then recomputes routes.
+  // Each mutation fires exactly once per actual state change (a same-state
+  // call is a no-op), invokes the model-specific hook, then recomputes
+  // routes.
 
   /// Administratively set a link up or down.
   void setLinkUp(LinkId link, bool up);
@@ -94,21 +89,6 @@ class NetworkModel {
   /// and friends stay correct in rescaled emulations.
   sim::SimTime scaleDuration(sim::SimTime t) const { return scaled(t); }
   double timeScale() const { return time_scale_; }
-
-  // --- parallel execution surface ---
-  //
-  // Only the packet model shards its wire pipeline across event lanes; the
-  // fluid models keep every event on the process lane, so their defaults
-  // (no-op plan, zero lookahead, lane 0) make any model safe to drop into
-  // the platform's parallel setup path.
-
-  virtual void setPartitionPlan(const PartitionPlan& plan);
-  virtual sim::SimTime wireLookahead() const { return 0; }
-  virtual int laneOf(NodeId node) const {
-    (void)node;
-    return 0;
-  }
-  const PartitionPlan& partitionPlan() const { return plan_; }
 
   // --- model-selection surface ---
 
@@ -131,9 +111,7 @@ class NetworkModel {
 
   /// Register this model's time-resolved probes on `sampler`: per-link busy
   /// utilization and whatever per-model health series apply (active flows,
-  /// wire throughput). Probe reads happen at sampler ticks — sequentially or
-  /// at parallel barriers, never mid-phase — so implementations may read
-  /// cross-lane state freely. Base: nothing.
+  /// wire throughput). Base: nothing.
   virtual void registerTelemetry(obs::TelemetrySampler& sampler) { (void)sampler; }
 
   // --- state-capture surface (DESIGN.md §11) ---
@@ -141,15 +119,15 @@ class NetworkModel {
   /// Fold the model's observable state into a canonical digest: the base
   /// folds every link's up flag and live parameters plus every node's up
   /// flag; models append their own dynamic state (queues, in-flight
-  /// packets, RNG streams, fluid flows). Strictly read-only; call between
-  /// events, never from inside a parallel phase.
+  /// packets, RNG stream, fluid flows). Strictly read-only; call between
+  /// events.
   virtual void saveState(obs::StateWriter& w) const;
 
  protected:
   friend class FlowEngine;
 
-  // Model-specific reactions, invoked at the barrier after the state flip
-  // and before the routing recompute. Fluid models react with *scoped* work:
+  // Model-specific reactions, invoked after the state flip and before the
+  // routing recompute. Fluid models react with *scoped* work:
   // down/params hooks touch only the contention component containing the
   // changed element (net.flow.recompute_flows histogram records the scope),
   // and up hooks are no-ops for flows (a restored element carries none).
@@ -176,7 +154,6 @@ class NetworkModel {
   RoutingTable routing_;
   std::vector<PacketHandler> handlers_;
   obs::Counter& c_route_recomputes_;
-  PartitionPlan plan_;
 
  private:
   sim::SimTime scaledSlow(sim::SimTime t) const;

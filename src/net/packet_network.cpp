@@ -1,7 +1,5 @@
 #include "net/packet_network.h"
 
-#include <algorithm>
-#include <cmath>
 
 #include "util/log.h"
 
@@ -19,33 +17,9 @@ PacketNetwork::PacketNetwork(sim::Simulator& sim, Topology topo, PacketNetworkOp
       c_dropped_node_down_(sim.metrics().counter("net.packet.drop_node_down")),
       c_bytes_delivered_(sim.metrics().counter("net.packet.bytes_delivered")),
       c_wire_bytes_(sim.metrics().counter("net.packet.wire_bytes_sent")),
-      trace_(sim.traceBus().channel("net.packet")) {
-  rngs_.emplace_back(opts.seed);
-  flight_.emplace_back();
+      trace_(sim.traceBus().channel("net.packet")),
+      rng_(opts.seed) {
   link_queues_.resize(static_cast<size_t>(topo_.linkCount()) * 2);
-}
-
-void PacketNetwork::setPartitionPlan(const PartitionPlan& plan) {
-  if (plan.partitions <= 1) return;
-  if (sim_.laneCount() < plan.partitions + 1) {
-    throw UsageError("setPartitionPlan: simulator has too few lanes for the plan");
-  }
-  if (static_cast<std::size_t>(topo_.nodeCount()) != plan.partition_of.size()) {
-    throw UsageError("setPartitionPlan: plan does not match this topology");
-  }
-  plan_ = plan;
-  laned_ = true;
-  // Decorrelated deterministic loss streams, one per wire lane. Derived from
-  // the configured seed and the lane index only — never from worker count.
-  while (rngs_.size() < static_cast<std::size_t>(plan.partitions) + 1) {
-    rngs_.emplace_back(opts_.seed ^ (0x9e3779b97f4a7c15ull * rngs_.size()));
-  }
-  flight_.resize(static_cast<std::size_t>(plan.partitions) + 1);
-}
-
-sim::SimTime PacketNetwork::wireLookahead() const {
-  if (!laned_) return 0;
-  return scaled(std::min(opts_.host_stack_delay, plan_.cut_latency));
 }
 
 double PacketNetwork::linkBusyKernelSeconds(LinkId link, sim::SimTime t) const {
@@ -53,9 +27,7 @@ double PacketNetwork::linkBusyKernelSeconds(LinkId link, sim::SimTime t) const {
   for (std::size_t dir = 0; dir < 2; ++dir) {
     const LinkQueue& q = link_queues_[static_cast<std::size_t>(link) * 2 + dir];
     ns += static_cast<double>(q.busy_ns);
-    // Open transmit interval, closed against the sample time. A barrier-time
-    // sample can predate a busy edge set later in the same epoch — clamp,
-    // keeping the cumulative sum monotone (the rate probe differences it).
+    // Open transmit interval, closed against the sample time.
     if (q.busy && t > q.busy_since) ns += static_cast<double>(t - q.busy_since);
   }
   return ns * 1e-9;
@@ -86,21 +58,19 @@ PacketNetworkStats PacketNetwork::stats() const {
 }
 
 std::uint32_t PacketNetwork::parkInFlight(Packet&& pkt) {
-  FlightPool& pool = flight_[static_cast<std::size_t>(sim_.currentLane())];
-  if (pool.free.empty()) {
-    pool.slots.push_back(std::move(pkt));
-    return static_cast<std::uint32_t>(pool.slots.size() - 1);
+  if (flight_free_.empty()) {
+    flight_slots_.push_back(std::move(pkt));
+    return static_cast<std::uint32_t>(flight_slots_.size() - 1);
   }
-  const std::uint32_t slot = pool.free.back();
-  pool.free.pop_back();
-  pool.slots[slot] = std::move(pkt);
+  const std::uint32_t slot = flight_free_.back();
+  flight_free_.pop_back();
+  flight_slots_[slot] = std::move(pkt);
   return slot;
 }
 
 Packet PacketNetwork::takeInFlight(std::uint32_t slot) {
-  FlightPool& pool = flight_[static_cast<std::size_t>(sim_.currentLane())];
-  Packet pkt = std::move(pool.slots[slot]);
-  pool.free.push_back(slot);
+  Packet pkt = std::move(flight_slots_[slot]);
+  flight_free_.push_back(slot);
   return pkt;
 }
 
@@ -109,17 +79,6 @@ void PacketNetwork::send(Packet&& pkt) {
     throw UsageError("packet endpoint out of range");
   }
   c_sent_.inc();
-  if (laned_ && pkt.src != pkt.dst) {
-    // Cross onto the source's wire partition. The sender-side stack delay is
-    // >= wireLookahead() by construction, so the crossing respects the
-    // engine's horizon; the Packet rides inside the event closure because
-    // flight slots are lane-local.
-    Packet p = std::move(pkt);
-    const int lane = laneOf(p.src);
-    sim_.scheduleOnLane(lane, sim_.now() + scaled(opts_.host_stack_delay),
-                        [this, p = std::move(p)]() mutable { forward(p.src, std::move(p)); });
-    return;
-  }
   // Sender-side protocol stack cost. The packet parks in a flight slot so
   // the event captures 8 bytes, not a Packet.
   const std::uint32_t slot = parkInFlight(std::move(pkt));
@@ -197,8 +156,7 @@ void PacketNetwork::startTransmit(LinkId link, NodeId from) {
       if (trace_.enabled()) trace_.record(sim_.now(), "drop_link_down", static_cast<double>(pkt.wireBytes()), lk.name);
       sim_.spans().endWith(pkt.hop_span, "dropped", "link_down");
       sim_.spans().endWith(pkt.span, "dropped", "link_down");
-    } else if (lk.loss_rate > 0 &&
-               rngs_[static_cast<std::size_t>(sim_.currentLane())].uniform() < lk.loss_rate) {
+    } else if (lk.loss_rate > 0 && rng_.uniform() < lk.loss_rate) {
       c_dropped_loss_.inc();
       if (trace_.enabled()) trace_.record(sim_.now(), "drop_loss", static_cast<double>(pkt.wireBytes()), lk.name);
       sim_.spans().endWith(pkt.hop_span, "dropped", "loss");
@@ -207,43 +165,18 @@ void PacketNetwork::startTransmit(LinkId link, NodeId from) {
       const NodeId to = topo_.peer(link, from);
       const bool at_destination = (to == pkt.dst);
       const sim::SimTime hop_delay =
-          lk.latency + (at_destination ? opts_.host_stack_delay
-                                       : opts_.router_forward_delay);
-      if (laned_ && at_destination) {
-        // Final hop: the whole arrival (hop-span close + delivery) executes
-        // on the process lane. latency + host_stack_delay >= wireLookahead()
-        // covers the crossing whether or not this link is a cut link.
-        Packet p = std::move(pkt);
-        sim_.scheduleOnLane(0, sim_.now() + scaled(hop_delay),
-                            [this, p = std::move(p)]() mutable {
-                              sim_.spans().end(p.hop_span);
-                              p.hop_span = 0;
-                              deliverLocal(std::move(p));
-                            });
-      } else if (laned_ && laneOf(to) != sim_.currentLane()) {
-        // Mid-route partition crossing: only cut links connect different
-        // partitions, and every cut link's latency >= the plan's
-        // cut_latency >= wireLookahead().
-        Packet p = std::move(pkt);
-        sim_.scheduleOnLane(laneOf(to), sim_.now() + scaled(hop_delay),
-                            [this, to, p = std::move(p)]() mutable {
-                              sim_.spans().end(p.hop_span);
-                              p.hop_span = 0;
-                              forward(to, std::move(p));
-                            });
-      } else {
-        const std::uint32_t slot = parkInFlight(std::move(pkt));
-        sim_.scheduleAfter(scaled(hop_delay), [this, to, slot] {
-          Packet p = takeInFlight(slot);
-          sim_.spans().end(p.hop_span);
-          p.hop_span = 0;
-          if (to == p.dst) {
-            deliverLocal(std::move(p));
-          } else {
-            forward(to, std::move(p));
-          }
-        });
-      }
+          lk.latency + (at_destination ? opts_.host_stack_delay : opts_.router_forward_delay);
+      const std::uint32_t slot = parkInFlight(std::move(pkt));
+      sim_.scheduleAfter(scaled(hop_delay), [this, to, slot] {
+        Packet p = takeInFlight(slot);
+        sim_.spans().end(p.hop_span);
+        p.hop_span = 0;
+        if (to == p.dst) {
+          deliverLocal(std::move(p));
+        } else {
+          forward(to, std::move(p));
+        }
+      });
     }
     startTransmit(link, from);
   });
@@ -322,30 +255,18 @@ void PacketNetwork::saveState(obs::StateWriter& w) const {
     w.i64("busy_since", lq.busy_since);
     w.i64("busy_ns", lq.busy_ns);
   }
-  w.u64("net.packet.lanes", rngs_.size());
-  for (const util::Rng& rng : rngs_) {
-    for (std::uint64_t word : rng.fingerprint()) w.u64("rng", word);
-  }
-  for (std::size_t lane = 0; lane < flight_.size(); ++lane) {
-    const FlightPool& pool = flight_[lane];
-    w.u64("flight.in_use", pool.slots.size() - pool.free.size());
-  }
+  for (std::uint64_t word : rng_.fingerprint()) w.u64("rng", word);
+  w.u64("flight.in_use", flight_slots_.size() - flight_free_.size());
 }
 
 void PacketNetwork::validateLinkParams(LinkId link, const net::LinkParams& params) const {
+  (void)link;
   // Per-segment serialization time divides by bandwidth, so the packet
   // pipeline (and the hybrid model, which inherits this check for its
   // escalated traffic) cannot express a fully-starved link; only the pure
   // fluid model accepts bandwidth 0 (flows stall until restore).
   if (params.bandwidth_bps <= 0) {
     throw UsageError("packet model needs positive link bandwidth");
-  }
-  if (laned_ && plan_.partitionOf(topo_.link(link).a) != plan_.partitionOf(topo_.link(link).b) &&
-      params.latency < plan_.cut_latency) {
-    // Degrading a cut link below the planned cut latency would invalidate
-    // the engine's lookahead. The partition plan is a pure function of the
-    // static topology, so this is a configuration error, not a race.
-    throw UsageError("cannot degrade a cut link's latency below the partition lookahead");
   }
 }
 

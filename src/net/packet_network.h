@@ -5,18 +5,6 @@
 // A `time_scale` multiplies every network duration when scheduling onto the
 // kernel clock. The MicroGrid platform runs the network at 1/rate so that
 // virtual-time behaviour is preserved at any emulation rate (paper Fig 15).
-//
-// Parallel execution (DESIGN.md §7): setPartitionPlan() shards the wire
-// pipeline across the simulator's event lanes — node n's queues and hop
-// events live on lane partitionOf(n)+1, while transports, handlers, and
-// deliverLocal stay on the process lane (lane 0). Every lane crossing rides
-// a physical delay that is at least wireLookahead() long: the sender-side
-// host stack delay into the wire (send), a cut link's latency between wire
-// partitions, and latency + receiver stack delay back to lane 0 (final hop),
-// so the conservative engine never needs to violate its horizon. Loss draws
-// use one RNG stream per lane; each stream's consumption order is fixed by
-// its own lane's deterministic event order, making drops independent of the
-// worker count.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +14,6 @@
 
 #include "net/network_model.h"
 #include "net/packet.h"
-#include "net/partition.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -78,42 +65,20 @@ class PacketNetwork : public NetworkModel {
   /// Kept for call-site compatibility; identical to net::LinkParams.
   using LinkParams = net::LinkParams;
 
-  // --- parallel execution ---
-
-  /// Shard the wire pipeline by the given partition plan. Requires the
-  /// simulator to have been configured with plan.partitions + 1 lanes (lane
-  /// 0 stays the process lane) and must be called before any packet flows.
-  /// A single-partition plan is a no-op (classic single-lane operation).
-  void setPartitionPlan(const PartitionPlan& plan) override;
-
-  /// The lane carrying a node's wire events: partition + 1 when sharded,
-  /// 0 otherwise.
-  int laneOf(NodeId node) const override {
-    return laned_ ? plan_.partitionOf(node) + 1 : 0;
-  }
-
-  /// The conservative lookahead the wire pipeline guarantees between lanes:
-  /// scaled(min(host_stack_delay, min cut-link latency)). 0 when unsharded
-  /// (or when the plan/options give no positive bound — the platform then
-  /// falls back to sequential execution).
-  sim::SimTime wireLookahead() const override;
-
   /// Time-resolved probes (DESIGN.md §10): delivered/wire-byte rates plus
   /// one net.packet.link_util.<name> series per link — the summed duplex
   /// utilization (1.0 = one direction saturated, 2.0 = both), from the
-  /// per-direction busy-time accrual. Probe reads happen at sampler ticks
-  /// (sequential or barrier), where the wire lanes are idle, so reading the
-  /// sharded queues is race-free.
+  /// per-direction busy-time accrual.
   void registerTelemetry(obs::TelemetrySampler& sampler) override;
 
   /// Base link/node state plus the packet machinery: per-direction queue
-  /// occupancy and busy accounting, in-flight pool occupancy, and every
-  /// lane's loss-process RNG stream.
+  /// occupancy and busy accounting, in-flight pool occupancy, and the
+  /// loss-process RNG stream.
   void saveState(obs::StateWriter& w) const override;
 
  protected:
-  // Fault hooks (NetworkModel runs them at the barrier, between the state
-  // flip and the routing recompute). Packets already queued on a downed
+  // Fault hooks (NetworkModel runs them between the state flip and the
+  // routing recompute). Packets already queued on a downed
   // link are dropped and counted under `net.packet.drop_link_down`; packets
   // queued *toward* a downed node are dropped under
   // `net.packet.drop_node_down` while its own outbound packets drain (the
@@ -125,9 +90,7 @@ class PacketNetwork : public NetworkModel {
  private:
   // Per-direction link queue state. Direction 0 = a->b, 1 = b->a.
   // Busy-time accrues at occupancy transitions (transmit starts on an idle
-  // direction / queue drains empty), per direction, on whichever lane owns
-  // the queue — cut links drive their two directions from different lanes,
-  // so a per-link aggregate only exists at barrier-synchronized reads.
+  // direction / queue drains empty), per direction.
   struct LinkQueue {
     std::deque<Packet> queue;
     std::int64_t queued_bytes = 0;
@@ -162,10 +125,8 @@ class PacketNetwork : public NetworkModel {
   obs::Counter& c_bytes_delivered_;
   obs::Counter& c_wire_bytes_;
   obs::TraceBus::Channel& trace_;
-  // One loss-process RNG stream per lane (index = lane). rngs_[0] is seeded
-  // with opts.seed exactly as the classic single-stream network was; wire
-  // lanes get deterministically derived streams in setPartitionPlan().
-  std::vector<util::Rng> rngs_;
+  // The loss process, seeded with opts.seed.
+  util::Rng rng_;
   // linkqueues_[link * 2 + direction]
   std::vector<LinkQueue> link_queues_;
   // In-flight packet records: packets traversing a latency/stack-delay leg
@@ -174,17 +135,8 @@ class PacketNetwork : public NetworkModel {
   // are recycled through a free list; the pool's size is the high-water mark
   // of concurrently in-flight packets, and a recycled slot's payload buffer
   // is re-stolen by the next move-assign rather than reallocated.
-  //
-  // One pool per lane: a park and its matching take always happen on the
-  // same lane (cross-lane legs carry the Packet inside the event closure
-  // instead), so pools are single-threaded by the lane-drain discipline.
-  struct FlightPool {
-    std::vector<Packet> slots;
-    std::vector<std::uint32_t> free;
-  };
-  std::vector<FlightPool> flight_;
-  // True when setPartitionPlan installed a multi-partition plan.
-  bool laned_ = false;
+  std::vector<Packet> flight_slots_;
+  std::vector<std::uint32_t> flight_free_;
 };
 
 }  // namespace mg::net

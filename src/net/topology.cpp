@@ -106,22 +106,15 @@ constexpr double kMtuBits = 1500.0 * 8.0;
 RoutingTable::RoutingTable(const Topology& topo) { recompute(topo); }
 
 void RoutingTable::recompute(const Topology& topo) {
-  std::lock_guard<std::mutex> lock(build_mu_);
   topo_ = &topo;
   n_ = topo.nodeCount();
-  storage_.clear();
-  // std::atomic is neither copyable nor movable, so resize via a fresh vector.
-  std::vector<std::atomic<const Column*>> fresh(static_cast<size_t>(n_));
-  for (auto& slot : fresh) slot.store(nullptr, std::memory_order_relaxed);
-  cols_.swap(fresh);
+  cols_.clear();
+  cols_.resize(static_cast<size_t>(n_));
+  columns_built_ = 0;
 }
 
 const RoutingTable::Column& RoutingTable::columnFor(NodeId dst) const {
-  const Column* col = cols_[static_cast<size_t>(dst)].load(std::memory_order_acquire);
-  if (col) return *col;
-
-  std::lock_guard<std::mutex> lock(build_mu_);
-  col = cols_[static_cast<size_t>(dst)].load(std::memory_order_relaxed);
+  std::unique_ptr<Column>& col = cols_[static_cast<size_t>(dst)];
   if (col) return *col;
 
   const Topology& topo = *topo_;
@@ -163,18 +156,13 @@ const RoutingTable::Column& RoutingTable::columnFor(NodeId dst) const {
   }
   via[static_cast<size_t>(dst)] = kNoLink;
 
-  auto built = std::make_unique<Column>();
-  built->next = std::move(via);
-  const Column* ptr = built.get();
-  storage_.push_back(std::move(built));
-  cols_[static_cast<size_t>(dst)].store(ptr, std::memory_order_release);
-  return *ptr;
+  col = std::make_unique<Column>();
+  col->next = std::move(via);
+  ++columns_built_;
+  return *col;
 }
 
-int RoutingTable::columnsBuilt() const {
-  std::lock_guard<std::mutex> lock(build_mu_);
-  return static_cast<int>(storage_.size());
-}
+int RoutingTable::columnsBuilt() const { return columns_built_; }
 
 LinkId RoutingTable::nextLink(NodeId from, NodeId dst) const {
   if (from < 0 || from >= n_ || dst < 0 || dst >= n_) throw UsageError("route endpoint out of range");

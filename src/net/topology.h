@@ -7,11 +7,9 @@
 // simulation system allows definition of an arbitrary network configuration."
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -102,11 +100,8 @@ class Topology {
 /// Routes are materialized lazily, one destination *column* at a time, on
 /// the first lookup toward that destination: a 100k-node grid whose traffic
 /// touches a handful of destinations pays for a handful of Dijkstra runs,
-/// not n of them (and n * n table cells). Column reads after publication are
-/// a single acquire load, so wire lanes can look up routes concurrently;
-/// the build path is serialized by a mutex and publishes with a release
-/// store. recompute() (barrier-only under parallel execution) drops every
-/// column, so fault-driven topology changes invalidate all cached routes.
+/// not n of them (and n * n table cells). recompute() drops every column, so
+/// fault-driven topology changes invalidate all cached routes.
 class RoutingTable {
  public:
   /// Routes are computed over all `up` links, skipping down nodes (a crashed
@@ -116,8 +111,7 @@ class RoutingTable {
   /// node ids (determinism).
   explicit RoutingTable(const Topology& topo);
 
-  /// Invalidate after link/node state changes. Must not race with lookups
-  /// (callers run it at a barrier or in single-threaded setup).
+  /// Invalidate after link/node state changes.
   void recompute(const Topology& topo);
 
   /// The link to take from `from` toward `dst`; kNoLink if unreachable.
@@ -148,11 +142,9 @@ class RoutingTable {
 
   int n_ = 0;
   const Topology* topo_ = nullptr;
-  // cols_[dst] is null until first use; unique_ptr keeps Column addresses
-  // stable while other columns are built.
-  mutable std::vector<std::atomic<const Column*>> cols_;
-  mutable std::vector<std::unique_ptr<Column>> storage_;
-  mutable std::mutex build_mu_;
+  // cols_[dst] is null until first use.
+  mutable std::vector<std::unique_ptr<Column>> cols_;
+  mutable int columns_built_ = 0;
 };
 
 }  // namespace mg::net

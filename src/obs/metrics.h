@@ -34,11 +34,9 @@ std::string formatDouble(double v);
 /// Minimal JSON string escaping (quotes, backslashes, newlines).
 std::string jsonEscape(const std::string& s);
 
-/// A monotonically increasing integer instrument. Increments are relaxed
-/// atomics so event lanes on worker threads can bump shared counters
-/// directly: addition commutes, so the final totals — the only thing
-/// snapshots expose — are independent of thread interleaving and the
-/// parallel worker count.
+/// A monotonically increasing integer instrument. Values are relaxed atomics
+/// so a monitor thread (obs::ProgressMonitor) can read them while the run
+/// bumps them.
 class Counter {
  public:
   Counter() = default;
@@ -53,9 +51,7 @@ class Counter {
 };
 
 /// A double-valued instrument: settable (level) or accumulating (total).
-/// add() commutes like Counter::inc (up to FP rounding order — callers that
-/// need byte-stable totals across worker counts must add from one lane, as
-/// every current caller does); set() is last-writer and should stay lane-0.
+/// Relaxed atomics, like Counter.
 class Gauge {
  public:
   Gauge() = default;

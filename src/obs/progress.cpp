@@ -28,13 +28,6 @@ std::string human(double v) {
 
 }  // namespace
 
-std::int64_t RunPulse::simNow() const {
-  const int n = std::min(lanes(), kMaxLanes);
-  std::int64_t best = 0;
-  for (int i = 0; i < n; ++i) best = std::max(best, laneNow(i));
-  return best;
-}
-
 ProgressMonitor::ProgressMonitor(const RunPulse& pulse, ProgressOptions opts)
     : pulse_(pulse), opts_(std::move(opts)) {
   if (opts_.interval_s <= 0) throw UsageError("ProgressMonitor wants interval > 0");
@@ -103,11 +96,7 @@ void ProgressMonitor::heartbeat(std::ostream& out, double wall_s) {
     const double ev = static_cast<double>(opts_.events->value());
     line += " | " + human(ev) + " ev (" + human(ev / std::max(wall_s, 1e-9)) + "/s)";
   }
-  std::int64_t pending = 0;
-  const int lanes = std::min(pulse_.lanes(), RunPulse::kMaxLanes);
-  for (int i = 0; i < lanes; ++i) pending += pulse_.lanePending(i);
-  line += " | pending " + std::to_string(pending);
-  if (pulse_.epochs() > 0) line += " | epochs " + std::to_string(pulse_.epochs());
+  line += " | pending " + std::to_string(pulse_.pending());
   if (opts_.fraction) {
     const double f = opts_.fraction();
     if (f >= 0) {
@@ -123,13 +112,10 @@ void ProgressMonitor::heartbeat(std::ostream& out, double wall_s) {
 
 void ProgressMonitor::stallDump(std::ostream& out, double quiet_s) {
   out << opts_.label << ": STALL no event commit for " << fmt("%.1f", quiet_s)
-      << "s wall; per-lane state (t = last dispatched event's clock):\n";
-  const int lanes = std::min(pulse_.lanes(), RunPulse::kMaxLanes);
-  for (int i = 0; i < lanes; ++i) {
-    out << "  lane " << i << ": t=" << fmt("%.6f", static_cast<double>(pulse_.laneNow(i)) * 1e-9)
-        << "s pending=" << pulse_.lanePending(i) << "\n";
-  }
-  out << "  commits=" << pulse_.commits() << " epochs=" << pulse_.epochs() << "\n" << std::flush;
+      << "s wall; kernel state (t = last dispatched event's clock):\n"
+      << "  t=" << fmt("%.6f", static_cast<double>(pulse_.simNow()) * 1e-9)
+      << "s pending=" << pulse_.pending() << " commits=" << pulse_.commits() << "\n"
+      << std::flush;
   stall_dumps_.fetch_add(1, std::memory_order_relaxed);
 }
 

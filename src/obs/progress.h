@@ -3,10 +3,10 @@
 // The simulation kernel is single-minded: once run() starts, nothing else
 // happens on its threads until the queues drain. RunPulse is the one-way
 // window out — a lock-free board of relaxed atomics the kernel publishes to
-// (per-event lane clock + pending count, a global commit counter, barrier
-// epochs) and a ProgressMonitor thread reads from. The monitor owns all
-// formatting and timing; the kernel's cost when --progress is off is a
-// single relaxed bool load per event, and when on, three relaxed stores.
+// (per-event clock + pending count and a commit counter) and a
+// ProgressMonitor thread reads from. The monitor owns all formatting and
+// timing; the kernel's cost when --progress is off is a single relaxed bool
+// load per event, and when on, three relaxed stores.
 //
 // Everything the monitor prints goes to its sink (stderr by default) and is
 // wall-clock flavored, hence nondeterministic — stdout and every recorded
@@ -14,7 +14,7 @@
 // enforced). Heartbeats show sim time, sim-seconds per wall-second,
 // events/sec, pending events, and an ETA when a progress-fraction callback
 // is provided. A stall watchdog fires when the commit counter stops moving
-// for `stall_s` wall seconds and dumps the per-lane board — the
+// for `stall_s` wall seconds and dumps the board — the
 // tell-a-human-where-it-hangs view for deadlocked or runaway scenarios.
 //
 // Thread-safety contract: the fraction callback runs on the monitor thread
@@ -38,49 +38,26 @@ class Counter;
 /// (and costing one relaxed load per event) unless enable(true) is called.
 class RunPulse {
  public:
-  static constexpr int kMaxLanes = 64;  // matches the kernel's 6 lane bits
-
   void enable(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  void configureLanes(int lanes) { lanes_.store(lanes, std::memory_order_relaxed); }
-  int lanes() const { return lanes_.load(std::memory_order_relaxed); }
-
-  /// One event dispatched on `lane`, whose clock is now `now_ns` with
-  /// `pending` events left in its heap. Kernel hot path — relaxed stores.
-  void beatLane(int lane, std::int64_t now_ns, std::int64_t pending) {
-    if (lane < 0 || lane >= kMaxLanes) return;
-    lane_now_[lane].ns.store(now_ns, std::memory_order_relaxed);
-    lane_pending_[lane].ns.store(pending, std::memory_order_relaxed);
+  /// One event dispatched; the clock is now `now_ns` with `pending` events
+  /// left in the queue. Kernel hot path — relaxed stores.
+  void beat(std::int64_t now_ns, std::int64_t pending) {
+    now_.store(now_ns, std::memory_order_relaxed);
+    pending_.store(pending, std::memory_order_relaxed);
     commits_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// One parallel barrier crossed (epoch boundary).
-  void noteBarrier() { epochs_.fetch_add(1, std::memory_order_relaxed); }
-
   std::uint64_t commits() const { return commits_.load(std::memory_order_relaxed); }
-  std::uint64_t epochs() const { return epochs_.load(std::memory_order_relaxed); }
-  std::int64_t laneNow(int lane) const {
-    return lane_now_[lane].ns.load(std::memory_order_relaxed);
-  }
-  std::int64_t lanePending(int lane) const {
-    return lane_pending_[lane].ns.load(std::memory_order_relaxed);
-  }
-  /// Max lane clock: the front of the simulation.
-  std::int64_t simNow() const;
+  std::int64_t simNow() const { return now_.load(std::memory_order_relaxed); }
+  std::int64_t pending() const { return pending_.load(std::memory_order_relaxed); }
 
  private:
-  // Cache-line padding keeps one lane's per-event stores from false-sharing
-  // its neighbours while worker threads drain lanes concurrently.
-  struct alignas(64) Slot {
-    std::atomic<std::int64_t> ns{0};
-  };
   std::atomic<bool> enabled_{false};
-  std::atomic<int> lanes_{1};
   std::atomic<std::uint64_t> commits_{0};
-  std::atomic<std::uint64_t> epochs_{0};
-  Slot lane_now_[kMaxLanes];
-  Slot lane_pending_[kMaxLanes];
+  std::atomic<std::int64_t> now_{0};
+  std::atomic<std::int64_t> pending_{0};
 };
 
 struct ProgressOptions {

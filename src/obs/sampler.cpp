@@ -8,8 +8,7 @@ namespace mg::obs {
 TelemetrySampler::TelemetrySampler(TimeSeriesRecorder& recorder, Host host, Options opts)
     : recorder_(recorder), host_(std::move(host)), opts_(opts) {
   if (opts_.interval_ns <= 0) throw UsageError("TelemetrySampler wants interval > 0");
-  if (!host_.now || !host_.schedule_at || !host_.in_parallel_phase || !host_.run_at_barrier ||
-      !host_.pending_events) {
+  if (!host_.now || !host_.schedule_at || !host_.pending_events) {
     throw UsageError("TelemetrySampler host is missing a callable");
   }
 }
@@ -47,21 +46,6 @@ void TelemetrySampler::start() {
   scheduleNext(t0);
 }
 
-void TelemetrySampler::fire(std::int64_t t) {
-  if (host_.in_parallel_phase()) {
-    // Worker lanes may still be executing: defer both the probe reads and
-    // the reschedule decision to the barrier, where the workers are idle and
-    // the op order is deterministic (see the header).
-    host_.run_at_barrier([this, t] {
-      collect(t);
-      scheduleNext(t);
-    });
-    return;
-  }
-  collect(t);
-  scheduleNext(t);
-}
-
 void TelemetrySampler::collect(std::int64_t t) {
   if (t == last_tick_) return;  // finish() colliding with the final tick
   const double dt_s = last_tick_ < 0 ? 0.0 : static_cast<double>(t - last_tick_) * 1e-9;
@@ -82,13 +66,11 @@ void TelemetrySampler::scheduleNext(std::int64_t t) {
   // Without pending events the run is over (Simulator::run drains to empty);
   // rescheduling would keep it alive forever.
   if (host_.pending_events() == 0) return;
-  std::int64_t next = t + opts_.interval_ns;
-  // At a barrier lane 0's clock may already have passed t + interval (the
-  // epoch ran ahead); the clamp keeps schedule_at legal and is deterministic
-  // because barrier-time clocks are functions of the configuration alone.
-  const std::int64_t now = host_.now();
-  if (next < now) next = now;
-  host_.schedule_at(next, [this, next] { fire(next); });
+  const std::int64_t next = t + opts_.interval_ns;
+  host_.schedule_at(next, [this, next] {
+    collect(next);
+    scheduleNext(next);
+  });
 }
 
 void TelemetrySampler::finish() {

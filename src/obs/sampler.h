@@ -1,31 +1,19 @@
 // Event-driven periodic sampling of gauges and counters-as-rates into a
 // TimeSeriesRecorder (DESIGN.md §10).
 //
-// The sampler schedules itself as a recurring simulation event on lane 0 at
-// a fixed interval, reads every registered probe, and records one sample per
+// The sampler schedules itself as a recurring simulation event at a fixed
+// interval, reads every registered probe, and records one sample per
 // probe per tick. It is deliberately decoupled from sim::Simulator (obs is a
 // lower layer): the kernel surface arrives as a Host struct of callables,
 // bound by sim::telemetryHost().
 //
-// Determinism under --parallel=N: a sample event fires while worker lanes
-// may still be mid-phase, so reading cross-lane state (link occupancy,
-// counters being bumped by wire lanes) directly would be racy *and*
-// timing-dependent. Instead, when the host reports an active parallel phase
-// the tick defers both the probe reads and the next-tick scheduling decision
-// to host.run_at_barrier — the barrier is a deterministic point (the epoch
-// structure is a function of the configuration, never the worker count), the
-// workers are idle there, and barrier ops run in a deterministic order. In
-// sequential/single-lane runs the tick collects immediately. Either way the
-// recorded (time, value) stream is byte-identical for any worker count.
-//
 // Probes take the sample timestamp explicitly so resources can close open
-// busy-intervals against the sampler's clock instead of reading their own
-// lane clock (which may sit anywhere inside the epoch window at a barrier).
+// busy-intervals against the sampler's clock.
 //
 // The sampler reschedules only while host.pending_events() > 0, so it never
 // keeps Simulator::run() (which runs until all queues drain) alive on its
-// own, and the final tick lands at the last real event's epoch. finish()
-// takes one closing sample so rate probes account the tail interval.
+// own, and the final tick is the first one at or after the last real event.
+// finish() takes one closing sample so rate probes account the tail interval.
 #pragma once
 
 #include <cstdint>
@@ -43,15 +31,11 @@ class TelemetrySampler {
  public:
   /// The kernel surface the sampler runs against (see sim::telemetryHost).
   struct Host {
-    /// Current simulation time (ns), lane-0 clock.
+    /// Current simulation time (ns).
     std::function<std::int64_t()> now;
-    /// Schedule a callable at absolute sim time t (>= now) on lane 0.
+    /// Schedule a callable at absolute sim time t (>= now).
     std::function<void(std::int64_t, std::function<void()>)> schedule_at;
-    /// True while worker threads may be executing a parallel phase.
-    std::function<bool()> in_parallel_phase;
-    /// Run a callable at the next barrier (immediately when no phase).
-    std::function<void(std::function<void()>)> run_at_barrier;
-    /// Events currently scheduled across all lanes (safe at barriers).
+    /// Events currently scheduled.
     std::function<std::size_t()> pending_events;
   };
 
@@ -99,8 +83,6 @@ class TelemetrySampler {
   };
 
   void addProbe(Probe p);
-  /// The recurring tick, fired at its scheduled time t.
-  void fire(std::int64_t t);
   /// Read every probe at time t and record the samples.
   void collect(std::int64_t t);
   /// Schedule the next tick if the run still has events to execute.

@@ -1,7 +1,7 @@
 #include "obs/span.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace mg::obs {
 
@@ -14,28 +14,15 @@ SpanRecorder::SpanRecorder(MetricsRegistry* metrics) {
   }
 }
 
-void SpanRecorder::configureLanes(int lanes) {
-  if (lanes < 1) lanes = 1;
-  current_lanes_.assign(static_cast<std::size_t>(lanes), 0);
-  lane_journals_.assign(static_cast<std::size_t>(lanes), {});
-  lane_next_local_.assign(static_cast<std::size_t>(lanes), 0);
-}
-
-SpanId SpanRecorder::canonical(SpanId id) const {
-  if (!namespaced(id)) return id;
-  const auto it = remap_.find(id);
-  return it == remap_.end() ? 0 : it->second;
-}
-
 SpanId SpanRecorder::record(SpanId parent, std::string_view component, std::string_view name,
-                            std::string_view track, bool instant, std::int64_t at) {
+                            std::string_view track, bool instant) {
   Span s;
   s.id = static_cast<SpanId>(spans_.size()) + 1;
   s.parent = parent;
   s.component.assign(component);
   s.name.assign(name);
   s.track.assign(track);
-  s.start = at;
+  s.start = nowNs();
   s.instant = instant;
   if (instant) s.end = s.start;
   spans_.push_back(std::move(s));
@@ -44,42 +31,17 @@ SpanId SpanRecorder::record(SpanId parent, std::string_view component, std::stri
 
 SpanId SpanRecorder::begin(std::string_view component, std::string_view name,
                            std::string_view track) {
-  if (!enabled_) return 0;
-  const int lane = obs::currentLane();
-  if (lane != 0 && static_cast<std::size_t>(lane) < lane_journals_.size()) {
-    const SpanId id = laneId(lane, ++lane_next_local_[static_cast<std::size_t>(lane)]);
-    lane_journals_[static_cast<std::size_t>(lane)].push_back(
-        SpanOp{SpanOp::kBegin, nowNs(), id, current(), std::string(component), std::string(name),
-               std::string(track), {}, {}});
-    return id;
-  }
-  if (c_begun_) c_begun_->inc();
-  return record(canonical(current()), component, name, track, /*instant=*/false, nowNs());
+  return beginChildOf(current(), component, name, track);
 }
 
 SpanId SpanRecorder::beginChildOf(SpanId parent, std::string_view component, std::string_view name,
                                   std::string_view track) {
   if (!enabled_) return 0;
-  const int lane = obs::currentLane();
-  if (lane != 0 && static_cast<std::size_t>(lane) < lane_journals_.size()) {
-    const SpanId id = laneId(lane, ++lane_next_local_[static_cast<std::size_t>(lane)]);
-    lane_journals_[static_cast<std::size_t>(lane)].push_back(
-        SpanOp{SpanOp::kBegin, nowNs(), id, parent, std::string(component), std::string(name),
-               std::string(track), {}, {}});
-    return id;
-  }
   if (c_begun_) c_begun_->inc();
-  return record(canonical(parent), component, name, track, /*instant=*/false, nowNs());
+  return record(parent, component, name, track, /*instant=*/false);
 }
 
 void SpanRecorder::end(SpanId id) {
-  if (id == 0) return;
-  const int lane = obs::currentLane();
-  if (lane != 0 && static_cast<std::size_t>(lane) < lane_journals_.size()) {
-    lane_journals_[static_cast<std::size_t>(lane)].push_back(
-        SpanOp{SpanOp::kEnd, nowNs(), id, 0, {}, {}, {}, {}, {}});
-    return;
-  }
   Span* s = mutableFind(id);
   if (s == nullptr || !s->open()) return;
   s->end = nowNs();
@@ -87,13 +49,6 @@ void SpanRecorder::end(SpanId id) {
 }
 
 void SpanRecorder::endWith(SpanId id, std::string_view key, std::string_view value) {
-  if (id == 0) return;
-  const int lane = obs::currentLane();
-  if (lane != 0 && static_cast<std::size_t>(lane) < lane_journals_.size()) {
-    lane_journals_[static_cast<std::size_t>(lane)].push_back(SpanOp{
-        SpanOp::kEndWith, nowNs(), id, 0, {}, {}, {}, std::string(key), std::string(value)});
-    return;
-  }
   Span* s = mutableFind(id);
   if (s == nullptr || !s->open()) return;
   s->attrs.emplace_back(std::string(key), std::string(value));
@@ -102,13 +57,6 @@ void SpanRecorder::endWith(SpanId id, std::string_view key, std::string_view val
 }
 
 void SpanRecorder::annotate(SpanId id, std::string_view key, std::string_view value) {
-  if (id == 0) return;
-  const int lane = obs::currentLane();
-  if (lane != 0 && static_cast<std::size_t>(lane) < lane_journals_.size()) {
-    lane_journals_[static_cast<std::size_t>(lane)].push_back(SpanOp{
-        SpanOp::kAnnotate, nowNs(), id, 0, {}, {}, {}, std::string(key), std::string(value)});
-    return;
-  }
   Span* s = mutableFind(id);
   if (s == nullptr) return;
   s->attrs.emplace_back(std::string(key), std::string(value));
@@ -117,23 +65,11 @@ void SpanRecorder::annotate(SpanId id, std::string_view key, std::string_view va
 SpanId SpanRecorder::instant(std::string_view component, std::string_view name,
                              std::string_view track) {
   if (!enabled_) return 0;
-  const int lane = obs::currentLane();
-  if (lane != 0 && static_cast<std::size_t>(lane) < lane_journals_.size()) {
-    const SpanId id = laneId(lane, ++lane_next_local_[static_cast<std::size_t>(lane)]);
-    lane_journals_[static_cast<std::size_t>(lane)].push_back(
-        SpanOp{SpanOp::kInstant, nowNs(), id, current(), std::string(component), std::string(name),
-               std::string(track), {}, {}});
-    return id;
-  }
   if (c_instants_) c_instants_->inc();
-  return record(canonical(current()), component, name, track, /*instant=*/true, nowNs());
+  return record(current(), component, name, track, /*instant=*/true);
 }
 
 void SpanRecorder::abortTrack(std::string_view track, std::string_view reason) {
-  // Lane-0 only (host crashes run on the process lane). Spans journaled by
-  // wire lanes in the current phase are not yet visible here; they commit at
-  // the barrier and close normally — deterministically so, for any worker
-  // count, because commit order never depends on the thread schedule.
   const std::int64_t t = nowNs();
   for (Span& s : spans_) {
     if (!s.open() || s.track != track) continue;
@@ -143,77 +79,13 @@ void SpanRecorder::abortTrack(std::string_view track, std::string_view reason) {
   }
 }
 
-void SpanRecorder::applyOp(int lane, const SpanOp& op) {
-  switch (op.kind) {
-    case SpanOp::kBegin:
-    case SpanOp::kInstant: {
-      if (c_begun_ && op.kind == SpanOp::kBegin) c_begun_->inc();
-      if (c_instants_ && op.kind == SpanOp::kInstant) c_instants_->inc();
-      const SpanId dense = record(canonical(op.parent), op.component, op.name, op.track,
-                                  op.kind == SpanOp::kInstant, op.time);
-      remap_[op.id] = dense;
-      break;
-    }
-    case SpanOp::kEnd: {
-      Span* s = mutableFind(op.id);
-      if (s == nullptr || !s->open()) return;
-      s->end = op.time;
-      if (c_completed_) c_completed_->inc();
-      break;
-    }
-    case SpanOp::kEndWith: {
-      Span* s = mutableFind(op.id);
-      if (s == nullptr || !s->open()) return;
-      s->attrs.emplace_back(op.key, op.value);
-      s->end = op.time;
-      if (c_completed_) c_completed_->inc();
-      break;
-    }
-    case SpanOp::kAnnotate: {
-      Span* s = mutableFind(op.id);
-      if (s == nullptr) return;
-      s->attrs.emplace_back(op.key, op.value);
-      break;
-    }
-  }
-  (void)lane;
-}
-
-void SpanRecorder::commitParallelPhase() {
-  struct Ref {
-    std::int64_t time;
-    int lane;
-    const SpanOp* op;
-  };
-  std::vector<Ref> refs;
-  for (std::size_t lane = 1; lane < lane_journals_.size(); ++lane) {
-    for (const SpanOp& op : lane_journals_[lane]) {
-      refs.push_back(Ref{op.time, static_cast<int>(lane), &op});
-    }
-  }
-  if (refs.empty()) return;
-  // (time, lane) with journal order preserved inside each (time, lane) pair
-  // by the stable sort — the deterministic merge rule.
-  std::stable_sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.lane < b.lane;
-  });
-  for (const Ref& r : refs) applyOp(r.lane, *r.op);
-  for (std::size_t lane = 1; lane < lane_journals_.size(); ++lane) {
-    lane_journals_[lane].clear();
-  }
-}
-
 const SpanRecorder::Span* SpanRecorder::find(SpanId id) const {
-  const SpanId dense = canonical(id);
-  if (dense == 0 || dense > spans_.size()) return nullptr;
-  return &spans_[static_cast<std::size_t>(dense - 1)];
+  if (id == 0 || id > spans_.size()) return nullptr;
+  return &spans_[static_cast<std::size_t>(id - 1)];
 }
 
 SpanRecorder::Span* SpanRecorder::mutableFind(SpanId id) {
-  const SpanId dense = canonical(id);
-  if (dense == 0 || dense > spans_.size()) return nullptr;
-  return &spans_[static_cast<std::size_t>(dense - 1)];
+  return const_cast<Span*>(std::as_const(*this).find(id));
 }
 
 std::size_t SpanRecorder::openCount() const {

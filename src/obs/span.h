@@ -13,17 +13,6 @@
 // order, seeded RNGs). Same-seed runs therefore produce byte-identical span
 // trees and exported traces.
 //
-// Parallel execution (sim/parallel.h) keeps that guarantee with per-lane
-// journaling: lane 0 records directly, while a worker draining lane k > 0
-// appends operations to a per-lane journal and hands out *namespaced* ids
-// (high bit set, lane in bits 48..62, a per-lane sequence below). At each
-// barrier commitParallelPhase() replays the journals sorted by (time, lane,
-// journal order) — all deterministic quantities — assigning dense sequential
-// ids and remembering the namespaced->dense remap so later end()/annotate()
-// calls (from any lane, e.g. a packet span ended at delivery) resolve. The
-// exported tree only ever contains dense ids, byte-identical for any worker
-// count.
-//
 // Context propagation is cooperative: the recorder holds a "current" span id
 // that sim::Simulator saves/restores around event dispatch and process
 // slices, spawn() inherits it, and net::Packet carries it across hosts.
@@ -37,11 +26,9 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "obs/lane.h"
 #include "obs/metrics.h"
 
 namespace mg::obs {
@@ -103,10 +90,9 @@ class SpanRecorder {
   SpanId instant(std::string_view component, std::string_view name, std::string_view track = {});
 
   /// The ambient span new spans parent to. Saved/restored by the simulator
-  /// around event dispatch and process slices. One slot per event lane: the
-  /// context a worker manipulates while draining lane k is lane k's alone.
-  SpanId current() const { return current_lanes_[laneSlot()]; }
-  void setCurrent(SpanId id) { current_lanes_[laneSlot()] = id; }
+  /// around event dispatch and process slices.
+  SpanId current() const { return current_; }
+  void setCurrent(SpanId id) { current_ = id; }
 
   /// Close every span still open on `track` with attr aborted=<reason>.
   /// Called by host crash before the victim processes are killed, so the
@@ -122,60 +108,16 @@ class SpanRecorder {
   /// order — the determinism-test currency (diff two same-seed runs).
   std::string serializeTree() const;
 
-  // --- parallel-lane support (called by sim::Simulator / ParallelEngine) ---
-
-  /// Size the per-lane journals and current-span slots. Lanes default to 1.
-  void configureLanes(int lanes);
-
-  /// Replay every lane journal sorted by (time, lane, journal order),
-  /// assigning dense ids and extending the namespaced->dense remap. Called
-  /// at each barrier with all workers idle.
-  void commitParallelPhase();
-
-  /// Dense id for a (possibly namespaced) id; 0 when unknown. Namespaced
-  /// ids resolve only after the barrier that committed their Begin.
-  SpanId canonical(SpanId id) const;
-
  private:
-  // Journaled operation from a worker lane, replayed at the barrier.
-  struct SpanOp {
-    enum Kind : std::uint8_t { kBegin, kInstant, kEnd, kEndWith, kAnnotate };
-    Kind kind;
-    std::int64_t time;
-    SpanId id = 0;      // namespaced id assigned at call for Begin/Instant
-    SpanId parent = 0;  // Begin/Instant
-    std::string component, name, track;  // Begin/Instant
-    std::string key, value;              // EndWith/Annotate
-  };
-
-  // Namespaced worker-lane ids: high bit | lane << 48 | per-lane sequence.
-  static constexpr SpanId kLaneBit = SpanId{1} << 63;
-  static bool namespaced(SpanId id) { return (id & kLaneBit) != 0; }
-  static SpanId laneId(int lane, std::uint64_t seq) {
-    return kLaneBit | (static_cast<SpanId>(lane) << 48) | seq;
-  }
-
-  std::size_t laneSlot() const {
-    const int lane = obs::currentLane();
-    return static_cast<std::size_t>(lane) < current_lanes_.size()
-               ? static_cast<std::size_t>(lane)
-               : 0;
-  }
   Span* mutableFind(SpanId id);
   std::int64_t nowNs() const { return now_ ? now_() : 0; }
   SpanId record(SpanId parent, std::string_view component, std::string_view name,
-                std::string_view track, bool instant, std::int64_t at);
-  void applyOp(int lane, const SpanOp& op);
+                std::string_view track, bool instant);
 
   bool enabled_ = false;
-  std::vector<SpanId> current_lanes_{0};
+  SpanId current_ = 0;
   std::function<std::int64_t()> now_;
   std::deque<Span> spans_;  // spans_[id - 1]; deque keeps addresses stable
-
-  // Worker-lane journaling state, all indexed by lane (entry 0 unused).
-  std::vector<std::vector<SpanOp>> lane_journals_;
-  std::vector<std::uint64_t> lane_next_local_;
-  std::unordered_map<SpanId, SpanId> remap_;  // namespaced -> dense
 
   Counter* c_begun_ = nullptr;
   Counter* c_completed_ = nullptr;

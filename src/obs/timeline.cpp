@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/lane.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 
@@ -46,17 +45,7 @@ TimeSeriesRecorder::Series& TimeSeriesRecorder::getOrCreate(std::string_view nam
   return s;
 }
 
-void TimeSeriesRecorder::add(std::string_view series, std::int64_t t, double v) {
-  const int lane = currentLane();
-  if (lane > 0 && static_cast<std::size_t>(lane) < lane_journals_.size()) {
-    lane_journals_[static_cast<std::size_t>(lane)].push_back(
-        JournalEntry{t, std::string(series), v});
-    return;
-  }
-  addDirect(series, t, v);
-}
-
-void TimeSeriesRecorder::addDirect(std::string_view name, std::int64_t t, double v) {
+void TimeSeriesRecorder::add(std::string_view name, std::int64_t t, double v) {
   if (index_.size() >= opts_.max_series && index_.find(name) == index_.end()) {
     ++dropped_series_;
     return;
@@ -117,33 +106,6 @@ std::vector<const TimeSeriesRecorder::Series*> TimeSeriesRecorder::seriesSorted(
   out.reserve(index_.size());
   for (const auto& [name, s] : index_) out.push_back(s);
   return out;
-}
-
-void TimeSeriesRecorder::configureLanes(int lanes) {
-  lane_journals_.resize(static_cast<std::size_t>(lanes));
-}
-
-void TimeSeriesRecorder::commitParallelPhase() {
-  struct Ref {
-    std::int64_t time;
-    int lane;
-    const JournalEntry* e;
-  };
-  std::vector<Ref> refs;
-  for (std::size_t lane = 1; lane < lane_journals_.size(); ++lane) {
-    for (const JournalEntry& e : lane_journals_[lane]) {
-      refs.push_back(Ref{e.time, static_cast<int>(lane), &e});
-    }
-  }
-  if (refs.empty()) return;
-  std::stable_sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.lane < b.lane;
-  });
-  for (const Ref& r : refs) addDirect(r.e->series, r.e->time, r.e->value);
-  for (std::size_t lane = 1; lane < lane_journals_.size(); ++lane) {
-    lane_journals_[lane].clear();
-  }
 }
 
 std::string TimeSeriesRecorder::csv() const {

@@ -11,13 +11,9 @@
 // widening keeps every original bucket boundary aligned to some later
 // boundary, so no sample ever straddles two buckets retroactively).
 //
-// Determinism contract: add() order defines the "last" aggregate, so the
-// recorder follows the same lane discipline as SpanRecorder/TraceBus
-// (obs/lane.h): lane 0 records directly into the canonical series, worker
-// lanes journal {lane, time, series, value} into per-lane buffers, and
-// commitParallelPhase() merges journals sorted by (time, lane, journal
-// order) at each barrier — all quantities fixed by the configuration, never
-// the worker count, so csv()/json() are byte-identical for any --parallel=N.
+// Determinism contract: add() order defines the "last" aggregate, and the
+// kernel's total (time, seq) event order fixes add() order, so csv()/json()
+// are byte-identical across same-seed runs.
 //
 // Exports: csv() (one row per populated bucket, series sorted by name,
 // integer nanosecond bounds, formatDouble values) and json() (same data as
@@ -73,8 +69,7 @@ class TimeSeriesRecorder {
   /// callers set it before sampling starts (mgrun --timeline-interval).
   void setBaseWidth(std::int64_t width_ns);
 
-  /// Record value `v` for `series` at simulation time `t` (ns). Lane 0
-  /// records directly; worker lanes journal for the next barrier commit.
+  /// Record value `v` for `series` at simulation time `t` (ns).
   void add(std::string_view series, std::int64_t t, double v);
 
   /// Lookup (nullptr when absent). The pointer is stable for the recorder's
@@ -88,13 +83,6 @@ class TimeSeriesRecorder {
   std::int64_t sampleCount() const { return samples_; }
   std::int64_t droppedSeries() const { return dropped_series_; }
 
-  /// Size the per-lane journals (sim::Simulator::configureParallel).
-  void configureLanes(int lanes);
-
-  /// Merge worker-lane journals into the canonical series, sorted by
-  /// (time, lane, journal order). Called at each barrier, workers idle.
-  void commitParallelPhase();
-
   /// One header + one row per populated bucket:
   ///   series,bucket_start_ns,bucket_end_ns,samples,min,max,mean,last
   /// Series in sorted name order; empty buckets are skipped.
@@ -106,14 +94,7 @@ class TimeSeriesRecorder {
   std::string json() const;
 
  private:
-  struct JournalEntry {
-    std::int64_t time;
-    std::string series;
-    double value;
-  };
-
   Series& getOrCreate(std::string_view name);
-  void addDirect(std::string_view series, std::int64_t t, double v);
   static void widen(Series& s);
 
   Options opts_;
@@ -121,10 +102,6 @@ class TimeSeriesRecorder {
   std::map<std::string, Series*, std::less<>> index_;
   std::int64_t samples_ = 0;
   std::int64_t dropped_series_ = 0;
-  // Per-lane journals (entry 0 unused): written only by the lane's drainer
-  // thread during a phase, merged only at the barrier — the phase separation
-  // is the synchronization (same model as TraceBus).
-  std::vector<std::vector<JournalEntry>> lane_journals_;
 };
 
 }  // namespace mg::obs

@@ -1,50 +1,13 @@
 #include "obs/trace_bus.h"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "obs/lane.h"
 
 namespace mg::obs {
 
 void TraceBus::Channel::record(std::int64_t time, std::string_view kind, double value,
                                std::string_view detail) {
   if (!enabled_) return;
-  const int lane = obs::currentLane();
-  if (lane != 0 && static_cast<std::size_t>(lane) < bus_.lane_journals_.size()) {
-    bus_.lane_journals_[static_cast<std::size_t>(lane)].push_back(
-        Event{time, name_, std::string(kind), value, std::string(detail)});
-    return;
-  }
   bus_.events_.push_back(Event{time, name_, std::string(kind), value, std::string(detail)});
-}
-
-void TraceBus::configureLanes(int lanes) {
-  if (lanes < 1) lanes = 1;
-  lane_journals_.assign(static_cast<std::size_t>(lanes), {});
-}
-
-void TraceBus::commitParallelPhase() {
-  struct Ref {
-    std::int64_t time;
-    int lane;
-    const Event* ev;
-  };
-  std::vector<Ref> refs;
-  for (std::size_t lane = 1; lane < lane_journals_.size(); ++lane) {
-    for (const Event& e : lane_journals_[lane]) {
-      refs.push_back(Ref{e.time, static_cast<int>(lane), &e});
-    }
-  }
-  if (refs.empty()) return;
-  std::stable_sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.lane < b.lane;
-  });
-  for (const Ref& r : refs) events_.push_back(*r.ev);
-  for (std::size_t lane = 1; lane < lane_journals_.size(); ++lane) {
-    lane_journals_[lane].clear();
-  }
 }
 
 TraceBus::Channel& TraceBus::channel(const std::string& component) {

@@ -8,12 +8,6 @@
 // stream, so same-seed runs can be diffed for equality (the repo's
 // internal-validation analogue of the paper's §3.6 skew checks).
 //
-// Under parallel execution, lane 0 records directly while worker lanes
-// journal into per-lane buffers; commitParallelPhase() merges them into the
-// canonical stream sorted by (time, lane, journal order) at each barrier —
-// quantities fixed by the configuration, never by the worker count, so the
-// serialized stream is byte-identical for any `--parallel=N`.
-//
 // Numeric event values double as samples: asTrace() extracts a
 // util::Trace (time-in-seconds, value) series for one (component, kind),
 // ready for util::rmsPercentSkew.
@@ -74,13 +68,6 @@ class TraceBus {
   const std::vector<Event>& events() const { return events_; }
   void clear() { events_.clear(); }
 
-  /// Size the per-lane journals (sim::Simulator::configureParallel).
-  void configureLanes(int lanes);
-
-  /// Merge worker-lane journals into the canonical stream, sorted by
-  /// (time, lane, journal order). Called at each barrier, workers idle.
-  void commitParallelPhase();
-
   /// (seconds, value) series of every event on one (component, kind).
   util::Trace asTrace(std::string_view component, std::string_view kind) const;
 
@@ -98,10 +85,6 @@ class TraceBus {
   // later entries win so enable-then-disable behaves intuitively).
   std::vector<std::pair<std::string, bool>> masks_;
   std::vector<Event> events_;
-  // Per-lane journals (entry 0 unused): written only by the lane's drainer
-  // thread during a phase, merged only at the barrier — the phase separation
-  // is the synchronization.
-  std::vector<std::vector<Event>> lane_journals_;
 };
 
 }  // namespace mg::obs

@@ -1,10 +1,10 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <limits>
 #include <semaphore>
 #include <thread>
 
-#include "sim/parallel.h"
 #include "util/log.h"
 
 namespace mg::sim {
@@ -15,10 +15,7 @@ namespace mg::sim {
 // The handoff is a pair of binary semaphores: releasing the peer's semaphore
 // is a single futex wake of exactly one waiter, with no mutex round-trip and
 // no broadcast. Strict alternation (exactly one side runs at a time) keeps
-// each semaphore's count in {0, 1} by construction. Under the parallel
-// engine the "kernel side" is whichever worker thread is draining lane 0
-// that epoch; the semaphore pair carries the happens-before edge, so the
-// process thread always sees lane 0's latest state.
+// each semaphore's count in {0, 1} by construction.
 // ---------------------------------------------------------------------------
 
 struct Process::Impl {
@@ -65,17 +62,17 @@ void Process::yieldToKernel() {
 }
 
 // ---------------------------------------------------------------------------
-// EventLane: slab arena + 4-ary min-heap (see the header comment).
+// EventQueue: slab arena + 4-ary min-heap (see the header comment).
 // ---------------------------------------------------------------------------
 
 namespace detail {
 
-void EventLane::placeEntry(std::size_t pos, const HeapEntry& e) {
+void EventQueue::placeEntry(std::size_t pos, const HeapEntry& e) {
   heap[pos] = e;
   meta[e.slot].heap_pos = static_cast<std::int32_t>(pos);
 }
 
-void EventLane::siftUp(std::size_t pos, const HeapEntry& e) {
+void EventQueue::siftUp(std::size_t pos, const HeapEntry& e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
     if (!entryBefore(e, heap[parent])) break;
@@ -85,7 +82,7 @@ void EventLane::siftUp(std::size_t pos, const HeapEntry& e) {
   placeEntry(pos, e);
 }
 
-void EventLane::siftDown(std::size_t pos, const HeapEntry& e) {
+void EventQueue::siftDown(std::size_t pos, const HeapEntry& e) {
   const std::size_t n = heap.size();
   for (;;) {
     const std::size_t first = 4 * pos + 1;
@@ -102,12 +99,12 @@ void EventLane::siftDown(std::size_t pos, const HeapEntry& e) {
   placeEntry(pos, e);
 }
 
-void EventLane::heapPush(const HeapEntry& e) {
+void EventQueue::heapPush(const HeapEntry& e) {
   heap.push_back(e);  // placeholder; siftUp writes the final position
   siftUp(heap.size() - 1, e);
 }
 
-void EventLane::heapRemoveAt(std::int32_t pos) {
+void EventQueue::heapRemoveAt(std::int32_t pos) {
   const std::size_t p = static_cast<std::size_t>(pos);
   const HeapEntry moved = heap.back();
   heap.pop_back();
@@ -119,11 +116,14 @@ void EventLane::heapRemoveAt(std::int32_t pos) {
   }
 }
 
-std::uint32_t EventLane::allocSlot() {
+std::uint32_t EventQueue::allocSlot() {
   if (!free_slots.empty()) {
     const std::uint32_t slot = free_slots.back();
     free_slots.pop_back();
     return slot;
+  }
+  if (slab.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw UsageError("event arena exhausted (2^32 slots)");
   }
   slab.emplace_back();
   meta.emplace_back();
@@ -131,7 +131,7 @@ std::uint32_t EventLane::allocSlot() {
   return static_cast<std::uint32_t>(slab.size() - 1);
 }
 
-void EventLane::freeSlot(std::uint32_t slot) {
+void EventQueue::freeSlot(std::uint32_t slot) {
   SlotMeta& m = meta[slot];
   if (++m.generation == 0) m.generation = 1;  // keep ids nonzero on wrap
   m.heap_pos = -1;
@@ -150,91 +150,56 @@ constexpr int kProcessReapThreshold = 16;
 }  // namespace
 
 Simulator::Simulator() {
-  lanes_.push_back(std::make_unique<detail::EventLane>());
   owns_log_time_source_ = util::setLogSimTimeSource([this] { return now(); });
   spans_.setTimeSource([this] { return now(); });
 }
 
 Simulator::~Simulator() {
   shutdown();
-  engine_.reset();  // joins worker threads before lanes_ is torn down
   if (owns_log_time_source_) util::clearLogSimTimeSource();
 }
 
 // ----------------------------------------------------------- scheduling ---
 
-EventId Simulator::scheduleOn(detail::EventLane& lane, SimTime t, EventFn fn,
-                              std::uint64_t span_ctx) {
-  if (t < lane.now) throw UsageError("scheduleAt in the past");
+EventId Simulator::scheduleAt(SimTime t, EventFn fn) {
+  if (t < queue_.now) throw UsageError("scheduleAt in the past");
   if (fn.onHeap()) eventfn_heap_fallbacks_.inc();
-  const std::uint32_t slot = lane.allocSlot();
-  if (slot >= kMaxSlots) throw UsageError("event arena exhausted (2^26 slots per lane)");
-  lane.slab[slot] = std::move(fn);
+  const std::uint32_t slot = queue_.allocSlot();
+  queue_.slab[slot] = std::move(fn);
   // Unconditional store: when tracing is off the context is pinned at 0, and
   // one 8-byte write is cheaper than a mispredictable branch here.
-  lane.slot_span[slot] = span_ctx;
-  lane.heapPush(detail::EventLane::HeapEntry{t, lane.next_seq++, slot});
-  return makeId(lane.index, slot, lane.meta[slot].generation);
-}
-
-EventId Simulator::scheduleAt(SimTime t, EventFn fn) {
-  return scheduleOn(laneOfCaller(), t, std::move(fn), spans_.current());
+  queue_.slot_span[slot] = spans_.current();
+  queue_.heapPush(detail::EventQueue::HeapEntry{t, queue_.next_seq++, slot});
+  return (static_cast<EventId>(queue_.meta[slot].generation) << 32) | slot;
 }
 
 EventId Simulator::scheduleAfter(SimTime delay, EventFn fn) {
   if (delay < 0) throw UsageError("negative delay");
-  detail::EventLane& lane = laneOfCaller();
-  return scheduleOn(lane, lane.now + delay, std::move(fn), spans_.current());
-}
-
-EventId Simulator::scheduleOnLane(int lane, SimTime t, EventFn fn) {
-  if (lane < 0 || lane >= laneCount()) throw UsageError("scheduleOnLane: no such lane");
-  detail::EventLane& target = *lanes_[static_cast<std::size_t>(lane)];
-  detail::EventLane& cur = laneOfCaller();
-  if (&target == &cur) return scheduleOn(target, t, std::move(fn), spans_.current());
-  if (engine_ != nullptr && engine_->inPhase()) {
-    // Cross-lane during a phase: park in the caller lane's outbox. The
-    // barrier merges outboxes in (source lane, push order) — deterministic
-    // because each lane's own execution order is.
-    cur.outbox.push_back(detail::EventLane::CrossMsg{static_cast<std::uint32_t>(lane), t,
-                                                     spans_.current(), std::move(fn)});
-    return 0;
-  }
-  return scheduleOn(target, t, std::move(fn), spans_.current());
+  return scheduleAt(queue_.now + delay, std::move(fn));
 }
 
 void Simulator::cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id) & (kMaxSlots - 1);
-  const std::uint32_t lane_idx = (static_cast<std::uint32_t>(id) >> kSlotBits) &
-                                 ((1u << kLaneBits) - 1);
+  const std::uint32_t slot = static_cast<std::uint32_t>(id);
   const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (lane_idx >= lanes_.size()) return;
-  detail::EventLane& lane = *lanes_[lane_idx];
-  if (engine_ != nullptr && engine_->inPhase() && &lane != &laneOfCaller()) {
-    throw UsageError("cross-lane cancel during a parallel phase");
-  }
-  if (slot >= lane.slab.size()) return;
-  detail::EventLane::SlotMeta& m = lane.meta[slot];
+  if (slot >= queue_.slab.size()) return;
+  detail::EventQueue::SlotMeta& m = queue_.meta[slot];
   if (m.generation != generation || m.heap_pos < 0) return;
-  lane.slab[slot] = EventFn();  // run capture destructors now, not at some later pop
-  lane.heapRemoveAt(m.heap_pos);
-  lane.freeSlot(slot);
+  queue_.slab[slot] = EventFn();  // run capture destructors now, not at some later pop
+  queue_.heapRemoveAt(m.heap_pos);
+  queue_.freeSlot(slot);
 }
 
-void Simulator::dispatchTopOn(detail::EventLane& lane) {
-  const std::uint32_t slot = lane.heap.front().slot;
-  lane.now = lane.heap.front().time;
+void Simulator::dispatchTop() {
+  const std::uint32_t slot = queue_.heap.front().slot;
+  queue_.now = queue_.heap.front().time;
   // Move the body out before freeing: the body may schedule (growing the
   // slab) or cancel, and its slot must be reusable while it runs.
-  EventFn fn = std::move(lane.slab[slot]);
-  const std::uint64_t ctx = lane.slot_span[slot];
-  lane.heapRemoveAt(0);
-  lane.freeSlot(slot);
+  EventFn fn = std::move(queue_.slab[slot]);
+  const std::uint64_t ctx = queue_.slot_span[slot];
+  queue_.heapRemoveAt(0);
+  queue_.freeSlot(slot);
   events_executed_.inc();
-  if (pulse_.enabled()) {
-    pulse_.beatLane(static_cast<int>(lane.index), lane.now,
-                    static_cast<std::int64_t>(lane.heap.size()));
-  }
+  if (pulse_.enabled()) pulse_.beat(queue_.now, static_cast<std::int64_t>(queue_.heap.size()));
   if (spans_.enabled()) {
     // Events run in the span context of whoever scheduled them.
     const obs::SpanId prev = spans_.current();
@@ -248,58 +213,34 @@ void Simulator::dispatchTopOn(detail::EventLane& lane) {
 
 // ---------------------------------------------------------------- running ---
 
-SimTime Simulator::runClassic(SimTime limit, bool bounded) {
-  detail::EventLane& lane = *lanes_.front();
-  while (!lane.heap.empty() && (!bounded || lane.heap.front().time <= limit)) {
+SimTime Simulator::runLoop(SimTime limit, bool bounded) {
+  while (!queue_.heap.empty() && (!bounded || queue_.heap.front().time <= limit)) {
     reapIfNeeded();
-    dispatchTopOn(lane);
+    dispatchTop();
   }
-  if (bounded) lane.now = limit;
-  return lane.now;
+  if (bounded) queue_.now = limit;
+  return queue_.now;
 }
 
-SimTime Simulator::run() {
-  if (engine_ != nullptr) return engine_->run(0, /*bounded=*/false);
-  return runClassic(0, /*bounded=*/false);
-}
+SimTime Simulator::run() { return runLoop(0, /*bounded=*/false); }
 
 void Simulator::runUntil(SimTime t) {
-  if (t < lanes_.front()->now) throw UsageError("runUntil in the past");
-  if (engine_ != nullptr) {
-    engine_->run(t, /*bounded=*/true);
-    return;
-  }
-  runClassic(t, /*bounded=*/true);
-}
-
-std::size_t Simulator::pendingEventCount() const {
-  std::size_t n = 0;
-  for (const auto& lane : lanes_) n += lane->heap.size();
-  return n;
-}
-
-std::size_t Simulator::eventArenaSlots() const {
-  std::size_t n = 0;
-  for (const auto& lane : lanes_) n += lane->slab.size();
-  return n;
+  if (t < queue_.now) throw UsageError("runUntil in the past");
+  runLoop(t, /*bounded=*/true);
 }
 
 void Simulator::saveState(obs::StateWriter& w) const {
-  w.u64("sim.lanes", lanes_.size());
-  for (const auto& lane : lanes_) {
-    w.u64("lane", lane->index);
-    w.i64("now", lane->now);
-    w.u64("next_seq", lane->next_seq);
-    w.u64("pending", lane->heap.size());
-    // The heap is only partially ordered; sort a copy of the ordering keys
-    // so the digest does not depend on the internal layout (which varies
-    // with the cancel history even between equivalent states).
-    std::vector<detail::EventLane::HeapEntry> entries = lane->heap;
-    std::sort(entries.begin(), entries.end(), detail::EventLane::entryBefore);
-    for (const auto& e : entries) {
-      w.i64("ev.t", e.time);
-      w.u64("ev.seq", e.seq);
-    }
+  w.i64("now", queue_.now);
+  w.u64("next_seq", queue_.next_seq);
+  w.u64("pending", queue_.heap.size());
+  // The heap is only partially ordered; sort a copy of the ordering keys so
+  // the digest does not depend on the internal layout (which varies with the
+  // cancel history even between equivalent states).
+  std::vector<detail::EventQueue::HeapEntry> entries = queue_.heap;
+  std::sort(entries.begin(), entries.end(), detail::EventQueue::entryBefore);
+  for (const auto& e : entries) {
+    w.i64("ev.t", e.time);
+    w.u64("ev.seq", e.seq);
   }
   std::vector<const Process*> procs;
   procs.reserve(live_processes_.size());
@@ -316,57 +257,10 @@ void Simulator::saveState(obs::StateWriter& w) const {
   }
 }
 
-// ----------------------------------------------------------- parallelism ---
-
-void Simulator::configureParallel(int lanes, int workers, SimTime lookahead) {
-  if (engine_ != nullptr) throw UsageError("configureParallel called twice");
-  if (lanes < 1 || lanes > (1 << kLaneBits)) throw UsageError("lane count out of range");
-  if (workers < 1) throw UsageError("worker count must be >= 1");
-  if (lanes > 1 && lookahead <= 0) {
-    throw UsageError("parallel lanes need a positive lookahead");
-  }
-  for (int i = 1; i < lanes; ++i) {
-    auto lane = std::make_unique<detail::EventLane>();
-    lane->index = static_cast<std::uint32_t>(i);
-    lane->now = lanes_.front()->now;
-    lanes_.push_back(std::move(lane));
-  }
-  spans_.configureLanes(lanes);
-  trace_.configureLanes(lanes);
-  timeline_.configureLanes(lanes);
-  pulse_.configureLanes(lanes);
-  // Deliberately no worker-count instrument: the metrics snapshot must be
-  // byte-identical at every worker count. The lane count is a function of
-  // the configuration (topology), so it may be recorded.
-  metrics_.gauge("sim.parallel.lanes").set(static_cast<double>(lanes));
-  engine_ = std::make_unique<ParallelEngine>(*this, workers, lookahead);
-}
-
-bool Simulator::inParallelPhase() const {
-  return engine_ != nullptr && engine_->inPhase();
-}
-
-void Simulator::runAtBarrier(std::function<void()> op) {
-  if (inParallelPhase()) {
-    laneOfCaller().barrier_ops.push_back(std::move(op));
-    return;
-  }
-  op();
-}
-
-void Simulator::requireProcessLane(const char* what) const {
-  const detail::LaneCtx& c = detail::t_lane_ctx;
-  if (c.sim == this && c.lane != nullptr && c.lane->index != 0) {
-    throw UsageError(std::string(what) + " is lane-0-only (called from wire lane " +
-                     std::to_string(c.lane->index) + ")");
-  }
-}
-
 // ------------------------------------------------------------- processes ---
 
 Process& Simulator::spawn(std::string name, std::function<void()> body) {
   if (shutting_down_) throw UsageError("spawn during shutdown");
-  requireProcessLane("spawn");
   // Not make_unique: the constructor is private and Simulator is a friend.
   std::unique_ptr<Process> proc(new Process(*this, next_process_id_++, std::move(name), std::move(body)));
   Process& ref = *proc;
@@ -382,13 +276,11 @@ Process& Simulator::spawn(std::string name, std::function<void()> body) {
 
 void Simulator::scheduleResume(Process& p) {
   p.wake_pending_ = true;
-  p.resume_event_ = scheduleOn(*lanes_.front(), lanes_.front()->now,
-                               [this, proc = &p] {
-                                 proc->resume_event_ = 0;
-                                 proc->wake_pending_ = false;
-                                 runProcessSlice(*proc);
-                               },
-                               spans_.current());
+  p.resume_event_ = scheduleAt(queue_.now, [this, proc = &p] {
+    proc->resume_event_ = 0;
+    proc->wake_pending_ = false;
+    runProcessSlice(*proc);
+  });
 }
 
 void Simulator::runProcessSlice(Process& p) {
@@ -421,8 +313,8 @@ void Simulator::reapIfNeeded() {
 }
 
 void Simulator::reapFinishedProcesses() {
-  // Safe point only: called from the run loop between events (or between
-  // epochs under the parallel engine), when no process is mid-slice.
+  // Safe point only: called from the run loop between events, when no
+  // process is mid-slice.
   // Finished processes have had their threads joined (resumeFromKernel joins
   // on the finishing handoff), so destruction is immediate. Live Process
   // objects keep their addresses (unique_ptr).
@@ -463,7 +355,6 @@ void Simulator::shutdown() {
 void Simulator::killProcess(Process& p) {
   if (p.finished_) return;
   if (current_ == &p) throw UsageError("a process cannot kill itself");
-  requireProcessLane("killProcess");
   p.kill_ = true;
   process_kills_.inc();
   if (proc_trace_.enabled()) proc_trace_.record(now(), "kill", static_cast<double>(p.id()), p.name());
@@ -471,7 +362,6 @@ void Simulator::killProcess(Process& p) {
 }
 
 void Simulator::killProcessById(std::uint64_t id) {
-  requireProcessLane("killProcessById");  // even the map lookup is lane-0 state
   const auto it = live_processes_.find(id);
   if (it == live_processes_.end()) return;  // finished (possibly reaped)
   killProcess(*it->second);
@@ -483,23 +373,18 @@ bool Simulator::processFinished(std::uint64_t id) const {
 
 void Simulator::delay(SimTime d) {
   if (d < 0) throw UsageError("negative delay");
-  requireProcessLane("delay");
   Process& p = currentProcess();
-  detail::EventLane& lane0 = *lanes_.front();
-  p.resume_event_ = scheduleOn(lane0, lane0.now + d,
-                               [this, proc = &p] {
-                                 proc->resume_event_ = 0;
-                                 proc->wake_pending_ = false;
-                                 runProcessSlice(*proc);
-                               },
-                               spans_.current());
+  p.resume_event_ = scheduleAt(queue_.now + d, [this, proc = &p] {
+    proc->resume_event_ = 0;
+    proc->wake_pending_ = false;
+    runProcessSlice(*proc);
+  });
   p.wake_pending_ = true;
   p.suspended_ = true;
   p.yieldToKernel();
 }
 
 void Simulator::suspend() {
-  requireProcessLane("suspend");
   Process& p = currentProcess();
   ++p.wait_epoch_;
   p.suspended_ = true;
@@ -509,23 +394,18 @@ void Simulator::suspend() {
 
 bool Simulator::suspendFor(SimTime timeout) {
   if (timeout < 0) throw UsageError("negative timeout");
-  requireProcessLane("suspendFor");
   Process& p = currentProcess();
   const std::uint64_t epoch = ++p.wait_epoch_;
   p.suspended_ = true;
   p.timed_out_ = false;
-  detail::EventLane& lane0 = *lanes_.front();
-  p.timeout_event_ = scheduleOn(lane0, lane0.now + timeout,
-                                [this, proc = &p, epoch] {
-                                  // Stale if the process was woken (epoch bumped) or already
-                                  // running.
-                                  if (proc->wait_epoch_ != epoch || !proc->suspended_) return;
-                                  proc->timeout_event_ = 0;
-                                  proc->timed_out_ = true;
-                                  proc->wake_pending_ = false;
-                                  runProcessSlice(*proc);
-                                },
-                                spans_.current());
+  p.timeout_event_ = scheduleAt(queue_.now + timeout, [this, proc = &p, epoch] {
+    // Stale if the process was woken (epoch bumped) or already running.
+    if (proc->wait_epoch_ != epoch || !proc->suspended_) return;
+    proc->timeout_event_ = 0;
+    proc->timed_out_ = true;
+    proc->wake_pending_ = false;
+    runProcessSlice(*proc);
+  });
   p.yieldToKernel();
   if (p.timeout_event_ != 0) {
     cancel(p.timeout_event_);
@@ -541,7 +421,6 @@ Process& Simulator::currentProcess() {
 
 void Simulator::wake(Process& p) {
   if (p.finished_ || !p.suspended_ || p.wake_pending_) return;
-  requireProcessLane("wake");
   process_wakes_.inc();
   if (proc_trace_.enabled()) proc_trace_.record(now(), "wake", static_cast<double>(p.id()), p.name());
   ++p.wait_epoch_;  // invalidate any pending suspendFor timeout

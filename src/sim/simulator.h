@@ -1,40 +1,25 @@
 // The discrete-event simulation kernel.
 //
-// A Simulator owns time-ordered event queues and a set of cooperative
-// Processes. Events are partitioned into *lanes* (detail::EventLane): lane 0
-// is the process lane — every cooperative process, transport, and grid
-// service runs there — and lanes 1..P-1 hold the wire partitions of the
-// packet network when parallel execution is configured. Without
-// configureParallel() there is exactly one lane and the kernel behaves as a
-// classic sequential simulator: either the kernel (dispatching events) or
-// one process (between two of its blocking calls) runs at a time, backed by
-// a strict one-at-a-time handoff protocol, so simulation semantics are
+// A Simulator owns one time-ordered event queue and a set of cooperative
+// Processes. Either the kernel (dispatching events) or one process (between
+// two of its blocking calls) runs at a time, backed by a strict
+// one-at-a-time handoff protocol, so simulation semantics are
 // deterministic: the same configuration and seed give bit-identical runs.
 //
-// With configureParallel(), run()/runUntil() delegate to a ParallelEngine
-// that executes lanes on worker threads under conservative lookahead
-// synchronization (see sim/parallel.h). The engine's contract: the set of
-// lanes and every event's (lane, time, per-lane seq) are functions of the
-// configuration alone, never of the worker count, so `--parallel=N` is a
-// pure speed knob — metrics, span trees, and trace output are byte-identical
-// for any N.
-//
-// Events live in per-lane slab arenas: fixed records recycled through a free
-// list, ordered by a 4-ary min-heap of slot indices. cancel() removes the
-// record from the heap in place (O(log n)) and frees the slot immediately,
-// so the cancel-heavy suspendFor/TCP-RTO workloads leave no tombstones
-// behind and the arena's footprint tracks the number of *pending* events.
-// Event bodies are sim::EventFn small-buffer callables; the hot paths
-// capture at most 48 bytes and never touch the heap
-// (`sim.kernel.eventfn_heap_fallbacks` counts the exceptions).
+// Events live in a slab arena: fixed records recycled through a free list,
+// ordered by a 4-ary min-heap of slot indices. cancel() removes the record
+// from the heap in place (O(log n)) and frees the slot immediately, so the
+// cancel-heavy suspendFor/TCP-RTO workloads leave no tombstones behind and
+// the arena's footprint tracks the number of *pending* events. Event bodies
+// are sim::EventFn small-buffer callables; the hot paths capture at most 48
+// bytes and never touch the heap (`sim.kernel.eventfn_heap_fallbacks`
+// counts the exceptions).
 //
 // Process code blocks via Simulator::delay / suspend / suspendFor (usually
-// indirectly, through Channel, Condition, or the vos socket layer). All
-// process APIs are lane-0-only ("partition-safe"): calling them from a wire
-// lane during a parallel phase throws UsageError instead of corrupting the
-// process table. At shutdown every unfinished process is unwound with a
-// ProcessKilled exception; process code must let it propagate (never swallow
-// with catch(...)) and must not issue new blocking calls while unwinding.
+// indirectly, through Channel, Condition, or the vos socket layer). At
+// shutdown every unfinished process is unwound with a ProcessKilled
+// exception; process code must let it propagate (never swallow with
+// catch(...)) and must not issue new blocking calls while unwinding.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +42,6 @@
 namespace mg::sim {
 
 class Simulator;
-class ParallelEngine;
 
 /// Thrown inside a process when the simulator tears it down. Not derived
 /// from mg::Error so that generic error handling does not accidentally
@@ -66,11 +50,8 @@ struct ProcessKilled {};
 
 namespace detail {
 
-/// One partition's event storage: slab arena + 4-ary min-heap + clock.
-/// Lane 0 is the process lane; lanes 1.. are wire partitions. Each lane is
-/// drained by exactly one thread per parallel phase (which thread is
-/// unobservable), and only the coordinator touches lanes between phases.
-struct EventLane {
+/// The event storage: slab arena + 4-ary min-heap + clock.
+struct EventQueue {
   // Per-slot cancellation bookkeeping, kept apart from the fat EventFn slab
   // so the heap_pos writes done while sifting stay in a dense 8-byte-stride
   // table. `heap_pos` is the slot's index in heap while pending, -1 once
@@ -82,7 +63,7 @@ struct EventLane {
   };
 
   // A 24-byte heap entry carrying the full ordering key: (time, seq) is a
-  // total order because seq is unique within the lane.
+  // total order because seq is unique.
   struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
@@ -93,18 +74,6 @@ struct EventLane {
     return a.seq < b.seq;  // FIFO among equal times
   }
 
-  /// A cross-lane event produced during a parallel phase, parked in the
-  /// producing lane's outbox and merged into the destination lane's heap at
-  /// the next barrier, in (source lane, push order) — a deterministic rule
-  /// because each lane's push order is fixed by its own execution.
-  struct CrossMsg {
-    std::uint32_t dst_lane;
-    SimTime time;
-    std::uint64_t span_ctx;  // scheduler's span context, carried across
-    EventFn fn;
-  };
-
-  std::uint32_t index = 0;
   SimTime now = 0;
   std::uint64_t next_seq = 0;
   std::vector<EventFn> slab;
@@ -112,11 +81,6 @@ struct EventLane {
   std::vector<std::uint64_t> slot_span;  // obs::SpanId per slot
   std::vector<std::uint32_t> free_slots;
   std::vector<HeapEntry> heap;
-  // Phase-separated mailboxes: written only by this lane's drainer thread
-  // during a phase, drained only by the coordinator at the barrier — the
-  // barrier's synchronization is what makes plain vectors race-free.
-  std::vector<CrossMsg> outbox;
-  std::vector<std::function<void()>> barrier_ops;
 
   void placeEntry(std::size_t pos, const HeapEntry& e);
   void siftUp(std::size_t pos, const HeapEntry& e);
@@ -126,15 +90,6 @@ struct EventLane {
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t slot);
 };
-
-/// Which (simulator, lane) the calling thread is draining. Worker threads
-/// set this around each lane drain; process threads and everything else see
-/// {nullptr, nullptr} and resolve to lane 0 of whatever simulator they ask.
-struct LaneCtx {
-  const Simulator* sim = nullptr;
-  EventLane* lane = nullptr;
-};
-inline thread_local LaneCtx t_lane_ctx;
 
 }  // namespace detail
 
@@ -198,11 +153,9 @@ class Process {
   std::uint64_t span_ctx_ = 0;
 };
 
-/// Opaque handle for a scheduled event: (generation << 32) | (lane << 26) |
-/// slot. The generation tag detects slot reuse, so cancelling a stale handle
-/// is a safe no-op; the lane field routes cancel() to the owning partition.
-/// Never 0 (callers use 0 as "no event" — cross-lane schedules during a
-/// parallel phase also return 0, they are fire-and-forget).
+/// Opaque handle for a scheduled event: (generation << 32) | slot. The
+/// generation tag detects slot reuse, so cancelling a stale handle is a safe
+/// no-op. Never 0 (callers use 0 as "no event").
 using EventId = std::uint64_t;
 
 /// The event-driven simulation core.
@@ -213,39 +166,26 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current simulation time: the draining lane's clock on a worker thread,
-  /// lane 0's clock everywhere else (process threads, setup code).
-  SimTime now() const { return laneOfCaller().now; }
+  /// Current simulation time.
+  SimTime now() const { return queue_.now; }
 
-  /// Schedule `fn` at absolute time `t` (>= now) on the caller's lane.
-  /// Events at equal times run in scheduling order.
+  /// Schedule `fn` at absolute time `t` (>= now). Events at equal times run
+  /// in scheduling order.
   EventId scheduleAt(SimTime t, EventFn fn);
 
-  /// Schedule `fn` after `delay` (>= 0) on the caller's lane.
+  /// Schedule `fn` after `delay` (>= 0).
   EventId scheduleAfter(SimTime delay, EventFn fn);
-
-  /// Schedule onto an explicit lane (0 = process lane, 1.. = wire
-  /// partitions). Same-lane calls behave like scheduleAt. Cross-lane calls
-  /// during a parallel phase park the event in the caller lane's outbox
-  /// (merged deterministically at the next barrier) and return 0; outside a
-  /// phase they push directly and return a real id. Cross-lane events must
-  /// respect the engine's lookahead — `t` at least one lookahead past the
-  /// epoch start; violations are counted in `sim.parallel.horizon_violations`
-  /// and clamped to the destination lane's clock.
-  EventId scheduleOnLane(int lane, SimTime t, EventFn fn);
 
   /// Cancel a pending event: the record leaves the heap and its arena slot
   /// is recycled immediately (the capture's destructors run here).
   /// Cancelling an already-run or unknown event is a no-op (callers often
-  /// race benignly with their own timeouts). During a parallel phase only
-  /// the caller's own lane's events may be cancelled.
+  /// race benignly with their own timeouts).
   void cancel(EventId id);
 
-  /// Create a process whose body starts at the current time. Lane-0 only.
+  /// Create a process whose body starts at the current time.
   Process& spawn(std::string name, std::function<void()> body);
 
-  /// Run until every lane's event queue is empty. Returns the final time.
-  /// Delegates to the parallel engine when configureParallel() was called.
+  /// Run until the event queue is empty. Returns the final time.
   SimTime run();
 
   /// Run events with time <= t, then set now to t.
@@ -259,8 +199,7 @@ class Simulator {
   /// Kill one process: it unwinds synchronously with ProcessKilled, exactly
   /// as in shutdown(), and this call returns once the unwind completes. The
   /// fault layer uses this for host crashes. A process must not kill itself;
-  /// killing a finished process is a no-op. Lane-0 only (partition-safe:
-  /// a wire-lane caller gets UsageError, not a corrupted process table).
+  /// killing a finished process is a no-op.
   void killProcess(Process& p);
 
   /// killProcess by id: a safe no-op when the process has already finished
@@ -294,7 +233,7 @@ class Simulator {
 
   /// Wake a suspended process (schedules its resume at the current time).
   /// No-op if the process is not suspended or already has a wake pending;
-  /// see Condition for the standard mesa-style recheck idiom. Lane-0 only.
+  /// see Condition for the standard mesa-style recheck idiom.
   void wake(Process& p);
 
   /// Number of processes that have not finished. O(1).
@@ -304,62 +243,25 @@ class Simulator {
   /// when run() returns while work was expected.
   std::vector<std::string> suspendedProcessNames() const;
 
-  // --- parallel execution ---
-
-  /// Split the kernel into `lanes` partitions (lane 0 = processes, 1.. =
-  /// wire) driven by `workers` threads under conservative synchronization:
-  /// each epoch executes events in [T, T + lookahead) where T is the global
-  /// minimum next-event time. Must be called before run() and at most once;
-  /// `lookahead` must be positive when lanes > 1. With lanes == 1 the engine
-  /// still runs (so `--parallel=N` exercises one code path for every N) but
-  /// each epoch simply drains the single lane.
-  void configureParallel(int lanes, int workers, SimTime lookahead);
-
-  /// Number of event lanes (1 unless configureParallel created more).
-  int laneCount() const { return static_cast<int>(lanes_.size()); }
-
-  /// The calling thread's lane index (0 outside worker drains).
-  int currentLane() const { return static_cast<int>(laneOfCaller().index); }
-
-  /// True while worker threads may be executing a parallel phase. Global
-  /// mutations of state shared across lanes must go through runAtBarrier().
-  bool inParallelPhase() const;
-
-  /// Run `op` at the next barrier (between epochs, when no worker runs) —
-  /// immediately when no phase is active. Used for routing recomputes,
-  /// link/node state flips, and queue purges: anything that touches more
-  /// than the caller's own lane. Ops run in (lane, enqueue order).
-  void runAtBarrier(std::function<void()> op);
-
-  /// The parallel engine, or nullptr when unconfigured.
-  ParallelEngine* parallelEngine() { return engine_.get(); }
-
-  /// Throws UsageError when called from a wire lane during a parallel
-  /// phase. Process and scheduling APIs that touch cross-lane state call
-  /// this; layers with their own lane-0-only invariants (vos scheduler,
-  /// vmpi daemon bookkeeping) may call it too.
-  void requireProcessLane(const char* what) const;
-
   /// Total events executed (kernel throughput metric for bench_kernel_perf).
   std::uint64_t eventsExecuted() const {
     return static_cast<std::uint64_t>(events_executed_.value());
   }
 
-  /// Events currently scheduled (pending, not cancelled) across all lanes.
-  /// Cancellation shrinks this immediately — there are no tombstones.
-  std::size_t pendingEventCount() const;
+  /// Events currently scheduled (pending, not cancelled). Cancellation
+  /// shrinks this immediately — there are no tombstones.
+  std::size_t pendingEventCount() const { return queue_.heap.size(); }
 
-  /// Slots in the event arenas: the high-water mark of *concurrently*
-  /// pending events, summed over lanes. Bounded for schedule+cancel churn
-  /// because cancelled and executed slots are recycled through free lists.
-  std::size_t eventArenaSlots() const;
+  /// Slots in the event arena: the high-water mark of *concurrently*
+  /// pending events. Bounded for schedule+cancel churn because cancelled and
+  /// executed slots are recycled through a free list.
+  std::size_t eventArenaSlots() const { return queue_.slab.size(); }
 
   /// Fold the kernel's observable state into a canonical digest (DESIGN.md
-  /// §11): per-lane clocks and sequence counters, every pending event's
-  /// (time, seq) ordering key in heap order (sorted, so the fold is
-  /// independent of the heap's internal layout), and the live process table
-  /// sorted by id. Strictly read-only; call between events (never from a
-  /// parallel phase).
+  /// §11): the clock and sequence counter, every pending event's (time, seq)
+  /// ordering key (sorted, so the fold is independent of the heap's internal
+  /// layout), and the live process table sorted by id. Strictly read-only;
+  /// call between events.
   void saveState(obs::StateWriter& w) const;
 
   /// The run-wide metrics registry: every layer attached to this simulator
@@ -380,50 +282,29 @@ class Simulator {
   const obs::SpanRecorder& spans() const { return spans_; }
 
   /// The run-wide telemetry timeline (fed by an obs::TelemetrySampler; see
-  /// sim/telemetry.h). Follows the same lane-journal discipline as spans()
-  /// and traceBus(), committed at every parallel barrier.
+  /// sim/telemetry.h).
   obs::TimeSeriesRecorder& timeline() { return timeline_; }
   const obs::TimeSeriesRecorder& timeline() const { return timeline_; }
 
   /// The live-monitor publication board (mgrun --progress). Disabled by
   /// default: one relaxed bool load per dispatched event; enable() turns on
-  /// per-event lane-clock/pending publication for an obs::ProgressMonitor.
+  /// per-event clock/pending publication for an obs::ProgressMonitor.
   obs::RunPulse& pulse() { return pulse_; }
   const obs::RunPulse& pulse() const { return pulse_; }
 
  private:
   friend class Process;
-  friend class ParallelEngine;
 
-  static constexpr int kLaneBits = 6;                    // up to 64 lanes
-  static constexpr int kSlotBits = 26;                   // 64M slots per lane
-  static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
-  static EventId makeId(std::uint32_t lane, std::uint32_t slot, std::uint32_t generation) {
-    return (static_cast<EventId>(generation) << 32) |
-           (static_cast<EventId>(lane) << kSlotBits) | slot;
-  }
-
-  detail::EventLane& laneOfCaller() {
-    const detail::LaneCtx& c = detail::t_lane_ctx;
-    if (c.sim == this && c.lane != nullptr) return *c.lane;
-    return *lanes_.front();
-  }
-  const detail::EventLane& laneOfCaller() const {
-    return const_cast<Simulator*>(this)->laneOfCaller();
-  }
-
-  EventId scheduleOn(detail::EventLane& lane, SimTime t, EventFn fn, std::uint64_t span_ctx);
-  /// Pop `lane`'s due root event, free its slot, and run it on the calling
-  /// thread with the scheduler's span context restored.
-  void dispatchTopOn(detail::EventLane& lane);
-
+  /// Pop the due root event, free its slot, and run it with the scheduler's
+  /// span context restored.
+  void dispatchTop();
   void runProcessSlice(Process& p);
   void scheduleResume(Process& p);
   void reapFinishedProcesses();
   /// Compact processes_ if enough finished ones piled up. Safe points only
-  /// (between events classically, between epochs under the engine).
+  /// (between events).
   void reapIfNeeded();
-  SimTime runClassic(SimTime limit, bool bounded);
+  SimTime runLoop(SimTime limit, bool bounded);
 
   // Declared before the counter/channel handles below, which point into it.
   obs::MetricsRegistry metrics_;
@@ -444,11 +325,7 @@ class Simulator {
   obs::Counter& process_kills_ = metrics_.counter("sim.process.kills");
   obs::TraceBus::Channel& proc_trace_ = trace_.channel("sim.process");
 
-  // lanes_[0] always exists; configureParallel appends wire lanes.
-  // unique_ptr keeps lane addresses stable across the vector's growth (the
-  // thread-local LaneCtx and in-flight EventFns may hold lane pointers).
-  std::vector<std::unique_ptr<detail::EventLane>> lanes_;
-  std::unique_ptr<ParallelEngine> engine_;
+  detail::EventQueue queue_;
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::unordered_map<std::uint64_t, Process*> live_processes_;  // by id

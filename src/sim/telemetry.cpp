@@ -8,8 +8,6 @@ obs::TelemetrySampler::Host telemetryHost(Simulator& sim) {
   host.schedule_at = [&sim](std::int64_t t, std::function<void()> fn) {
     sim.scheduleAt(t, EventFn(std::move(fn)));
   };
-  host.in_parallel_phase = [&sim] { return sim.inParallelPhase(); };
-  host.run_at_barrier = [&sim](std::function<void()> op) { sim.runAtBarrier(std::move(op)); };
   host.pending_events = [&sim] { return sim.pendingEventCount(); };
   return host;
 }

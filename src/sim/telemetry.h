@@ -2,9 +2,8 @@
 //
 // obs sits below sim in the layering, so TelemetrySampler talks to the
 // kernel through a Host struct of callables; telemetryHost() is the one
-// place those bindings live. The sampler's tick runs as a lane-0 event; its
-// probe reads defer to runAtBarrier() during parallel phases, which is what
-// keeps `--parallel=N` byte-identical (see obs/sampler.h).
+// place those bindings live. The sampler's tick runs as an ordinary kernel
+// event.
 //
 // registerKernelProbes() adds the kernel's own series: events executed per
 // second, pending events, and event-arena occupancy — the "is the simulator

@@ -29,23 +29,13 @@ const std::string& ConfigSection::getString(std::string_view key) const {
 
 double ConfigSection::getDouble(std::string_view key) const {
   const std::string& s = getString(key);
-  try {
-    size_t pos = 0;
-    double v = std::stod(s, &pos);
-    if (trim(std::string_view(s).substr(pos)).empty()) return v;
-  } catch (const std::exception&) {
-  }
+  if (const std::optional<double> v = parseDouble(s)) return *v;
   throw ConfigError("key '" + std::string(key) + "' = '" + s + "' is not a number");
 }
 
 std::int64_t ConfigSection::getInt(std::string_view key) const {
   const std::string& s = getString(key);
-  try {
-    size_t pos = 0;
-    long long v = std::stoll(s, &pos);
-    if (trim(std::string_view(s).substr(pos)).empty()) return v;
-  } catch (const std::exception&) {
-  }
+  if (const std::optional<std::int64_t> v = parseInt(s)) return *v;
   throw ConfigError("key '" + std::string(key) + "' = '" + s + "' is not an integer");
 }
 

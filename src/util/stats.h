@@ -65,8 +65,8 @@ class Histogram {
 
   /// Add another histogram's mass into this one, bin by bin. Both must have
   /// identical lo/hi/bins (UsageError otherwise) — merging is meant for
-  /// shards of one population, e.g. lane-local histograms combined at a
-  /// barrier, where all shards were created from the same spec. Integer bin
+  /// shards of one population, e.g. per-run histograms of a sweep, where all
+  /// shards were created from the same spec. Integer bin
   /// counts make the merge exact and order-independent.
   void merge(const Histogram& other);
 

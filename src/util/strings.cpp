@@ -3,6 +3,9 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <stdexcept>
+
+#include "util/error.h"
 
 namespace mg::util {
 
@@ -98,6 +101,49 @@ bool globMatch(std::string_view pattern, std::string_view text) {
   }
   while (p < pattern.size() && pattern[p] == '*') ++p;
   return p == pattern.size();
+}
+
+std::optional<std::int64_t> parseInt(std::string_view s) {
+  const std::string str(s);
+  try {
+    std::size_t pos = 0;
+    const long long v = std::stoll(str, &pos);
+    if (trim(std::string_view(str).substr(pos)).empty()) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+std::optional<double> parseDouble(std::string_view s) {
+  const std::string str(s);
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(str, &pos);
+    if (trim(std::string_view(str).substr(pos)).empty()) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+std::int64_t flagInt(std::string_view flag, std::string_view value, std::int64_t lo,
+                     std::int64_t hi) {
+  const std::optional<std::int64_t> v = parseInt(value);
+  if (!v) {
+    throw UsageError(std::string(flag) + " wants an integer, got '" + std::string(value) + "'");
+  }
+  if (*v < lo || *v > hi) {
+    throw UsageError(std::string(flag) + " wants an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "], got '" + std::string(value) + "'");
+  }
+  return *v;
+}
+
+double flagDouble(std::string_view flag, std::string_view value) {
+  const std::optional<double> v = parseDouble(value);
+  if (!v) {
+    throw UsageError(std::string(flag) + " wants a number, got '" + std::string(value) + "'");
+  }
+  return *v;
 }
 
 std::string format(const char* fmt, ...) {

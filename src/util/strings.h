@@ -1,6 +1,9 @@
 // Small string helpers used throughout the MicroGrid code base.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +38,20 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// Shell-style glob match supporting only '*' (any run of characters).
 /// Used by the GIS filter language, e.g. "(hn=vm*.ucsd.edu)".
 bool globMatch(std::string_view pattern, std::string_view text);
+
+/// Parse the whole of `s` as an integer / a number; surrounding whitespace
+/// is allowed. Empty strings, trailing junk ("5abc", or "1e6" as an integer)
+/// and out-of-range values give nullopt.
+std::optional<std::int64_t> parseInt(std::string_view s);
+std::optional<double> parseDouble(std::string_view s);
+
+/// Command-line flag values: parseInt/parseDouble, or a UsageError naming
+/// the flag and the value (e.g. "--jobs wants an integer, got '1e6'").
+/// flagInt also rejects values outside [lo, hi].
+std::int64_t flagInt(std::string_view flag, std::string_view value,
+                     std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+                     std::int64_t hi = std::numeric_limits<std::int64_t>::max());
+double flagDouble(std::string_view flag, std::string_view value);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

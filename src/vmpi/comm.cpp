@@ -148,10 +148,6 @@ void Comm::trackDaemon(sim::Process& p) {
 }
 
 void Comm::killDaemons() {
-  // Partition safety: daemon teardown mutates the process table, which is
-  // lane-0 state (killProcessById re-checks, but failing here names the
-  // vmpi entry point instead of the kernel internals).
-  ctx_.simulator().requireProcessLane("vmpi Comm::killDaemons");
   // Swap first: a killed daemon's unwind must not see a half-iterated list.
   std::vector<std::uint64_t> daemons;
   daemons.swap(daemons_);

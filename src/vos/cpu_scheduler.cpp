@@ -39,9 +39,6 @@ CpuScheduler::Task& CpuScheduler::liveTask(TaskId id) {
 }
 
 CpuScheduler::TaskId CpuScheduler::addTask(std::string name, double fraction, std::string track) {
-  // Partition safety: all scheduling state lives on the process lane. A wire
-  // lane reaching in during a parallel phase would race every field below.
-  sim_.requireProcessLane("CpuScheduler::addTask");
   if (fraction <= 0 || fraction > 1.0) throw UsageError("task fraction must be in (0, 1]");
   Task t;
   t.name = std::move(name);
@@ -82,7 +79,6 @@ void CpuScheduler::compute(TaskId id, double ops) {
 }
 
 void CpuScheduler::computeSeconds(TaskId id, double cpu_seconds) {
-  sim_.requireProcessLane("CpuScheduler::compute");
   if (cpu_seconds < 0) throw UsageError("negative compute demand");
   Task& t = liveTask(id);
   if (t.waiter != nullptr) throw UsageError("task already has a pending compute request");
@@ -218,9 +214,8 @@ void CpuScheduler::registerTelemetry(obs::TelemetrySampler& sampler, const std::
   sampler.addRate("vos.cpu.util." + label, [this](std::int64_t t) {
     double busy = busy_wall_s_;
     if (running_) {
-      // Open slice, closed against the sampler's clock (clamped: under
-      // --parallel the quantum may have started past the tick time within
-      // the epoch).
+      // Open slice, closed against the sampler's clock (clamped to the
+      // slice's scheduled end).
       const sim::SimTime end = std::min<sim::SimTime>(t, busy_until_);
       if (end > busy_start_) busy += sim::toSeconds(end - busy_start_);
     }

@@ -93,9 +93,7 @@ class CpuScheduler {
 
   /// Time-resolved probes (DESIGN.md §10): vos.cpu.util.<label> — fraction
   /// of wall time this scheduler's physical CPU spent occupied by quanta —
-  /// and vos.runq.<label>, live tasks with pending demand. All state is
-  /// process-lane-owned; probe reads happen at sampler ticks/barriers where
-  /// lane 0 is quiescent.
+  /// and vos.runq.<label>, live tasks with pending demand.
   void registerTelemetry(obs::TelemetrySampler& sampler, const std::string& label);
 
   /// Fold the scheduler's dynamic state into `w` (DESIGN.md §11): the task

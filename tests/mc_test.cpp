@@ -15,6 +15,7 @@
 #include "mc/invariants.h"
 #include "mc/scenario.h"
 #include "mc/snapshot.h"
+#include "npb/npb.h"
 #include "util/config.h"
 #include "util/error.h"
 
@@ -204,6 +205,58 @@ TEST(McExplorer, ReductionsPruneWithoutChangingTheVerdict) {
   // Hash pruning only truncates replays; every enumerated schedule of the
   // reduced run still appears in its branch log.
   EXPECT_EQ(static_cast<std::int64_t>(reduced.branch_log.size()), reduced.stats.enumerated);
+}
+
+TEST(McExplorer, AlphaEpExplorationCountsArePinned) {
+  // The examples/grids/alpha4_explore.ini menu over NPB EP class S on the
+  // Alpha preset (what `mgrun --explore` runs). Which states compare equal
+  // decides the pruning counts, so these exact values guard the state
+  // digest: a change to what saveState() folds may change every digest's
+  // bytes, but it must not change which states are equal.
+  const mc::Explorer::Spec spec = mc::Explorer::parseSpec(util::Config::parse(R"(
+[explore]
+budget = 200
+hash_pruning = true
+causal_reduction = true
+
+[candidate crash-vm3]
+at = 0.5s
+kind = host_crash
+target = vm3.ucsd.edu
+duration = 1s
+times = 0.2s, 0.5s, 1s, 1.5s
+
+[candidate drop-eth1]
+at = 0.3s
+kind = link_down
+target = eth1
+duration = 0.2s
+times = 0.2s, 0.5s, 1s, 1.5s
+
+[candidate lossy-eth0]
+at = 0.2s
+kind = link_degrade
+target = eth0
+loss = 0.05
+duration = 0.5s
+times = 0.2s, 0.5s, 1s
+)"));
+  npb::ResultSink sink;
+  mc::LauncherScenarioSpec lspec;
+  lspec.grid = core::topologies::alphaCluster();
+  lspec.config_name = "mgrun";
+  lspec.executable = "npb.ep";
+  lspec.arguments = "S";
+  lspec.parts = {{"vm0.ucsd.edu", 1}, {"vm1.ucsd.edu", 1}};
+  lspec.max_resubmits = 2;
+  lspec.registrar = [&sink](grid::ExecutableRegistry& r) { npb::registerNpb(r, sink); };
+  mc::Explorer ex(mc::launcherScenario(std::move(lspec)), spec.candidates, spec.options);
+  const mc::ExploreResult r = ex.explore();
+  EXPECT_EQ(r.stats.enumerated, 115);
+  EXPECT_EQ(r.stats.runs, 84);
+  EXPECT_EQ(r.stats.pruned_hash, 31);
+  EXPECT_EQ(r.stats.pruned_causal, 37);
+  EXPECT_EQ(r.stats.violations, 0);
 }
 
 TEST(McExplorer, BudgetCapsEnumeration) {

@@ -20,7 +20,6 @@
 #include "fault/fault_plan.h"
 #include "gis/service.h"
 #include "npb/npb.h"
-#include "obs/lane.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/sampler.h"
@@ -507,29 +506,21 @@ TEST(SpansEndToEnd, ChromeTraceIsWellFormedJson) {
   EXPECT_NE(r.chrome.find("\"name\":\"thread_name\""), std::string::npos);
 }
 
-// --------------------------- cross-worker determinism (ISSUE 5 golden run) --
+// ------------------------------- faulted EP golden run with telemetry ------
 
 namespace {
 
 /// The golden workload: NPB EP through the full launcher path on the Alpha
 /// cluster with a fault plan (vm3 crashes mid-run and restarts, eth1 runs at
-/// 5% loss throughout) under the parallel lane engine. Every observable
-/// stream is captured; the tests below require them byte-identical at every
-/// worker count.
+/// 5% loss throughout), sampled by the full telemetry probe set.
 struct GoldenRun {
   std::string metrics;   // MetricsRegistry::snapshotJson()
-  std::string spans;     // SpanRecorder::serializeTree()
-  std::string trace;     // TraceBus::serialize()
-  std::string profile;   // SimProfiler::json()
-  std::string report;    // fault availability report
   std::string timeline;  // TimeSeriesRecorder::csv() (sampled at 50 ms)
-  double virtual_seconds = 0;
   int resubmits = 0;
 };
 
-GoldenRun runGoldenEpWithFaults(int workers) {
+GoldenRun runGoldenEpWithFaults() {
   mgtest::HarnessOptions hopts;
-  hopts.parallel_workers = workers;
   hopts.spans = true;
   hopts.trace_bus = true;
   mgtest::LauncherHarness h(hopts);
@@ -541,10 +532,8 @@ GoldenRun runGoldenEpWithFaults(int workers) {
   fault::FaultPlan plan;
   plan.add(mgtest::crashVm3(1.0, 3.0));
   plan.add(mgtest::lossyEth1(0.05, 60.0));
-  fault::FaultInjector& injector = h.armFaults(std::move(plan));
+  h.armFaults(std::move(plan));
 
-  // Sample the full probe set during the run: the timeline CSV below is one
-  // of the streams the worker-count-invisibility test compares.
   sim.timeline().setBaseWidth(50 * sim::kMillisecond);
   obs::TelemetrySampler::Options sopts;
   sopts.interval_ns = 50 * sim::kMillisecond;
@@ -559,51 +548,20 @@ GoldenRun runGoldenEpWithFaults(int workers) {
 
   GoldenRun out;
   out.metrics = sim.metrics().snapshotJson();
-  out.spans = sim.spans().serializeTree();
-  out.trace = sim.traceBus().serialize();
-  out.profile = obs::SimProfiler(sim.spans()).json();
-  out.report = injector.renderReport();
   out.timeline = sim.timeline().csv();
-  out.virtual_seconds = result.virtual_seconds;
   out.resubmits = result.resubmits;
   return out;
 }
 
 }  // namespace
 
-TEST(ParallelGolden, WorkerCountIsInvisibleInEveryObservableStream) {
-  // The tentpole acceptance criterion: `--parallel=N` is a pure speed knob.
-  // Metrics snapshot, span tree, trace bus, profiler output, the fault
-  // availability report, and job-level results must be byte-identical at
-  // 1, 2, 4, and 8 workers — under crash + resubmission + stochastic loss.
-  const GoldenRun one = runGoldenEpWithFaults(1);
-  // The parallel engine really engaged (uniform-latency star: 4 hosts + the
-  // switch shard into 5 wire partitions + the process lane) and traffic
-  // actually crossed partitions.
-  EXPECT_NE(one.metrics.find("\"sim.parallel.lanes\":6"), std::string::npos) << one.metrics;
-  EXPECT_GT(jsonCounter(one.metrics, "sim.parallel.mailbox_msgs"), 0);
-  EXPECT_EQ(jsonCounter(one.metrics, "sim.parallel.horizon_violations"), 0);
-  EXPECT_GT(jsonCounter(one.metrics, "fault.host_crash"), 0);
-  EXPECT_GE(one.resubmits, 1);  // the crash really failed the first attempt
-
-  for (int workers : {2, 4, 8}) {
-    const GoldenRun w = runGoldenEpWithFaults(workers);
-    EXPECT_EQ(one.metrics, w.metrics) << "metrics diverged at " << workers << " workers";
-    EXPECT_EQ(one.spans, w.spans) << "span tree diverged at " << workers << " workers";
-    EXPECT_EQ(one.trace, w.trace) << "trace bus diverged at " << workers << " workers";
-    EXPECT_EQ(one.profile, w.profile) << "profile diverged at " << workers << " workers";
-    EXPECT_EQ(one.report, w.report) << "fault report diverged at " << workers << " workers";
-    EXPECT_EQ(one.timeline, w.timeline) << "timeline diverged at " << workers << " workers";
-    EXPECT_DOUBLE_EQ(one.virtual_seconds, w.virtual_seconds);
-    EXPECT_EQ(one.resubmits, w.resubmits);
-  }
-}
-
 // The golden timeline really carries the interesting series (not just
 // headers): per-link utilization, CPU occupancy, and kernel rates all
-// sampled during the faulted EP run.
-TEST(ParallelGolden, TimelineCoversNetVosAndKernelSeries) {
-  const GoldenRun run = runGoldenEpWithFaults(2);
+// sampled during the faulted EP run, and the faults really bit.
+TEST(FaultedEpGolden, TimelineCoversNetVosAndKernelSeries) {
+  const GoldenRun run = runGoldenEpWithFaults();
+  EXPECT_GT(jsonCounter(run.metrics, "fault.host_crash"), 0);
+  EXPECT_GE(run.resubmits, 1);  // the crash really failed the first attempt
   EXPECT_EQ(run.timeline.rfind("series,bucket_start_ns,bucket_end_ns,samples,min,max,mean,last",
                                0),
             0u);
@@ -626,12 +584,6 @@ mo::TimeSeriesRecorder::Options tinyRecorder(std::size_t capacity, std::int64_t 
   o.max_series = max_series;
   return o;
 }
-
-/// Restores the calling thread's obs lane on scope exit — lane state is
-/// thread-local and would otherwise leak into later tests.
-struct LaneGuard {
-  ~LaneGuard() { mo::setCurrentLane(0); }
-};
 
 }  // namespace
 
@@ -728,34 +680,6 @@ TEST(Timeline, WideningMatchesAnUnboundedReference) {
     EXPECT_DOUBLE_EQ(got.sum, it->second.sum) << "bucket " << i;
     EXPECT_DOUBLE_EQ(got.last, it->second.last) << "bucket " << i;
   }
-}
-
-TEST(Timeline, LaneJournalsCommitInTimeThenLaneOrder) {
-  // Worker-lane adds journal and merge at the barrier sorted by (time,
-  // lane); the result must be byte-identical to direct adds in that order.
-  LaneGuard guard;
-  mo::TimeSeriesRecorder laned(tinyRecorder(8, 100));
-  laned.configureLanes(3);
-  mo::setCurrentLane(2);
-  laned.add("s", 200, 2.0);
-  laned.add("s", 90, 9.0);
-  mo::setCurrentLane(1);
-  laned.add("s", 200, 5.0);
-  laned.add("s", 100, 1.0);
-  mo::setCurrentLane(0);
-  laned.commitParallelPhase();
-
-  mo::TimeSeriesRecorder direct(tinyRecorder(8, 100));
-  direct.add("s", 90, 9.0);    // t=90 (lane 2)
-  direct.add("s", 100, 1.0);   // t=100 (lane 1)
-  direct.add("s", 200, 5.0);   // t=200: lane 1 before lane 2
-  direct.add("s", 200, 2.0);
-  EXPECT_EQ(laned.csv(), direct.csv());
-  EXPECT_EQ(laned.sampleCount(), 4);
-
-  // A second commit with empty journals is a no-op.
-  laned.commitParallelPhase();
-  EXPECT_EQ(laned.sampleCount(), 4);
 }
 
 TEST(Timeline, MaxSeriesCapDropsNewSeriesNotSamples) {
@@ -894,30 +818,39 @@ TEST(TraceExport, TimelineSeriesBecomeCounterTracks) {
 
 // ------------------------------------------------- live progress monitor --
 
-TEST(Progress, PulseTracksLaneClocksAndCommits) {
+TEST(Progress, PulseTracksClockAndCommits) {
   mo::RunPulse pulse;
   EXPECT_FALSE(pulse.enabled());
   pulse.enable(true);
-  pulse.configureLanes(3);
-  pulse.beatLane(0, 1000, 5);
-  pulse.beatLane(2, 3000, 7);
-  pulse.beatLane(1, 2000, 0);
-  EXPECT_EQ(pulse.commits(), 3u);
+  pulse.beat(1000, 5);
+  pulse.beat(3000, 7);
+  EXPECT_EQ(pulse.commits(), 2u);
   EXPECT_EQ(pulse.simNow(), 3000);
-  EXPECT_EQ(pulse.laneNow(1), 2000);
-  EXPECT_EQ(pulse.lanePending(2), 7);
-  pulse.noteBarrier();
-  EXPECT_EQ(pulse.epochs(), 1u);
-  pulse.beatLane(-1, 9, 9);  // out-of-range lanes are ignored, not UB
-  pulse.beatLane(mo::RunPulse::kMaxLanes, 9, 9);
+  EXPECT_EQ(pulse.pending(), 7);
+  pulse.beat(3000, 0);
   EXPECT_EQ(pulse.commits(), 3u);
+  EXPECT_EQ(pulse.pending(), 0);
+}
+
+TEST(Progress, KernelPublishesClockAndPendingWhenEnabled) {
+  sim::Simulator sim;
+  sim.scheduleAt(10, [] {});
+  sim.scheduleAt(20, [] {});
+  sim.run();
+  EXPECT_EQ(sim.pulse().commits(), 0u);  // disabled by default: nothing published
+  sim.pulse().enable(true);
+  sim.scheduleAt(30, [] {});
+  sim.scheduleAt(40, [] {});
+  sim.run();
+  EXPECT_EQ(sim.pulse().commits(), 2u);
+  EXPECT_EQ(sim.pulse().simNow(), 40);
+  EXPECT_EQ(sim.pulse().pending(), 0);
 }
 
 TEST(Progress, MonitorHeartbeatsToSinkAndCountsThem) {
   mo::RunPulse pulse;
   pulse.enable(true);
-  pulse.configureLanes(1);
-  pulse.beatLane(0, 2'500'000'000, 3);
+  pulse.beat(2'500'000'000, 3);
 
   std::ostringstream sink;
   mo::ProgressOptions popts;
@@ -940,12 +873,10 @@ TEST(Progress, MonitorHeartbeatsToSinkAndCountsThem) {
   EXPECT_NE(out.find("eta"), std::string::npos) << out;
 }
 
-TEST(Progress, StallWatchdogDumpsLaneStateOnce) {
+TEST(Progress, StallWatchdogDumpsStateOnce) {
   mo::RunPulse pulse;
   pulse.enable(true);
-  pulse.configureLanes(2);
-  pulse.beatLane(0, 1'000'000'000, 4);
-  pulse.beatLane(1, 2'000'000'000, 6);
+  pulse.beat(2'000'000'000, 6);
 
   std::ostringstream sink;
   mo::ProgressOptions popts;
@@ -964,6 +895,5 @@ TEST(Progress, StallWatchdogDumpsLaneStateOnce) {
   EXPECT_LE(monitor.stallDumps(), 1 + 1);
   const std::string out = sink.str();
   EXPECT_NE(out.find("STALL"), std::string::npos) << out;
-  EXPECT_NE(out.find("lane 0"), std::string::npos) << out;
-  EXPECT_NE(out.find("lane 1"), std::string::npos) << out;
+  EXPECT_NE(out.find("t=2.000000s pending=6 commits=1"), std::string::npos) << out;
 }

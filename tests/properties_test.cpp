@@ -14,7 +14,6 @@
 #include "core/topologies.h"
 #include "net/host_stack.h"
 #include "net/packet_network.h"
-#include "net/partition.h"
 #include "util/rng.h"
 
 using namespace mg;
@@ -310,155 +309,6 @@ TEST(KernelHeapProperty, RandomChurnMatchesSortedVectorOracle) {
     EXPECT_LE(sim.eventArenaSlots(), 5000u);
   }
 }
-
-// ------------------------------------- partition planning, random shapes ---
-
-namespace {
-
-/// Random multi-cluster grid: 2-5 campus clusters (router + 1-6 hosts on
-/// fast short links) joined into a random tree by slow WAN links. The shape
-/// every partition property must survive; generation is a pure function of
-/// the Rng, so the same seed rebuilds the same topology.
-net::Topology randomGrid(util::Rng& rng) {
-  net::Topology topo;
-  const int clusters = 2 + static_cast<int>(rng.below(4));
-  std::vector<net::NodeId> routers;
-  for (int c = 0; c < clusters; ++c) {
-    routers.push_back(topo.addRouter("r" + std::to_string(c)));
-    const int hosts = 1 + static_cast<int>(rng.below(6));
-    const st::SimTime lan_latency =
-        static_cast<st::SimTime>(10 + rng.below(90)) * st::kMicrosecond;
-    for (int i = 0; i < hosts; ++i) {
-      auto h = topo.addHost("h" + std::to_string(c) + "_" + std::to_string(i));
-      topo.addLink("l" + std::to_string(c) + "_" + std::to_string(i), h, routers.back(),
-                   100e6, lan_latency, 1 << 20);
-    }
-  }
-  for (int c = 1; c < clusters; ++c) {
-    const auto peer = routers[rng.below(static_cast<std::uint64_t>(c))];
-    topo.addLink("wan" + std::to_string(c), routers[static_cast<std::size_t>(c)], peer, 45e6,
-                 static_cast<st::SimTime>(5 + rng.below(45)) * st::kMillisecond, 1 << 20);
-  }
-  return topo;
-}
-
-}  // namespace
-
-class PartitionProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PartitionProperty, PlanInvariantsHoldOnRandomTopologies) {
-  util::Rng rng(GetParam());
-  net::Topology topo = randomGrid(rng);
-  for (int max_partitions : {2, 4, 8}) {
-    const net::PartitionPlan plan = net::planPartitions(topo, max_partitions);
-    // Partition ids are dense and in range for every node.
-    EXPECT_GE(plan.partitions, 1);
-    EXPECT_LE(plan.partitions, max_partitions);
-    for (net::NodeId n = 0; n < topo.nodeCount(); ++n) {
-      EXPECT_GE(plan.partitionOf(n), 0);
-      EXPECT_LT(plan.partitionOf(n), plan.partitions);
-    }
-    // The plan is a pure function of the topology: replanning agrees.
-    const net::PartitionPlan again = net::planPartitions(topo, max_partitions);
-    EXPECT_EQ(plan.partition_of, again.partition_of);
-    EXPECT_EQ(plan.cut_links, again.cut_links);
-    // Lookahead soundness: every link faster than the cut latency stays
-    // inside one partition, and every cut edge can fund the lookahead.
-    for (net::LinkId l = 0; l < topo.linkCount(); ++l) {
-      const auto& lk = topo.link(l);
-      const bool crosses = plan.partitionOf(lk.a) != plan.partitionOf(lk.b);
-      if (crosses) {
-        EXPECT_GE(lk.latency, plan.cut_latency) << "link " << lk.name;
-      } else {
-        continue;
-      }
-    }
-    if (plan.partitions > 1) {
-      EXPECT_GT(plan.cut_latency, 0);
-      ASSERT_FALSE(plan.cut_links.empty());
-      for (net::LinkId l : plan.cut_links) {
-        EXPECT_NE(plan.partitionOf(topo.link(l).a), plan.partitionOf(topo.link(l).b));
-      }
-    }
-  }
-}
-
-TEST_P(PartitionProperty, ShardedDeliveryMatchesSequentialOracle) {
-  // The physics oracle: on a loss-free grid, the laned run must deliver
-  // exactly the same multiset of (time, src, dst, bytes) as the classic
-  // single-heap kernel, and the laned run itself must be byte-identical at
-  // 1 and 4 workers. Tie order between concurrent deliveries may legally
-  // differ between the two kernels (different heaps), hence multiset.
-  struct Send {
-    net::NodeId src, dst;
-    st::SimTime at;
-    std::size_t bytes;
-  };
-  enum class Mode { Classic, Laned1, Laned4 };
-  auto runMode = [&](Mode mode) {
-    util::Rng topo_rng(GetParam());
-    net::Topology topo = randomGrid(topo_rng);
-    std::vector<net::NodeId> hosts;
-    for (net::NodeId n = 0; n < topo.nodeCount(); ++n) {
-      if (topo.node(n).kind == net::NodeKind::Host) hosts.push_back(n);
-    }
-    util::Rng traffic_rng(GetParam() ^ 0xbadcab1eull);
-    std::vector<Send> sends;
-    for (int i = 0; i < 200; ++i) {
-      const auto a = hosts[traffic_rng.below(hosts.size())];
-      const auto b = hosts[traffic_rng.below(hosts.size())];
-      if (a == b) continue;
-      sends.push_back({a, b, static_cast<st::SimTime>(i) * 200 * st::kMicrosecond,
-                       static_cast<std::size_t>(64 + traffic_rng.below(1000))});
-    }
-
-    st::Simulator sim;
-    const net::PartitionPlan plan = net::planPartitions(topo, 8);
-    net::PacketNetworkOptions nopts;
-    net::PacketNetwork net(sim, std::move(topo), nopts);
-    if (mode != Mode::Classic && plan.partitions > 1) {
-      sim.configureParallel(plan.partitions + 1, mode == Mode::Laned4 ? 4 : 1,
-                            std::min(nopts.host_stack_delay, plan.cut_latency));
-      net.setPartitionPlan(plan);
-    }
-    std::vector<std::string> log;
-    for (net::NodeId h : hosts) {
-      net.attachHost(h, [&log, &net, &sim, h](net::Packet&& p) {
-        log.push_back(std::to_string(sim.now()) + " " + std::to_string(p.src) + "->" +
-                      std::to_string(h) + " #" + std::to_string(p.payload.size()));
-      });
-    }
-    for (const Send& s : sends) {
-      sim.scheduleAt(s.at, [&net, s] {
-        net::Packet p;
-        p.src = s.src;
-        p.dst = s.dst;
-        p.protocol = net::Protocol::Udp;
-        p.payload.assign(s.bytes, 0x77);
-        net.send(std::move(p));
-      });
-    }
-    sim.run();
-    EXPECT_EQ(sim.metrics().counterValue("sim.parallel.horizon_violations"), 0);
-    EXPECT_EQ(log.size(), sends.size()) << "loss-free grid must deliver everything";
-    return log;
-  };
-
-  const std::vector<std::string> classic = runMode(Mode::Classic);
-  const std::vector<std::string> laned = runMode(Mode::Laned1);
-  const std::vector<std::string> laned4 = runMode(Mode::Laned4);
-  // Worker count changes nothing, bit for bit, including tie order.
-  EXPECT_EQ(laned, laned4);
-  // Sharding preserves the physics: same deliveries at the same times.
-  auto sorted = [](std::vector<std::string> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  EXPECT_EQ(sorted(classic), sorted(laned));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProperty,
-                         ::testing::Values(3ull, 17ull, 0xFEEDull, 271828ull, 31337ull));
 
 // ------------------------------------- incremental max-min sharing oracle ---
 

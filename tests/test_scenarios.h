@@ -74,7 +74,6 @@ inline mg::fault::FaultEvent lossyEth1(double loss = 0.05, double duration = 60.
 // ------------------------------------------------- Alpha launcher scenarios
 
 struct HarnessOptions {
-  int parallel_workers = 0;  // 0: sequential kernel
   bool spans = false;
   bool trace_bus = false;
   int max_resubmits = 3;
@@ -87,7 +86,7 @@ struct HarnessOptions {
 struct LauncherHarness {
   explicit LauncherHarness(const HarnessOptions& o = {})
       : cfg(mg::core::topologies::alphaCluster()),
-        platform(cfg, platformOptions(o)),
+        platform(cfg),
         launcher(platform, registry) {
     if (o.spans) platform.simulator().spans().setEnabled(true);
     if (o.trace_bus) platform.simulator().traceBus().setEnabled("", true);
@@ -120,13 +119,6 @@ struct LauncherHarness {
   mg::grid::ExecutableRegistry registry;
   mg::core::Launcher launcher;
   std::optional<mg::fault::FaultInjector> injector;
-
- private:
-  static mg::core::MicroGridOptions platformOptions(const HarnessOptions& o) {
-    mg::core::MicroGridOptions m;
-    m.parallel_workers = o.parallel_workers;
-    return m;
-  }
 };
 
 // ------------------------------------- direct (no-launcher) EP under faults

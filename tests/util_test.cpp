@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/config.h"
@@ -72,6 +74,39 @@ TEST(Strings, GlobMatchStar) {
 TEST(Strings, Format) {
   EXPECT_EQ(mu::format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(mu::format("%s", ""), "");
+}
+
+TEST(Strings, ParseNumbersTakeTheWholeString) {
+  EXPECT_EQ(mu::parseInt("42"), 42);
+  EXPECT_EQ(mu::parseInt(" -7 "), -7);
+  EXPECT_EQ(mu::parseInt("5abc"), std::nullopt);
+  EXPECT_EQ(mu::parseInt("1e6"), std::nullopt);  // not silently 1
+  EXPECT_EQ(mu::parseInt(""), std::nullopt);
+  EXPECT_EQ(mu::parseInt("99999999999999999999"), std::nullopt);  // overflow
+  EXPECT_EQ(mu::parseDouble("2.5"), 2.5);
+  EXPECT_EQ(mu::parseDouble("1e6"), 1e6);
+  EXPECT_EQ(mu::parseDouble("5ms"), std::nullopt);
+  EXPECT_EQ(mu::parseDouble("x"), std::nullopt);
+}
+
+TEST(Strings, FlagNumbersNameTheFlagAndValue) {
+  EXPECT_EQ(mu::flagInt("--jobs", "12"), 12);
+  EXPECT_DOUBLE_EQ(mu::flagDouble("--quantum", "2.5"), 2.5);
+  auto message = [](auto&& fn) {
+    try {
+      fn();
+    } catch (const mg::UsageError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no UsageError");
+  };
+  EXPECT_EQ(message([] { mu::flagInt("--jobs", "1e6"); }),
+            "usage error: --jobs wants an integer, got '1e6'");
+  EXPECT_EQ(message([] { mu::flagDouble("--quantum", "5abc"); }),
+            "usage error: --quantum wants a number, got '5abc'");
+  EXPECT_EQ(message([] { mu::flagInt("--resubmits", "-5", 0, 10); }),
+            "usage error: --resubmits wants an integer in [0, 10], got '-5'");
+  EXPECT_EQ(mu::flagInt("--resubmits", "0", 0, 10), 0);
 }
 
 // ------------------------------------------------------------------ units --
@@ -526,6 +561,9 @@ TEST(Config, MissingKeyAndBadTypesThrow) {
   EXPECT_THROW(s.getDouble("n"), mg::ConfigError);
   EXPECT_THROW(s.getInt("n"), mg::ConfigError);
   EXPECT_THROW(s.getBool("n"), mg::ConfigError);
+  auto junk = mu::Config::parse("[h x]\nn = 5abc\nd = 1.5s\n");
+  EXPECT_THROW(junk.section("h", "x").getInt("n"), mg::ConfigError);
+  EXPECT_THROW(junk.section("h", "x").getDouble("d"), mg::ConfigError);
 }
 
 TEST(Config, SectionsOfTypePreservesOrder) {
