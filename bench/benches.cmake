@@ -27,3 +27,7 @@ add_executable(bench_kernel_perf ${CMAKE_SOURCE_DIR}/bench/bench_kernel_perf.cpp
 target_link_libraries(bench_kernel_perf PRIVATE mg_sim mg_net mg_util benchmark::benchmark
   mg_warnings)
 set_target_properties(bench_kernel_perf PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+
+# Paper gates: a bench whose shape check fails exits non-zero.
+add_test(NAME paper.fig17_autopilot COMMAND bench_fig17_autopilot)
+set_tests_properties(paper.fig17_autopilot PROPERTIES LABELS paper TIMEOUT 120)

@@ -22,27 +22,4 @@ std::vector<std::string> SensorRegistry::names() const {
   return out;
 }
 
-void Sampler::run(vos::HostContext& ctx, double interval_virtual_seconds) {
-  if (interval_virtual_seconds <= 0) throw mg::UsageError("sampling interval must be positive");
-  while (!stopped_) {
-    ctx.sleep(interval_virtual_seconds);
-    const double t = ctx.wallTime();
-    for (const auto& name : registry_.names()) {
-      traces_[name].emplace_back(t, registry_.get(name));
-    }
-  }
-}
-
-const util::Trace& Sampler::trace(const std::string& sensor) const {
-  auto it = traces_.find(sensor);
-  if (it == traces_.end()) throw mg::UsageError("no trace for sensor: " + sensor);
-  return it->second;
-}
-
-std::vector<std::string> Sampler::sensors() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : traces_) out.push_back(k);
-  return out;
-}
-
 }  // namespace mg::autopilot

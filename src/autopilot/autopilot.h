@@ -2,15 +2,14 @@
 //
 // The paper validates internal behaviour by attaching Autopilot sensors to
 // program variables and comparing the sampled traces between a physical run
-// and a MicroGrid run. Here:
+// and a MicroGrid run. Here, SensorRegistry is the board of named sensor
+// values: application code updates values (registering on first write);
+// monitoring code reads them. Everything runs inside one deterministic
+// simulation, so plain doubles suffice.
 //
-//  * SensorRegistry — the board of named sensor values. Application code
-//    updates values (registering on first write); monitoring code reads
-//    them. Everything runs inside one deterministic simulation, so plain
-//    doubles suffice.
-//  * Sampler — a daemon process that snapshots every sensor at a fixed
-//    virtual-time interval into per-sensor traces.
-//
+// Sampling is not done here: a monitor registers one obs::TelemetrySampler
+// level probe per sensor (NaN until the sensor's first write, so the trace
+// starts there) and reads the series back with TimeSeriesRecorder::trace().
 // The Fig 17 metric (root-mean-square percentage difference between the
 // normalized traces) lives in util::rmsPercentSkew.
 #pragma once
@@ -18,9 +17,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#include "util/stats.h"
-#include "vos/context.h"
 
 namespace mg::autopilot {
 
@@ -39,32 +35,6 @@ class SensorRegistry {
 
  private:
   std::map<std::string, double> values_;
-};
-
-class Sampler {
- public:
-  explicit Sampler(SensorRegistry& registry) : registry_(registry) {}
-
-  /// The daemon body: spawn it as a process on a monitoring host, e.g.
-  ///   platform.spawnOn(host, "autopilot", [&](auto& ctx) {
-  ///     sampler.run(ctx, 1.0);
-  ///   });
-  /// Samples every `interval_virtual_seconds` until stop() (or simulation
-  /// teardown).
-  void run(vos::HostContext& ctx, double interval_virtual_seconds);
-
-  /// Ask the daemon to exit at its next tick.
-  void stop() { stopped_ = true; }
-
-  /// The recorded (virtual time, value) series of one sensor.
-  const util::Trace& trace(const std::string& sensor) const;
-  std::vector<std::string> sensors() const;
-  void clearTraces() { traces_.clear(); }
-
- private:
-  SensorRegistry& registry_;
-  bool stopped_ = false;
-  std::map<std::string, util::Trace> traces_;
 };
 
 }  // namespace mg::autopilot

@@ -79,8 +79,7 @@ void Launcher::startServices(const VirtualGridConfig* publish, const std::string
 std::shared_ptr<LaunchResult> Launcher::submitAsync(
     const std::string& executable, const std::string& arguments,
     const std::vector<grid::AllocationPart>& parts,
-    const std::map<std::string, std::string>& extra_env, const std::string& client_host,
-    std::function<void()> on_complete) {
+    const std::map<std::string, std::string>& extra_env, const std::string& client_host) {
   if (!services_started_) throw mg::UsageError("call startServices() first");
   if (parts.empty()) throw mg::UsageError("job needs at least one allocation part");
   const std::string client = client_host.empty() ? parts.front().host : client_host;
@@ -88,8 +87,8 @@ std::shared_ptr<LaunchResult> Launcher::submitAsync(
   auto result = std::make_shared<LaunchResult>();
   platform_.spawnOn(
       client, "globusrun." + executable,
-      [result, executable, arguments, parts, extra_env, opts = opts_, gis_host = gis_host_,
-       on_complete = std::move(on_complete)](vos::HostContext& ctx) {
+      [result, executable, arguments, parts, extra_env, opts = opts_,
+       gis_host = gis_host_](vos::HostContext& ctx) {
         // Root of the job's causal chain: everything downstream — GRAM
         // requests, jobmanagers, ranks, vmpi traffic, TCP segments, packet
         // hops, scheduler quanta — parents back to this span.
@@ -129,7 +128,6 @@ std::shared_ptr<LaunchResult> Launcher::submitAsync(
         }
         result->completed_at = ctx.wallTime();
         result->virtual_seconds = result->completed_at - result->submitted_at;
-        if (on_complete) on_complete();
       });
   return result;
 }
@@ -137,10 +135,8 @@ std::shared_ptr<LaunchResult> Launcher::submitAsync(
 LaunchResult Launcher::run(const std::string& executable, const std::string& arguments,
                            const std::vector<grid::AllocationPart>& parts,
                            const std::map<std::string, std::string>& extra_env,
-                           const std::string& client_host,
-                           std::function<void()> on_complete) {
-  auto result = submitAsync(executable, arguments, parts, extra_env, client_host,
-                            std::move(on_complete));
+                           const std::string& client_host) {
+  auto result = submitAsync(executable, arguments, parts, extra_env, client_host);
   platform_.run();
   if (result->completed_at == 0 && !result->ok) {
     // The simulation drained while the client was still blocked: deadlock.

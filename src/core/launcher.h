@@ -58,15 +58,11 @@ class Launcher {
 
   /// Submit `executable` across `parts` from a client process on
   /// `client_host` (default: the first part's host), run the simulation
-  /// until it completes, and return the outcome. `on_complete`, when given,
-  /// runs in the client process right after the job finishes — use it to
-  /// stop periodic daemons (e.g. an Autopilot sampler) so the simulation
-  /// can drain.
+  /// until it completes, and return the outcome.
   LaunchResult run(const std::string& executable, const std::string& arguments,
                    const std::vector<grid::AllocationPart>& parts,
                    const std::map<std::string, std::string>& extra_env = {},
-                   const std::string& client_host = "",
-                   std::function<void()> on_complete = nullptr);
+                   const std::string& client_host = "");
 
   /// The non-blocking half of run(): spawn the client process and return a
   /// handle to its (eventual) result without driving the simulation. The
@@ -78,8 +74,7 @@ class Launcher {
       const std::string& executable, const std::string& arguments,
       const std::vector<grid::AllocationPart>& parts,
       const std::map<std::string, std::string>& extra_env = {},
-      const std::string& client_host = "",
-      std::function<void()> on_complete = nullptr);
+      const std::string& client_host = "");
 
   const std::string& gisHost() const { return gis_host_; }
   gis::Directory& directory() { return directory_; }

@@ -42,8 +42,7 @@ FaultInjector::FaultInjector(core::MicroGridPlatform& platform, FaultPlan plan)
     : platform_(platform),
       plan_(std::move(plan)),
       c_injected_(platform.simulator().metrics().counter("fault.injected")),
-      c_ignored_(platform.simulator().metrics().counter("fault.ignored")),
-      trace_(platform.simulator().traceBus().channel("fault.injector")) {
+      c_ignored_(platform.simulator().metrics().counter("fault.ignored")) {
   // Register every per-kind counter up front so the metrics registry's
   // contents do not depend on which faults actually fire (determinism of the
   // --metrics=json output across plans).
@@ -100,7 +99,6 @@ void FaultInjector::applied(const FaultEvent& ev) {
   c_injected_.inc();
   kindCounter(ev.kind).inc();
   const std::string& what = ev.target.empty() ? ev.name : ev.target;
-  trace_.record(platform_.simulator().now(), faultKindName(ev.kind), ev.at, what);
   obs::SpanRecorder& spans = platform_.simulator().spans();
   if (spans.enabled()) {
     // Faults show up as instant markers on the affected track, so a crash
@@ -115,7 +113,6 @@ void FaultInjector::applied(const FaultEvent& ev) {
 void FaultInjector::skipped(const FaultEvent& ev, const std::string& why) {
   c_ignored_.inc();
   const std::string& what = ev.target.empty() ? ev.name : ev.target;
-  trace_.record(platform_.simulator().now(), "ignored_" + faultKindName(ev.kind), ev.at, what);
   MG_LOG_INFO("fault") << "ignored " << faultKindName(ev.kind) << " " << what << " (plan '"
                        << ev.name << "', t=" << ev.at << "vs): " << why;
 }
@@ -137,9 +134,9 @@ void FaultInjector::fire(const FaultEvent& ev) {
   };
 
   // Every case decides explicitly: apply (mutate state, count, schedule the
-  // inverse) or ignore (count under fault.ignored, trace "ignored_<kind>",
-  // and crucially schedule NO inverse — a skipped crash must not spawn a
-  // phantom restart). The rules are pure functions of pre-event state, so any
+  // inverse) or ignore (count under fault.ignored, log the reason, and
+  // crucially schedule NO inverse — a skipped crash must not spawn a phantom
+  // restart). The rules are pure functions of pre-event state, so any
   // schedule the explorer composes — crash of a dead host, restart of a live
   // one, link_down twice at the same timestamp — has one deterministic
   // outcome and a consistent availability report.

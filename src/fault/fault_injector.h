@@ -1,7 +1,7 @@
 // Executes a FaultPlan against a MicroGridPlatform, deterministically, from
 // simulator events. Every injected fault increments `fault.*` registry
-// counters and is emitted on the `fault.injector` TraceBus channel, so fault
-// runs are observable through the same machinery as everything else.
+// counters and, with spans on, leaves a `fault.injector` instant marker, so
+// fault runs are observable through the same machinery as everything else.
 //
 // The injector only touches platform mechanisms (crashHost, setLinkUp, ...).
 // Middleware reactions — expiring the crashed host's GIS record, respawning
@@ -88,7 +88,6 @@ class FaultInjector {
 
   obs::Counter& c_injected_;
   obs::Counter& c_ignored_;
-  obs::TraceBus::Channel& trace_;
   std::map<std::string, obs::Counter*> kind_counters_;
 
   // Partition id -> links taken down, for heal.

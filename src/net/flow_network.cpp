@@ -38,8 +38,7 @@ FlowEngine::FlowEngine(NetworkModel& model, FlowNetworkOptions opts)
       c_dropped_down_(sim_.metrics().counter("net.flow.dropped_down")),
       g_active_(sim_.metrics().gauge("net.flow.active")),
       g_peak_(sim_.metrics().gauge("net.flow.active_peak")),
-      h_scope_(sim_.metrics().histogram("net.flow.recompute_flows", 0, 4096, 64)),
-      trace_(sim_.traceBus().channel("net.flow")) {
+      h_scope_(sim_.metrics().histogram("net.flow.recompute_flows", 0, 4096, 64)) {
   if (opts_.byte_overhead < 1.0) throw ConfigError("flow byte_overhead must be >= 1");
   const auto links = static_cast<std::size_t>(model_.topology().linkCount());
   dlink_flows_.resize(links * 2);
@@ -96,7 +95,6 @@ FlowId FlowEngine::startBits(NodeId src, NodeId dst, double wire_bits,
   }
   c_started_.inc();
   c_bytes_.inc(payload_bytes);
-  if (trace_.enabled()) trace_.record(sim_.now(), "start", static_cast<double>(payload_bytes));
 
   if (src == dst) {
     // Loopback never touches the wire: per-message software overhead only.
@@ -175,7 +173,6 @@ void FlowEngine::sendPacket(Packet&& pkt) {
   }
   if (pkt.src != pkt.dst && model_.routing().nextLink(pkt.src, pkt.dst) == kNoLink) {
     c_dropped_down_.inc();
-    if (trace_.enabled()) trace_.record(sim_.now(), "drop_down", static_cast<double>(pkt.wireBytes()));
     sim_.spans().endWith(pkt.span, "dropped", "no_route");
     return;
   }
@@ -188,7 +185,6 @@ void FlowEngine::sendPacket(Packet&& pkt) {
       [this, p]() mutable { deliverPacket(std::move(*p)); },
       [this, p](const std::string& why) {
         c_dropped_down_.inc();
-        if (trace_.enabled()) trace_.record(sim_.now(), "drop_down", static_cast<double>(p->wireBytes()));
         sim_.spans().endWith(p->span, "dropped", why);
       },
       span);
@@ -200,7 +196,6 @@ void FlowEngine::deliverPacket(Packet&& pkt) {
     // Same blackhole semantics as the packet model: crashed hosts receive
     // nothing, so peers learn of the failure from their own timers.
     c_dropped_down_.inc();
-    if (trace_.enabled()) trace_.record(sim_.now(), "drop_node_down", static_cast<double>(pkt.wireBytes()), topo.node(pkt.dst).name);
     sim_.spans().endWith(pkt.span, "dropped", "node_down");
     return;
   }
@@ -211,7 +206,6 @@ void FlowEngine::deliverPacket(Packet&& pkt) {
     MG_LOG_TRACE("net") << "flow packet to unattached node " << topo.node(pkt.dst).name;
     return;
   }
-  if (trace_.enabled()) trace_.record(sim_.now(), "deliver", static_cast<double>(pkt.payload.size()));
   h(std::move(pkt));
 }
 
@@ -381,16 +375,12 @@ void FlowEngine::rescheduleComponent() {
       f.rate_bps = 0.0;
       f.stalled = true;
       c_stalled_.inc();
-      if (trace_.enabled()) trace_.record(now, "stall", f.remaining_bits);
       continue;
     }
     if (f.drain_event != 0 && !rateChanged(f.new_rate, f.rate_bps)) continue;
     integrateFlow(f, now);
     if (f.drain_event != 0) sim_.cancel(f.drain_event);
-    if (f.stalled) {
-      f.stalled = false;
-      if (trace_.enabled()) trace_.record(now, "resume", f.remaining_bits);
-    }
+    f.stalled = false;
     f.rate_bps = f.new_rate;
     const double drain_s = f.remaining_bits / f.rate_bps;
     const FlowId fid = e.id;
@@ -409,7 +399,6 @@ void FlowEngine::finishDrain(FlowId id) {
   flows_.erase(it);
   c_completed_.inc();
   publishActiveGauges();
-  if (trace_.enabled()) trace_.record(now, "complete", f.remaining_bits);
   // The last bit leaves the source when the drain finishes; it still has to
   // propagate (path latency) and clear the receive stack (per-message
   // overhead) before the receiver sees the message.
@@ -446,7 +435,6 @@ void FlowEngine::abortMatching(const std::function<bool(const Flow&)>& pred,
     integrateFlow(f, now);
     unindexFlow(id, f, now);
     c_aborted_.inc();
-    if (trace_.enabled()) trace_.record(now, "abort", f.remaining_bits);
     if (f.drain_event != 0) sim_.cancel(f.drain_event);
     if (f.owns_span) sim_.spans().endWith(f.span, "aborted", reason);
     if (f.on_abort) {

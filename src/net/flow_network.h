@@ -266,7 +266,6 @@ class FlowEngine {
   obs::Gauge& g_active_;
   obs::Gauge& g_peak_;
   util::Histogram& h_scope_;
-  obs::TraceBus::Channel& trace_;
   std::int64_t peak_active_ = 0;
 };
 

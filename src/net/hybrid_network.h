@@ -7,8 +7,8 @@
 // HybridNetwork keeps both wired to the same topology, routing table and
 // fault plumbing, and picks per message: traffic matching the detail
 // selector (--netmodel-detail=host:GLOB / port:LO-HI patterns) rides the
-// packet path, everything else is fluid. Both paths share metrics, spans
-// and the trace bus, so observability output is uniform.
+// packet path, everything else is fluid. Both paths share metrics and
+// spans, so observability output is uniform.
 #pragma once
 
 #include <cstdint>

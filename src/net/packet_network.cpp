@@ -17,7 +17,6 @@ PacketNetwork::PacketNetwork(sim::Simulator& sim, Topology topo, PacketNetworkOp
       c_dropped_node_down_(sim.metrics().counter("net.packet.drop_node_down")),
       c_bytes_delivered_(sim.metrics().counter("net.packet.bytes_delivered")),
       c_wire_bytes_(sim.metrics().counter("net.packet.wire_bytes_sent")),
-      trace_(sim.traceBus().channel("net.packet")),
       rng_(opts.seed) {
   link_queues_.resize(static_cast<size_t>(topo_.linkCount()) * 2);
 }
@@ -96,7 +95,6 @@ void PacketNetwork::forward(NodeId at, Packet&& pkt) {
   LinkId lid = routing_.nextLink(at, pkt.dst);
   if (lid == kNoLink || !topo_.link(lid).up) {
     c_dropped_down_.inc();
-    if (trace_.enabled()) trace_.record(sim_.now(), "drop_down", static_cast<double>(pkt.wireBytes()));
     sim_.spans().endWith(pkt.span, "dropped", "no_route");
     return;
   }
@@ -114,7 +112,6 @@ void PacketNetwork::enqueue(LinkId link, NodeId from, Packet&& pkt) {
   LinkQueue& q = queueFor(link, from);
   if (q.queued_bytes + pkt.wireBytes() > l.queue_bytes) {
     c_dropped_queue_.inc();
-    if (trace_.enabled()) trace_.record(sim_.now(), "drop_queue", static_cast<double>(pkt.wireBytes()), l.name);
     MG_LOG_TRACE("net") << "drop (queue full) on " << l.name;
     sim_.spans().endWith(pkt.span, "dropped", "queue");
     return;
@@ -153,12 +150,10 @@ void PacketNetwork::startTransmit(LinkId link, NodeId from) {
     if (!lk.up) {
       c_dropped_down_.inc();
       c_dropped_link_down_.inc();
-      if (trace_.enabled()) trace_.record(sim_.now(), "drop_link_down", static_cast<double>(pkt.wireBytes()), lk.name);
       sim_.spans().endWith(pkt.hop_span, "dropped", "link_down");
       sim_.spans().endWith(pkt.span, "dropped", "link_down");
     } else if (lk.loss_rate > 0 && rng_.uniform() < lk.loss_rate) {
       c_dropped_loss_.inc();
-      if (trace_.enabled()) trace_.record(sim_.now(), "drop_loss", static_cast<double>(pkt.wireBytes()), lk.name);
       sim_.spans().endWith(pkt.hop_span, "dropped", "loss");
       sim_.spans().endWith(pkt.span, "dropped", "loss");
     } else {
@@ -188,7 +183,6 @@ void PacketNetwork::deliverLocal(Packet&& pkt) {
     // SYN/RTO timers (rather than an oracle) detect the failure.
     c_dropped_down_.inc();
     c_dropped_node_down_.inc();
-    if (trace_.enabled()) trace_.record(sim_.now(), "drop_node_down", static_cast<double>(pkt.wireBytes()), topo_.node(pkt.dst).name);
     sim_.spans().endWith(pkt.span, "dropped", "node_down");
     return;
   }
@@ -202,7 +196,6 @@ void PacketNetwork::deliverLocal(Packet&& pkt) {
   }
   c_delivered_.inc();
   c_bytes_delivered_.inc(static_cast<std::int64_t>(pkt.payload.size()));
-  if (trace_.enabled()) trace_.record(sim_.now(), "deliver", static_cast<double>(pkt.payload.size()));
   h(std::move(pkt));
 }
 

@@ -124,7 +124,6 @@ class PacketNetwork : public NetworkModel {
   obs::Counter& c_dropped_node_down_;
   obs::Counter& c_bytes_delivered_;
   obs::Counter& c_wire_bytes_;
-  obs::TraceBus::Channel& trace_;
   // The loss process, seeded with opts.seed.
   util::Rng rng_;
   // linkqueues_[link * 2 + direction]

@@ -79,8 +79,8 @@ void registerNpb(grid::ExecutableRegistry& registry, ResultSink& sink);
 
 /// Optional Autopilot instrumentation (paper §3.6): when a board is
 /// installed, rank 0 of each kernel publishes "<BENCH>.progress", a periodic
-/// function of its iteration counters, for a Sampler to record. Pass
-/// nullptr to detach. Not owned.
+/// function of its iteration counters, for a TelemetrySampler level probe
+/// to record. Pass nullptr to detach. Not owned.
 void setSensorBoard(autopilot::SensorRegistry* board);
 autopilot::SensorRegistry* sensorBoard();
 

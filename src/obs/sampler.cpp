@@ -1,5 +1,7 @@
 #include "obs/sampler.h"
 
+#include <cmath>
+
 #include "obs/metrics.h"
 #include "util/error.h"
 
@@ -54,7 +56,7 @@ void TelemetrySampler::collect(std::int64_t t) {
     if (p.rate) {
       if (last_tick_ >= 0 && dt_s > 0) recorder_.add(p.series, t, (v - p.prev) / dt_s);
       p.prev = v;
-    } else {
+    } else if (!std::isnan(v)) {
       recorder_.add(p.series, t, v);
     }
   }

@@ -50,7 +50,9 @@ class TelemetrySampler {
       : TelemetrySampler(recorder, std::move(host), Options{}) {}
   TelemetrySampler(TimeSeriesRecorder& recorder, Host host, Options opts);
 
-  /// Sample the probe's value at time t. Recorded as-is (a level).
+  /// Sample the probe's value at time t. Recorded as-is (a level); a NaN
+  /// reading means "no value yet" and records no sample, so a series can
+  /// start at its source's first write (Autopilot sensors, Fig 17).
   void addLevel(std::string series, std::function<double(std::int64_t)> read);
 
   /// `cumulative` returns a non-decreasing total (e.g. busy-seconds, bytes);

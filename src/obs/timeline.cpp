@@ -101,6 +101,22 @@ const TimeSeriesRecorder::Series* TimeSeriesRecorder::find(std::string_view seri
   return it == index_.end() ? nullptr : it->second;
 }
 
+util::Trace TimeSeriesRecorder::trace(std::string_view series) const {
+  const Series* s = find(series);
+  const std::string name(series);
+  if (s == nullptr) throw UsageError("no timeline series: " + name);
+  if (s->widenings > 0) throw UsageError("timeline series widened: " + name);
+  util::Trace out;
+  for (std::size_t i = 0; i < s->buckets.size(); ++i) {
+    const Bucket& b = s->buckets[i];
+    if (b.count == 0) continue;
+    if (b.count > 1) throw UsageError("timeline series has a multi-sample bucket: " + name);
+    const std::int64_t start = s->origin + static_cast<std::int64_t>(i) * s->width;
+    out.emplace_back(static_cast<double>(start) * 1e-9, b.last);
+  }
+  return out;
+}
+
 std::vector<const TimeSeriesRecorder::Series*> TimeSeriesRecorder::seriesSorted() const {
   std::vector<const Series*> out;
   out.reserve(index_.size());

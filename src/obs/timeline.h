@@ -27,6 +27,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/stats.h"
+
 namespace mg::obs {
 
 class TimeSeriesRecorder {
@@ -75,6 +77,14 @@ class TimeSeriesRecorder {
   /// Lookup (nullptr when absent). The pointer is stable for the recorder's
   /// lifetime (series live in a deque).
   const Series* find(std::string_view series) const;
+
+  /// The series as a (seconds, last) util::Trace, one point per populated
+  /// bucket, stamped with the bucket start — the sampled trace
+  /// util::rmsPercentSkew compares. Record it with a sampler whose interval
+  /// equals the base width so each tick lands on a bucket start. Exact or
+  /// nothing: throws UsageError if the series is missing, has widened, or
+  /// holds a bucket with more than one sample.
+  util::Trace trace(std::string_view series) const;
 
   /// Every series in sorted name order (the exporters' iteration order).
   std::vector<const Series*> seriesSorted() const;

@@ -269,7 +269,6 @@ Process& Simulator::spawn(std::string name, std::function<void()> body) {
   live_processes_.emplace(ref.id(), &ref);
   ++live_process_count_;
   processes_spawned_.inc();
-  if (proc_trace_.enabled()) proc_trace_.record(now(), "spawn", static_cast<double>(ref.id()), ref.name());
   scheduleResume(ref);
   return ref;
 }
@@ -341,7 +340,6 @@ void Simulator::shutdown() {
     if (!p->finished_) {
       p->kill_ = true;
       process_kills_.inc();
-      if (proc_trace_.enabled()) proc_trace_.record(now(), "kill", static_cast<double>(p->id()), p->name());
       runProcessSlice(*p);
     }
   }
@@ -357,7 +355,6 @@ void Simulator::killProcess(Process& p) {
   if (current_ == &p) throw UsageError("a process cannot kill itself");
   p.kill_ = true;
   process_kills_.inc();
-  if (proc_trace_.enabled()) proc_trace_.record(now(), "kill", static_cast<double>(p.id()), p.name());
   runProcessSlice(p);
 }
 
@@ -422,7 +419,6 @@ Process& Simulator::currentProcess() {
 void Simulator::wake(Process& p) {
   if (p.finished_ || !p.suspended_ || p.wake_pending_) return;
   process_wakes_.inc();
-  if (proc_trace_.enabled()) proc_trace_.record(now(), "wake", static_cast<double>(p.id()), p.name());
   ++p.wait_epoch_;  // invalidate any pending suspendFor timeout
   if (p.timeout_event_ != 0) {
     cancel(p.timeout_event_);

@@ -34,7 +34,6 @@
 #include "obs/state_capture.h"
 #include "obs/span.h"
 #include "obs/timeline.h"
-#include "obs/trace_bus.h"
 #include "sim/event_fn.h"
 #include "sim/time.h"
 #include "util/error.h"
@@ -269,11 +268,6 @@ class Simulator {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The run-wide deterministic trace bus (disabled by default; enable
-  /// channels via traceBus().setEnabled("net", true) etc.).
-  obs::TraceBus& traceBus() { return trace_; }
-  const obs::TraceBus& traceBus() const { return trace_; }
-
   /// The run-wide causal span recorder (disabled by default; enable with
   /// spans().setEnabled(true) before the run). The kernel propagates the
   /// current-span context through event dispatch, spawn inheritance, and
@@ -306,9 +300,8 @@ class Simulator {
   void reapIfNeeded();
   SimTime runLoop(SimTime limit, bool bounded);
 
-  // Declared before the counter/channel handles below, which point into it.
+  // Declared before the counter handles below, which point into it.
   obs::MetricsRegistry metrics_;
-  obs::TraceBus trace_;
   obs::SpanRecorder spans_{&metrics_};
   obs::TimeSeriesRecorder timeline_;
   obs::RunPulse pulse_;
@@ -323,7 +316,6 @@ class Simulator {
   obs::Counter& processes_spawned_ = metrics_.counter("sim.process.spawned");
   obs::Counter& process_wakes_ = metrics_.counter("sim.process.wakes");
   obs::Counter& process_kills_ = metrics_.counter("sim.process.kills");
-  obs::TraceBus::Channel& proc_trace_ = trace_.channel("sim.process");
 
   detail::EventQueue queue_;
 

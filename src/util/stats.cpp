@@ -99,6 +99,7 @@ double rmsPercentSkew(const Trace& reference, const Trace& measured, int samples
   if (reference.empty() || measured.empty()) {
     throw UsageError("rmsPercentSkew on empty trace");
   }
+  if (samples < 1) throw UsageError("rmsPercentSkew wants samples >= 1");
   const double ref_t0 = reference.front().first;
   const double ref_t1 = reference.back().first;
   const double mea_t0 = measured.front().first;

@@ -87,7 +87,8 @@ double sampleTrace(const Trace& trace, double t);
 /// The paper's internal-validation metric (Section 3.6): both traces are
 /// normalized to their own duration, resampled at `samples` common points,
 /// and compared as root-mean-square percentage difference relative to the
-/// reference trace's value range. Returns a percentage.
+/// reference trace's value range. Returns a percentage. Throws UsageError for
+/// an empty trace or samples < 1 (which would otherwise yield NaN).
 double rmsPercentSkew(const Trace& reference, const Trace& measured, int samples = 200);
 
 /// Percentage difference of `measured` relative to `reference`.

@@ -22,7 +22,6 @@ CpuScheduler::CpuScheduler(sim::Simulator& sim, double physical_ops, sim::SimTim
       g_cpu_seconds_(sim.metrics().gauge("vos.sched.cpu_seconds_delivered")),
       // Fig 7's normalized quantum-length distribution, registry edition.
       h_quantum_norm_(sim.metrics().histogram("vos.sched.quantum_norm", 0.8, 1.2, 40)),
-      trace_(sim.traceBus().channel("vos.sched")),
       rng_(seed) {
   if (physical_ops <= 0) throw ConfigError("physical CPU speed must be positive");
   if (quantum <= 0) throw ConfigError("scheduler quantum must be positive");
@@ -167,7 +166,6 @@ void CpuScheduler::scheduleNext() {
   c_quanta_.inc();
   g_cpu_seconds_.add(cpu_slice);
   h_quantum_norm_.add(full_quantum / nominal);
-  if (trace_.enabled()) trace_.record(sim_.now(), "quantum", full_quantum / nominal, t.name);
   const double cap = competition_.capacity_cap;
   busy_start_ = sim_.now();
   busy_until_ = busy_start_ + sim::fromSeconds(full_quantum / cap);

@@ -131,7 +131,6 @@ class CpuScheduler {
   obs::Counter& c_tasks_added_;
   obs::Gauge& g_cpu_seconds_;
   util::Histogram& h_quantum_norm_;
-  obs::TraceBus::Channel& trace_;
   util::Rng rng_;
 
   // deque: addTask while other tasks hold references across suspension.

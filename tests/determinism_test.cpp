@@ -1,6 +1,6 @@
 // Seed-sweep determinism: for every seed, two fresh runs of NPB EP under
 // faults (a lossy link all run long plus a transient outage mid-run) must be
-// byte-identical in every observable stream — metrics snapshot, trace bus,
+// byte-identical in every observable stream — metrics snapshot, span tree,
 // and the application's own checksums. The model checker's replay-restore
 // construction (mc/snapshot.h) is built entirely on this property, so a
 // single seed where it breaks invalidates the whole subsystem.
@@ -31,10 +31,11 @@ TEST(Determinism, SeedSweepEpUnderFaultsIsByteReproducible) {
   const fault::FaultPlan plan = sweepPlan();
   std::set<std::string> distinct_metrics;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto a = mgtest::runEpUnderFaults(plan, seed, /*trace=*/true);
-    const auto b = mgtest::runEpUnderFaults(plan, seed, /*trace=*/true);
+    const auto a = mgtest::runEpUnderFaults(plan, seed, /*spans=*/true);
+    const auto b = mgtest::runEpUnderFaults(plan, seed, /*spans=*/true);
     EXPECT_EQ(a.metrics, b.metrics) << "metrics diverged at seed " << seed;
-    EXPECT_EQ(a.trace, b.trace) << "trace diverged at seed " << seed;
+    ASSERT_FALSE(a.tree.empty());
+    EXPECT_EQ(a.tree, b.tree) << "span tree diverged at seed " << seed;
     ASSERT_EQ(a.checksums.size(), 4u);
     EXPECT_EQ(a.checksums, b.checksums) << "checksums diverged at seed " << seed;
     // The lossy link really engaged: determinism is a statement about

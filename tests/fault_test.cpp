@@ -316,7 +316,7 @@ TEST(FaultInjectorTest, AvailabilityReportMath) {
 //
 // Regression tests for ISSUE 10: a fault event whose precondition already
 // holds (crash a dead host, down a dead link, heal an intact fabric...) is
-// *ignored* — counted in fault.ignored, traced, and crucially scheduling NO
+// *ignored* — counted in fault.ignored, logged, and crucially scheduling NO
 // inverse event — instead of corrupting the availability accounting. The
 // explorer composes arbitrary schedules, so every such edge must be inert.
 

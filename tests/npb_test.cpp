@@ -2,6 +2,7 @@
 // Autopilot instrumentation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "apps/microbench.h"
@@ -13,6 +14,8 @@
 #include "core/topologies.h"
 #include "npb/cost_model.h"
 #include "npb/npb.h"
+#include "obs/sampler.h"
+#include "sim/telemetry.h"
 
 using namespace mg;
 using core::MicroGridPlatform;
@@ -46,6 +49,25 @@ std::vector<npb::KernelResult> runOnReference(npb::Benchmark b, npb::NpbClass cl
   auto cfg = core::topologies::alphaCluster(params);
   ReferencePlatform platform(cfg);
   return runOn(platform, b, cls, n);
+}
+
+/// An Autopilot monitor on the simulation's timeline: one level probe for
+/// `sensor`, ticking every `interval` kernel ns. The probe reads NaN (no
+/// sample) until the sensor's first write, so the trace starts there.
+std::unique_ptr<obs::TelemetrySampler> sensorSampler(core::Platform& platform,
+                                                     const autopilot::SensorRegistry& board,
+                                                     const std::string& sensor,
+                                                     sim::SimTime interval) {
+  sim::Simulator& sim = platform.simulator();
+  sim.timeline().setBaseWidth(interval);
+  obs::TelemetrySampler::Options so;
+  so.interval_ns = interval;
+  auto sampler = std::make_unique<obs::TelemetrySampler>(sim.timeline(),
+                                                         sim::telemetryHost(sim), so);
+  sampler->addLevel(sensor, [&board, sensor](std::int64_t) {
+    return board.has(sensor) ? board.get(sensor) : std::numeric_limits<double>::quiet_NaN();
+  });
+  return sampler;
 }
 
 }  // namespace
@@ -284,18 +306,16 @@ TEST(Autopilot, SamplerRecordsPeriodically) {
   auto cfg = core::topologies::alphaCluster();
   ReferencePlatform platform(cfg);
   autopilot::SensorRegistry reg;
-  autopilot::Sampler sampler(reg);
   platform.spawnOn("vm0.ucsd.edu", "app", [&](vos::HostContext& ctx) {
     for (int i = 0; i < 10; ++i) {
       reg.set("app.progress", i % 4);
       ctx.sleep(1.0);
     }
-    sampler.stop();
   });
-  platform.spawnOn("vm1.ucsd.edu", "autopilot",
-                   [&](vos::HostContext& ctx) { sampler.run(ctx, 1.0); });
+  auto sampler = sensorSampler(platform, reg, "app.progress", sim::kSecond);
+  sampler->start();
   platform.run();
-  const auto& trace = sampler.trace("app.progress");
+  const util::Trace trace = platform.simulator().timeline().trace("app.progress");
   EXPECT_GE(trace.size(), 8u);
   // Samples arrive on the virtual-second grid.
   EXPECT_NEAR(trace[1].first - trace[0].first, 1.0, 1e-6);
@@ -314,10 +334,10 @@ TEST(Autopilot, NpbSensorBoardPublishesProgress) {
 TEST(Autopilot, Fig17StyleSkewIsSmall) {
   // Sample the same deterministic app on both platforms and compare traces
   // with the paper's RMS metric — the internal-validation methodology.
-  auto traceOn = [](core::Platform& platform) {
+  // The sampler ticks every 0.5 virtual seconds on each platform.
+  auto traceOn = [](core::Platform& platform, sim::SimTime interval) {
     autopilot::SensorRegistry reg;
-    auto sampler = std::make_shared<autopilot::Sampler>(reg);
-    platform.spawnOn("vm0.ucsd.edu", "app", [&reg, sampler](vos::HostContext& ctx) {
+    platform.spawnOn("vm0.ucsd.edu", "app", [&reg](vos::HostContext& ctx) {
       // A slowly varying monitored variable (period >> sample interval);
       // fast sawtooths would alias small timing shifts into large value
       // differences.
@@ -325,18 +345,17 @@ TEST(Autopilot, Fig17StyleSkewIsSmall) {
         reg.set("app.v", (i / 4) % 5);
         ctx.compute(533e6 * 0.5);  // 0.5 virtual seconds
       }
-      sampler->stop();
     });
-    platform.spawnOn("vm1.ucsd.edu", "autopilot",
-                     [sampler](vos::HostContext& ctx) { sampler->run(ctx, 0.5); });
+    auto sampler = sensorSampler(platform, reg, "app.v", interval);
+    sampler->start();
     platform.run();
-    return sampler->trace("app.v");
+    return platform.simulator().timeline().trace("app.v");
   };
   auto cfg = core::topologies::alphaCluster();
   ReferencePlatform ref(cfg);
-  auto ref_trace = traceOn(ref);
+  auto ref_trace = traceOn(ref, sim::fromSeconds(0.5));
   MicroGridPlatform emu(cfg);
-  auto emu_trace = traceOn(emu);
+  auto emu_trace = traceOn(emu, emu.virtualTime().toKernel(0.5));
   ASSERT_GE(ref_trace.size(), 10u);
   ASSERT_GE(emu_trace.size(), 10u);
   const double skew = util::rmsPercentSkew(ref_trace, emu_trace);

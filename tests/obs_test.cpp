@@ -1,11 +1,12 @@
-// Tests for the observability subsystem: the metrics registry, the trace
-// bus, causal span tracing, and the end-to-end wiring of all three through
-// the MicroGrid platform (ISSUE: every layer's accounting flows into one
-// snapshot, and same-seed runs produce byte-identical observability output).
+// Tests for the observability subsystem: the metrics registry, causal span
+// tracing, time-resolved telemetry, and their end-to-end wiring through the
+// MicroGrid platform: every layer's accounting flows into one snapshot, and
+// same-seed runs produce byte-identical observability output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -26,11 +27,9 @@
 #include "obs/sim_profiler.h"
 #include "obs/span.h"
 #include "obs/timeline.h"
-#include "obs/trace_bus.h"
 #include "obs/trace_export.h"
 #include "sim/telemetry.h"
 #include "util/error.h"
-#include "util/strings.h"
 #include "vmpi/comm.h"
 
 #include "test_scenarios.h"
@@ -127,85 +126,6 @@ TEST(Metrics, SnapshotCsvIsNameSortedAndStable) {
   EXPECT_EQ(reg.snapshotCsv(), expected);
 }
 
-// -------------------------------------------------------------- trace bus --
-
-TEST(TraceBus, DisabledChannelRecordsNothing) {
-  mo::TraceBus bus;
-  mo::TraceBus::Channel& ch = bus.channel("net.packet");
-  EXPECT_FALSE(ch.enabled());
-  ch.record(100, "drop", 1.0);
-  EXPECT_TRUE(bus.events().empty());
-}
-
-TEST(TraceBus, PrefixEnableMatchesDottedComponents) {
-  mo::TraceBus bus;
-  auto& packet = bus.channel("net.packet");
-  auto& sched = bus.channel("vos.sched");
-  bus.setEnabled("net", true);
-  EXPECT_TRUE(packet.enabled());
-  EXPECT_FALSE(sched.enabled());
-  // "net" must not match "network" — only exact names or dotted children.
-  auto& network = bus.channel("network");
-  EXPECT_FALSE(network.enabled());
-  // Masks apply to channels created later, and later masks win.
-  auto& flow = bus.channel("net.flow");
-  EXPECT_TRUE(flow.enabled());
-  bus.setEnabled("net.flow", false);
-  EXPECT_FALSE(flow.enabled());
-  EXPECT_TRUE(packet.enabled());
-  // The empty prefix matches everything.
-  bus.setEnabled("", true);
-  EXPECT_TRUE(sched.enabled());
-  EXPECT_TRUE(flow.enabled());
-}
-
-TEST(TraceBus, RecordSerializeAndAsTrace) {
-  mo::TraceBus bus;
-  auto& ch = bus.channel("vos.sched");
-  bus.setEnabled("vos", true);
-  ch.record(1000000000, "quantum", 0.5, "taskA");
-  ch.record(2000000000, "quantum", 0.75);
-  ch.record(2000000000, "other", 9.0);
-  ASSERT_EQ(bus.events().size(), 3u);
-  EXPECT_EQ(bus.serialize(),
-            "1000000000 vos.sched quantum 0.5 taskA\n"
-            "2000000000 vos.sched quantum 0.75\n"
-            "2000000000 vos.sched other 9\n");
-  const mg::util::Trace t = bus.asTrace("vos.sched", "quantum");
-  ASSERT_EQ(t.size(), 2u);
-  EXPECT_DOUBLE_EQ(t[0].first, 1.0);  // nanoseconds -> seconds
-  EXPECT_DOUBLE_EQ(t[0].second, 0.5);
-  EXPECT_DOUBLE_EQ(t[1].second, 0.75);
-  bus.clear();
-  EXPECT_TRUE(bus.events().empty());
-}
-
-TEST(TraceBus, SerializeRoundTripsValues) {
-  // The %.9g rendering must survive a parse/re-record cycle byte-for-byte:
-  // tooling that filters a trace and writes it back must not churn digits.
-  mo::TraceBus bus;
-  auto& ch = bus.channel("x.y");
-  bus.setEnabled("", true);
-  std::int64_t t = 1;
-  for (double v : {0.1, 1.0 / 3.0, 12345.678901, 1e-9, 2.5e17, 0.30000000000000004}) {
-    ch.record(t++, "v", v);
-  }
-  const std::string first = bus.serialize();
-
-  mo::TraceBus bus2;
-  auto& ch2 = bus2.channel("x.y");
-  bus2.setEnabled("", true);
-  std::istringstream in(first);
-  std::string line;
-  std::int64_t t2 = 1;
-  while (std::getline(in, line)) {
-    const auto fields = mg::util::splitWhitespace(line);
-    ASSERT_GE(fields.size(), 4u) << line;
-    ch2.record(t2++, "v", std::stod(fields[3]));
-  }
-  EXPECT_EQ(bus2.serialize(), first);
-}
-
 // ------------------------------------------------------------------ spans --
 
 TEST(Spans, DisabledRecorderIsInert) {
@@ -291,7 +211,7 @@ core::VirtualGridConfig smallGrid() {
 // gatekeepers, co-allocation) and return the platform for inspection.
 struct RunResult {
   std::unique_ptr<core::MicroGridPlatform> platform;
-  std::string trace;
+  std::string tree;  // SpanRecorder::serializeTree() ("" unless traced)
   std::string metrics_json;
   std::uint64_t events_executed = 0;
 };
@@ -300,7 +220,7 @@ RunResult runObservedWorkload(bool enable_tracing) {
   RunResult out;
   core::VirtualGridConfig cfg = smallGrid();
   out.platform = std::make_unique<core::MicroGridPlatform>(cfg);
-  if (enable_tracing) out.platform->simulator().traceBus().setEnabled("", true);
+  if (enable_tracing) out.platform->simulator().spans().setEnabled(true);
 
   grid::ExecutableRegistry registry;
   registry.add("obs.job", [](grid::JobContext& jc) {
@@ -328,7 +248,7 @@ RunResult runObservedWorkload(bool enable_tracing) {
   EXPECT_TRUE(result.ok) << result.error;
 
   sim::Simulator& sim = out.platform->simulator();
-  out.trace = sim.traceBus().serialize();
+  out.tree = sim.spans().serializeTree();
   out.metrics_json = sim.metrics().snapshotJson();
   out.events_executed = sim.eventsExecuted();
   return out;
@@ -417,12 +337,12 @@ TEST(ObsEndToEnd, LegacyStatsViewsAgreeWithRegistry) {
 
 TEST(ObsEndToEnd, SameSeedRunsAreByteIdentical) {
   // The determinism acceptance test: two identically configured runs must
-  // produce byte-identical trace streams and metrics snapshots.
+  // produce byte-identical span trees and metrics snapshots.
   RunResult a = runObservedWorkload(/*enable_tracing=*/true);
   RunResult b = runObservedWorkload(/*enable_tracing=*/true);
-  EXPECT_FALSE(a.trace.empty());
+  EXPECT_FALSE(a.tree.empty());
   EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.tree, b.tree);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
 }
 
@@ -522,7 +442,6 @@ struct GoldenRun {
 GoldenRun runGoldenEpWithFaults() {
   mgtest::HarnessOptions hopts;
   hopts.spans = true;
-  hopts.trace_bus = true;
   mgtest::LauncherHarness h(hopts);
   sim::Simulator& sim = h.platform.simulator();
 
@@ -570,6 +489,77 @@ TEST(FaultedEpGolden, TimelineCoversNetVosAndKernelSeries) {
   EXPECT_NE(run.timeline.find("vos.runq.alpha0,"), std::string::npos);
   EXPECT_NE(run.timeline.find("sim.events_per_s,"), std::string::npos);
   EXPECT_NE(run.timeline.find("sim.pending_events,"), std::string::npos);
+}
+
+// ------------------------------ drop causes and fault markers, per stream --
+
+namespace {
+
+/// serializeTree() lines holding both `span` (" component.name ") and
+/// `attr` (" key=value" or " instant").
+long long treeLines(const std::string& tree, std::string_view span, std::string_view attr) {
+  long long n = 0;
+  std::istringstream in(tree);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find(span) != std::string::npos && line.find(attr) != std::string::npos) ++n;
+  }
+  return n;
+}
+
+/// Kernel start time (ns) of the first `link` hop span at or after `after`.
+long long firstHopStart(const std::string& tree, const std::string& link, long long after) {
+  const std::string key = " net.packet.hop track=" + link + " start=";
+  for (std::size_t pos = tree.find(key); pos != std::string::npos; pos = tree.find(key, pos + 1)) {
+    const long long start = std::stoll(tree.substr(pos + key.size()));
+    if (start >= after) return start;
+  }
+  return -1;
+}
+
+}  // namespace
+
+TEST(ObsEndToEnd, SpansAndCountersCarryDropCausesAndFaultMarkers) {
+  // Packet drop causes and fault markers reach two streams: span attributes
+  // (dropped=<cause> on net.packet hops) and fault.injector instants, plus
+  // the registry counters. Workload: the seeded lossy-eth1 EP plan with a
+  // link-down window on eth2.
+  //
+  // The window must open while a packet is on eth2's wire (EP only talks at
+  // start-up and in its closing allreduce). A first, lossy-only run finds an
+  // eth2 hop of the allreduce; the second run is identical up to that
+  // instant and takes eth2 down 2 us into the hop's ~7 us serialisation.
+  fault::FaultPlan lossy;
+  lossy.add(mgtest::lossyEth1(0.05, 60.0));
+  const auto probe = mgtest::runEpUnderFaults(lossy, /*seed=*/42, /*spans=*/true);
+  const long long hop = firstHopStart(probe.tree, "eth2", sim::kSecond);
+  ASSERT_GT(hop, 0) << "no eth2 hop after start-up";
+  const double rate = core::MicroGridPlatform(core::topologies::alphaCluster()).rate();
+  fault::FaultPlan plan = lossy;
+  plan.add(mgtest::simpleEvent(fault::FaultKind::LinkDown, "eth2",
+                               static_cast<double>(hop + 2000) * 1e-9 * rate, 0.05));
+  const auto run = mgtest::runEpUnderFaults(plan, /*seed=*/42, /*spans=*/true);
+
+  // Per-packet spans exist only for traced packets: data segments sent with
+  // causal context. Bare ACKs and control segments carry none, so their
+  // loss drops reach only net.packet.dropped_loss: the loss path is checked
+  // as "at least one span, never more than the counter". The link-down cut
+  // hits the traced segment on the wire with nothing queued behind it, so
+  // spans and counter agree exactly. (Packets queued behind a cut one are
+  // purged before they get a hop span; their segment span ends
+  // dropped=purged.)
+  const long long loss = jsonCounter(run.metrics, "net.packet.dropped_loss");
+  const long long loss_spans = treeLines(run.tree, " net.packet.hop ", " dropped=loss");
+  EXPECT_GE(loss_spans, 1);
+  EXPECT_LE(loss_spans, loss);
+  EXPECT_EQ(treeLines(run.tree, " net.packet.hop ", " dropped=link_down"),
+            jsonCounter(run.metrics, "net.packet.drop_link_down"));
+  EXPECT_GE(jsonCounter(run.metrics, "net.packet.drop_link_down"), 1);
+
+  // Every applied fault leaves exactly one instant: degrade + restore on
+  // eth1, down + up on eth2.
+  EXPECT_EQ(jsonCounter(run.metrics, "fault.injected"), 4);
+  EXPECT_EQ(treeLines(run.tree, " fault.injector.", " instant"), 4);
 }
 
 // ------------------------------------ time-resolved telemetry (DESIGN §10) --
@@ -792,6 +782,67 @@ TEST(Sampler, ProbesAfterStartThrowAndFinishIsIdempotent) {
   sampler.finish();
   sampler.finish();  // same-timestamp collect is skipped, not double-counted
   EXPECT_EQ(sim.timeline().sampleCount(), 1);
+}
+
+TEST(Sampler, NanLevelRecordsNoSample) {
+  // A level probe reading NaN means "no value yet": nothing is recorded, so
+  // the series starts at the source's first value (Fig 17's sensors).
+  sim::Simulator sim;
+  sim.timeline().setBaseWidth(sim::kSecond);
+  mo::TelemetrySampler::Options so;
+  so.interval_ns = sim::kSecond;
+  mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), so);
+  double level = std::numeric_limits<double>::quiet_NaN();
+  sampler.addLevel("l", [&level](std::int64_t) { return level; });
+  sim.scheduleAt(sim::fromSeconds(1.5), [&] { level = 4; });
+  sim.scheduleAt(sim::fromSeconds(2.5), [&] { level = std::numeric_limits<double>::quiet_NaN(); });
+  sim.scheduleAt(sim::fromSeconds(3.5), [&] { level = 6; });
+  sim.scheduleAt(sim::fromSeconds(4.0), [] {});
+  sampler.start();
+  sim.run();
+
+  EXPECT_EQ(sampler.ticks(), 5);  // 0..4 s: NaN ticks still count as ticks
+  const auto* l = sim.timeline().find("l");
+  ASSERT_NE(l, nullptr);
+  EXPECT_EQ(l->origin, 2 * sim::kSecond);  // first non-NaN reading
+  ASSERT_EQ(l->buckets.size(), 3u);
+  EXPECT_EQ(l->buckets[0].count, 1);
+  EXPECT_DOUBLE_EQ(l->buckets[0].last, 4.0);
+  EXPECT_EQ(l->buckets[1].count, 0);  // the 3 s tick read NaN: a gap
+  EXPECT_DOUBLE_EQ(l->buckets[2].last, 6.0);
+  EXPECT_EQ(sim.timeline().sampleCount(), 2);
+}
+
+TEST(Sampler, RecorderTraceIsSecondsAndLast) {
+  mo::TimeSeriesRecorder rec(tinyRecorder(4, sim::kSecond));
+  rec.add("vos.sched", 1'000'000'000, 0.5);
+  rec.add("vos.sched", 2'000'000'000, 0.75);
+  rec.add("vos.sched", 4'000'000'000, 0.25);  // bucket 3; bucket 2 stays empty
+  rec.add("other", 2'000'000'000, 9.0);
+  const mg::util::Trace t = rec.trace("vos.sched");
+  ASSERT_EQ(t.size(), 3u);  // empty buckets are skipped
+  EXPECT_DOUBLE_EQ(t[0].first, 1.0);  // nanoseconds -> seconds
+  EXPECT_DOUBLE_EQ(t[0].second, 0.5);
+  EXPECT_DOUBLE_EQ(t[1].first, 2.0);
+  EXPECT_DOUBLE_EQ(t[1].second, 0.75);
+  EXPECT_DOUBLE_EQ(t[2].first, 4.0);
+  EXPECT_DOUBLE_EQ(t[2].second, 0.25);
+  EXPECT_EQ(rec.trace("other").size(), 1u);
+}
+
+TEST(Sampler, RecorderTraceRefusesApproximateSeries) {
+  mo::TimeSeriesRecorder rec(tinyRecorder(2, 100));
+  EXPECT_THROW(rec.trace("missing"), mg::UsageError);
+  // Two samples in one bucket: "last" would silently drop one.
+  rec.add("dense", 0, 1.0);
+  rec.add("dense", 50, 2.0);
+  EXPECT_THROW(rec.trace("dense"), mg::UsageError);
+  // A widened series merged buckets pairwise.
+  rec.add("wide", 0, 1.0);
+  rec.add("wide", 100, 2.0);
+  rec.add("wide", 200, 3.0);
+  ASSERT_EQ(rec.find("wide")->widenings, 1);
+  EXPECT_THROW(rec.trace("wide"), mg::UsageError);
 }
 
 TEST(TraceExport, TimelineSeriesBecomeCounterTracks) {

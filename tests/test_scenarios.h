@@ -75,7 +75,6 @@ inline mg::fault::FaultEvent lossyEth1(double loss = 0.05, double duration = 60.
 
 struct HarnessOptions {
   bool spans = false;
-  bool trace_bus = false;
   int max_resubmits = 3;
   std::string config_name = "Alpha4";
 };
@@ -89,7 +88,6 @@ struct LauncherHarness {
         platform(cfg),
         launcher(platform, registry) {
     if (o.spans) platform.simulator().spans().setEnabled(true);
-    if (o.trace_bus) platform.simulator().traceBus().setEnabled("", true);
     launcher.startServices(&cfg, o.config_name);
     mg::core::LaunchOptions lopts;
     lopts.max_resubmits = o.max_resubmits;
@@ -125,7 +123,7 @@ struct LauncherHarness {
 
 struct EpFaultRun {
   std::string metrics;             // MetricsRegistry::snapshotJson()
-  std::string trace;               // TraceBus::serialize() ("" if not enabled)
+  std::string tree;                // SpanRecorder::serializeTree() ("" if not enabled)
   std::vector<double> checksums;   // one per EP rank
 };
 
@@ -135,12 +133,12 @@ struct EpFaultRun {
 /// a pure function of (plan, seed).
 inline EpFaultRun runEpUnderFaults(const mg::fault::FaultPlan& plan,
                                    std::uint64_t seed = 42,
-                                   bool trace = false) {
+                                   bool spans = false) {
   auto cfg = mg::core::topologies::alphaCluster();
   mg::core::MicroGridOptions mopts;
   mopts.seed = seed;
   mg::core::MicroGridPlatform platform(cfg, mopts);
-  if (trace) platform.simulator().traceBus().setEnabled("", true);
+  if (spans) platform.simulator().spans().setEnabled(true);
 
   mg::fault::FaultPlan copy = plan;
   mg::fault::FaultInjector injector(platform, std::move(copy));
@@ -163,7 +161,7 @@ inline EpFaultRun runEpUnderFaults(const mg::fault::FaultPlan& plan,
 
   EpFaultRun out;
   out.metrics = platform.simulator().metrics().snapshotJson();
-  if (trace) out.trace = platform.simulator().traceBus().serialize();
+  if (spans) out.tree = platform.simulator().spans().serializeTree();
   out.checksums = *checksums;
   return out;
 }

@@ -482,6 +482,16 @@ TEST(Stats, RmsSkewSingleSampleTraces) {
   EXPECT_NEAR(mu::rmsPercentSkew(zero, other), 1200.0, 1e-9);
 }
 
+TEST(Stats, RmsSkewRejectsNonPositiveSampleCounts) {
+  // samples < 1 would be sqrt(0/0) = NaN, and NaN compares false against
+  // any "skew > bound" gate; the metric refuses instead.
+  mu::Trace a{{0.0, 1.0}, {1.0, 2.0}};
+  EXPECT_THROW(mu::rmsPercentSkew(a, a, 0), mg::UsageError);
+  EXPECT_THROW(mu::rmsPercentSkew(a, a, -1), mg::UsageError);
+  EXPECT_NEAR(mu::rmsPercentSkew(a, a, 1), 0.0, 1e-12);
+  EXPECT_THROW(mu::rmsPercentSkew({}, a), mg::UsageError);
+}
+
 TEST(Stats, HistogramClampsAtExactBounds) {
   mu::Histogram h(0.0, 10.0, 10);
   h.add(0.0);   // exactly lo: first bin
