@@ -6,9 +6,9 @@
 //   cluster) --dispatch--> compute (scheduled finish events, or a GPS
 //   processor-sharing pool on time-shared clusters) --> metrics/report
 //
-// Everything runs as kernel events — never processes — because sim
-// processes are OS threads and a million jobs must cost a million *events*,
-// not a million threads. Data staging is a real fluid flow on the
+// Everything runs as kernel events — never processes — because a million
+// jobs must cost a million *events*, not a million process stacks and
+// context switches. Data staging is a real fluid flow on the
 // platform's network (so transfers contend, and a mid-transfer fault aborts
 // and triggers resubmission); each cluster advertises its queue state into
 // a GIS directory on a refresh interval, and the broker places from that

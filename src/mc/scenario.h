@@ -6,9 +6,9 @@
 // fault decision points to capture state digests, runToEnd() drains the
 // run so the invariant checker can inspect the terminal state.
 //
-// Because simulated processes are OS threads, a snapshot cannot byte-copy
-// stacks; a scenario is therefore a *factory* — a pure function from a
-// FaultPlan to a fresh, deterministic instance. "Restoring" a snapshot means
+// Because process stacks hold pointers into live heap state, a snapshot
+// cannot byte-copy them; a scenario is therefore a *factory* — a pure
+// function from a FaultPlan to a fresh, deterministic instance. "Restoring" a snapshot means
 // rebuilding via the factory, replaying to the capture time, and verifying
 // the state digest (see mc/snapshot.h). That makes determinism of the
 // factory a hard requirement: two instances built from equal plans must be

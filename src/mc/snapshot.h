@@ -1,7 +1,7 @@
 // Snapshot/restore by deterministic replay (DESIGN.md §11).
 //
-// Simulated processes are OS threads, so the kernel cannot byte-copy their
-// stacks, and fork() is off the table for a multi-threaded simulator. A
+// Simulated processes' stacks hold pointers into live heap state (sockets,
+// channels, the platform itself), so the kernel cannot byte-copy them. A
 // snapshot is therefore a *replay recipe*, the stateless-model-checking
 // construction: {virtual time, canonical state digest, the FaultPlan the
 // instance was built with}. Restoring rebuilds a fresh instance through the

@@ -8,10 +8,10 @@
 // capture functions so a whole platform's state folds into one digest in a
 // canonical (name-sorted) order, independent of registration order.
 //
-// The digest is the snapshot's identity: processes are OS threads, so the
-// simulator cannot byte-copy stacks; instead a snapshot is {virtual time,
-// digest, replay recipe} and restore replays deterministically, verifying
-// the digest at the target time. Capturing must therefore be strictly
+// The digest is the snapshot's identity: process stacks hold pointers into
+// live heap state, so the simulator cannot byte-copy them; instead a
+// snapshot is {virtual time, digest, replay recipe} and restore replays
+// deterministically, verifying the digest at the target time. Capturing must therefore be strictly
 // read-only and itself deterministic: iterate containers in sorted order,
 // fold doubles by bit pattern, never by formatted text.
 //

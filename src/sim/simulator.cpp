@@ -1,63 +1,396 @@
 #include "sim/simulator.h"
 
+#include <signal.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <cxxabi.h>
 #include <limits>
-#include <semaphore>
-#include <thread>
+#include <mutex>
 
 #include "util/log.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
+#if !defined(__x86_64__)
+#error "sim::Process context switching is implemented for x86-64 only"
+#endif
 
 namespace mg::sim {
 
 // ---------------------------------------------------------------------------
-// Process: one OS thread, strictly alternating with the kernel thread.
+// Process contexts: every process runs on its own stack, on the kernel's OS
+// thread. A handoff is mg_sim_context_switch, which saves the callee-saved
+// registers, MXCSR and the x87 control word on the current stack, stores the
+// stack pointer through `from`, loads `to` and restores the same set from
+// there (the fcontext model). Everything else is caller-saved by the ABI, so
+// the compiler already spilled it around the call.
 //
-// The handoff is a pair of binary semaphores: releasing the peer's semaphore
-// is a single futex wake of exactly one waiter, with no mutex round-trip and
-// no broadcast. Strict alternation (exactly one side runs at a time) keeps
-// each semaphore's count in {0, 1} by construction.
+// A fresh stack holds a frame that "returns" into mg_sim_context_entry,
+// which tail-jumps to Process::contextMain(process) with a null return
+// address on the stack: unwinders and debuggers stop cleanly there.
 // ---------------------------------------------------------------------------
 
-struct Process::Impl {
-  std::binary_semaphore run{0};   // kernel -> process: you may run
-  std::binary_semaphore idle{0};  // process -> kernel: I have yielded
-  std::thread thread;
+extern "C" {
+void mg_sim_context_switch(void** from, void* to);
+void mg_sim_context_entry();
+}
+
+asm(R"(
+  .pushsection .text
+  .globl mg_sim_context_switch
+  .hidden mg_sim_context_switch
+  .type mg_sim_context_switch, @function
+  .p2align 4
+mg_sim_context_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r15
+  pushq %r14
+  pushq %r13
+  pushq %r12
+  leaq -8(%rsp), %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  leaq 8(%rsp), %rsp
+  popq %r12
+  popq %r13
+  popq %r14
+  popq %r15
+  popq %rbx
+  popq %rbp
+  ret
+  .size mg_sim_context_switch, .-mg_sim_context_switch
+
+  .globl mg_sim_context_entry
+  .hidden mg_sim_context_entry
+  .type mg_sim_context_entry, @function
+  .p2align 4
+mg_sim_context_entry:
+  movq %r12, %rdi
+  jmpq *%r13
+  .size mg_sim_context_entry, .-mg_sim_context_entry
+  .popsection
+)");
+
+namespace {
+
+constexpr std::size_t kGuardBytes = 4096;
+
+// libstdc++'s per-thread exception state (`__cxa_eh_globals`): the stack of
+// caught exceptions and the uncaught count. All processes share one OS
+// thread, so each context keeps its own copy and the resumer swaps it in and
+// out; otherwise two processes suspended inside catch handlers would pop
+// each other's exceptions on `throw;` or handler exit.
+struct EhState {
+  void* caught = nullptr;
+  unsigned int uncaught = 0;
+};
+static_assert(sizeof(EhState) == 16, "__cxa_eh_globals is two words on x86-64");
+
+EhState* ehGlobals() { return reinterpret_cast<EhState*>(abi::__cxa_get_globals()); }
+
+}  // namespace
+
+namespace detail {
+
+struct ProcessContext {
+  explicit ProcessContext(const std::string& process_name) : name(process_name.c_str()) {}
+
+  const char* name;           // for the overflow diagnostic
+  void* stack = nullptr;      // lowest usable byte; null before the first slice
+  void* sp = nullptr;         // the process's saved stack pointer
+  void* caller_sp = nullptr;  // its resumer's, while the process runs
+  EhState eh;                 // the process's exception state while switched out
+#if defined(__SANITIZE_ADDRESS__)
+  void* fake_stack = nullptr;
+  const void* caller_bottom = nullptr;
+  std::size_t caller_size = 0;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* fiber = nullptr;
+  void* caller_fiber = nullptr;
+  ~ProcessContext() {
+    if (fiber) __tsan_destroy_fiber(fiber);
+  }
+#endif
 };
 
-Process::Process(Simulator& sim, std::uint64_t id, std::string name, std::function<void()> body)
-    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)), impl_(std::make_unique<Impl>()) {
-  impl_->thread = std::thread([this] { threadMain(); });
+}  // namespace detail
+
+namespace {
+
+using detail::ProcessContext;
+
+// The context running on this thread, for the overflow diagnostic.
+thread_local const ProcessContext* t_running = nullptr;
+
+// Frame popped by the first switch into a fresh stack: the restored MXCSR
+// and x87 control word, r12 = argument, r13 = target, the other callee-saved
+// registers zero, the entry trampoline as return address, and a null slot
+// that becomes contextMain's return address.
+void* initialFrame(void* stack, void (*fn)(Process*), Process* arg) {
+  auto* top = reinterpret_cast<std::uint64_t*>(static_cast<char*>(stack) + kProcessStackBytes);
+  std::uint64_t* sp = top - 9;
+  std::uint32_t fp_state[2] = {0, 0};  // MXCSR, x87 control word
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(fp_state[0]), "=m"(fp_state[1]));
+  std::memcpy(&sp[0], fp_state, sizeof fp_state);
+  sp[1] = reinterpret_cast<std::uint64_t>(arg);  // r12
+  sp[2] = reinterpret_cast<std::uint64_t>(fn);   // r13
+  sp[3] = sp[4] = sp[5] = sp[6] = 0;             // r14 r15 rbx rbp
+  sp[7] = reinterpret_cast<std::uint64_t>(&mg_sim_context_entry);
+  sp[8] = 0;  // contextMain's return address
+  return sp;
 }
 
-Process::~Process() {
-  if (impl_->thread.joinable()) impl_->thread.join();
+// --- stack-overflow diagnostic ------------------------------------------
+//
+// A process overflowing its stack faults in the guard page below it. The
+// handler runs on an alternate stack (the process's own is exhausted),
+// names the process and aborts. It is installed once per OS process; each
+// thread that runs processes gets an alternate stack unless it already has
+// one. Under ASan, whose own SIGSEGV handler reports stack overflows, none
+// of this is installed.
+
+#if !defined(__SANITIZE_ADDRESS__)
+
+struct sigaction g_prev_segv;
+
+void writeStr(const char* s) {
+  const std::size_t n = std::strlen(s);
+  (void)!::write(STDERR_FILENO, s, n);
 }
 
-void Process::threadMain() {
-  // Wait for the first resume before running the body.
-  impl_->run.acquire();
-  if (!kill_) {
-    try {
-      body_();
-    } catch (const ProcessKilled&) {
-      // Normal teardown path.
-    } catch (const std::exception& e) {
-      MG_LOG_ERROR("sim") << "process '" << name_ << "' died with exception: " << e.what();
+void onSegv(int sig, siginfo_t* info, void* uctx) {
+  const ProcessContext* c = t_running;
+  if (c != nullptr) {
+    const char* guard = static_cast<const char*>(c->stack) - kGuardBytes;
+    const char* addr = static_cast<const char*>(info->si_addr);
+    if (addr >= guard && addr < guard + kGuardBytes) {
+      char kib[24];
+      char* end = kib + sizeof kib;
+      char* d = end;
+      *--d = '\0';
+      std::size_t n = kProcessStackBytes / 1024;
+      do {
+        *--d = static_cast<char>('0' + n % 10);
+        n /= 10;
+      } while (n != 0);
+      writeStr("process '");
+      writeStr(c->name);
+      writeStr("' overflowed its ");
+      writeStr(d);
+      writeStr(" KiB stack\n");
+      std::abort();
     }
   }
-  finished_ = true;
-  impl_->idle.release();
+  // Not a guard-page hit: hand the fault to whoever owned SIGSEGV before.
+  if (g_prev_segv.sa_flags & SA_SIGINFO) {
+    g_prev_segv.sa_sigaction(sig, info, uctx);
+  } else if (g_prev_segv.sa_handler != SIG_DFL && g_prev_segv.sa_handler != SIG_IGN) {
+    g_prev_segv.sa_handler(sig);
+  } else {
+    // Default action: reinstall it and return; the faulting instruction
+    // re-executes and takes the fault without us.
+    ::signal(SIGSEGV, SIG_DFL);
+  }
+}
+
+struct AltStack {
+  void* mem = nullptr;
+  std::size_t size = 0;
+  AltStack() {
+    stack_t old{};
+    if (::sigaltstack(nullptr, &old) == 0 && !(old.ss_flags & SS_DISABLE)) return;
+    size = std::max<std::size_t>(64 * 1024, static_cast<std::size_t>(SIGSTKSZ));
+    mem = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED) {
+      mem = nullptr;
+      return;
+    }
+    stack_t ss{};
+    ss.ss_sp = mem;
+    ss.ss_size = size;
+    ::sigaltstack(&ss, nullptr);
+  }
+  ~AltStack() {
+    if (mem == nullptr) return;
+    stack_t ss{};
+    ss.ss_flags = SS_DISABLE;
+    ::sigaltstack(&ss, nullptr);
+    ::munmap(mem, size);
+  }
+};
+
+void installOverflowDiagnostic() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    struct sigaction sa{};
+    sa.sa_sigaction = onSegv;
+    sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+    sigemptyset(&sa.sa_mask);
+    ::sigaction(SIGSEGV, &sa, &g_prev_segv);
+  });
+  thread_local AltStack alt;
+}
+
+#else
+
+void installOverflowDiagnostic() {}
+
+#endif  // !__SANITIZE_ADDRESS__
+
+}  // namespace
+
+namespace detail {
+
+namespace {
+// A context that finished or was abandoned can leave its frames' ASan
+// redzones poisoned; clear them before the stack (or, after munmap, its
+// address range) is used again.
+void unpoisonStack([[maybe_unused]] void* stack) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(stack, kProcessStackBytes);
+#endif
+}
+}  // namespace
+
+StackPool::~StackPool() {
+  for (void* stack : free_) {
+    unpoisonStack(stack);
+    ::munmap(static_cast<char*>(stack) - kGuardBytes, kProcessStackBytes + kGuardBytes);
+  }
+}
+
+void* StackPool::acquire() {
+  installOverflowDiagnostic();  // cheap after the first call on this thread
+  if (!free_.empty()) {
+    void* stack = free_.back();
+    free_.pop_back();
+    unpoisonStack(stack);
+    return stack;
+  }
+  void* base = ::mmap(nullptr, kProcessStackBytes + kGuardBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED) {
+    throw Error(std::string("cannot map a process stack: ") + std::strerror(errno));
+  }
+  if (::mprotect(base, kGuardBytes, PROT_NONE) != 0) {
+    const int err = errno;
+    ::munmap(base, kProcessStackBytes + kGuardBytes);
+    throw Error(std::string("cannot protect a process stack guard page: ") + std::strerror(err));
+  }
+  ++mapped_;
+  return static_cast<char*>(base) + kGuardBytes;
+}
+
+void StackPool::release(void* stack) { free_.push_back(stack); }
+
+}  // namespace detail
+
+Process::Process(Simulator& sim, std::uint64_t id, std::string name, std::function<void()> body)
+    : sim_(sim),
+      id_(id),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      ctx_(std::make_unique<ProcessContext>(name_)) {}
+
+Process::~Process() {
+  // Only a process whose context never finished still holds a stack (the
+  // simulator kills every unfinished process before destroying it).
+  if (ctx_->stack) sim_.stacks_.release(ctx_->stack);
+}
+
+void Process::contextMain(Process* self) noexcept {
+  ProcessContext& c = *self->ctx_;
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(nullptr, &c.caller_bottom, &c.caller_size);
+#endif
+  try {
+    self->body_();
+  } catch (const ProcessKilled&) {
+    // Normal teardown path.
+  } catch (const std::exception& e) {
+    MG_LOG_ERROR("sim") << "process '" << self->name_ << "' died with exception: " << e.what();
+  }
+  self->finished_ = true;
+  // Leave for good: the resumer releases this stack once the switch lands.
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(nullptr, c.caller_bottom, c.caller_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(c.caller_fiber, 0);
+#endif
+  mg_sim_context_switch(&c.sp, c.caller_sp);
+  __builtin_unreachable();
 }
 
 void Process::resumeFromKernel() {
-  impl_->run.release();
-  impl_->idle.acquire();
-  if (finished_ && impl_->thread.joinable()) impl_->thread.join();
+  ProcessContext& c = *ctx_;
+  if (!c.stack) {
+    // First slice. A process killed before it ever ran skips its body and
+    // never needs a stack.
+    if (kill_) {
+      finished_ = true;
+      return;
+    }
+    c.stack = sim_.stacks_.acquire();
+    c.sp = initialFrame(c.stack, &Process::contextMain, this);
+#if defined(__SANITIZE_THREAD__)
+    c.fiber = __tsan_create_fiber(0);
+#endif
+  }
+  EhState* eh = ehGlobals();
+  const EhState resumer_eh = *eh;
+  *eh = c.eh;
+  const ProcessContext* const resumer = t_running;
+  t_running = &c;
+#if defined(__SANITIZE_ADDRESS__)
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, c.stack, kProcessStackBytes);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  c.caller_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(c.fiber, 0);
+#endif
+  mg_sim_context_switch(&c.caller_sp, c.sp);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+  t_running = resumer;
+  c.eh = *eh;
+  *eh = resumer_eh;
+  if (finished_) {
+    sim_.stacks_.release(c.stack);
+    c.stack = nullptr;
+  }
 }
 
 void Process::yieldToKernel() {
-  impl_->idle.release();
-  impl_->run.acquire();
+  ProcessContext& c = *ctx_;
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(&c.fake_stack, c.caller_bottom, c.caller_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(c.caller_fiber, 0);
+#endif
+  mg_sim_context_switch(&c.sp, c.caller_sp);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(c.fake_stack, &c.caller_bottom, &c.caller_size);
+#endif
   if (kill_) throw ProcessKilled{};
 }
 
@@ -314,8 +647,8 @@ void Simulator::reapIfNeeded() {
 void Simulator::reapFinishedProcesses() {
   // Safe point only: called from the run loop between events, when no
   // process is mid-slice.
-  // Finished processes have had their threads joined (resumeFromKernel joins
-  // on the finishing handoff), so destruction is immediate. Live Process
+  // Finished processes already returned their stacks (resumeFromKernel does
+  // on the finishing switch), so destruction is immediate. Live Process
   // objects keep their addresses (unique_ptr).
   //
   // A process killed with a queued resume (a wake raced the kill) or a

@@ -2,9 +2,12 @@
 //
 // A Simulator owns one time-ordered event queue and a set of cooperative
 // Processes. Either the kernel (dispatching events) or one process (between
-// two of its blocking calls) runs at a time, backed by a strict
-// one-at-a-time handoff protocol, so simulation semantics are
+// two of its blocking calls) runs at a time, so simulation semantics are
 // deterministic: the same configuration and seed give bit-identical runs.
+// Each process is a stackful user-space context switched on the kernel's
+// own OS thread (simulator.cpp): a handoff is a register switch, not a
+// thread wake. Stacks are 1 MiB of lazily committed memory with a guard page
+// below, pooled per Simulator; an overflow aborts with the process's name.
 //
 // Events live in a slab arena: fixed records recycled through a free list,
 // ordered by a 4-ary min-heap of slot indices. cancel() removes the record
@@ -22,6 +25,7 @@
 // catch(...)) and must not issue new blocking calls while unwinding.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,7 +94,35 @@ struct EventQueue {
   void freeSlot(std::uint32_t slot);
 };
 
+/// A process's execution context (simulator.cpp).
+struct ProcessContext;
+
+/// Process stacks: fixed-size mmap regions, each with a PROT_NONE guard
+/// page below it, recycled through a free list. Stacks are never touched
+/// here, so resident memory counts only the pages processes actually use.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool();
+
+  /// Lowest usable address of a stack of kProcessStackBytes.
+  void* acquire();
+  void release(void* stack);
+  /// Stacks mapped so far (live plus pooled).
+  std::size_t mapped() const { return mapped_; }
+
+ private:
+  std::vector<void*> free_;
+  std::size_t mapped_ = 0;
+};
+
 }  // namespace detail
+
+/// Usable stack of every simulated process. There is deliberately no knob:
+/// an overflow hits the guard page and aborts naming the process.
+inline constexpr std::size_t kProcessStackBytes = std::size_t{1} << 20;
 
 /// A cooperative simulated process. Created via Simulator::spawn.
 ///
@@ -113,10 +145,12 @@ class Process {
   friend class Simulator;
   Process(Simulator& sim, std::uint64_t id, std::string name, std::function<void()> body);
 
-  void threadMain();
-  /// Kernel side: transfer control to the process; returns when it yields.
+  /// First function on the process's own stack; never returns.
+  [[noreturn]] static void contextMain(Process* self) noexcept;
+  /// Resumer side (the kernel, or a process killing another): switch to the
+  /// process; returns when it yields or finishes.
   void resumeFromKernel();
-  /// Process side: return control to the kernel; returns when resumed.
+  /// Process side: switch back to the resumer; returns when resumed.
   void yieldToKernel();
 
   Simulator& sim_;
@@ -124,9 +158,10 @@ class Process {
   std::string name_;
   std::function<void()> body_;
 
-  // Handoff state: a pair of binary semaphores and the backing thread.
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  // Execution context: the stack (mapped at the first slice), the saved
+  // stack pointers of the process and of its resumer, and the process's own
+  // exception-handling state (simulator.cpp).
+  std::unique_ptr<detail::ProcessContext> ctx_;
 
   bool finished_ = false;
   bool kill_ = false;
@@ -190,8 +225,8 @@ class Simulator {
   /// Run events with time <= t, then set now to t.
   void runUntil(SimTime t);
 
-  /// Kill all unfinished processes and join their threads. Called by run()
-  /// completion is NOT implied — daemons stay blocked until shutdown() or
+  /// Kill all unfinished processes, unwinding each one's stack. Not implied
+  /// by run() completion — daemons stay blocked until shutdown() or
   /// destruction.
   void shutdown();
 
@@ -256,6 +291,11 @@ class Simulator {
   /// executed slots are recycled through a free list.
   std::size_t eventArenaSlots() const { return queue_.slab.size(); }
 
+  /// Process stacks mapped so far: at most the peak number of processes
+  /// that were alive and had started running at once, since finished
+  /// processes return their stacks for reuse.
+  std::size_t processStacksMapped() const { return stacks_.mapped(); }
+
   /// Fold the kernel's observable state into a canonical digest (DESIGN.md
   /// §11): the clock and sequence counter, every pending event's (time, seq)
   /// ordering key (sorted, so the fold is independent of the heap's internal
@@ -319,6 +359,8 @@ class Simulator {
 
   detail::EventQueue queue_;
 
+  // Declared before processes_ so it outlives every Process.
+  detail::StackPool stacks_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::unordered_map<std::uint64_t, Process*> live_processes_;  // by id
   int live_process_count_ = 0;

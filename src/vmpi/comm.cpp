@@ -166,18 +166,22 @@ void Comm::connectMesh() {
   for (int peer = 0; peer < rank_; ++peer) {
     std::shared_ptr<vos::StreamSocket> sock;
     for (;;) {
+      bool past_deadline = false;
       try {
         sock = ctx_.connect(rank_hosts_[static_cast<std::size_t>(peer)],
                             static_cast<std::uint16_t>(port_base_ + peer));
         break;
       } catch (const mg::Error&) {
-        if (ctx_.wallTime() >= deadline) {
-          throw mg::Error("vmpi: peer rank " + std::to_string(peer) + " on " +
-                          rank_hosts_[static_cast<std::size_t>(peer)] +
-                          " unreachable during startup");
-        }
-        ctx_.sleep(0.002);  // the peer's listener is not up yet
+        past_deadline = ctx_.wallTime() >= deadline;
       }
+      if (past_deadline) {
+        throw mg::Error("vmpi: peer rank " + std::to_string(peer) + " on " +
+                        rank_hosts_[static_cast<std::size_t>(peer)] +
+                        " unreachable during startup");
+      }
+      // The peer's listener is not up yet. Sleep outside the handler, so no
+      // caught exception stays live across the block.
+      ctx_.sleep(0.002);
     }
     const std::uint8_t hello[4] = {
         static_cast<std::uint8_t>(rank_ >> 24),

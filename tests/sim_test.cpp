@@ -2,8 +2,12 @@
 // conditions, channels, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -533,6 +537,183 @@ TEST(Condition, KilledWaiterLeavesNoDanglingEntry) {
   sim.shutdown();  // unwinds the waiter through WaiterGuard
   EXPECT_EQ(cond->waiterCount(), 0u);
   cond->notifyAll();  // no waiters, no crash
+}
+
+// ------------------------------------------------------- process contexts --
+
+TEST(ProcessContext, CaughtExceptionsStayWithTheirProcess) {
+  // Every process shares the kernel's OS thread, whose libstdc++ exception
+  // state (the caught-exception stack) must follow each context: two
+  // processes suspended inside catch handlers each rethrow their own. `a`
+  // enters its handler first and leaves it first, so on one shared stack
+  // its `throw;` would find b's exception on top.
+  Simulator sim;
+  std::vector<std::string> rethrown;
+  for (const std::string name : {"a", "b"}) {
+    sim.spawn(name, [&sim, &rethrown, name] {
+      try {
+        try {
+          throw std::runtime_error(name);
+        } catch (const std::runtime_error&) {
+          sim.delay(name == "a" ? 10 : 20);
+          throw;
+        }
+      } catch (const std::runtime_error& e) {
+        rethrown.push_back(name + ":" + e.what() + "@" + std::to_string(sim.now()));
+      }
+    });
+  }
+  sim.run();
+  EXPECT_EQ(rethrown, (std::vector<std::string>{"a:a@10", "b:b@20"}));
+}
+
+TEST(ProcessContext, NoUncaughtExceptionsAfterResume) {
+  // A process blocking in a destructor that runs during unwinding has one
+  // uncaught exception; the processes and events that run meanwhile must see
+  // none, and it must see its own again when resumed.
+  Simulator sim;
+  std::vector<int> seen;
+  sim.spawn("unwinding", [&] {
+    struct BlockOnUnwind {
+      Simulator& sim;
+      std::vector<int>& seen;
+      ~BlockOnUnwind() {
+        seen.push_back(std::uncaught_exceptions());
+        sim.delay(10);
+        seen.push_back(std::uncaught_exceptions());
+      }
+    };
+    try {
+      BlockOnUnwind guard{sim, seen};
+      throw std::runtime_error("unwinding");
+    } catch (const std::runtime_error&) {
+      seen.push_back(std::uncaught_exceptions());
+    }
+  });
+  sim.spawn("bystander", [&] {
+    for (int i = 0; i < 3; ++i) {
+      sim.delay(4);
+      seen.push_back(100 + std::uncaught_exceptions());
+    }
+  });
+  sim.scheduleAt(6, [&] { seen.push_back(200 + std::uncaught_exceptions()); });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<int>{1, 100, 200, 100, 1, 0, 100}));
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+TEST(ProcessContext, KillFromAnotherProcessUnwindsTheVictim) {
+  // The resumer need not be the kernel: a process killing another switches
+  // to it directly, and the victim's unwind returns to the killer.
+  Simulator sim;
+  bool unwound = false;
+  Process& victim = sim.spawn("victim", [&] {
+    struct Flag {
+      bool* f;
+      ~Flag() { *f = true; }
+    } flag{&unwound};
+    sim.suspend();
+  });
+  sim.spawn("killer", [&] {
+    sim.delay(1);
+    sim.killProcess(victim);
+    EXPECT_TRUE(unwound);
+    sim.delay(1);
+  });
+  EXPECT_EQ(sim.run(), 2);
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+}
+
+TEST(ProcessContext, KilledBeforeFirstSliceSkipsBodyAndStack) {
+  Simulator sim;
+  bool ran = false;
+  Process& p = sim.spawn("never", [&] { ran = true; });
+  sim.killProcess(p);
+  sim.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+  EXPECT_EQ(sim.processStacksMapped(), 0u);
+}
+
+TEST(ProcessContext, TenThousandProcessesSpawnDelayAndFinish) {
+  // One OS thread per process would need 10k threads here. TSan's runtime
+  // tracks at most 8192 live threads and fibers at once, and every live
+  // process is one TSan fiber, so the TSan build runs 4k.
+#if defined(__SANITIZE_THREAD__)
+  constexpr int kProcs = 4000;
+#else
+  constexpr int kProcs = 10000;
+#endif
+  Simulator sim;
+  int done = 0;
+  for (int i = 0; i < kProcs; ++i) {
+    sim.spawn("p" + std::to_string(i), [&sim, &done, i] {
+      sim.delay(1 + i % 7);
+      ++done;
+    });
+  }
+  EXPECT_EQ(sim.run(), 7);
+  EXPECT_EQ(done, kProcs);
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+  EXPECT_EQ(sim.processStacksMapped(), static_cast<std::size_t>(kProcs));
+}
+
+TEST(ProcessContext, SpawnFinishChurnReusesStacks) {
+  // 10k processes, at most a small window alive at once: finished processes
+  // return their stacks, so the pool never maps more than the peak number of
+  // live processes.
+  constexpr int kProcs = 10000;
+  constexpr int kWindow = 5;
+  Simulator sim;
+  int spawned = 0;
+  int peak_live = 0;
+  std::function<void()> child = [&] {
+    sim.delay(1 + spawned % 3);
+    if (spawned < kProcs) {
+      ++spawned;
+      sim.spawn("c" + std::to_string(spawned), child);
+    }
+  };
+  sim.scheduleAt(0, [&] {
+    for (; spawned < kWindow; ++spawned) sim.spawn("c" + std::to_string(spawned), child);
+  });
+  while (sim.pendingEventCount() > 0) {
+    sim.runUntil(sim.now() + 1);
+    peak_live = std::max(peak_live, sim.liveProcessCount());
+  }
+  EXPECT_EQ(spawned, kProcs);
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+  EXPECT_GE(sim.processStacksMapped(), 1u);
+  EXPECT_LE(sim.processStacksMapped(), static_cast<std::size_t>(peak_live));
+}
+
+namespace {
+// Recurses until the stack runs out; the volatile frame and the use after
+// the call keep it from becoming a loop.
+int recurseWithoutBound(int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth < 0) return 0;
+  return recurseWithoutBound(depth + 1) + frame[0];
+}
+}  // namespace
+
+TEST(ProcessContextDeathTest, StackOverflowNamesTheProcess) {
+  // The guard page below each process stack turns an overflow into a named
+  // diagnostic. Under ASan, whose SIGSEGV handler owns stack overflows, the
+  // simulator installs no handler of its own and ASan's report is matched.
+#if defined(__SANITIZE_ADDRESS__)
+  const char* expected = "stack-overflow";
+#else
+  const char* expected = "process 'deep' overflowed its 1024 KiB stack";
+#endif
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.spawn("deep", [] { recurseWithoutBound(0); });
+        sim.run();
+      },
+      expected);
 }
 
 TEST(Simulator, EventStormStaysOrdered) {
