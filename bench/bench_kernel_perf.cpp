@@ -13,6 +13,7 @@
 #include "net/packet_network.h"
 #include "sim/channel.h"
 #include "sim/simulator.h"
+#include "util/strings.h"
 
 using namespace mg;
 
@@ -115,9 +116,9 @@ static void BM_PacketForwarding(benchmark::State& state) {
     net::Topology topo;
     net::NodeId prev = topo.addHost("h0");
     for (int i = 1; i <= hops; ++i) {
-      net::NodeId next = (i == hops) ? topo.addHost("h" + std::to_string(i))
-                                     : topo.addRouter("r" + std::to_string(i));
-      topo.addLink("l" + std::to_string(i), prev, next, 1e9, 1000);
+      net::NodeId next = (i == hops) ? topo.addHost(util::format("h%d", i))
+                                     : topo.addRouter(util::format("r%d", i));
+      topo.addLink(util::format("l%d", i), prev, next, 1e9, 1000);
       prev = next;
     }
     net::PacketNetwork net(sim, std::move(topo), {});
@@ -183,12 +184,12 @@ static void BM_FlowChurn(benchmark::State& state) {
     const auto core = topo.addRouter("core");
     std::array<net::NodeId, kClusters * kHostsPer> hosts{};
     for (int c = 0; c < kClusters; ++c) {
-      const auto sw = topo.addRouter("sw" + std::to_string(c));
-      topo.addLink("up" + std::to_string(c), sw, core, 1e9, sim::fromSeconds(0.2e-3));
+      const auto sw = topo.addRouter(util::format("sw%d", c));
+      topo.addLink(util::format("up%d", c), sw, core, 1e9, sim::fromSeconds(0.2e-3));
       for (int h = 0; h < kHostsPer; ++h) {
         const int idx = c * kHostsPer + h;
-        hosts[static_cast<std::size_t>(idx)] = topo.addHost("h" + std::to_string(idx));
-        topo.addLink("eth" + std::to_string(idx), hosts[static_cast<std::size_t>(idx)], sw,
+        hosts[static_cast<std::size_t>(idx)] = topo.addHost(util::format("h%d", idx));
+        topo.addLink(util::format("eth%d", idx), hosts[static_cast<std::size_t>(idx)], sw,
                      100e6, sim::fromSeconds(0.05e-3));
       }
     }

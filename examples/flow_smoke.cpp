@@ -124,10 +124,8 @@ core::VirtualGridConfig makeTree(int hosts) {
     cfg.addPhysical("pm" + std::to_string(s), kFanout * kHostOps);
   }
   for (int h = 0; h < hosts; ++h) {
-    const std::string name = "h" + std::to_string(h);
-    const std::string ip =
-        "10." + std::to_string(h / 65536) + "." + std::to_string((h / 256) % 256) + "." +
-        std::to_string(h % 256);
+    const std::string name = util::format("h%d", h);
+    const std::string ip = util::format("10.%d.%d.%d", h / 65536, (h / 256) % 256, h % 256);
     cfg.addHost(name, ip, kHostOps, 1 << 28, "pm" + std::to_string(h / kFanout));
     cfg.addLink("eth" + std::to_string(h), name, "sw" + std::to_string(h / kFanout), 100e6,
                 50e-6);
@@ -161,8 +159,8 @@ RunResult runWorkload(const core::VirtualGridConfig& cfg, const Options& opt,
   auto total = std::make_shared<std::int64_t>(0);
   const int stride = opt.hosts / opt.pairs;
   for (int p = 0; p < opt.pairs; ++p) {
-    const std::string src = "h" + std::to_string(p * stride);
-    const std::string dst = "h" + std::to_string((p * stride + opt.hosts / 2) % opt.hosts);
+    const std::string src = util::format("h%d", p * stride);
+    const std::string dst = util::format("h%d", (p * stride + opt.hosts / 2) % opt.hosts);
     const auto port = static_cast<std::uint16_t>(7000 + p);
     platform.spawnOn(dst, "rx." + std::to_string(p), [port, total](vos::HostContext& ctx) {
       auto listener = ctx.listen(port);

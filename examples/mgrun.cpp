@@ -2,8 +2,7 @@
 // described by a config file, on either platform.
 //
 //   $ ./examples/mgrun --list-executables
-//   $ ./examples/mgrun --config examples/grids/alpha4.ini \
-//         --exe npb.mg --args A --parts vm0.ucsd.edu:1,vm1.ucsd.edu:1
+//   $ ./examples/mgrun --config examples/grids/alpha4.ini --exe npb.mg --args A --parts vm0.ucsd.edu:1,vm1.ucsd.edu:1
 //   $ ./examples/mgrun --platform pgrid --exe cactus.wavetoy --args "50 60"
 //
 // Options:

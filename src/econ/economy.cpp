@@ -91,18 +91,19 @@ GridEconomy::GridEconomy(core::MicroGridPlatform& platform, const EconGrid& grid
     if (!inserted) throw ConfigError("econ: duplicate cluster name " + m.name);
     it->second.head_node = platform_.mapper().resolve(m.head).node;
   }
-  // Data-site index -> that cluster's head node, in site order.
+  // Reverse name order, so the first cluster at each site is written last.
+  for (auto it = clusters_.rbegin(); it != clusters_.rend(); ++it) {
+    const Cluster& c = it->second;
+    if (c.meta.site < 0) continue;
+    const auto site = static_cast<std::size_t>(c.meta.site);
+    if (site >= site_heads_.size()) site_heads_.resize(site + 1, net::kNoNode);
+    site_heads_[site] = c.head_node;
+  }
   broker_.setTransferEstimator(
       [this](int from_site, const ClusterView& to, std::int64_t bytes) {
         auto tit = clusters_.find(to.name);
         if (tit == clusters_.end()) return 1e9;
-        net::NodeId src = net::kNoNode;
-        for (const auto& [name, c] : clusters_) {
-          if (c.meta.site == from_site) {
-            src = c.head_node;
-            break;
-          }
-        }
+        const net::NodeId src = siteHead(from_site);
         if (src == net::kNoNode) return 1e9;
         net::FlowEngine* fe = platform_.network().flows();
         if (!fe) return static_cast<double>(bytes) * 8.0 / 1e9;
@@ -230,13 +231,7 @@ void GridEconomy::placeJob(Job job, int resubmits) {
 
 void GridEconomy::startTransfer(const Job& job, Cluster& c, int resubmits) {
   net::FlowEngine* fe = platform_.network().flows();
-  net::NodeId src = net::kNoNode;
-  for (const auto& [name, cl] : clusters_) {
-    if (cl.meta.site == job.data_site) {
-      src = cl.head_node;
-      break;
-    }
-  }
+  const net::NodeId src = siteHead(job.data_site);
   if (!fe || src == net::kNoNode || src == c.head_node) {
     enqueue(job, c, resubmits);
     return;

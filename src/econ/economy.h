@@ -180,6 +180,11 @@ class GridEconomy {
   void crashCluster(const std::string& name);
   void restartCluster(const std::string& name);
 
+  net::NodeId siteHead(int site) const {
+    return site >= 0 && static_cast<std::size_t>(site) < site_heads_.size()
+               ? site_heads_[static_cast<std::size_t>(site)]
+               : net::kNoNode;
+  }
   double now_s() const { return platform_.virtualNow(); }
   sim::SimTime kernelAt(double virtual_s) const {
     return platform_.virtualTime().toKernel(virtual_s);
@@ -193,6 +198,9 @@ class GridEconomy {
   gis::Directory gis_;
   gis::Dn gis_base_;
   std::map<std::string, Cluster> clusters_;  // name-ordered
+  // Data-site index -> head node of the first (name-ordered) cluster at that
+  // site; kNoNode for a site no cluster holds.
+  std::vector<net::NodeId> site_heads_;
   std::map<std::int64_t, Active> active_;    // in-flight jobs by id
   bool armed_ = false;
   bool have_next_ = false;

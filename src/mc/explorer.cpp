@@ -137,7 +137,7 @@ void Explorer::runSchedule(const std::vector<fault::FaultEvent>& firing,
     return;
   }
   const std::int64_t idx = ++out.stats.enumerated;
-  const std::string sig = "[" + signatureOf(firing) + "]";
+  const std::string sig = util::format("[%s]", signatureOf(firing).c_str());
   auto log = [&](const std::string& line) {
     out.branch_log.push_back(util::format("#%lld ", static_cast<long long>(idx)) + line);
   };

@@ -64,15 +64,14 @@ sim::SimTime FlowEngine::estimate(NodeId src, NodeId dst, std::int64_t payload_b
   if (src < 0 || src >= topo.nodeCount() || dst < 0 || dst >= topo.nodeCount()) {
     throw UsageError("flow endpoint out of range");
   }
-  const std::vector<LinkId> path = model_.routing().path(src, dst);
-  if (path.empty()) throw ConfigError("no route between nodes");
   sim::SimTime latency = 0;
   double bottleneck = std::numeric_limits<double>::infinity();
-  for (LinkId lid : path) {
+  const bool routed = model_.routing().forEachHop(src, dst, [&](LinkId lid) {
     const Link& l = topo.link(lid);
     latency += l.latency;
     bottleneck = std::min(bottleneck, l.bandwidth_bps);
-  }
+  });
+  if (!routed) throw ConfigError("no route between nodes");
   if (bottleneck <= 0.0) throw ConfigError("route has zero capacity (degraded link)");
   const double wire_bits = static_cast<double>(payload_bytes) * opts_.byte_overhead * 8.0;
   return opts_.per_message_overhead + latency + sim::fromSeconds(wire_bits / bottleneck);

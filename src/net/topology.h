@@ -97,11 +97,21 @@ class Topology {
 
 /// All-pairs next-hop routing, recomputable when links change state.
 ///
-/// Routes are materialized lazily, one destination *column* at a time, on
-/// the first lookup toward that destination: a 100k-node grid whose traffic
-/// touches a handful of destinations pays for a handful of Dijkstra runs,
-/// not n of them (and n * n table cells). recompute() drops every column, so
-/// fault-driven topology changes invalidate all cached routes.
+/// A *stub* is a node whose single link (counting down links too) leads to
+/// a node with more than one link, and whose link weight w is finite with
+/// 2w > 1e-15. A stub never carries transit traffic: its only next hop is
+/// its uplink, and the route to it is the route to its attachment router
+/// plus that uplink. Every other node is *core* (routers, multi-homed
+/// hosts, both ends of a two-node island). Dijkstra runs over core nodes
+/// only, so on a host-heavy grid a route costs routers, not hosts; stubs are
+/// answered from their attachment router's entry.
+///
+/// Routes are materialized lazily, one destination *column* (a next hop per
+/// core node) at a time, on the first lookup toward that destination: a
+/// 100k-host grid whose traffic touches a handful of destinations pays for
+/// a handful of core-only Dijkstra runs. recompute() snapshots structure,
+/// link weights and up/down state and drops every column, so it must follow
+/// any change to the topology.
 class RoutingTable {
  public:
   /// Routes are computed over all `up` links, skipping down nodes (a crashed
@@ -111,11 +121,17 @@ class RoutingTable {
   /// node ids (determinism).
   explicit RoutingTable(const Topology& topo);
 
-  /// Invalidate after link/node state changes.
+  /// Re-snapshot the topology after link/node state changes.
   void recompute(const Topology& topo);
 
   /// The link to take from `from` toward `dst`; kNoLink if unreachable.
   LinkId nextLink(NodeId from, NodeId dst) const;
+
+  /// Calls fn(link) for each link on the route src -> dst, in order, without
+  /// materializing the path. Returns false if dst is unreachable (fn may
+  /// have seen a prefix of the walk); true, with no calls, when src == dst.
+  template <class Fn>
+  bool forEachHop(NodeId src, NodeId dst, Fn&& fn) const;
 
   /// Full path (sequence of links) from src to dst; empty if unreachable or
   /// src == dst.
@@ -133,18 +149,71 @@ class RoutingTable {
   int columnsBuilt() const;
 
  private:
-  // next[from] = link to take from `from` toward the column's destination.
+  // next[c] = link to take from core node c toward the column's destination.
   struct Column {
     std::vector<LinkId> next;
   };
+  // A core-core link seen from one end, with its routing weight.
+  struct Arc {
+    std::int32_t to;  // core index of the far end
+    LinkId link;
+    double w;
+  };
+  struct Stub {
+    LinkId uplink;        // kNoLink while the uplink is down
+    std::int32_t attach;  // core index of the attachment router
+    double w;             // uplink weight
+  };
 
   const Column& columnFor(NodeId dst) const;
+  void checkRange(NodeId from, NodeId dst) const;
+  [[noreturn]] static void throwLoop();
+
+  // First hop from `from` (!= dst) on the column toward dst.
+  LinkId hop(const Column& col, NodeId from, NodeId dst) const {
+    const std::int32_t s = slot_[static_cast<size_t>(from)];
+    if (s >= 0) return col.next[static_cast<size_t>(s)];
+    // A stub leaves by its uplink when that is up and its router either is
+    // the destination or (being up) forwards toward it.
+    const Stub& st = stubs_[static_cast<size_t>(-1 - s)];
+    if (st.uplink == kNoLink) return kNoLink;
+    const auto r = static_cast<size_t>(st.attach);
+    if (core_nodes_[r] == dst || (core_up_[r] && col.next[r] != kNoLink)) return st.uplink;
+    return kNoLink;
+  }
 
   int n_ = 0;
   const Topology* topo_ = nullptr;
+  // slot_[node] = its core index, or -1 - (its index in stubs_).
+  std::vector<std::int32_t> slot_;
+  std::vector<Stub> stubs_;
+  // Core index -> node id (ascending, so core-index order is node-id order)
+  // and whether that node is up.
+  std::vector<NodeId> core_nodes_;
+  std::vector<char> core_up_;
+  // Up core-core arcs of core node c, in linksAt() order:
+  // arcs_[arc_begin_[c] .. arc_begin_[c + 1]).
+  std::vector<std::int32_t> arc_begin_;
+  std::vector<Arc> arcs_;
   // cols_[dst] is null until first use.
   mutable std::vector<std::unique_ptr<Column>> cols_;
   mutable int columns_built_ = 0;
 };
+
+template <class Fn>
+bool RoutingTable::forEachHop(NodeId src, NodeId dst, Fn&& fn) const {
+  if (src == dst) return true;
+  checkRange(src, dst);
+  const Column& col = columnFor(dst);
+  NodeId at = src;
+  for (int hops = 0; at != dst; ++hops) {
+    if (hops == n_) throwLoop();  // cannot happen with Dijkstra next-hops
+    const LinkId lid = hop(col, at, dst);
+    if (lid == kNoLink) return false;
+    fn(lid);
+    at = topo_->peer(lid, at);
+  }
+  return true;
+}
 
 }  // namespace mg::net

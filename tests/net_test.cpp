@@ -183,6 +183,98 @@ TEST(Routing, RecomputeAfterLinkDown) {
   EXPECT_EQ(rt.path(a, b), (std::vector<LinkId>{via1, via2}));
 }
 
+// Single-link hosts are routed from their attachment router (stub
+// contraction); the down-node rules must read exactly as on the full graph.
+namespace {
+
+/// Routers r0 - r1, stub hosts h0 and h1 under r0, stub host h2 under r1.
+struct StubNet {
+  Topology t;
+  NodeId r0, r1, h0, h1, h2;
+  LinkId trunk, e0, e1, e2;
+  StubNet() {
+    r0 = t.addRouter("r0");
+    r1 = t.addRouter("r1");
+    h0 = t.addHost("h0");
+    h1 = t.addHost("h1");
+    h2 = t.addHost("h2");
+    trunk = t.addLink("trunk", r0, r1, 1e9, st::fromSeconds(1e-3));
+    e0 = t.addLink("e0", h0, r0, 100e6, st::fromSeconds(50e-6));
+    e1 = t.addLink("e1", h1, r0, 100e6, st::fromSeconds(50e-6));
+    e2 = t.addLink("e2", h2, r1, 100e6, st::fromSeconds(50e-6));
+  }
+};
+
+}  // namespace
+
+TEST(Routing, DownStubDestinationIsStillReachable) {
+  StubNet n;
+  n.t.mutableNode(n.h2).up = false;
+  RoutingTable rt(n.t);
+  EXPECT_EQ(rt.path(n.h0, n.h2), (std::vector<LinkId>{n.e0, n.trunk, n.e2}));
+  EXPECT_EQ(rt.path(n.r0, n.h2), (std::vector<LinkId>{n.trunk, n.e2}));
+}
+
+TEST(Routing, DownStubSourceKeepsItsUplinkOut) {
+  StubNet n;
+  n.t.mutableNode(n.h0).up = false;
+  RoutingTable rt(n.t);
+  // Its dying-gasp packets can still leave...
+  EXPECT_EQ(rt.nextLink(n.h0, n.h2), n.e0);
+  EXPECT_EQ(rt.path(n.h0, n.h1), (std::vector<LinkId>{n.e0, n.e1}));
+  // ...and, as a destination, it is still reachable.
+  EXPECT_EQ(rt.path(n.h2, n.h0), (std::vector<LinkId>{n.e2, n.trunk, n.e0}));
+}
+
+TEST(Routing, DownAttachmentRouterCutsOffItsStubs) {
+  StubNet n;
+  n.t.mutableNode(n.r0).up = false;
+  RoutingTable rt(n.t);
+  EXPECT_TRUE(rt.path(n.h2, n.h0).empty());
+  EXPECT_TRUE(rt.path(n.h0, n.h2).empty());
+  EXPECT_TRUE(rt.path(n.h0, n.h1).empty());
+  EXPECT_TRUE(rt.path(n.h1, n.h0).empty());
+  EXPECT_EQ(rt.nextLink(n.h0, n.h2), kNoLink);
+  // The router itself is a reachable destination, and keeps a first hop out.
+  EXPECT_EQ(rt.path(n.h0, n.r0), (std::vector<LinkId>{n.e0}));
+  EXPECT_EQ(rt.path(n.h2, n.r0), (std::vector<LinkId>{n.e2, n.trunk}));
+  EXPECT_EQ(rt.nextLink(n.r0, n.h2), n.trunk);
+}
+
+TEST(Routing, DownUplinkIsolatesItsStub) {
+  StubNet n;
+  n.t.mutableLink(n.e0).up = false;
+  RoutingTable rt(n.t);
+  EXPECT_EQ(rt.nextLink(n.h0, n.r0), kNoLink);
+  EXPECT_EQ(rt.nextLink(n.r0, n.h0), kNoLink);
+  EXPECT_TRUE(rt.path(n.h0, n.h2).empty());
+  EXPECT_TRUE(rt.path(n.h2, n.h0).empty());
+  EXPECT_TRUE(rt.path(n.h1, n.h0).empty());
+  // The other stub under the same router is untouched.
+  EXPECT_EQ(rt.path(n.h1, n.h2), (std::vector<LinkId>{n.e1, n.trunk, n.e2}));
+}
+
+TEST(Routing, RecomputeAfterRestoreGivesBackTheOriginalRoutes) {
+  StubNet n;
+  RoutingTable rt(n.t);
+  auto allPaths = [&] {
+    std::vector<std::vector<LinkId>> out;
+    for (NodeId a = 0; a < n.t.nodeCount(); ++a) {
+      for (NodeId b = 0; b < n.t.nodeCount(); ++b) out.push_back(rt.path(a, b));
+    }
+    return out;
+  };
+  const auto before = allPaths();
+  n.t.mutableLink(n.e0).up = false;
+  n.t.mutableNode(n.r1).up = false;
+  rt.recompute(n.t);
+  EXPECT_NE(allPaths(), before);
+  n.t.mutableLink(n.e0).up = true;
+  n.t.mutableNode(n.r1).up = true;
+  rt.recompute(n.t);
+  EXPECT_EQ(allPaths(), before);
+}
+
 // ---------------------------------------------------------- packet network --
 
 TEST(PacketNetwork, DeliversWithExpectedTiming) {

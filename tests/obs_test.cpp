@@ -30,6 +30,7 @@
 #include "obs/trace_export.h"
 #include "sim/telemetry.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "vmpi/comm.h"
 
 #include "test_scenarios.h"
@@ -55,7 +56,7 @@ TEST(Metrics, HandlesStayValidAcrossManyRegistrations) {
   // number of later registrations (this is the hot-path contract).
   mo::MetricsRegistry reg;
   mo::Counter& first = reg.counter("first");
-  for (int i = 0; i < 1000; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) reg.counter(mg::util::format("c%d", i));
   first.inc(7);
   EXPECT_EQ(reg.counterValue("first"), 7);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <queue>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -14,7 +15,9 @@
 #include "core/topologies.h"
 #include "net/host_stack.h"
 #include "net/packet_network.h"
+#include "net/topology.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 using namespace mg;
 namespace st = mg::sim;
@@ -383,11 +386,11 @@ FlowScenario makeFlowScenario(std::uint64_t seed) {
 std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental) {
   st::Simulator sim;
   net::Topology topo;
-  for (int h = 0; h < s.hosts; ++h) topo.addHost("h" + std::to_string(h));
-  for (int r = 0; r < s.routers; ++r) topo.addRouter("r" + std::to_string(r));
+  for (int h = 0; h < s.hosts; ++h) topo.addHost(util::format("h%d", h));
+  for (int r = 0; r < s.routers; ++r) topo.addRouter(util::format("r%d", r));
   for (std::size_t i = 0; i < s.links.size(); ++i) {
     const auto& l = s.links[i];
-    topo.addLink("l" + std::to_string(i), l.a, l.b, l.bw, st::fromSeconds(l.lat_s));
+    topo.addLink(util::format("l%zu", i), l.a, l.b, l.bw, st::fromSeconds(l.lat_s));
   }
   net::FlowNetworkOptions opts;
   opts.incremental = incremental;
@@ -446,7 +449,9 @@ std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental
       // wrong intermediate share even when completion times still agree.
       std::string sample = "rates @" + std::to_string(sim.now());
       for (net::FlowId id : ids) {
-        sample += " " + fmt(eng.currentRateBps(id)) + (eng.isStalled(id) ? "*" : "");
+        sample += ' ';
+        sample += fmt(eng.currentRateBps(id));
+        if (eng.isStalled(id)) sample += '*';
       }
       log.push_back(sample);
       EXPECT_TRUE(eng.indexConsistent());
@@ -467,7 +472,7 @@ std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (!eng.isStalled(ids[i])) continue;
     ++stalled_left;
-    leftovers += " " + std::to_string(i);
+    leftovers += util::format(" %zu", i);
   }
   EXPECT_EQ(eng.activeFlows(), stalled_left) << "non-stalled flows leaked past drain/abort";
   log.push_back(leftovers);
@@ -482,5 +487,228 @@ TEST(FlowIncrementalProperty, MatchesFullRecomputeOracleOn100Seeds) {
     const std::vector<std::string> incremental = runFlowScenario(s, true);
     const std::vector<std::string> full = runFlowScenario(s, false);
     ASSERT_EQ(incremental, full) << "seed " << seed;
+  }
+}
+
+// ------------------------------------------ routing contraction oracle ---
+
+// RoutingTable runs Dijkstra over core nodes only and answers single-link
+// stubs from their attachment router (DESIGN.md, "Faults and determinism").
+// That must be invisible: every next hop, every path and the column count
+// equal the full-graph run it replaced, on random topologies that mix stub
+// hosts, multi-homed hosts, single-link routers, two-node islands, parallel
+// and equal-weight links (ties), degraded and tiny-weight links, and down
+// nodes and links — before and after a recompute().
+namespace {
+
+/// The full-graph RoutingTable as it was before stub contraction: one
+/// Dijkstra over every node per destination column.
+class FullGraphRoutes {
+ public:
+  explicit FullGraphRoutes(const net::Topology& topo)
+      : topo_(topo), cols_(static_cast<std::size_t>(topo.nodeCount())) {}
+
+  int columnsBuilt() const { return built_; }
+
+  net::LinkId nextLink(net::NodeId from, net::NodeId dst) {
+    if (from == dst) return net::kNoLink;
+    return column(dst)[static_cast<std::size_t>(from)];
+  }
+
+  std::vector<net::LinkId> path(net::NodeId src, net::NodeId dst) {
+    std::vector<net::LinkId> out;
+    net::NodeId at = src;
+    while (at != dst) {
+      const net::LinkId lid = nextLink(at, dst);
+      if (lid == net::kNoLink) return {};
+      out.push_back(lid);
+      at = topo_.peer(lid, at);
+      if (out.size() > static_cast<std::size_t>(topo_.nodeCount())) {
+        throw UsageError("routing loop detected");
+      }
+    }
+    return out;
+  }
+
+ private:
+  const std::vector<net::LinkId>& column(net::NodeId dst) {
+    std::vector<net::LinkId>& col = cols_[static_cast<std::size_t>(dst)];
+    if (!col.empty()) return col;
+    const auto n = static_cast<std::size_t>(topo_.nodeCount());
+    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+    std::vector<net::LinkId> via(n, net::kNoLink);
+    using Item = std::pair<double, net::NodeId>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist[static_cast<std::size_t>(dst)] = 0;
+    pq.emplace(0.0, dst);
+    while (!pq.empty()) {
+      auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[static_cast<std::size_t>(u)]) continue;
+      if (!topo_.node(u).up && u != dst) continue;
+      for (net::LinkId lid : topo_.linksAt(u)) {
+        const net::Link& l = topo_.link(lid);
+        if (!l.up) continue;
+        const net::NodeId v = topo_.peer(lid, u);
+        const double w = st::toSeconds(l.latency) + 1500.0 * 8.0 / l.bandwidth_bps;
+        const double nd = d + w;
+        auto& dv = dist[static_cast<std::size_t>(v)];
+        net::LinkId& vv = via[static_cast<std::size_t>(v)];
+        if (nd < dv - 1e-15 || (nd <= dv + 1e-15 && vv != net::kNoLink && u < topo_.peer(vv, v))) {
+          dv = std::min(dv, nd);
+          vv = lid;
+          pq.emplace(nd, v);
+        }
+      }
+    }
+    via[static_cast<std::size_t>(dst)] = net::kNoLink;
+    col = std::move(via);
+    ++built_;
+    return col;
+  }
+
+  const net::Topology& topo_;
+  std::vector<std::vector<net::LinkId>> cols_;
+  int built_ = 0;
+};
+
+int pickBelow(util::Rng& rng, int n) {
+  return static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+}
+
+net::Topology makeRoutingTopology(util::Rng& rng) {
+  auto pick = [&rng](int n) { return pickBelow(rng, n); };
+  enum Role { Router, Stub, MultiHomed, LeafRouter, Island, Loner };
+  std::vector<Role> roles;
+  auto add = [&roles](Role r, int count) {
+    roles.insert(roles.end(), static_cast<std::size_t>(count), r);
+  };
+  add(Router, 1 + pick(5));
+  add(Stub, pick(9));
+  add(MultiHomed, pick(3));
+  add(LeafRouter, pick(3));
+  add(Island, 2 * pick(2));
+  add(Loner, pick(2));
+  // Shuffle so stubs and routers interleave in node-id order, which the
+  // equal-cost tie rule reads.
+  for (std::size_t i = roles.size(); i > 1; --i) std::swap(roles[i - 1], roles[rng.below(i)]);
+
+  net::Topology topo;
+  std::vector<net::NodeId> routers, hubs, islands;
+  std::vector<std::pair<net::NodeId, Role>> pending;
+  for (std::size_t i = 0; i < roles.size(); ++i) {
+    const std::string name = util::format("n%zu", i);
+    const bool router =
+        roles[i] == Router || roles[i] == LeafRouter || (roles[i] == Island && pick(2));
+    const net::NodeId id = router ? topo.addRouter(name) : topo.addHost(name);
+    if (roles[i] == Router) {
+      routers.push_back(id);
+      hubs.push_back(id);
+    } else if (roles[i] == MultiHomed) {
+      hubs.push_back(id);
+      pending.emplace_back(id, roles[i]);
+    } else if (roles[i] == Island) {
+      islands.push_back(id);
+    } else if (roles[i] != Loner) {
+      pending.emplace_back(id, roles[i]);
+    }
+  }
+
+  int links = 0;
+  auto link = [&](net::NodeId a, net::NodeId b) {
+    double bw = 0;
+    st::SimTime lat = 0;
+    const int kind = pick(20);
+    if (kind < 14) {  // a few values, so equal-cost ties are common
+      const double bws[] = {100e6, 1e9};
+      const double lats[] = {0.0, 50e-6, 100e-6};
+      bw = bws[pick(2)];
+      lat = st::fromSeconds(lats[pick(3)]);
+    } else if (kind < 19) {
+      bw = rng.uniform(10e6, 1e9);
+      lat = st::fromSeconds(rng.uniform(0.0, 200e-6));
+    } else {  // tiny weight: 2w < 1e-15, so its endpoints stay core
+      bw = 1e20;
+    }
+    topo.addLink(util::format("l%d", links++), a, b, bw, lat);
+  };
+  // Router backbone: a random tree plus extra (possibly parallel) links.
+  for (std::size_t i = 1; i < routers.size(); ++i) link(routers[i], routers[rng.below(i)]);
+  for (int e = pick(3); e > 0; --e) {
+    const net::NodeId a = routers[rng.below(routers.size())];
+    const net::NodeId b = routers[rng.below(routers.size())];
+    if (a != b) link(a, b);
+  }
+  for (auto [id, role] : pending) {
+    if (role == MultiHomed) {  // two uplinks, sometimes to the same router
+      link(id, routers[rng.below(routers.size())]);
+      link(id, routers[rng.below(routers.size())]);
+    } else {
+      // Stubs and leaf routers hang off a router or a multi-homed host.
+      net::NodeId hub = id;
+      while (hub == id) hub = hubs[rng.below(hubs.size())];
+      link(id, hub);
+    }
+  }
+  for (std::size_t i = 0; i + 1 < islands.size(); i += 2) link(islands[i], islands[i + 1]);
+
+  for (net::NodeId v = 0; v < topo.nodeCount(); ++v) {
+    if (pick(7) == 0) topo.mutableNode(v).up = false;
+  }
+  for (net::LinkId l = 0; l < topo.linkCount(); ++l) {
+    if (pick(7) == 0) topo.mutableLink(l).up = false;
+    if (pick(25) == 0) topo.mutableLink(l).bandwidth_bps = 0;  // degraded: infinite weight
+  }
+  return topo;
+}
+
+/// Queries every ordered pair in a random order against a fresh oracle.
+void expectOracleRoutes(const net::Topology& topo, const net::RoutingTable& rt, util::Rng& rng,
+                        const std::string& where) {
+  FullGraphRoutes oracle(topo);
+  const int n = topo.nodeCount();
+  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
+  for (net::NodeId a = 0; a < n; ++a) {
+    for (net::NodeId b = 0; b < n; ++b) pairs.emplace_back(a, b);
+  }
+  for (std::size_t i = pairs.size(); i > 1; --i) std::swap(pairs[i - 1], pairs[rng.below(i)]);
+  auto route = [](auto& table, net::NodeId a, net::NodeId b) {
+    try {
+      return table.path(a, b);
+    } catch (const UsageError&) {
+      return std::vector<net::LinkId>{-2};  // routing loop
+    }
+  };
+  for (auto [a, b] : pairs) {
+    const std::string at = where + " from " + std::to_string(a) + " to " + std::to_string(b);
+    ASSERT_EQ(rt.nextLink(a, b), oracle.nextLink(a, b)) << at;
+    ASSERT_EQ(rt.columnsBuilt(), oracle.columnsBuilt()) << at;
+    ASSERT_EQ(route(rt, a, b), route(oracle, a, b)) << at;
+  }
+}
+
+}  // namespace
+
+TEST(RoutingContraction, MatchesFullDijkstraOracle) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    util::Rng rng(seed * 0xD1B54A32D192ED03ull + 7);
+    net::Topology topo = makeRoutingTopology(rng);
+    net::RoutingTable rt(topo);
+    const std::string where = "seed " + std::to_string(seed);
+    expectOracleRoutes(topo, rt, rng, where);
+    if (HasFatalFailure()) return;
+    // Flip a few nodes and links (restoring degraded bandwidth on some) and
+    // recompute.
+    for (int k = 0; k < 3; ++k) {
+      net::Node& v = topo.mutableNode(pickBelow(rng, topo.nodeCount()));
+      v.up = !v.up;
+      if (topo.linkCount() == 0) continue;
+      net::Link& l = topo.mutableLink(pickBelow(rng, topo.linkCount()));
+      l.up = !l.up;
+      if (l.bandwidth_bps == 0) l.bandwidth_bps = 100e6;
+    }
+    rt.recompute(topo);
+    expectOracleRoutes(topo, rt, rng, where + " after recompute");
+    if (HasFatalFailure()) return;
   }
 }

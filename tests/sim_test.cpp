@@ -15,6 +15,7 @@
 #include "sim/condition.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/strings.h"
 
 using namespace mg::sim;
 
@@ -111,14 +112,14 @@ TEST(Process, TwoProcessesInterleaveDeterministically) {
   std::vector<std::string> log;
   sim.spawn("a", [&] {
     for (int i = 0; i < 3; ++i) {
-      log.push_back("a" + std::to_string(i));
+      log.push_back(mg::util::format("a%d", i));
       sim.delay(10);
     }
   });
   sim.spawn("b", [&] {
     sim.delay(5);
     for (int i = 0; i < 3; ++i) {
-      log.push_back("b" + std::to_string(i));
+      log.push_back(mg::util::format("b%d", i));
       sim.delay(10);
     }
   });
@@ -257,7 +258,7 @@ TEST(Condition, NotifyOneWakesFifo) {
   Condition cond(sim);
   std::vector<int> woken;
   for (int i = 0; i < 3; ++i) {
-    sim.spawn("w" + std::to_string(i), [&, i] {
+    sim.spawn(mg::util::format("w%d", i), [&, i] {
       cond.wait();
       woken.push_back(i);
     });
@@ -279,7 +280,7 @@ TEST(Condition, NotifyAllWakesEveryone) {
   Condition cond(sim);
   int woken = 0;
   for (int i = 0; i < 5; ++i) {
-    sim.spawn("w" + std::to_string(i), [&] {
+    sim.spawn(mg::util::format("w%d", i), [&] {
       cond.wait();
       ++woken;
     });
@@ -431,7 +432,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalLogs) {
     Channel<int> ch(sim);
     std::vector<std::string> log;
     for (int p = 0; p < 4; ++p) {
-      sim.spawn("prod" + std::to_string(p), [&, p] {
+      sim.spawn(mg::util::format("prod%d", p), [&, p] {
         for (int i = 0; i < 5; ++i) {
           sim.delay(10 * (p + 1));
           ch.send(p * 100 + i);
@@ -483,13 +484,13 @@ TEST(Simulator, ManyProcessesTearDownCleanly) {
   for (int i = 0; i < 100; ++i) {
     switch (i % 3) {
       case 0:
-        sim.spawn("s" + std::to_string(i), [&] { sim.suspend(); });
+        sim.spawn(mg::util::format("s%d", i), [&] { sim.suspend(); });
         break;
       case 1:
-        sim.spawn("c" + std::to_string(i), [&] { cond->wait(); });
+        sim.spawn(mg::util::format("c%d", i), [&] { cond->wait(); });
         break;
       default:
-        sim.spawn("r" + std::to_string(i), [&] { chan->recv(); });
+        sim.spawn(mg::util::format("r%d", i), [&] { chan->recv(); });
         break;
     }
   }
@@ -505,7 +506,7 @@ TEST(Channel, ManyProducersOneConsumerFifoPerProducer) {
   constexpr int kProducers = 10;
   constexpr int kItems = 50;
   for (int p = 0; p < kProducers; ++p) {
-    sim.spawn("prod" + std::to_string(p), [&, p] {
+    sim.spawn(mg::util::format("prod%d", p), [&, p] {
       for (int i = 0; i < kItems; ++i) {
         sim.delay((p + 1) % 7 + 1);
         ch.send({p, i});
@@ -647,7 +648,7 @@ TEST(ProcessContext, TenThousandProcessesSpawnDelayAndFinish) {
   Simulator sim;
   int done = 0;
   for (int i = 0; i < kProcs; ++i) {
-    sim.spawn("p" + std::to_string(i), [&sim, &done, i] {
+    sim.spawn(mg::util::format("p%d", i), [&sim, &done, i] {
       sim.delay(1 + i % 7);
       ++done;
     });
@@ -671,11 +672,11 @@ TEST(ProcessContext, SpawnFinishChurnReusesStacks) {
     sim.delay(1 + spawned % 3);
     if (spawned < kProcs) {
       ++spawned;
-      sim.spawn("c" + std::to_string(spawned), child);
+      sim.spawn(mg::util::format("c%d", spawned), child);
     }
   };
   sim.scheduleAt(0, [&] {
-    for (; spawned < kWindow; ++spawned) sim.spawn("c" + std::to_string(spawned), child);
+    for (; spawned < kWindow; ++spawned) sim.spawn(mg::util::format("c%d", spawned), child);
   });
   while (sim.pendingEventCount() > 0) {
     sim.runUntil(sim.now() + 1);

@@ -20,6 +20,7 @@
 #include "net/packet_network.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "util/strings.h"
 
 using namespace mg;
 namespace st = mg::sim;
@@ -41,16 +42,15 @@ net::Topology bigGrid() {
   net::Topology topo;
   std::vector<net::NodeId> routers;
   for (int c = 0; c < kClusters; ++c) {
-    auto r = topo.addRouter("r" + std::to_string(c));
+    auto r = topo.addRouter(util::format("r%d", c));
     routers.push_back(r);
     for (int i = 0; i < kHostsPerCluster; ++i) {
-      auto h = topo.addHost("h" + std::to_string(c) + "_" + std::to_string(i));
-      topo.addLink("l" + std::to_string(c) + "_" + std::to_string(i), h, r, 100e6, 50 * kUs,
-                   256 * 1024);
+      auto h = topo.addHost(util::format("h%d_%d", c, i));
+      topo.addLink(util::format("l%d_%d", c, i), h, r, 100e6, 50 * kUs, 256 * 1024);
     }
   }
   for (int c = 0; c + 1 < kClusters; ++c) {
-    topo.addLink("wan" + std::to_string(c), routers[static_cast<std::size_t>(c)],
+    topo.addLink(util::format("wan%d", c), routers[static_cast<std::size_t>(c)],
                  routers[static_cast<std::size_t>(c + 1)], 45e6, 30 * kMs, 1 << 20,
                  /*loss=*/0.01);
   }
