@@ -31,3 +31,10 @@ set_target_properties(bench_kernel_perf PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CM
 # Paper gates: a bench whose shape check fails exits non-zero.
 add_test(NAME paper.fig17_autopilot COMMAND bench_fig17_autopilot)
 set_tests_properties(paper.fig17_autopilot PROPERTIES LABELS paper TIMEOUT 120)
+foreach(bench fig05_memory fig06_cpu fig07_quanta fig08_network fig10_npb fig11_quanta_sweep
+        fig12_cpu_scaling fig14_vbns fig15_emulation_rate fig16_cactus ablation_netmodel
+        ablation_collectives fault_resilience)
+  add_test(NAME paper.${bench} COMMAND bench_${bench})
+  # Generous for the sanitizer job; a Release build takes <= 5 s per bench.
+  set_tests_properties(paper.${bench} PROPERTIES LABELS paper TIMEOUT 600)
+endforeach()

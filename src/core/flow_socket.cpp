@@ -5,11 +5,27 @@
 #include "util/error.h"
 
 namespace mg::core {
+namespace {
+
+/// Connection setup cost beyond the handshake RTT (network time). Both
+/// platforms pay it: ReferencePlatform and MicroGridPlatform's flow mode
+/// share this table.
+constexpr sim::SimTime kConnectOverhead = 100 * sim::kMicrosecond;
+/// One flow models at most this many payload bytes, so long streams
+/// re-enter the fair-share computation periodically instead of locking in
+/// one rate for the whole transfer.
+constexpr std::size_t kChunkBytes = 1 << 20;
+/// Per-connection in-flight cap, mirroring a TCP window: senders block once
+/// this many bytes are queued or flowing but undelivered.
+constexpr std::size_t kWindowBytes = 1 << 20;
+static_assert(kChunkBytes >= 1 && kWindowBytes >= 1, "send() must make progress");
+
+}  // namespace
 
 // ------------------------------------------------------------------ table --
 
 FlowEndpointTable::FlowEndpointTable(net::NetworkModel& net, HostnameFn hostname,
-                                     ToKernelFn to_kernel, FlowEndpointOptions opts)
+                                     ToKernelFn to_kernel)
     : net_(net),
       engine_(*[&net] {
         net::FlowEngine* e = net.flows();
@@ -18,11 +34,7 @@ FlowEndpointTable::FlowEndpointTable(net::NetworkModel& net, HostnameFn hostname
       }()),
       sim_(net.simulator()),
       hostname_(std::move(hostname)),
-      to_kernel_(std::move(to_kernel)),
-      opts_(opts) {
-  if (opts_.chunk_bytes == 0) throw UsageError("chunk_bytes must be >= 1");
-  if (opts_.window_bytes == 0) throw UsageError("window_bytes must be >= 1");
-}
+      to_kernel_(std::move(to_kernel)) {}
 
 std::shared_ptr<FlowListener> FlowEndpointTable::listen(net::NodeId node, std::uint16_t port,
                                                         AcceptSink sink) {
@@ -52,7 +64,7 @@ std::shared_ptr<vos::StreamSocket> FlowEndpointTable::connect(net::NodeId src, n
   // Handshake: SYN out, SYN-ACK back, plus connection setup overhead.
   sim::SimTime rtt;
   try {
-    rtt = 2 * engine_.estimate(src, dst, 0) + opts_.connect_overhead;
+    rtt = 2 * engine_.estimate(src, dst, 0) + kConnectOverhead;
   } catch (const ConfigError&) {
     throw net::ConnectionRefused("no route to " + hostname_(dst));
   }
@@ -102,7 +114,7 @@ FlowSocket::FlowSocket(FlowEndpointTable& table, net::NodeId local, net::NodeId 
 void FlowSocket::send(const void* data, std::size_t n) {
   if (local_closed_) throw UsageError("send on closed socket");
   const auto* p = static_cast<const std::uint8_t*>(data);
-  const auto window = static_cast<std::int64_t>(table_.opts_.window_bytes);
+  const auto window = static_cast<std::int64_t>(kWindowBytes);
   std::size_t off = 0;
   while (off < n) {
     if (error_) throw net::ConnectionReset(error_what_);
@@ -110,7 +122,7 @@ void FlowSocket::send(const void* data, std::size_t n) {
       writable_.wait();
       continue;
     }
-    const std::size_t m = std::min({n - off, table_.opts_.chunk_bytes,
+    const std::size_t m = std::min({n - off, kChunkBytes,
                                     static_cast<std::size_t>(window - in_flight_)});
     in_flight_ += static_cast<std::int64_t>(m);
     send_queue_.push_back(SendChunk{std::vector<std::uint8_t>(p + off, p + off + m), false});

@@ -8,9 +8,9 @@
 //   - connect() costs a handshake round-trip plus setup overhead and
 //     refuses when no listener is bound or the host is down;
 //   - send() is pipelined behind a TCP-style window: chunks of at most
-//     chunk_bytes are queued and flow one at a time (chained at drain
+//     kChunkBytes are queued and flow one at a time (chained at drain
 //     boundaries so stream order is preserved), and the sender blocks only
-//     once window_bytes are in flight undelivered — so back-to-back small
+//     once kWindowBytes are in flight undelivered — so back-to-back small
 //     sends pay the latency + overhead tail once, not per call, while
 //     senders still feel contention through flow rates;
 //   - recv() is a byte stream with orderly EOF after close();
@@ -39,18 +39,6 @@ namespace mg::core {
 class FlowSocket;
 class FlowListener;
 
-struct FlowEndpointOptions {
-  /// Connection setup cost beyond the handshake RTT (network time).
-  sim::SimTime connect_overhead = 100 * sim::kMicrosecond;
-  /// One flow models at most this many payload bytes, so long streams
-  /// re-enter the fair-share computation periodically instead of locking in
-  /// one rate for the whole transfer.
-  std::size_t chunk_bytes = 1 << 20;
-  /// Per-connection in-flight cap, mirroring a TCP window: senders block
-  /// once this many bytes are queued or flowing but undelivered.
-  std::size_t window_bytes = 1 << 20;
-};
-
 /// Per-platform registry of flow-mode listeners and live sockets.
 class FlowEndpointTable {
  public:
@@ -62,8 +50,7 @@ class FlowEndpointTable {
   /// a backlog shared with the TCP listener.
   using AcceptSink = std::function<void(std::shared_ptr<vos::StreamSocket>)>;
 
-  FlowEndpointTable(net::NetworkModel& net, HostnameFn hostname, ToKernelFn to_kernel,
-                    FlowEndpointOptions opts = {});
+  FlowEndpointTable(net::NetworkModel& net, HostnameFn hostname, ToKernelFn to_kernel);
   FlowEndpointTable(const FlowEndpointTable&) = delete;
   FlowEndpointTable& operator=(const FlowEndpointTable&) = delete;
 
@@ -94,7 +81,6 @@ class FlowEndpointTable {
   sim::Simulator& sim_;
   HostnameFn hostname_;
   ToKernelFn to_kernel_;
-  FlowEndpointOptions opts_;
   std::map<std::pair<net::NodeId, std::uint16_t>, FlowListener*> listeners_;
   // Live sockets by endpoint node, for crashNode; pruned opportunistically.
   std::map<net::NodeId, std::vector<std::weak_ptr<FlowSocket>>> by_node_;

@@ -124,7 +124,7 @@ std::shared_ptr<LaunchResult> Launcher::submitAsync(
                                   << "); resubmitting after " << backoff << "s";
           ctx.sleep(backoff);
           backoff *= 2;
-          if (opts.replace_dead_hosts) replaceDeadParts(ctx, gis_host, cur);
+          replaceDeadParts(ctx, gis_host, cur);
         }
         result->completed_at = ctx.wallTime();
         result->virtual_seconds = result->completed_at - result->submitted_at;

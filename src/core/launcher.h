@@ -34,12 +34,11 @@ struct LaunchResult {
 };
 
 /// Resilience knobs for Launcher::run. With max_resubmits > 0 a failed job
-/// is resubmitted (after a doubling virtual-time backoff), optionally
-/// re-placing parts whose hosts have dropped out of the GIS.
+/// is resubmitted (after a doubling virtual-time backoff), re-placing parts
+/// whose hosts have dropped out of the GIS.
 struct LaunchOptions {
   int max_resubmits = 0;
-  double backoff_seconds = 1.0;    // virtual; doubles per resubmission
-  bool replace_dead_hosts = true;  // re-place failed parts via a GIS search
+  double backoff_seconds = 1.0;  // virtual; doubles per resubmission
   grid::GramRetryPolicy retry;
 };
 
@@ -80,13 +79,11 @@ class Launcher {
   gis::Directory& directory() { return directory_; }
 
   void setLaunchOptions(const LaunchOptions& opts) { opts_ = opts; }
-  const LaunchOptions& launchOptions() const { return opts_; }
 
   /// Options for every gatekeeper the launcher spawns (including respawns
   /// after a restart). Set before startServices(); enables e.g. the batch
   /// jobmanager mode on all hosts.
   void setGatekeeperOptions(const grid::GatekeeperOptions& opts) { gk_opts_ = opts; }
-  const grid::GatekeeperOptions& gatekeeperOptions() const { return gk_opts_; }
 
   /// Fault wiring: stamp the host's GIS record as expired *now*, so
   /// placement searches stop seeing it. Called when a host crashes.

@@ -1,12 +1,21 @@
 #include "core/microgrid_platform.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/sampler.h"
 #include "sim/telemetry.h"
 #include "util/log.h"
+#include "util/strings.h"
 
 namespace mg::core {
+namespace {
+
+/// Headroom below the maximum feasible rate, accounting for scheduler and
+/// OS overhead on the physical machines.
+constexpr double kUtilization = 0.9;
+
+}  // namespace
 
 // ---------------------------------------------------------------- sockets --
 
@@ -192,13 +201,16 @@ class MicroGridPlatform::MgContext : public vos::HostContext {
 
 MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOptions opts)
     : mapper_(cfg.mapper()), physicals_(cfg.physicalMachines()), opts_(opts) {
+  if (std::isnan(opts_.rate_override)) throw ConfigError("simulation rate override is NaN");
   if (opts_.rate_override > 0) {
     rate_ = opts_.rate_override;
   } else {
     const SimulationRate sr = SimulationRate::compute(cfg);
-    rate_ = sr.max_feasible * opts_.utilization / opts_.slowdown;
+    rate_ = sr.max_feasible * kUtilization / opts_.slowdown;
   }
-  if (rate_ <= 0) throw ConfigError("non-positive simulation rate");
+  if (!std::isfinite(rate_) || rate_ <= 0) {
+    throw ConfigError(util::format("simulation rate %g is not finite and positive", rate_));
+  }
   vt_ = std::make_unique<vos::VirtualTime>(rate_);
 
   net::PacketNetworkOptions nopts;
@@ -237,7 +249,8 @@ MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOpti
   std::uint64_t seed = opts_.seed;
   for (const auto& p : physicals_) {
     schedulers_.emplace(p.name, std::make_unique<vos::CpuScheduler>(
-                                    sim_, p.cpu_ops, opts_.quantum, opts_.competition, ++seed));
+                                    sim_, p.cpu_ops, opts_.quantum,
+                                    vos::CompetitionProfile::none(), ++seed));
   }
 
   for (const auto& host : mapper_.hosts()) {
@@ -245,7 +258,7 @@ MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOpti
     rt.info = &host;
     // Transport stacks exist only where packets can arrive; pure flow mode
     // has no per-segment machinery at all.
-    if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, host.node, opts_.tcp);
+    if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, host.node);
     rt.mem = std::make_unique<vos::MemoryManager>(host.memory_bytes, &sim_.metrics());
     rt.sched = schedulers_.at(host.physical_host).get();
     const double phys_ops = cfg.physical(host.physical_host).cpu_ops;
@@ -304,7 +317,7 @@ void MicroGridPlatform::crashHost(const std::string& hostname) {
 void MicroGridPlatform::restartHost(const std::string& hostname) {
   HostRt& rt = hostRt(hostname);
   if (rt.alive) return;
-  if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, rt.info->node, opts_.tcp);
+  if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, rt.info->node);
   net_->setNodeUp(rt.info->node, true);
   rt.alive = true;
   MG_LOG_INFO("core") << "restart " << hostname;

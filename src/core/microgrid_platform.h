@@ -30,18 +30,11 @@ namespace mg::core {
 struct MicroGridOptions {
   /// Scheduler quantum (paper default: 10 ms Linux timeslice; Fig 11 sweeps).
   sim::SimTime quantum = 10 * sim::kMillisecond;
-  /// Background load on the physical machines (paper §3.2.2).
-  vos::CompetitionProfile competition = vos::CompetitionProfile::none();
-  /// Headroom below the maximum feasible rate, accounting for scheduler and
-  /// OS overhead on the physical machines.
-  double utilization = 0.9;
   /// Run the emulation N times slower than feasible (Fig 15's knob).
   double slowdown = 1.0;
   /// When positive, use exactly this simulation rate (virtual seconds per
-  /// emulation second) instead of deriving one.
+  /// emulation second) instead of deriving one. NaN is rejected.
   double rate_override = 0;
-  /// Transport tuning for the virtual network.
-  net::TcpOptions tcp;
   /// Which model backs the virtual wire (DESIGN.md §8): full packet
   /// simulation, max-min fair fluid flows, or hybrid (fluid by default,
   /// packet detail for traffic matching `netmodel_detail`).

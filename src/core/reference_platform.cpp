@@ -55,14 +55,11 @@ class ReferencePlatform::RefContext : public vos::HostContext {
 
 // --------------------------------------------------------------- platform --
 
-ReferencePlatform::ReferencePlatform(const VirtualGridConfig& cfg, ReferenceOptions opts)
-    : mapper_(cfg.mapper()), opts_(opts) {
-  flow_ = std::make_unique<net::FlowNetwork>(sim_, cfg.topology(), opts_.network);
-  FlowEndpointOptions fopts;
-  fopts.connect_overhead = sim::fromSeconds(opts_.connect_overhead_seconds);
+ReferencePlatform::ReferencePlatform(const VirtualGridConfig& cfg) : mapper_(cfg.mapper()) {
+  flow_ = std::make_unique<net::FlowNetwork>(sim_, cfg.topology());
   table_ = std::make_unique<FlowEndpointTable>(
       *flow_, [this](net::NodeId n) { return mapper_.byNode(n).hostname; },
-      [](double s) { return sim::fromSeconds(s); }, fopts);
+      [](double s) { return sim::fromSeconds(s); });
 }
 
 ReferencePlatform::~ReferencePlatform() { sim_.shutdown(); }

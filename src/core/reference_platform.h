@@ -20,16 +20,9 @@
 
 namespace mg::core {
 
-struct ReferenceOptions {
-  net::FlowNetworkOptions network;
-  /// Extra virtual seconds charged for a connection handshake, on top of
-  /// one network round trip.
-  double connect_overhead_seconds = 100e-6;
-};
-
 class ReferencePlatform : public Platform {
  public:
-  explicit ReferencePlatform(const VirtualGridConfig& cfg, ReferenceOptions opts = {});
+  explicit ReferencePlatform(const VirtualGridConfig& cfg);
   ~ReferencePlatform() override;
 
   sim::Simulator& simulator() override { return sim_; }
@@ -49,7 +42,6 @@ class ReferencePlatform : public Platform {
 
   sim::Simulator sim_;
   vos::HostMapper mapper_;
-  ReferenceOptions opts_;
   std::unique_ptr<net::FlowNetwork> flow_;
   std::unique_ptr<FlowEndpointTable> table_;
   std::map<std::string, std::unique_ptr<vos::MemoryManager>> memory_;

@@ -9,6 +9,12 @@
 #include "util/strings.h"
 
 namespace mg::econ {
+namespace {
+
+/// Fallback transfer model when no estimator is injected: bytes / rate.
+constexpr double kTransferRateBps = 1e9;
+
+}  // namespace
 
 BrokerPolicy parseBrokerPolicy(const std::string& s) {
   const std::string t = util::toLower(s);
@@ -55,12 +61,7 @@ ClusterView queueViewFromRecord(const gis::Record& record) {
   return v;
 }
 
-Broker::Broker(const Options& opt) : opt_(opt) {
-  if (opt_.ref_core_ops <= 0) throw ConfigError("broker: ref_core_ops must be positive");
-  if (opt_.transfer_rate_bps <= 0) {
-    throw ConfigError("broker: transfer_rate_bps must be positive");
-  }
-}
+Broker::Broker(const Options& opt) : opt_(opt) {}
 
 void Broker::updateView(std::vector<ClusterView> views) {
   views_.clear();
@@ -84,7 +85,7 @@ void Broker::refreshFromGis(const gis::Directory& dir, const gis::Dn& base, doub
 double Broker::transferSeconds(const Job& job, const ClusterView& v) const {
   if (job.input_bytes <= 0 || job.data_site < 0 || job.data_site == v.site) return 0;
   if (estimate_transfer_) return estimate_transfer_(job.data_site, v, job.input_bytes);
-  return static_cast<double>(job.input_bytes) * 8.0 / opt_.transfer_rate_bps;
+  return static_cast<double>(job.input_bytes) * 8.0 / kTransferRateBps;
 }
 
 Placement Broker::place(const Job& job, double now) const {
@@ -101,8 +102,8 @@ Placement Broker::place(const Job& job, double now) const {
   for (const auto& [name, v] : views_) {
     if (!v.alive || job.cpus > v.slots) continue;
     any_fit = true;
-    const double runtime_s = job.runtime_s * (opt_.ref_core_ops / v.core_ops);
-    const double est_runtime_s = job.est_runtime_s * (opt_.ref_core_ops / v.core_ops);
+    const double runtime_s = job.runtime_s * (kRefCoreOps / v.core_ops);
+    const double est_runtime_s = job.est_runtime_s * (kRefCoreOps / v.core_ops);
     const double wait_s = (v.free_slots >= job.cpus && v.queue_depth == 0) ? 0 : v.backlog_s;
     const double transfer_s = transferSeconds(job, v);
     const double cost = v.price_per_cpu_s * job.cpus * runtime_s;

@@ -65,11 +65,6 @@ class Broker {
  public:
   struct Options {
     BrokerPolicy policy = BrokerPolicy::Deadline;
-    /// Reference core speed job runtimes are quoted against (must match the
-    /// workload's ref_core_ops).
-    double ref_core_ops = 1e9;
-    /// Fallback transfer model when no estimator is injected: bytes / rate.
-    double transfer_rate_bps = 1e9;
   };
 
   /// Seconds a cross-site transfer of `bytes` from `from_site` to the named

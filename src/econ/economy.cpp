@@ -14,6 +14,12 @@ constexpr const char* kGisBase = "ou=MicroGrid, o=Grid";
 /// Bounded-slowdown runtime floor (the standard 10 s threshold, so
 /// sub-second jobs don't dominate the quantiles).
 constexpr double kSlowdownFloorS = 10.0;
+/// Seconds between GIS refreshes of the broker's cluster view.
+constexpr double kGisRefreshS = 30;
+/// Resubmission: the first backoff doubles each attempt; jobs exceeding
+/// kMaxResubmits are dropped as failed.
+constexpr double kResubmitBackoffS = 5;
+constexpr int kMaxResubmits = 5;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -65,9 +71,8 @@ GridEconomy::GridEconomy(core::MicroGridPlatform& platform, const EconGrid& grid
                          const EconOptions& opts)
     : platform_(platform),
       sim_(platform.simulator()),
-      opts_(opts),
       gen_(opts.workload, static_cast<int>(grid.clusters.size())),
-      broker_(Broker::Options{opts.policy, opts.workload.ref_core_ops, 1e9}),
+      broker_(Broker::Options{opts.policy}),
       gis_base_(gis::Dn::parse(kGisBase)),
       slowdown_hist_(1.0, 201.0, 2000),
       user_slowdown_sum_(static_cast<std::size_t>(opts.workload.users), 0.0),
@@ -85,8 +90,6 @@ GridEconomy::GridEconomy(core::MicroGridPlatform& platform, const EconGrid& grid
     BatchQueue::Options q;
     q.slots = m.slots;
     q.policy = m.policy;
-    q.backfill_window = opts_.backfill_window;
-    q.oversubscribe = opts_.oversubscribe;
     auto [it, inserted] = clusters_.emplace(m.name, Cluster(m, q));
     if (!inserted) throw ConfigError("econ: duplicate cluster name " + m.name);
     it->second.head_node = platform_.mapper().resolve(m.head).node;
@@ -173,7 +176,7 @@ void GridEconomy::arm() {
   broker_.refreshFromGis(gis_, gis_base_, 0.0);
   have_next_ = gen_.next(next_job_);
   scheduleNextArrival();
-  sim_.scheduleAt(kernelAt(opts_.gis_refresh_s), [this] { refreshLoop(); });
+  sim_.scheduleAt(kernelAt(kGisRefreshS), [this] { refreshLoop(); });
 }
 
 void GridEconomy::scheduleNextArrival() {
@@ -212,17 +215,16 @@ void GridEconomy::placeJob(Job job, int resubmits) {
   Active& a = active_[job.id];
   a.job = job;
   a.cluster = p.cluster;
-  a.runtime_c = job.runtime_s * (opts_.workload.ref_core_ops / c.meta.core_ops);
+  a.runtime_c = job.runtime_s * (kRefCoreOps / c.meta.core_ops);
   a.start_s = -1;
   a.resubmits = resubmits;
   a.running = false;
   a.backing_off = false;
   a.finish_event = 0;
-  const double est_c = job.est_runtime_s * (opts_.workload.ref_core_ops / c.meta.core_ops);
+  const double est_c = job.est_runtime_s * (kRefCoreOps / c.meta.core_ops);
   broker_.noteScheduled(p.cluster, job.cpus, est_c * job.cpus);
 
-  if (opts_.flow_transfers && job.input_bytes > 0 && job.data_site >= 0 &&
-      job.data_site != c.meta.site) {
+  if (job.input_bytes > 0 && job.data_site >= 0 && job.data_site != c.meta.site) {
     startTransfer(job, c, resubmits);
   } else {
     enqueue(job, c, resubmits);
@@ -265,7 +267,7 @@ void GridEconomy::enqueue(const Job& job, Cluster& c, int resubmits) {
   QueuedJob q;
   q.id = job.id;
   q.cpus = job.cpus;
-  q.est_runtime_s = job.est_runtime_s * (opts_.workload.ref_core_ops / c.meta.core_ops);
+  q.est_runtime_s = job.est_runtime_s * (kRefCoreOps / c.meta.core_ops);
   q.submit_s = now_s();
   c.queue.submit(q, q.submit_s);
   pump(c);
@@ -377,7 +379,7 @@ void GridEconomy::resubmit(std::int64_t id, const std::string& reason) {
   }
   a.running = false;
   a.start_s = -1;
-  if (a.resubmits >= opts_.max_resubmits) {
+  if (a.resubmits >= kMaxResubmits) {
     c_failed_.inc();
     ++rpt_.failed;
     active_.erase(it);
@@ -388,7 +390,7 @@ void GridEconomy::resubmit(std::int64_t id, const std::string& reason) {
   c_resubmits_.inc();
   ++rpt_.resubmits;
   const double backoff =
-      opts_.resubmit_backoff_s * static_cast<double>(std::int64_t{1} << (a.resubmits - 1));
+      kResubmitBackoffS * static_cast<double>(std::int64_t{1} << (a.resubmits - 1));
   const Job job = a.job;
   const int n = a.resubmits;
   sim_.scheduleAt(std::max(sim_.now(), kernelAt(now_s() + backoff)),
@@ -421,7 +423,7 @@ void GridEconomy::refreshLoop() {
   publishGis();
   broker_.refreshFromGis(gis_, gis_base_, now_s());
   if (!have_next_ && active_.empty()) return;  // drained: let the run end
-  sim_.scheduleAt(kernelAt(now_s() + opts_.gis_refresh_s), [this] { refreshLoop(); });
+  sim_.scheduleAt(kernelAt(now_s() + kGisRefreshS), [this] { refreshLoop(); });
 }
 
 void GridEconomy::scheduleCrash(const std::string& cluster, double at_s) {

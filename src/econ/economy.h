@@ -44,18 +44,6 @@ namespace mg::econ {
 struct EconOptions {
   WorkloadSpec workload;
   BrokerPolicy policy = BrokerPolicy::Deadline;
-  /// Seconds between GIS refreshes of the broker's cluster view.
-  double gis_refresh_s = 30;
-  /// Resubmission: first backoff doubles each attempt; jobs exceeding
-  /// max_resubmits are dropped as failed.
-  double resubmit_backoff_s = 5;
-  int max_resubmits = 5;
-  /// Model input staging as fluid flows on the platform network (off = jobs
-  /// enqueue immediately, for pure scheduling studies).
-  bool flow_transfers = true;
-  /// Slot-accounting knobs forwarded to every cluster's BatchQueue.
-  int backfill_window = 64;
-  int oversubscribe = 4;
 };
 
 /// End-of-run accounting, in the availability-report style.
@@ -192,7 +180,6 @@ class GridEconomy {
 
   core::MicroGridPlatform& platform_;
   sim::Simulator& sim_;
-  EconOptions opts_;
   WorkloadGenerator gen_;
   Broker broker_;
   gis::Directory gis_;

@@ -7,6 +7,12 @@
 #include "util/strings.h"
 
 namespace mg::econ {
+namespace {
+
+/// Reference price used to scale budgets (currency per cpu-second).
+constexpr double kRefPrice = 1.0;
+
+}  // namespace
 
 ArrivalProcess parseArrivalProcess(const std::string& s) {
   const std::string t = util::toLower(s);
@@ -44,7 +50,6 @@ void WorkloadSpec::validate() const {
   if (budget_lo <= 0 || budget_hi < budget_lo) {
     throw ConfigError("workload: budget factors need 0 < lo <= hi");
   }
-  if (ref_core_ops <= 0) throw ConfigError("workload: ref_core_ops must be positive");
 }
 
 WorkloadSpec WorkloadSpec::fromConfig(const util::Config& cfg) {
@@ -173,7 +178,7 @@ bool WorkloadGenerator::next(Job& out) {
   out.deadline_s = out.submit_s + deadline_factor * out.est_runtime_s;
 
   // Budget: a multiple of the reference cost of the work itself.
-  const double ref_cost = spec_.ref_price * out.runtime_s * out.cpus;
+  const double ref_cost = kRefPrice * out.runtime_s * out.cpus;
   out.budget = a.budget_scale * attrs_.uniform(spec_.budget_lo, spec_.budget_hi) * ref_cost;
   return true;
 }

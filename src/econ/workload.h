@@ -23,9 +23,14 @@
 
 namespace mg::econ {
 
+/// Reference core speed job runtimes are quoted against (ops/second). The
+/// broker and GridEconomy both rescale runtimes by it.
+inline constexpr double kRefCoreOps = 1e9;
+static_assert(kRefCoreOps > 0);
+
 /// One synthetic job. Runtimes are in *reference-core seconds*: the time the
-/// job needs on a core of WorkloadSpec::ref_core_ops; a faster cluster core
-/// shrinks it proportionally.
+/// job needs on a core of kRefCoreOps; a faster cluster core shrinks it
+/// proportionally.
 struct Job {
   std::int64_t id = 0;
   std::uint32_t user = 0;
@@ -84,10 +89,6 @@ struct WorkloadSpec {
   double deadline_hi = 8.0;
   double budget_lo = 0.8;
   double budget_hi = 3.0;
-  /// Reference core speed runtimes are quoted against (ops/second).
-  double ref_core_ops = 1e9;
-  /// Reference price used to scale budgets (currency per cpu-second).
-  double ref_price = 1.0;
 
   /// Read a [workload] section; missing keys keep their defaults. Throws
   /// ConfigError on out-of-range values.

@@ -30,6 +30,15 @@ std::string jobStateName(JobState s) {
 
 namespace {
 
+/// Modeled cost of authentication (the GSI stand-in), in operations on the
+/// gatekeeper's host CPU.
+constexpr double kAuthOps = 2e6;
+/// Runtime estimate (seconds) used for EASY reservations when the RSL
+/// carries no `maxwalltime` attribute.
+constexpr double kDefaultEstSeconds = 60;
+/// Retry backoff growth per attempt.
+constexpr double kRetryBackoffMultiplier = 2.0;
+
 struct JobRecord {
   JobStatus status;
   bool cancel_requested = false;
@@ -203,7 +212,7 @@ std::string handleRequest(vos::HostContext& ctx, const ExecutableRegistry& regis
     std::string rsl_text = lines[2];
     for (std::size_t i = 3; i < lines.size(); ++i) rsl_text += "\n" + lines[i];
     // Authentication (GSI stand-in) costs CPU on the gatekeeper host.
-    ctx.compute(opts.auth_ops);
+    ctx.compute(kAuthOps);
     if (!opts.required_subject.empty() && subject != opts.required_subject) {
       return "ERR\nauthentication failed for subject '" + subject + "'";
     }
@@ -231,7 +240,7 @@ std::string handleRequest(vos::HostContext& ctx, const ExecutableRegistry& regis
                            std::to_string(state->batch->maxWidth());
         state->done.notifyAll();
       } else {
-        double est = opts.batch.default_est_seconds;
+        double est = kDefaultEstSeconds;
         if (rsl.has("maxwalltime")) {
           try {
             est = util::parseTime(rsl.get("maxwalltime"));
@@ -367,7 +376,7 @@ std::string GramClient::request(const std::string& host, const std::string& payl
     }
     c_retries_.inc();
     ctx_.sleep(backoff);
-    backoff *= retry_.multiplier;
+    backoff *= kRetryBackoffMultiplier;
   }
 }
 

@@ -41,9 +41,8 @@ struct GatekeeperOptions {
   /// When non-empty, SUBMIT requests must present this subject (a stand-in
   /// for GSI credential checking).
   std::string required_subject;
-  /// Modeled cost of authentication + jobmanager startup, in operations on
-  /// the gatekeeper's host CPU.
-  double auth_ops = 2e6;
+  /// Modeled cost of jobmanager startup, in operations on the gatekeeper's
+  /// host CPU. Authentication before it has a fixed cost (DESIGN.md §12).
   double jobmanager_startup_ops = 5e6;
   /// Batch jobmanager mode. When enabled, SUBMIT enqueues the job into an
   /// econ::BatchQueue (slots = `queue.slots` cores; RSL `count` is the
@@ -54,9 +53,6 @@ struct GatekeeperOptions {
   struct BatchMode {
     bool enabled = false;
     econ::BatchQueue::Options queue;
-    /// Runtime estimate (seconds) used for EASY reservations when the RSL
-    /// carries no `maxwalltime` attribute.
-    double default_est_seconds = 60;
   } batch;
 };
 
@@ -69,7 +65,6 @@ void serveGatekeeper(vos::HostContext& ctx, const ExecutableRegistry& registry,
 struct GramRetryPolicy {
   int attempts = 4;              // total tries per request
   double backoff_seconds = 0.5;  // sleep before the first retry
-  double multiplier = 2.0;
 };
 
 /// The globusrun-style client.

@@ -39,7 +39,6 @@ FlowEngine::FlowEngine(NetworkModel& model, FlowNetworkOptions opts)
       g_active_(sim_.metrics().gauge("net.flow.active")),
       g_peak_(sim_.metrics().gauge("net.flow.active_peak")),
       h_scope_(sim_.metrics().histogram("net.flow.recompute_flows", 0, 4096, 64)) {
-  if (opts_.byte_overhead < 1.0) throw ConfigError("flow byte_overhead must be >= 1");
   const auto links = static_cast<std::size_t>(model_.topology().linkCount());
   dlink_flows_.resize(links * 2);
   dlink_mark_.assign(links * 2, 0);
@@ -59,7 +58,7 @@ double FlowEngine::nowNetSeconds() const {
 
 sim::SimTime FlowEngine::estimate(NodeId src, NodeId dst, std::int64_t payload_bytes) const {
   if (payload_bytes < 0) throw UsageError("negative transfer size");
-  if (src == dst) return opts_.per_message_overhead;
+  if (src == dst) return kPerMessageOverhead;
   const Topology& topo = model_.topology();
   if (src < 0 || src >= topo.nodeCount() || dst < 0 || dst >= topo.nodeCount()) {
     throw UsageError("flow endpoint out of range");
@@ -73,14 +72,14 @@ sim::SimTime FlowEngine::estimate(NodeId src, NodeId dst, std::int64_t payload_b
   });
   if (!routed) throw ConfigError("no route between nodes");
   if (bottleneck <= 0.0) throw ConfigError("route has zero capacity (degraded link)");
-  const double wire_bits = static_cast<double>(payload_bytes) * opts_.byte_overhead * 8.0;
-  return opts_.per_message_overhead + latency + sim::fromSeconds(wire_bits / bottleneck);
+  const double wire_bits = static_cast<double>(payload_bytes) * kByteOverhead * 8.0;
+  return kPerMessageOverhead + latency + sim::fromSeconds(wire_bits / bottleneck);
 }
 
 FlowId FlowEngine::start(NodeId src, NodeId dst, std::int64_t payload_bytes,
                          CompleteFn on_complete, AbortFn on_abort, DrainFn on_drain) {
   if (payload_bytes < 0) throw UsageError("negative transfer size");
-  const double wire_bits = static_cast<double>(payload_bytes) * opts_.byte_overhead * 8.0;
+  const double wire_bits = static_cast<double>(payload_bytes) * kByteOverhead * 8.0;
   return startBits(src, dst, wire_bits, payload_bytes, std::move(on_complete),
                    std::move(on_abort), 0, std::move(on_drain));
 }
@@ -99,7 +98,7 @@ FlowId FlowEngine::startBits(NodeId src, NodeId dst, double wire_bits,
     // Loopback never touches the wire: per-message software overhead only.
     // No link capacity is held, so the drain boundary is immediate.
     if (on_drain) sim_.scheduleAt(sim_.now(), std::move(on_drain));
-    sim_.scheduleAfter(model_.scaleDuration(opts_.per_message_overhead),
+    sim_.scheduleAfter(model_.scaleDuration(kPerMessageOverhead),
                        [this, cb = std::move(on_complete)] {
                          c_completed_.inc();
                          if (cb) cb();
@@ -132,7 +131,7 @@ FlowId FlowEngine::startBits(NodeId src, NodeId dst, double wire_bits,
     // Zero-length payloads (EOF markers, bare signals) ride the latency +
     // overhead path without ever occupying link capacity.
     if (on_drain) sim_.scheduleAt(sim_.now(), std::move(on_drain));
-    sim_.scheduleAfter(model_.scaleDuration(f.latency + opts_.per_message_overhead),
+    sim_.scheduleAfter(model_.scaleDuration(f.latency + kPerMessageOverhead),
                        [this, cb = std::move(f.on_complete)] {
                          c_completed_.inc();
                          if (cb) cb();
@@ -401,7 +400,7 @@ void FlowEngine::finishDrain(FlowId id) {
   // The last bit leaves the source when the drain finishes; it still has to
   // propagate (path latency) and clear the receive stack (per-message
   // overhead) before the receiver sees the message.
-  const sim::SimTime tail = f.latency + opts_.per_message_overhead;
+  const sim::SimTime tail = f.latency + kPerMessageOverhead;
   sim_.scheduleAfter(model_.scaleDuration(tail),
                      [this, cb = std::move(f.on_complete), span = f.span, owns = f.owns_span] {
                        if (owns) sim_.spans().end(span);

@@ -41,14 +41,16 @@
 
 namespace mg::net {
 
+/// Fixed per-message software/protocol overhead (both endpoints total).
+inline constexpr sim::SimTime kPerMessageOverhead = 60 * sim::kMicrosecond;
+/// Wire bytes per payload byte (headers + framing); 1538/1460 for
+/// TCP/IPv4 over Ethernet at full-MSS segments.
+inline constexpr double kByteOverhead = 1538.0 / 1460.0;
+static_assert(kByteOverhead >= 1.0, "wire size cannot be below payload size");
+
 struct FlowNetworkOptions {
   /// Kernel-clock nanoseconds per network nanosecond (see PacketNetwork).
   double time_scale = 1.0;
-  /// Fixed per-message software/protocol overhead (both endpoints total).
-  sim::SimTime per_message_overhead = 60 * sim::kMicrosecond;
-  /// Wire bytes per payload byte (headers + framing); 1538/1460 for
-  /// TCP/IPv4 over Ethernet at full-MSS segments.
-  double byte_overhead = 1538.0 / 1460.0;
   /// Component-scoped recompute (the default). `false` re-runs progressive
   /// filling over *all* flows on every change — the slow full-recompute
   /// oracle the incremental engine is property-tested against; results are
@@ -92,7 +94,7 @@ class FlowEngine {
   FlowEngine(const FlowEngine&) = delete;
   FlowEngine& operator=(const FlowEngine&) = delete;
 
-  /// Start a flow of `payload_bytes` (wire size = payload * byte_overhead).
+  /// Start a flow of `payload_bytes` (wire size = payload * kByteOverhead).
   /// on_complete fires in event context when the last bit has drained plus
   /// path latency plus per-message overhead; on_abort fires instead if a
   /// link or node on the flow's route goes down mid-transfer. Throws
@@ -113,7 +115,7 @@ class FlowEngine {
   void sendPacket(Packet&& pkt);
 
   /// Modeled duration of an uncontended transfer (no flow started):
-  /// per_message_overhead + path latency + wire_bits / bottleneck. Throws
+  /// kPerMessageOverhead + path latency + wire_bits / bottleneck. Throws
   /// ConfigError when the route exists but has been degraded to zero
   /// capacity (an uncontended transfer would never finish).
   sim::SimTime estimate(NodeId src, NodeId dst, std::int64_t payload_bytes) const;
@@ -148,7 +150,6 @@ class FlowEngine {
   /// accounting invariants; used by debug asserts after aborts and by
   /// consistency tests.
   bool indexConsistent() const;
-  const FlowNetworkOptions& options() const { return opts_; }
   FlowNetworkStats stats() const;
 
   /// Fold every active flow's dynamic state (remaining bits, rate, stall
@@ -284,7 +285,6 @@ class FlowNetwork : public NetworkModel {
   FlowEngine* flows() override { return &engine_; }
   FlowEngine& engine() { return engine_; }
 
-  const FlowNetworkOptions& options() const { return engine_.options(); }
   FlowNetworkStats stats() const { return engine_.stats(); }
 
   /// Modeled duration of an uncontended transfer.

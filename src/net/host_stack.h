@@ -11,8 +11,7 @@ namespace mg::net {
 
 class HostStack {
  public:
-  HostStack(NetworkModel& net, NodeId node, TcpOptions tcp_opts = {})
-      : tcp_(net, node, tcp_opts), udp_(net, node) {
+  HostStack(NetworkModel& net, NodeId node) : tcp_(net, node), udp_(net, node) {
     net.attachHost(node, [this](Packet&& pkt) {
       if (pkt.protocol == Protocol::Tcp) {
         tcp_.onPacket(std::move(pkt));

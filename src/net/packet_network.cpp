@@ -4,10 +4,15 @@
 #include "util/log.h"
 
 namespace mg::net {
+namespace {
+
+/// Per-packet processing delay at each intermediate router.
+constexpr sim::SimTime kRouterForwardDelay = 10 * sim::kMicrosecond;
+
+}  // namespace
 
 PacketNetwork::PacketNetwork(sim::Simulator& sim, Topology topo, PacketNetworkOptions opts)
     : NetworkModel(sim, std::move(topo), opts.time_scale),
-      opts_(opts),
       c_sent_(sim.metrics().counter("net.packet.sent")),
       c_delivered_(sim.metrics().counter("net.packet.delivered")),
       c_dropped_queue_(sim.metrics().counter("net.packet.dropped_queue")),
@@ -81,7 +86,7 @@ void PacketNetwork::send(Packet&& pkt) {
   // Sender-side protocol stack cost. The packet parks in a flight slot so
   // the event captures 8 bytes, not a Packet.
   const std::uint32_t slot = parkInFlight(std::move(pkt));
-  sim_.scheduleAfter(scaled(opts_.host_stack_delay), [this, slot] {
+  sim_.scheduleAfter(scaled(kHostStackDelay), [this, slot] {
     Packet p = takeInFlight(slot);
     forward(p.src, std::move(p));
   });
@@ -160,7 +165,7 @@ void PacketNetwork::startTransmit(LinkId link, NodeId from) {
       const NodeId to = topo_.peer(link, from);
       const bool at_destination = (to == pkt.dst);
       const sim::SimTime hop_delay =
-          lk.latency + (at_destination ? opts_.host_stack_delay : opts_.router_forward_delay);
+          lk.latency + (at_destination ? kHostStackDelay : kRouterForwardDelay);
       const std::uint32_t slot = parkInFlight(std::move(pkt));
       sim_.scheduleAfter(scaled(hop_delay), [this, to, slot] {
         Packet p = takeInFlight(slot);

@@ -20,13 +20,12 @@
 
 namespace mg::net {
 
+/// Per-packet host protocol-stack overhead (send and receive side each).
+inline constexpr sim::SimTime kHostStackDelay = 15 * sim::kMicrosecond;
+
 struct PacketNetworkOptions {
   /// Kernel-clock nanoseconds per network nanosecond.
   double time_scale = 1.0;
-  /// Per-packet processing delay at each intermediate router.
-  sim::SimTime router_forward_delay = 10 * sim::kMicrosecond;
-  /// Per-packet host protocol-stack overhead (send and receive side each).
-  sim::SimTime host_stack_delay = 15 * sim::kMicrosecond;
   /// Seed for the loss process.
   std::uint64_t seed = 0xC0FFEE;
 };
@@ -56,14 +55,10 @@ class PacketNetwork : public NetworkModel {
   NetModelKind kind() const override { return NetModelKind::Packet; }
 
   PacketNetworkStats stats() const;
-  const PacketNetworkOptions& options() const { return opts_; }
 
   /// Inject a packet at its source node. Takes the full path through link
   /// queues; delivery invokes the destination node's handler.
   void send(Packet&& pkt) override;
-
-  /// Kept for call-site compatibility; identical to net::LinkParams.
-  using LinkParams = net::LinkParams;
 
   /// Time-resolved probes (DESIGN.md §10): delivered/wire-byte rates plus
   /// one net.packet.link_util.<name> series per link — the summed duplex
@@ -112,7 +107,6 @@ class PacketNetwork : public NetworkModel {
   std::uint32_t parkInFlight(Packet&& pkt);
   Packet takeInFlight(std::uint32_t slot);
 
-  PacketNetworkOptions opts_;
   // net.packet.* counter handles, resolved once against sim_.metrics().
   obs::Counter& c_sent_;
   obs::Counter& c_delivered_;

@@ -6,16 +6,30 @@
 #include "util/log.h"
 
 namespace mg::net {
+namespace {
+
+// Transport constants (DESIGN.md §12). Times are virtual and
+// pass through kernelTime() before they are scheduled.
+constexpr std::int64_t kSendBuffer = 1 << 20;  // bytes
+constexpr std::int64_t kRecvBuffer = 1 << 20;  // bytes
+constexpr std::int64_t kInitialCwnd = 2 * kTcpMss;
+constexpr std::int64_t kInitialSsthresh = 64 * 1024;
+constexpr sim::SimTime kMinRto = 200 * sim::kMillisecond;
+constexpr sim::SimTime kMaxRto = 10 * sim::kSecond;
+constexpr sim::SimTime kSynTimeout = 1 * sim::kSecond;
+constexpr int kSynRetries = 5;
+constexpr sim::SimTime kPersistInterval = 500 * sim::kMillisecond;
+
+}  // namespace
 
 // ===========================================================================
 // TcpConnection
 // ===========================================================================
 
 TcpConnection::TcpConnection(TcpStack& stack, NodeId remote_node, std::uint16_t local_port,
-                             std::uint16_t remote_port, const TcpOptions& opts)
+                             std::uint16_t remote_port)
     : stack_(stack),
       sim_(stack.simulator()),
-      opts_(opts),
       local_node_(stack.node()),
       remote_node_(remote_node),
       local_port_(local_port),
@@ -23,10 +37,10 @@ TcpConnection::TcpConnection(TcpStack& stack, NodeId remote_node, std::uint16_t 
       established_cond_(sim_),
       readable_(sim_),
       writable_(sim_) {
-  cwnd_ = static_cast<double>(opts_.initial_cwnd);
-  ssthresh_ = static_cast<double>(opts_.initial_ssthresh);
-  rto_ = kernelTime(opts_.min_rto * 5);  // conservative until the first RTT sample
-  last_advertised_window_ = opts_.recv_buffer;
+  cwnd_ = static_cast<double>(kInitialCwnd);
+  ssthresh_ = static_cast<double>(kInitialSsthresh);
+  rto_ = kernelTime(kMinRto * 5);  // conservative until the first RTT sample
+  last_advertised_window_ = kRecvBuffer;
 }
 
 sim::SimTime TcpConnection::kernelTime(sim::SimTime virtual_time) const {
@@ -50,7 +64,7 @@ Packet TcpConnection::makePacket(std::uint8_t flags) const {
 
 std::int64_t TcpConnection::advertisedWindow() const {
   const std::int64_t used = static_cast<std::int64_t>(recv_buf_.size()) + out_of_order_bytes_;
-  return std::max<std::int64_t>(0, opts_.recv_buffer - used);
+  return std::max<std::int64_t>(0, kRecvBuffer - used);
 }
 
 std::int64_t TcpConnection::effectiveWindow() const {
@@ -65,8 +79,7 @@ void TcpConnection::send(const void* data, std::size_t n) {
   std::size_t remaining = n;
   while (remaining > 0) {
     if (error_) throw ConnectionReset(error_what_);
-    const std::int64_t space =
-        opts_.send_buffer - static_cast<std::int64_t>(send_buf_.size());
+    const std::int64_t space = kSendBuffer - static_cast<std::int64_t>(send_buf_.size());
     if (space <= 0) {
       writable_.wait();
       continue;
@@ -137,10 +150,10 @@ void TcpConnection::sendSyn(bool is_retry) {
   Packet p = makePacket(kFlagSyn);
   stack_.network().send(std::move(p));
   auto self = shared_from_this();
-  const sim::SimTime backoff = kernelTime(opts_.syn_timeout) * (1ll << (syn_attempts_ - 1));
+  const sim::SimTime backoff = kernelTime(kSynTimeout) * (1ll << (syn_attempts_ - 1));
   rto_event_ = sim_.scheduleAfter(backoff, [self] {
     if (self->state_ != State::SynSent) return;
-    if (self->syn_attempts_ >= self->opts_.syn_retries) {
+    if (self->syn_attempts_ >= kSynRetries) {
       self->enterError("connect timed out");
     } else {
       self->sendSyn(true);
@@ -258,7 +271,7 @@ void TcpConnection::onRtoFire() {
   dup_acks_ = 0;
   in_recovery_ = false;
   rtt_pending_ = false;  // Karn: discard sample that spans a retransmit
-  rto_ = std::min(rto_ * 2, kernelTime(opts_.max_rto));
+  rto_ = std::min(rto_ * 2, kernelTime(kMaxRto));
   if (data_outstanding) {
     snd_nxt_ = snd_una_;  // go-back-N; later segments resend as cwnd reopens
     const std::uint64_t end = dataEnd();
@@ -280,7 +293,7 @@ void TcpConnection::onRtoFire() {
 void TcpConnection::armPersist() {
   if (persist_event_ != 0) return;
   auto self = shared_from_this();
-  persist_event_ = sim_.scheduleAfter(kernelTime(opts_.persist_interval), [self] {
+  persist_event_ = sim_.scheduleAfter(kernelTime(kPersistInterval), [self] {
     self->persist_event_ = 0;
     self->onPersistFire();
   });
@@ -382,7 +395,7 @@ void TcpConnection::onAck(std::uint64_t ack, std::int64_t window, bool pure_ack)
       } else {
         cwnd_ += static_cast<double>(kTcpMss) * kTcpMss / cwnd_;  // CA: ~MSS per RTT
       }
-      cwnd_ = std::min(cwnd_, static_cast<double>(opts_.send_buffer));
+      cwnd_ = std::min(cwnd_, static_cast<double>(kSendBuffer));
     }
     if (fin_sent_ && ack > fin_seq_) fin_acked_ = true;
     cancelRto();
@@ -477,7 +490,7 @@ void TcpConnection::updateRttEstimate(sim::SimTime sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, kernelTime(opts_.min_rto), kernelTime(opts_.max_rto));
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kernelTime(kMinRto), kernelTime(kMaxRto));
 }
 
 void TcpConnection::enterError(const std::string& what) {
@@ -537,10 +550,9 @@ void TcpListener::close() {
 // TcpStack
 // ===========================================================================
 
-TcpStack::TcpStack(NetworkModel& net, NodeId node, TcpOptions opts)
+TcpStack::TcpStack(NetworkModel& net, NodeId node)
     : net_(net),
       node_(node),
-      opts_(opts),
       c_connections_(net.simulator().metrics().counter("net.tcp.connections")),
       c_segments_(net.simulator().metrics().counter("net.tcp.segments_sent")),
       c_retransmits_(net.simulator().metrics().counter("net.tcp.retransmits")),
@@ -574,7 +586,7 @@ std::uint16_t TcpStack::allocateEphemeralPort() {
 
 std::shared_ptr<TcpConnection> TcpStack::connect(NodeId dst, std::uint16_t port) {
   const std::uint16_t lport = allocateEphemeralPort();
-  auto conn = std::shared_ptr<TcpConnection>(new TcpConnection(*this, dst, lport, port, opts_));
+  auto conn = std::shared_ptr<TcpConnection>(new TcpConnection(*this, dst, lport, port));
   connections_[ConnKey{lport, dst, port}] = conn;
   conn->startConnect();
   while (conn->state_ != TcpConnection::State::Established && !conn->error_) {
@@ -598,7 +610,7 @@ void TcpStack::onPacket(Packet&& pkt) {
     auto lit = listeners_.find(pkt.dst_port);
     if (lit != listeners_.end() && !lit->second->closed_) {
       auto conn = std::shared_ptr<TcpConnection>(
-          new TcpConnection(*this, pkt.src, pkt.dst_port, pkt.src_port, opts_));
+          new TcpConnection(*this, pkt.src, pkt.dst_port, pkt.src_port));
       conn->state_ = TcpConnection::State::SynReceived;
       conn->peer_window_ = pkt.window;
       connections_[key] = conn;

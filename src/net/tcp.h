@@ -37,18 +37,6 @@ class ConnectionRefused : public mg::Error {
   explicit ConnectionRefused(const std::string& what) : mg::Error("connection refused: " + what) {}
 };
 
-struct TcpOptions {
-  std::int64_t send_buffer = 1 << 20;   // bytes
-  std::int64_t recv_buffer = 1 << 20;   // bytes
-  std::int64_t initial_cwnd = 2 * kTcpMss;
-  std::int64_t initial_ssthresh = 64 * 1024;
-  sim::SimTime min_rto = 200 * sim::kMillisecond;  // virtual time
-  sim::SimTime max_rto = 10 * sim::kSecond;
-  sim::SimTime syn_timeout = 1 * sim::kSecond;
-  int syn_retries = 5;
-  sim::SimTime persist_interval = 500 * sim::kMillisecond;
-};
-
 class TcpStack;
 
 /// One established (or in-progress) connection endpoint.
@@ -87,7 +75,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   enum class State { SynSent, SynReceived, Established, Closed };
 
   TcpConnection(TcpStack& stack, NodeId remote_node, std::uint16_t local_port,
-                std::uint16_t remote_port, const TcpOptions& opts);
+                std::uint16_t remote_port);
 
   // -- protocol engine (event context) --
   void onPacket(Packet&& pkt);
@@ -117,7 +105,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   TcpStack& stack_;
   sim::Simulator& sim_;
-  TcpOptions opts_;
 
   NodeId local_node_;
   NodeId remote_node_;
@@ -202,7 +189,7 @@ class TcpListener {
 /// The per-host TCP endpoint table. Packets are fed in by HostStack.
 class TcpStack {
  public:
-  TcpStack(NetworkModel& net, NodeId node, TcpOptions opts = {});
+  TcpStack(NetworkModel& net, NodeId node);
   ~TcpStack();
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -228,7 +215,6 @@ class TcpStack {
   NodeId node() const { return node_; }
   NetworkModel& network() { return net_; }
   sim::Simulator& simulator() { return net_.simulator(); }
-  const TcpOptions& options() const { return opts_; }
 
   /// Connections still in the endpoint table — everything that is neither
   /// fully closed (FINs exchanged and drained) nor reset. The explorer's
@@ -259,7 +245,6 @@ class TcpStack {
 
   NetworkModel& net_;
   NodeId node_;
-  TcpOptions opts_;
   // Host-wide transport counters: every stack on a simulator resolves the
   // same `net.tcp.*` registry entries, so these aggregate across hosts.
   obs::Counter& c_connections_;

@@ -6,6 +6,12 @@
 #include "util/error.h"
 
 namespace mg::obs {
+namespace {
+
+/// Probes registered past this cap are ignored (droppedProbes() counts them).
+constexpr std::size_t kMaxProbes = 4096;
+
+}  // namespace
 
 TelemetrySampler::TelemetrySampler(TimeSeriesRecorder& recorder, Host host, Options opts)
     : recorder_(recorder), host_(std::move(host)), opts_(opts) {
@@ -17,7 +23,7 @@ TelemetrySampler::TelemetrySampler(TimeSeriesRecorder& recorder, Host host, Opti
 
 void TelemetrySampler::addProbe(Probe p) {
   if (started_) throw UsageError("TelemetrySampler probes must be registered before start()");
-  if (probes_.size() >= opts_.max_probes) {
+  if (probes_.size() >= kMaxProbes) {
     ++dropped_probes_;
     return;
   }

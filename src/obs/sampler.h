@@ -41,9 +41,6 @@ class TelemetrySampler {
 
   struct Options {
     std::int64_t interval_ns = 100'000'000;  // 100 ms
-    /// Probes registered past this cap are ignored (droppedProbes() counts
-    /// them) — per-link registration on huge topologies stays bounded.
-    std::size_t max_probes = 4096;
   };
 
   TelemetrySampler(TimeSeriesRecorder& recorder, Host host)
@@ -73,6 +70,8 @@ class TelemetrySampler {
   void finish();
 
   std::int64_t ticks() const { return ticks_; }
+  /// Probes registered past a fixed cap of 4096 are ignored and counted
+  /// here, so per-link registration on huge topologies stays bounded.
   std::int64_t droppedProbes() const { return dropped_probes_; }
   std::int64_t intervalNs() const { return opts_.interval_ns; }
 

@@ -46,15 +46,37 @@ bool ConfigSection::getBool(std::string_view key) const {
   throw ConfigError("key '" + std::string(key) + "' = '" + s + "' is not a boolean");
 }
 
-double ConfigSection::getBandwidth(std::string_view key) const {
-  return parseBandwidth(getString(key));
+namespace {
+
+/// Run a unit parser on a key's value; a ParseError gains the key and section
+/// so the user can find the bad line.
+template <class Parse>
+auto parseKey(const ConfigSection& sec, std::string_view key, Parse parse) {
+  const std::string& value = sec.getString(key);
+  try {
+    return parse(value);
+  } catch (const ParseError& e) {
+    std::string_view why = e.what();
+    constexpr std::string_view kPrefix = "parse error: ";
+    if (why.starts_with(kPrefix)) why.remove_prefix(kPrefix.size());
+    throw ParseError(format("key '%s' in section [%s %s]: %s", std::string(key).c_str(),
+                            sec.type().c_str(), sec.name().c_str(), std::string(why).c_str()));
+  }
 }
-double ConfigSection::getTime(std::string_view key) const { return parseTime(getString(key)); }
+
+}  // namespace
+
+double ConfigSection::getBandwidth(std::string_view key) const {
+  return parseKey(*this, key, parseBandwidth);
+}
+double ConfigSection::getTime(std::string_view key) const {
+  return parseKey(*this, key, parseTime);
+}
 std::int64_t ConfigSection::getSize(std::string_view key) const {
-  return parseSize(getString(key));
+  return parseKey(*this, key, parseSize);
 }
 double ConfigSection::getComputeRate(std::string_view key) const {
-  return parseComputeRate(getString(key));
+  return parseKey(*this, key, parseComputeRate);
 }
 
 std::string ConfigSection::getString(std::string_view key, std::string_view fallback) const {

@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
@@ -119,7 +120,7 @@ std::optional<double> parseDouble(std::string_view s) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(str, &pos);
-    if (trim(std::string_view(str).substr(pos)).empty()) return v;
+    if (std::isfinite(v) && trim(std::string_view(str).substr(pos)).empty()) return v;
   } catch (const std::exception&) {
   }
   return std::nullopt;

@@ -40,8 +40,9 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 bool globMatch(std::string_view pattern, std::string_view text);
 
 /// Parse the whole of `s` as an integer / a number; surrounding whitespace
-/// is allowed. Empty strings, trailing junk ("5abc", or "1e6" as an integer)
-/// and out-of-range values give nullopt.
+/// is allowed. Empty strings, trailing junk ("5abc", or "1e6" as an integer),
+/// out-of-range values and non-finite numbers ("nan", "inf") give nullopt,
+/// so range checks written as `x <= 0` cannot be slipped past with NaN.
 std::optional<std::int64_t> parseInt(std::string_view s);
 std::optional<double> parseDouble(std::string_view s);
 

@@ -26,6 +26,9 @@ Quantity parseQuantity(std::string_view s, std::string_view what) {
   if (end == text.c_str()) {
     throw ParseError("no numeric value in " + std::string(what) + " '" + text + "'");
   }
+  if (!std::isfinite(v)) {
+    throw ParseError("non-finite value in " + std::string(what) + " '" + text + "'");
+  }
   std::string suffix(trim(std::string_view(end)));
   return {v, suffix};
 }

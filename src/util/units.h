@@ -7,6 +7,8 @@
 //   MemorySize=100MBytes
 //   speed=100Mbps 50ms
 // so the parsers here accept both bare numbers and suffixed quantities.
+// Every parser throws ParseError on a non-finite number ("nan", "inf", or an
+// overflow such as "1e999"), so NaN never reaches a range check.
 #pragma once
 
 #include <cstdint>

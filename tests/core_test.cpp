@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/launcher.h"
 #include "core/microgrid_platform.h"
@@ -249,7 +250,6 @@ TEST(ReferencePlatform, MemoryEnforced) {
 TEST(MicroGridPlatform, RateFollowsConfig) {
   auto cfg = topologies::alphaCluster();  // SR = 1
   MicroGridOptions opts;
-  opts.utilization = 0.9;
   MicroGridPlatform p(cfg, opts);
   EXPECT_NEAR(p.rate(), 0.9, 1e-12);
 
@@ -262,6 +262,22 @@ TEST(MicroGridPlatform, RateFollowsConfig) {
   ovr.rate_override = 0.04;  // the paper's Fig 17 rate
   MicroGridPlatform po(cfg, ovr);
   EXPECT_DOUBLE_EQ(po.rate(), 0.04);
+}
+
+TEST(MicroGridPlatform, RateMustBeFiniteAndPositive) {
+  auto cfg = topologies::alphaCluster();
+  MicroGridOptions nan_override;
+  nan_override.rate_override = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(MicroGridPlatform(cfg, nan_override), ConfigError);
+  MicroGridOptions zero_slowdown;
+  zero_slowdown.slowdown = 0;  // rate = max_feasible * utilization / 0 = inf
+  EXPECT_THROW(MicroGridPlatform(cfg, zero_slowdown), ConfigError);
+  MicroGridOptions nan_slowdown;
+  nan_slowdown.slowdown = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(MicroGridPlatform(cfg, nan_slowdown), ConfigError);
+  MicroGridOptions negative;
+  negative.slowdown = -1;
+  EXPECT_THROW(MicroGridPlatform(cfg, negative), ConfigError);
 }
 
 TEST(MicroGridPlatform, ComputeMatchesVirtualSpeed) {

@@ -87,6 +87,17 @@ TEST(FaultPlanTest, RejectsInvalidSections) {
   EXPECT_THROW(parse("[fault f]\nat = 1s\nkind = link_degrade\ntarget = eth0\n"), ConfigError);
   // Time must be non-negative.
   EXPECT_THROW(parse("[fault f]\nat = -1s\nkind = link_down\ntarget = eth0\n"), mg::Error);
+  // NaN fails every comparison, so it would pass the range checks above;
+  // the number and unit parsers reject it (and inf) first.
+  EXPECT_THROW(parse("[fault f]\nat = 1s\nkind = cpu_brownout\ntarget = h\nfactor = nan\n"),
+               ConfigError);
+  EXPECT_THROW(parse("[fault f]\nat = 1s\nkind = cpu_brownout\ntarget = h\nfactor = inf\n"),
+               ConfigError);
+  EXPECT_THROW(parse("[fault f]\nat = 1s\nkind = link_degrade\ntarget = eth0\nloss = nan\n"),
+               ConfigError);
+  EXPECT_THROW(parse("[fault f]\nat = nan\nkind = link_down\ntarget = eth0\n"), mg::ParseError);
+  EXPECT_THROW(parse("[fault f]\nat = 1s\nkind = host_crash\ntarget = h\nduration = inf\n"),
+               mg::ParseError);
 }
 
 TEST(FaultPlanTest, MergeKeepsStableTimeOrder) {

@@ -296,7 +296,7 @@ TEST(PacketNetwork, DeliversWithExpectedTiming) {
   const SimTime tx = st::fromSeconds(p.wireBytes() * 8.0 / 100e6);
   sim.spawn("send", [&] { net.send(std::move(p)); });
   sim.run();
-  const SimTime expected = opts.host_stack_delay + tx + st::fromSeconds(0.1e-3) + opts.host_stack_delay;
+  const SimTime expected = kHostStackDelay + tx + st::fromSeconds(0.1e-3) + kHostStackDelay;
   EXPECT_NEAR(static_cast<double>(delivered_at), static_cast<double>(expected), 1000.0);
   EXPECT_EQ(net.stats().packets_delivered, 1);
   EXPECT_EQ(net.stats().bytes_delivered, 1000);
@@ -930,9 +930,9 @@ TEST(FlowNetwork, EstimateMatchesFormula) {
   FlowNetworkOptions opts;
   FlowNetwork fn(sim, lineTopo(100e6, 10e6), opts);
   const std::int64_t bytes = 1'000'000;
-  const double wire_bits = bytes * opts.byte_overhead * 8.0;
+  const double wire_bits = bytes * kByteOverhead * 8.0;
   const SimTime expected =
-      opts.per_message_overhead + st::fromSeconds(3e-3) + st::fromSeconds(wire_bits / 10e6);
+      kPerMessageOverhead + st::fromSeconds(3e-3) + st::fromSeconds(wire_bits / 10e6);
   EXPECT_NEAR(static_cast<double>(fn.estimate(0, 2, bytes)), static_cast<double>(expected), 10.0);
 }
 
@@ -1085,7 +1085,7 @@ TEST(FlowMaxMin, ReShareOnCompletionOracle) {
     eng.startBits(0, 1, 2.5e6, 0, [&] { done_b = sim.now(); }, {});
   });
   sim.run();
-  const double tail = 1e-3 + st::toSeconds(opts.per_message_overhead);
+  const double tail = 1e-3 + st::toSeconds(kPerMessageOverhead);
   EXPECT_NEAR(st::toSeconds(done_b), 0.05 + tail, 1e-6);
   EXPECT_NEAR(st::toSeconds(done_a), 0.125 + tail, 1e-6);
 }
@@ -1141,7 +1141,7 @@ TEST(FlowMaxMin, DegradeResharesMidFlow) {
     fn.applyLinkParams(0, p);
   });
   sim.run();
-  const double tail = 1e-3 + st::toSeconds(opts.per_message_overhead);
+  const double tail = 1e-3 + st::toSeconds(kPerMessageOverhead);
   EXPECT_NEAR(st::toSeconds(done), 0.16 + tail, 1e-6);
   EXPECT_GT(eng.linkUtilization(0), 0.0);
 }
@@ -1171,7 +1171,7 @@ TEST(FlowNetwork, SameNodeTransferIsJustOverhead) {
   SimTime took = -1;
   sim.spawn("p", [&] { took = fn.transfer(0, 0, 12345); });
   sim.run();
-  EXPECT_EQ(took, opts.per_message_overhead);
+  EXPECT_EQ(took, kPerMessageOverhead);
 }
 
 TEST(FlowNetwork, TimeScaleInvariantInNetworkTime) {
@@ -1238,7 +1238,7 @@ TEST(FlowMaxMin, DegradeToZeroStallsThenResumes) {
   EXPECT_EQ(fn.stats().flows_stalled, 1);
   EXPECT_EQ(fn.stats().flows_completed, 1);
   EXPECT_FALSE(eng.isStalled(f));  // gone: not stalled
-  const double tail = 1e-3 + st::toSeconds(opts.per_message_overhead);
+  const double tail = 1e-3 + st::toSeconds(kPerMessageOverhead);
   EXPECT_NEAR(st::toSeconds(done), 0.16 + tail, 1e-6);
 }
 

@@ -490,6 +490,136 @@ TEST(FlowIncrementalProperty, MatchesFullRecomputeOracleOn100Seeds) {
   }
 }
 
+// ------------------------------------ flow sockets vs the reference -----
+
+// ReferencePlatform and MicroGridPlatform under --netmodel=flow share one
+// FlowNetwork/FlowEndpointTable wiring; at rate 1 every time conversion
+// between them is an identity (x * 1.0, x / 1.0). So on socket-only
+// workloads — no compute, which is where the two platforms differ — every
+// virtual timestamp must be equal, not merely close. The workloads mix
+// random sleeps before connect, payloads on both sides of the 1 MiB
+// chunk/window boundary, replies, and closes observed as EOF.
+namespace {
+
+struct SocketJob {
+  int client = 0, server = 0;
+  double sleep_s = 0;
+  std::size_t request = 0, reply = 0;
+};
+
+std::vector<SocketJob> makeSocketJobs(util::Rng& rng, int hosts) {
+  constexpr std::size_t kMiB = 1 << 20;
+  const std::size_t sizes[] = {1,        1000,     kMiB - 1,          kMiB,
+                               kMiB + 1, 2 * kMiB, 2 * kMiB + 12345, 3 * kMiB + kMiB / 2};
+  std::vector<SocketJob> jobs(1 + rng.below(4));
+  for (SocketJob& j : jobs) {
+    j.client = static_cast<int>(rng.below(static_cast<std::uint64_t>(hosts)));
+    j.server = static_cast<int>(rng.below(static_cast<std::uint64_t>(hosts)));
+    if (j.server == j.client) j.server = (j.server + 1) % hosts;
+    j.sleep_s = rng.below(4) == 0 ? 0.0 : rng.uniform(0.0, 5e-3);
+    j.request = sizes[rng.below(std::size(sizes))];
+    j.reply = sizes[rng.below(std::size(sizes))];
+  }
+  return jobs;
+}
+
+core::VirtualGridConfig socketGrid(const FlowScenario& s) {
+  core::VirtualGridConfig cfg;
+  // Hosts first, then routers: the same node ids makeFlowScenario used.
+  for (int h = 0; h < s.hosts; ++h) {
+    const std::string phys = util::format("p%d", h);
+    cfg.addPhysical(phys, 1e9);
+    cfg.addHost(util::format("h%d", h), util::format("10.0.0.%d", h + 1), 1e9, 1ll << 30, phys);
+  }
+  for (int r = 0; r < s.routers; ++r) cfg.addRouter(util::format("r%d", r));
+  auto name = [&s](int id) {
+    return id < s.hosts ? util::format("h%d", id) : util::format("r%d", id - s.hosts);
+  };
+  for (std::size_t i = 0; i < s.links.size(); ++i) {
+    const auto& l = s.links[i];
+    cfg.addLink(util::format("l%zu", i), name(l.a), name(l.b), l.bw, l.lat_s);
+  }
+  return cfg;
+}
+
+/// Run the jobs and return every virtual timestamp a process observed, as
+/// hex floats so equality is bitwise.
+std::vector<std::string> runSocketJobs(core::Platform& platform,
+                                       const std::vector<SocketJob>& jobs) {
+  std::vector<std::string> log;
+  auto note = [&log](vos::HostContext& ctx, std::size_t i, const char* what) {
+    log.push_back(util::format("%zu %s %a", i, what, ctx.wallTime()));
+  };
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const SocketJob& j = jobs[i];
+    const auto port = static_cast<std::uint16_t>(2000 + i);
+    platform.spawnOn(util::format("h%d", j.server), util::format("server%zu", i),
+                     [&, i, j, port](vos::HostContext& ctx) {
+                       auto listener = ctx.listen(port);
+                       auto sock = listener->accept();
+                       note(ctx, i, "accepted");
+                       std::vector<std::uint8_t> buf(j.request);
+                       sock->recvExact(buf.data(), buf.size());
+                       note(ctx, i, "request");
+                       std::vector<std::uint8_t> reply(j.reply, 7);
+                       sock->send(reply.data(), reply.size());
+                       note(ctx, i, "replied");
+                       std::uint8_t tail = 0;
+                       EXPECT_EQ(sock->recv(&tail, 1), 0u);
+                       note(ctx, i, "eof");
+                       sock->close();
+                       listener->close();
+                     });
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const SocketJob& j = jobs[i];
+    const auto port = static_cast<std::uint16_t>(2000 + i);
+    platform.spawnOn(util::format("h%d", j.client), util::format("client%zu", i),
+                     [&, i, j, port](vos::HostContext& ctx) {
+                       ctx.sleep(j.sleep_s);
+                       note(ctx, i, "slept");
+                       auto sock = ctx.connect(util::format("h%d", j.server), port);
+                       note(ctx, i, "connected");
+                       std::vector<std::uint8_t> req(j.request, 3);
+                       sock->send(req.data(), req.size());
+                       note(ctx, i, "sent");
+                       std::vector<std::uint8_t> buf(j.reply);
+                       sock->recvExact(buf.data(), buf.size());
+                       note(ctx, i, "reply");
+                       sock->close();
+                       note(ctx, i, "closed");
+                     });
+  }
+  platform.run();
+  log.push_back(util::format("end %a", platform.virtualNow()));
+  return log;
+}
+
+}  // namespace
+
+TEST(PlatformAgreement, FlowSocketsMatchReferenceAtRateOne) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const FlowScenario s = makeFlowScenario(seed * 0xA24BAED4963EE407ull + 3);
+    util::Rng rng(seed);
+    const std::vector<SocketJob> jobs = makeSocketJobs(rng, s.hosts);
+
+    const core::VirtualGridConfig ref_cfg = socketGrid(s);
+    core::ReferencePlatform ref(ref_cfg);
+    const std::vector<std::string> on_ref = runSocketJobs(ref, jobs);
+
+    const core::VirtualGridConfig emu_cfg = socketGrid(s);
+    core::MicroGridOptions opts;
+    opts.netmodel = net::NetModelKind::Flow;
+    opts.rate_override = 1.0;
+    core::MicroGridPlatform emu(emu_cfg, opts);
+    const std::vector<std::string> on_emu = runSocketJobs(emu, jobs);
+
+    // Every process ran to the end: 4 server and 5 client stamps per job.
+    ASSERT_EQ(on_ref.size(), jobs.size() * 9 + 1) << "seed " << seed;
+    ASSERT_EQ(on_emu, on_ref) << "seed " << seed;
+  }
+}
+
 // ------------------------------------------ routing contraction oracle ---
 
 // RoutingTable runs Dijkstra over core nodes only and answers single-link

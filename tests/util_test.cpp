@@ -87,6 +87,13 @@ TEST(Strings, ParseNumbersTakeTheWholeString) {
   EXPECT_EQ(mu::parseDouble("1e6"), 1e6);
   EXPECT_EQ(mu::parseDouble("5ms"), std::nullopt);
   EXPECT_EQ(mu::parseDouble("x"), std::nullopt);
+  // NaN compares false against every bound, so a check written `x <= 0`
+  // would let it through; the parser is where it has to stop.
+  for (const char* s : {"nan", "NaN", "-nan", "nan(0x1)", "inf", "-inf", "Infinity", " inf "}) {
+    EXPECT_EQ(mu::parseDouble(s), std::nullopt) << s;
+  }
+  EXPECT_EQ(mu::parseDouble("1e999"), std::nullopt);  // overflow
+  EXPECT_EQ(mu::parseDouble("1.7976931348623157e308"), 1.7976931348623157e308);
 }
 
 TEST(Strings, FlagNumbersNameTheFlagAndValue) {
@@ -107,6 +114,10 @@ TEST(Strings, FlagNumbersNameTheFlagAndValue) {
   EXPECT_EQ(message([] { mu::flagInt("--resubmits", "-5", 0, 10); }),
             "usage error: --resubmits wants an integer in [0, 10], got '-5'");
   EXPECT_EQ(mu::flagInt("--resubmits", "0", 0, 10), 0);
+  EXPECT_EQ(message([] { mu::flagDouble("--slowdown", "nan"); }),
+            "usage error: --slowdown wants a number, got 'nan'");
+  EXPECT_EQ(message([] { mu::flagDouble("--quantum", "inf"); }),
+            "usage error: --quantum wants a number, got 'inf'");
 }
 
 // ------------------------------------------------------------------ units --
@@ -124,6 +135,17 @@ TEST(Units, ParseBandwidthErrors) {
   EXPECT_THROW(mu::parseBandwidth(""), mg::ParseError);
   EXPECT_THROW(mu::parseBandwidth("fast"), mg::ParseError);
   EXPECT_THROW(mu::parseBandwidth("100Xbps"), mg::ParseError);
+}
+
+TEST(Units, NonFiniteQuantitiesRejected) {
+  for (const char* s : {"nanMbps", "nan", "infGbps", "-inf bps", "1e999Mbps"}) {
+    EXPECT_THROW(mu::parseBandwidth(s), mg::ParseError) << s;
+  }
+  for (const char* s : {"nan", "nanms", "inf", "infs", "-infus", "1e999s"}) {
+    EXPECT_THROW(mu::parseTime(s), mg::ParseError) << s;
+  }
+  EXPECT_THROW(mu::parseSize("nanGB"), mg::ParseError);
+  EXPECT_THROW(mu::parseComputeRate("infMHz"), mg::ParseError);
 }
 
 TEST(Units, ParseTime) {
@@ -533,6 +555,21 @@ latency = 0.1ms
   const auto& link = cfg.section("link", "lan0");
   EXPECT_DOUBLE_EQ(link.getBandwidth("bandwidth"), 100e6);
   EXPECT_DOUBLE_EQ(link.getTime("latency"), 0.1e-3);
+}
+
+TEST(Config, NonFiniteValuesNameTheKey) {
+  auto cfg = mu::Config::parse("[link eth0]\nbandwidth = nanMbps\nfactor = nan\nrate = inf\n");
+  const auto& s = cfg.section("link", "eth0");
+  EXPECT_THROW(s.getDouble("factor"), mg::ConfigError);
+  EXPECT_THROW(s.getDouble("rate", 1.0), mg::ConfigError);
+  try {
+    s.getBandwidth("bandwidth");
+    FAIL() << "nanMbps was accepted";
+  } catch (const mg::ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "parse error: key 'bandwidth' in section [link eth0]: non-finite value in "
+              "bandwidth 'nanMbps'");
+  }
 }
 
 TEST(Config, KeysAreCaseInsensitive) {
