@@ -8,6 +8,15 @@
 
 using namespace mgbench;
 
+namespace {
+
+/// Per-benchmark error bound: the largest measured error (LU on the Alpha
+/// cluster, 1.315%) plus a 1.2-point margin. Dropping the vos credit cap
+/// (DESIGN.md §5) moves BT to -3.94%, past it.
+constexpr double kErrorBoundPct = 2.5;
+
+}  // namespace
+
 int main() {
   printHeader("NPB Class A: physical grid vs MicroGrid", "Fig 9 (configs) and Fig 10");
 
@@ -32,13 +41,13 @@ int main() {
       const double t_emu = runNpbOn(emu, b, npb::NpbClass::A, onePerHost(emu));
       const double err = util::percentError(t_ref, t_emu);
       table.row() << npb::benchmarkName(b) << t_ref << t_emu << err;
-      if (std::abs(err) > 10.0) ok = false;
+      if (!(std::abs(err) <= kErrorBoundPct)) ok = false;  // a NaN error fails too
     }
     table.print(std::cout, config == 0 ? "Fig 10 (left): NPB Class A on the Alpha cluster"
                                        : "Fig 10 (right): NPB Class A on HPVM");
   }
-  std::cout << "Shape check: MicroGrid tracks the physical grid within ~10% on\n"
-            << "every benchmark (paper: 2-4% on real hardware): " << (ok ? "PASS" : "FAIL")
+  std::cout << "Shape check: MicroGrid tracks the physical grid within " << kErrorBoundPct
+            << "% on\nevery benchmark (paper: 2-4% on real hardware): " << (ok ? "PASS" : "FAIL")
             << "\n";
   return ok ? 0 : 1;
 }

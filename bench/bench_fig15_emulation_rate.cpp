@@ -11,6 +11,15 @@
 
 using namespace mgbench;
 
+namespace {
+
+/// Bound on |ratio - 1| at every rate: the largest measured deviation (MG at
+/// 4x, ratio 0.9953) plus a margin of about half a point. Dropping the vos
+/// credit cap (DESIGN.md §5) moves LU to 0.775, far past it.
+constexpr double kRatioBound = 0.01;
+
+}  // namespace
+
 int main() {
   printHeader("Virtual-time invariance across emulation rates", "Fig 15");
 
@@ -35,11 +44,12 @@ int main() {
                 << times[3] / times[0] << times[0] << emu_cost_8x;
     for (int i = 1; i < 4; ++i) {
       const double ratio = times[static_cast<size_t>(i)] / times[0];
-      if (std::abs(ratio - 1.0) > 0.12) ok = false;
+      if (!(std::abs(ratio - 1.0) <= kRatioBound)) ok = false;  // a NaN ratio fails too
     }
   }
   table.print(std::cout, "Fig 15: normalized virtual run time vs emulation rate");
-  std::cout << "Shape check: virtual results within ~12% of the 1x run at every\n"
-            << "rate (paper: near-identical): " << (ok ? "PASS" : "FAIL") << "\n";
+  std::cout << "Shape check: virtual results within " << kRatioBound * 100
+            << "% of the 1x run at every\nrate (paper: near-identical): " << (ok ? "PASS" : "FAIL")
+            << "\n";
   return ok ? 0 : 1;
 }

@@ -8,9 +8,10 @@
 // virtual-time sampler compensates exactly as the paper's 1 s vs 25 s
 // sampling did.
 //
-// Sampling is a TelemetrySampler level probe per sensor, ticking once per
-// virtual second; a sensor reads NaN (no sample) until its first write, so
-// each trace starts there.
+// A sensor is the metrics gauge npb::progressSensor() names: the monitor
+// registers it holding NaN, and a TelemetrySampler level probe reads it once
+// per virtual second. NaN records no sample, so each trace starts at the
+// kernel's first write.
 #include <limits>
 
 #include "bench_common.h"
@@ -24,12 +25,13 @@ namespace {
 /// Per-row skew bound: the largest measured skew (BT, 2.02%) plus 2 points.
 constexpr double kSkewBoundPct = 4.0;
 
-/// Run benchmark `b` on `platform`, sampling `sensor` every `interval`
-/// kernel nanoseconds (one virtual second on that platform).
-util::Trace traceOf(core::Platform& platform, sim::SimTime interval, npb::Benchmark b,
-                    const std::string& sensor) {
-  autopilot::SensorRegistry board;
-  npb::setSensorBoard(&board);
+/// Run benchmark `b` on `platform`, sampling its progress sensor every
+/// `interval` kernel nanoseconds (one virtual second on that platform).
+util::Trace traceOf(core::Platform& platform, sim::SimTime interval, npb::Benchmark b) {
+  sim::Simulator& sim = platform.simulator();
+  const std::string sensor = npb::progressSensor(b);
+  obs::Gauge& gauge = sim.metrics().gauge(sensor);
+  gauge.set(std::numeric_limits<double>::quiet_NaN());
 
   grid::ExecutableRegistry registry;
   npb::ResultSink sink;
@@ -37,18 +39,14 @@ util::Trace traceOf(core::Platform& platform, sim::SimTime interval, npb::Benchm
   core::Launcher launcher(platform, registry);
   launcher.startServices();
 
-  sim::Simulator& sim = platform.simulator();
   sim.timeline().setBaseWidth(interval);
   obs::TelemetrySampler::Options sopts;
   sopts.interval_ns = interval;
   obs::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), sopts);
-  sampler.addLevel(sensor, [&board, &sensor](std::int64_t) {
-    return board.has(sensor) ? board.get(sensor) : std::numeric_limits<double>::quiet_NaN();
-  });
+  sampler.addLevel(sensor, [&gauge](std::int64_t) { return gauge.value(); });
   sampler.start();
   auto result = launcher.run("npb." + util::toLower(npb::benchmarkName(b)), "A",
                              onePerHost(platform));
-  npb::setSensorBoard(nullptr);
   if (!result.ok) {
     std::cerr << "FATAL: instrumented run failed: " << result.error << "\n";
     std::exit(1);
@@ -71,14 +69,13 @@ int main() {
   util::Table table({"benchmark", "pgrid_samples", "mgrid_samples", "rms_skew_%", "paper_%"});
   bool ok = true;
   for (const Row& row : rows) {
-    const std::string sensor = npb::benchmarkName(row.bench) + ".progress";
     core::ReferencePlatform ref(core::topologies::alphaCluster());
-    const util::Trace ref_trace = traceOf(ref, sim::fromSeconds(1.0), row.bench, sensor);
+    const util::Trace ref_trace = traceOf(ref, sim::fromSeconds(1.0), row.bench);
     core::MicroGridOptions opts;
     opts.slowdown = 4.0;  // sample "every 25 seconds" in emulation terms
     core::MicroGridPlatform emu(core::topologies::alphaCluster(), opts);
     const util::Trace emu_trace =
-        traceOf(emu, emu.virtualTime().toKernel(1.0), row.bench, sensor);
+        traceOf(emu, emu.virtualTime().toKernel(1.0), row.bench);
     const double skew = util::rmsPercentSkew(ref_trace, emu_trace);
     table.row() << npb::benchmarkName(row.bench) << static_cast<long long>(ref_trace.size())
                 << static_cast<long long>(emu_trace.size()) << skew << row.paper_skew;

@@ -207,9 +207,8 @@ static void BM_FlowChurn(benchmark::State& state) {
       for (int idx = 0; idx < kClusters * kHostsPer; ++idx) restart(idx, kRounds);
     });
     sim.run();
-    const net::FlowNetworkStats stats = fn.stats();
-    recomputes += stats.share_recomputes;
-    visits += stats.recompute_flow_visits;
+    recomputes += sim.metrics().counterValue("net.flow.share_recomputes");
+    visits += sim.metrics().counterValue("net.flow.recompute_flow_visits");
   }
   state.SetItemsProcessed(recomputes);
   state.counters["visits_per_recompute"] =

@@ -3,7 +3,7 @@
 function(mg_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE
-    mg_core mg_fault mg_npb mg_apps mg_autopilot mg_vmpi mg_grid mg_gis mg_vos mg_net mg_sim
+    mg_core mg_fault mg_npb mg_apps mg_vmpi mg_grid mg_gis mg_vos mg_net mg_sim
     mg_util mg_warnings)
   set_target_properties(${name} PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()

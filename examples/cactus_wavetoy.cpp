@@ -7,6 +7,7 @@
 // Config-file format: see core/virtual_grid.h.
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "apps/wavetoy.h"
 #include "core/launcher.h"
@@ -14,6 +15,7 @@
 #include "core/reference_platform.h"
 #include "core/topologies.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 using namespace mg;
 
@@ -40,8 +42,17 @@ double runOn(core::Platform& platform, int edge, int steps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int edge = argc > 1 ? std::atoi(argv[1]) : 50;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 60;
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  int edge = 50;
+  int steps = 60;
+  try {
+    if (argc > 1) edge = static_cast<int>(util::flagInt("grid_edge", argv[1], 2, kIntMax));
+    if (argc > 2) steps = static_cast<int>(util::flagInt("timesteps", argv[2], 1, kIntMax));
+  } catch (const UsageError& e) {
+    std::cerr << "cactus_wavetoy: " << e.what() << "\n"
+              << "usage: cactus_wavetoy [grid_edge] [timesteps] [config.ini]\n";
+    return 2;
+  }
   core::VirtualGridConfig cfg = argc > 3
                                     ? core::VirtualGridConfig::fromConfig(
                                           util::Config::parseFile(argv[3]))

@@ -255,9 +255,9 @@ std::unique_ptr<obs::ProgressMonitor> startProgress(sim::Simulator& sim, double 
   sim.pulse().enable(true);
   obs::ProgressOptions popts;
   popts.interval_s = interval_s;
-  popts.events = &sim.metrics().counter("sim.kernel.events_executed");
   popts.fraction = std::move(fraction);
-  auto monitor = std::make_unique<obs::ProgressMonitor>(sim.pulse(), popts);
+  auto monitor = std::make_unique<obs::ProgressMonitor>(
+      sim.pulse(), sim.metrics().counter("sim.kernel.events_executed"), popts);
   monitor->start();
   return monitor;
 }

@@ -2,15 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "npb/kernel_common.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace mg::apps {
 
 namespace {
 using npb::detail::SlabField;
 constexpr int kMaxExecutedEdge = 32;
+
+/// A whole-string integer job argument that fits an int, or a ParseError
+/// naming the argument and its value.
+int intArg(const char* name, const std::string& value) {
+  const std::optional<std::int64_t> v = util::parseInt(value);
+  if (!v || *v < std::numeric_limits<int>::min() || *v > std::numeric_limits<int>::max()) {
+    throw ParseError(
+        util::format("cactus.wavetoy %s wants an integer, got '%s'", name, value.c_str()));
+  }
+  return static_cast<int>(*v);
+}
 }  // namespace
 
 WaveToyResult runWaveToy(vmpi::Comm& comm, vos::HostContext& ctx, const WaveToyParams& params) {
@@ -117,8 +130,8 @@ bool WaveToySink::allVerified() const {
 void registerWaveToy(grid::ExecutableRegistry& registry, WaveToySink& sink) {
   registry.add("cactus.wavetoy", [&sink](grid::JobContext& jc) {
     WaveToyParams params;
-    if (!jc.args.empty()) params.grid_edge = std::stoi(jc.args[0]);
-    if (jc.args.size() > 1) params.timesteps = std::stoi(jc.args[1]);
+    if (!jc.args.empty()) params.grid_edge = intArg("grid_edge", jc.args[0]);
+    if (jc.args.size() > 1) params.timesteps = intArg("timesteps", jc.args[1]);
     auto comm = vmpi::Comm::init(jc);
     WaveToyResult r = runWaveToy(*comm, jc.os, params);
     sink.record(r);

@@ -573,21 +573,6 @@ void FlowEngine::publishActiveGauges() {
   g_peak_.set(static_cast<double>(peak_active_));
 }
 
-FlowNetworkStats FlowEngine::stats() const {
-  FlowNetworkStats s;
-  s.flows_started = c_started_.value();
-  s.flows_completed = c_completed_.value();
-  s.flows_aborted = c_aborted_.value();
-  s.payload_bytes = c_bytes_.value();
-  s.share_recomputes = c_recomputes_.value();
-  s.recompute_flow_visits = c_visited_.value();
-  s.flows_stalled = c_stalled_.value();
-  s.dropped_down = c_dropped_down_.value();
-  s.active_flows = static_cast<std::int64_t>(flows_.size());
-  s.peak_active_flows = peak_active_;
-  return s;
-}
-
 void FlowEngine::saveState(obs::StateWriter& w) const {
   w.u64("net.flow.active", flows_.size());
   w.u64("net.flow.next_id", next_id_);

@@ -63,20 +63,6 @@ struct FlowNetworkOptions {
 using FlowId = std::int64_t;
 constexpr FlowId kNoFlow = 0;
 
-/// Snapshot view over the `net.flow.*` registry counters/gauges.
-struct FlowNetworkStats {
-  std::int64_t flows_started = 0;
-  std::int64_t flows_completed = 0;
-  std::int64_t flows_aborted = 0;     // killed by link/node faults
-  std::int64_t payload_bytes = 0;     // offered payload (at start)
-  std::int64_t share_recomputes = 0;  // max-min recompute passes
-  std::int64_t recompute_flow_visits = 0;  // flows visited across all passes
-  std::int64_t flows_stalled = 0;     // transitions into the zero-rate park
-  std::int64_t dropped_down = 0;      // packet-as-flow sends lost to faults
-  std::int64_t active_flows = 0;      // current
-  std::int64_t peak_active_flows = 0;
-};
-
 /// The max-min fair fluid engine. Owned by FlowNetwork (all traffic) and
 /// HybridNetwork (non-escalated traffic); platforms reach it through
 /// NetworkModel::flows() to run socket-level transfers as single events.
@@ -150,7 +136,6 @@ class FlowEngine {
   /// accounting invariants; used by debug asserts after aborts and by
   /// consistency tests.
   bool indexConsistent() const;
-  FlowNetworkStats stats() const;
 
   /// Fold every active flow's dynamic state (remaining bits, rate, stall
   /// flag, integration stamp) into `w` in ascending FlowId order
@@ -256,14 +241,15 @@ class FlowEngine {
   std::vector<obs::Gauge*> g_link_busy_;
   std::vector<obs::Gauge*> g_link_util_;
 
+  // net.flow.* instrument handles, resolved once against sim_.metrics().
   obs::Counter& c_started_;
   obs::Counter& c_completed_;
-  obs::Counter& c_aborted_;
-  obs::Counter& c_bytes_;
-  obs::Counter& c_recomputes_;
-  obs::Counter& c_visited_;
-  obs::Counter& c_stalled_;
-  obs::Counter& c_dropped_down_;
+  obs::Counter& c_aborted_;       // killed by link/node faults
+  obs::Counter& c_bytes_;         // offered payload (at start)
+  obs::Counter& c_recomputes_;    // max-min recompute passes
+  obs::Counter& c_visited_;       // flows visited across all passes
+  obs::Counter& c_stalled_;       // transitions into the zero-rate park
+  obs::Counter& c_dropped_down_;  // packet-as-flow sends lost to faults
   obs::Gauge& g_active_;
   obs::Gauge& g_peak_;
   util::Histogram& h_scope_;
@@ -284,8 +270,6 @@ class FlowNetwork : public NetworkModel {
   bool escalate(NodeId, NodeId, std::uint16_t) const override { return false; }
   FlowEngine* flows() override { return &engine_; }
   FlowEngine& engine() { return engine_; }
-
-  FlowNetworkStats stats() const { return engine_.stats(); }
 
   /// Modeled duration of an uncontended transfer.
   sim::SimTime estimate(NodeId src, NodeId dst, std::int64_t bytes) const {

@@ -46,21 +46,6 @@ void PacketNetwork::registerTelemetry(obs::TelemetrySampler& sampler) {
   }
 }
 
-PacketNetworkStats PacketNetwork::stats() const {
-  PacketNetworkStats s;
-  s.packets_sent = c_sent_.value();
-  s.packets_delivered = c_delivered_.value();
-  s.packets_dropped_queue = c_dropped_queue_.value();
-  s.packets_dropped_loss = c_dropped_loss_.value();
-  s.packets_dropped_down = c_dropped_down_.value();
-  s.packets_dropped_link_down = c_dropped_link_down_.value();
-  s.packets_dropped_node_down = c_dropped_node_down_.value();
-  s.route_recomputes = c_route_recomputes_.value();
-  s.bytes_delivered = c_bytes_delivered_.value();
-  s.wire_bytes_sent = c_wire_bytes_.value();
-  return s;
-}
-
 std::uint32_t PacketNetwork::parkInFlight(Packet&& pkt) {
   if (flight_free_.empty()) {
     flight_slots_.push_back(std::move(pkt));

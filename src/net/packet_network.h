@@ -30,31 +30,11 @@ struct PacketNetworkOptions {
   std::uint64_t seed = 0xC0FFEE;
 };
 
-/// Snapshot view over the `net.packet.*` registry counters (the counters are
-/// the source of truth; this struct exists so call sites keep their
-/// `stats().packets_sent` shape).
-struct PacketNetworkStats {
-  std::int64_t packets_sent = 0;       // injected by transports
-  std::int64_t packets_delivered = 0;  // handed to a destination transport
-  std::int64_t packets_dropped_queue = 0;
-  std::int64_t packets_dropped_loss = 0;
-  std::int64_t packets_dropped_down = 0;  // link down or no route
-  // Fault-specific sub-causes of packets_dropped_down (which stays the
-  // aggregate), plus the Dijkstra recompute count.
-  std::int64_t packets_dropped_link_down = 0;
-  std::int64_t packets_dropped_node_down = 0;
-  std::int64_t route_recomputes = 0;
-  std::int64_t bytes_delivered = 0;  // payload bytes
-  std::int64_t wire_bytes_sent = 0;  // includes headers/framing/retransmits
-};
-
 class PacketNetwork : public NetworkModel {
  public:
   PacketNetwork(sim::Simulator& sim, Topology topo, PacketNetworkOptions opts = {});
 
   NetModelKind kind() const override { return NetModelKind::Packet; }
-
-  PacketNetworkStats stats() const;
 
   /// Inject a packet at its source node. Takes the full path through link
   /// queues; delivery invokes the destination node's handler.
@@ -108,16 +88,16 @@ class PacketNetwork : public NetworkModel {
   Packet takeInFlight(std::uint32_t slot);
 
   // net.packet.* counter handles, resolved once against sim_.metrics().
-  obs::Counter& c_sent_;
-  obs::Counter& c_delivered_;
+  obs::Counter& c_sent_;          // injected by transports
+  obs::Counter& c_delivered_;     // handed to a destination transport
   obs::Counter& c_dropped_queue_;
   obs::Counter& c_dropped_loss_;
-  obs::Counter& c_dropped_down_;
+  obs::Counter& c_dropped_down_;  // link down or no route
   // Fault-specific sub-causes of dropped_down (which stays the aggregate).
   obs::Counter& c_dropped_link_down_;
   obs::Counter& c_dropped_node_down_;
-  obs::Counter& c_bytes_delivered_;
-  obs::Counter& c_wire_bytes_;
+  obs::Counter& c_bytes_delivered_;  // payload bytes
+  obs::Counter& c_wire_bytes_;       // includes headers/framing/retransmits
   // The loss process, seeded with opts.seed.
   util::Rng rng_;
   // linkqueues_[link * 2 + direction]

@@ -77,8 +77,6 @@ class UdpStack {
   NetworkModel& network() { return net_; }
   sim::Simulator& simulator() { return net_.simulator(); }
 
-  std::int64_t datagramsDroppedIncomplete() const { return c_dropped_incomplete_.value(); }
-
  private:
   friend class UdpSocket;
   void sendFrom(std::uint16_t src_port, NodeId dst, std::uint16_t dst_port,

@@ -72,6 +72,7 @@ void zRelaxRange(SlabField& u, const SlabField& rhs, int x0, int x1, bool has_do
 KernelResult runBt(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   const KernelCost cost = costFor(Benchmark::BT, cls);
   KernelResult result = detail::makeResult(Benchmark::BT, cls, comm);
+  obs::Gauge* const progress = detail::progressGauge(Benchmark::BT, comm, ctx);
   const int p = comm.size();
   const int rank = comm.rank();
   const int n = cost.executed_grid;
@@ -120,7 +121,7 @@ KernelResult runBt(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
 
   double first_delta = -1, last_delta = 0;
   for (int iter = 0; iter < cost.executed_iterations; ++iter) {
-    detail::publishProgress(comm, "BT", iter);
+    detail::publishProgress(progress, iter);
     for (int z = 0; z < nz; ++z) {
       for (int y = 0; y < n; ++y) {
         for (int x = 0; x < n; ++x) snapshot.at(x, y, z) = u.at(x, y, z);

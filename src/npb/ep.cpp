@@ -15,6 +15,7 @@ namespace mg::npb {
 KernelResult runEp(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   const KernelCost cost = costFor(Benchmark::EP, cls);
   KernelResult result = detail::makeResult(Benchmark::EP, cls, comm);
+  obs::Gauge* const progress = detail::progressGauge(Benchmark::EP, comm, ctx);
   const int p = comm.size();
   const std::int64_t bytes0 = comm.bytesSent();
   const std::int64_t msgs0 = comm.messagesSent();
@@ -36,7 +37,7 @@ KernelResult runEp(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   const double ops_per_batch = cost.total_ops / p / batches;
   const std::int64_t pairs_per_batch = pairs / batches;
   for (int batch = 0; batch < batches; ++batch) {
-    detail::publishProgress(comm, "EP", batch);
+    detail::publishProgress(progress, batch);
     for (std::int64_t i = 0; i < pairs_per_batch; ++i) {
       const double x = 2.0 * rng.next() - 1.0;
       const double y = 2.0 * rng.next() - 1.0;

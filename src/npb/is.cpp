@@ -19,6 +19,7 @@ constexpr std::int64_t kKeyRange = 1 << 16;
 KernelResult runIs(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   const KernelCost cost = costFor(Benchmark::IS, cls);
   KernelResult result = detail::makeResult(Benchmark::IS, cls, comm);
+  obs::Gauge* const progress = detail::progressGauge(Benchmark::IS, comm, ctx);
   const int p = comm.size();
   const int rank = comm.rank();
   const std::int64_t bytes0 = comm.bytesSent();
@@ -42,7 +43,7 @@ KernelResult runIs(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   const double ops_per_iter = cost.total_ops / cost.class_iterations / p;
   std::vector<std::int32_t> local;
   for (int iter = 0; iter < cost.executed_iterations; ++iter) {
-    detail::publishProgress(comm, "IS", iter);
+    detail::publishProgress(progress, iter);
     // Rank the keys (histogram + partition).
     ctx.compute(ops_per_iter);
     std::vector<std::vector<std::int32_t>> outgoing(static_cast<size_t>(p));

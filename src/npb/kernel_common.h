@@ -6,13 +6,18 @@
 
 namespace mg::npb::detail {
 
-/// Rank 0 publishes a periodic function of the iteration counter to the
-/// installed Autopilot board (no-op without one).
-inline void publishProgress(const vmpi::Comm& comm, const char* bench, int counter) {
-  if (comm.rank() != 0) return;
-  if (auto* board = sensorBoard()) {
-    board->set(std::string(bench) + ".progress", static_cast<double>(counter % 8));
-  }
+/// The progress sensor this rank writes: the gauge a monitor registered
+/// under progressSensor(b), or nullptr (a rank other than 0, or nobody
+/// monitoring). Looked up once per kernel run.
+inline obs::Gauge* progressGauge(Benchmark b, const vmpi::Comm& comm, vos::HostContext& ctx) {
+  if (comm.rank() != 0) return nullptr;
+  return ctx.simulator().metrics().findGauge(progressSensor(b));
+}
+
+/// Publish a periodic function of the iteration counter (no-op without a
+/// sensor).
+inline void publishProgress(obs::Gauge* sensor, int counter) {
+  if (sensor != nullptr) sensor->set(static_cast<double>(counter % 8));
 }
 
 /// Fill in the common fields of a KernelResult.

@@ -50,6 +50,7 @@ double ssorSweepRange(SlabField& u, const SlabField& b, int x0, int x1, bool has
 KernelResult runLu(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   const KernelCost cost = costFor(Benchmark::LU, cls);
   KernelResult result = detail::makeResult(Benchmark::LU, cls, comm);
+  obs::Gauge* const progress = detail::progressGauge(Benchmark::LU, comm, ctx);
   const int p = comm.size();
   const int rank = comm.rank();
   const int n = cost.executed_grid;
@@ -114,7 +115,7 @@ KernelResult runLu(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
 
   double first_delta = -1, last_delta = 0;
   for (int iter = 0; iter < cost.executed_iterations; ++iter) {
-    detail::publishProgress(comm, "LU", iter);
+    detail::publishProgress(progress, iter);
     double delta = pipelinedSweep(/*forward=*/true, 300);
     delta += pipelinedSweep(/*forward=*/false, 301);
     comm.allreduce(&delta, 1, vmpi::Op::Sum);

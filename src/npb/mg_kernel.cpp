@@ -70,6 +70,7 @@ double residualNormSq(const SlabField& u, const SlabField& b, bool has_down, boo
 KernelResult runMg(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   const KernelCost cost = costFor(Benchmark::MG, cls);
   KernelResult result = detail::makeResult(Benchmark::MG, cls, comm);
+  obs::Gauge* const progress = detail::progressGauge(Benchmark::MG, comm, ctx);
   const int p = comm.size();
   const int rank = comm.rank();
   const int n = cost.executed_grid;
@@ -114,7 +115,7 @@ KernelResult runMg(vmpi::Comm& comm, vos::HostContext& ctx, NpbClass cls) {
   }
 
   for (int cycle = 0; cycle < cost.executed_iterations; ++cycle) {
-    detail::publishProgress(comm, "MG", cycle);
+    detail::publishProgress(progress, cycle);
     // Pre-smooth on the fine level.
     for (int s = 0; s < 2; ++s) {
       detail::exchangeHalo(comm, u, 200, wire_face);

@@ -60,12 +60,9 @@ bool ResultSink::allVerified() const {
                      [](const KernelResult& r) { return r.verified; });
 }
 
-namespace {
-autopilot::SensorRegistry* g_sensor_board = nullptr;
-}  // namespace
-
-void setSensorBoard(autopilot::SensorRegistry* board) { g_sensor_board = board; }
-autopilot::SensorRegistry* sensorBoard() { return g_sensor_board; }
+std::string progressSensor(Benchmark b) {
+  return util::format("npb.sensor.%s.progress", benchmarkName(b).c_str());
+}
 
 void registerNpb(grid::ExecutableRegistry& registry, ResultSink& sink) {
   for (Benchmark b :

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "autopilot/autopilot.h"
 #include "grid/registry.h"
 #include "vmpi/comm.h"
 #include "vos/context.h"
@@ -77,11 +76,13 @@ class ResultSink {
 /// The sink must outlive the registry's use.
 void registerNpb(grid::ExecutableRegistry& registry, ResultSink& sink);
 
-/// Optional Autopilot instrumentation (paper §3.6): when a board is
-/// installed, rank 0 of each kernel publishes "<BENCH>.progress", a periodic
-/// function of its iteration counters, for a TelemetrySampler level probe
-/// to record. Pass nullptr to detach. Not owned.
-void setSensorBoard(autopilot::SensorRegistry* board);
-autopilot::SensorRegistry* sensorBoard();
+/// Autopilot instrumentation (paper §3.6): the name of benchmark `b`'s
+/// progress sensor, the metrics gauge "npb.sensor.<BENCH>.progress". A
+/// monitor asks for the sensor by registering that gauge on the platform's
+/// simulator and setting it to NaN ("no value yet"); rank 0 of each later
+/// kernel run then writes a periodic function of its iteration counter to
+/// it, for a TelemetrySampler level probe to record. Unregistered, nothing
+/// is published.
+std::string progressSensor(Benchmark b);
 
 }  // namespace mg::npb

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace mg::obs {
@@ -69,6 +70,11 @@ std::int64_t MetricsRegistry::counterValue(const std::string& name) const {
 double MetricsRegistry::gaugeValue(const std::string& name) const {
   auto it = gauge_index_.find(name);
   return it == gauge_index_.end() ? 0.0 : it->second->value();
+}
+
+Gauge* MetricsRegistry::findGauge(const std::string& name) {
+  auto it = gauge_index_.find(name);
+  return it == gauge_index_.end() ? nullptr : it->second;
 }
 
 const util::Histogram* MetricsRegistry::findHistogram(const std::string& name) const {
@@ -146,7 +152,8 @@ std::string MetricsRegistry::snapshotJson() const {
   for (const auto& [name, g] : gauge_index_) {
     if (!first) out += ',';
     first = false;
-    out += '"' + jsonEscape(name) + "\":" + formatDouble(g->value());
+    const double v = g->value();
+    out += '"' + jsonEscape(name) + "\":" + (std::isfinite(v) ? formatDouble(v) : "null");
   }
   out += "},\"histograms\":{";
   first = true;

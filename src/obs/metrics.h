@@ -1,9 +1,10 @@
 // The unified cross-layer metrics registry (DESIGN.md "Observability").
 //
-// Every layer that used to keep ad-hoc counters (PacketNetworkStats,
-// scheduler quanta, vmpi byte counts, GIS query counts, ...) registers named
-// instruments here instead. Names follow `layer.component.counter`, e.g.
-// "net.packet.sent" or "vos.sched.quanta".
+// Every layer registers its named instruments here (packet counts,
+// scheduler quanta, vmpi byte counts, GIS query counts, NPB progress
+// sensors, ...); no layer keeps a second copy of a published value. Names
+// follow `layer.component.counter`, e.g. "net.packet.sent" or
+// "vos.sched.quanta".
 //
 // Hot-path cost is one pointer-indirected integer increment: components
 // resolve `Counter&` handles once at construction and bump them directly.
@@ -87,6 +88,9 @@ class MetricsRegistry {
   /// Fast existence/read-only queries (0 / nullptr when absent).
   std::int64_t counterValue(const std::string& name) const;
   double gaugeValue(const std::string& name) const;
+  /// Lookup without creating: a writer that publishes only when someone
+  /// registered the gauge (npb progress sensors) holds on to this pointer.
+  Gauge* findGauge(const std::string& name);
   const util::Histogram* findHistogram(const std::string& name) const;
 
   /// One row per instrument, sorted by name: (metric, type, value).
@@ -95,7 +99,8 @@ class MetricsRegistry {
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {"lo": ..,
   /// "hi": .., "total": .., "bins": [..]}}} with sorted keys — byte-stable
-  /// across identical runs.
+  /// across identical runs. A non-finite gauge (a sensor registered but not
+  /// yet written reads NaN) renders as null, since JSON has no NaN.
   std::string snapshotJson() const;
 
   /// "metric,type,value" header + one row per instrument in the same merged

@@ -28,8 +28,9 @@ std::string human(double v) {
 
 }  // namespace
 
-ProgressMonitor::ProgressMonitor(const RunPulse& pulse, ProgressOptions opts)
-    : pulse_(pulse), opts_(std::move(opts)) {
+ProgressMonitor::ProgressMonitor(const RunPulse& pulse, const Counter& events,
+                                 ProgressOptions opts)
+    : pulse_(pulse), events_(events), opts_(std::move(opts)) {
   if (opts_.interval_s <= 0) throw UsageError("ProgressMonitor wants interval > 0");
   if (opts_.stall_s <= 0) throw UsageError("ProgressMonitor wants stall threshold > 0");
 }
@@ -60,8 +61,8 @@ void ProgressMonitor::loop() {
   using clock = std::chrono::steady_clock;
   std::ostream& out = opts_.sink != nullptr ? *opts_.sink : std::cerr;
   const auto t0 = clock::now();
-  auto last_commit_change = t0;
-  std::uint64_t last_commits = pulse_.commits();
+  auto last_event_change = t0;
+  std::int64_t last_events = events_.value();
   bool stall_reported = false;
   for (;;) {
     {
@@ -72,14 +73,14 @@ void ProgressMonitor::loop() {
     }
     const auto now = clock::now();
     const double wall_s = std::chrono::duration<double>(now - t0).count();
-    const std::uint64_t commits = pulse_.commits();
-    if (commits != last_commits) {
-      last_commits = commits;
-      last_commit_change = now;
+    const std::int64_t events = events_.value();
+    if (events != last_events) {
+      last_events = events;
+      last_event_change = now;
       stall_reported = false;
     }
     heartbeat(out, wall_s);
-    const double quiet_s = std::chrono::duration<double>(now - last_commit_change).count();
+    const double quiet_s = std::chrono::duration<double>(now - last_event_change).count();
     if (quiet_s >= opts_.stall_s && !stall_reported) {
       stallDump(out, quiet_s);
       stall_reported = true;  // once per stall episode, not every interval
@@ -92,10 +93,8 @@ void ProgressMonitor::heartbeat(std::ostream& out, double wall_s) {
   std::string line = opts_.label + ": sim " + fmt("%.3f", sim_s) + "s | wall " +
                      fmt("%.1f", wall_s) + "s | " + fmt("%.2f", sim_s / std::max(wall_s, 1e-9)) +
                      "x";
-  if (opts_.events != nullptr) {
-    const double ev = static_cast<double>(opts_.events->value());
-    line += " | " + human(ev) + " ev (" + human(ev / std::max(wall_s, 1e-9)) + "/s)";
-  }
+  const double ev = static_cast<double>(events_.value());
+  line += " | " + human(ev) + " ev (" + human(ev / std::max(wall_s, 1e-9)) + "/s)";
   line += " | pending " + std::to_string(pulse_.pending());
   if (opts_.fraction) {
     const double f = opts_.fraction();
@@ -114,7 +113,7 @@ void ProgressMonitor::stallDump(std::ostream& out, double quiet_s) {
   out << opts_.label << ": STALL no event commit for " << fmt("%.1f", quiet_s)
       << "s wall; kernel state (t = last dispatched event's clock):\n"
       << "  t=" << fmt("%.6f", static_cast<double>(pulse_.simNow()) * 1e-9)
-      << "s pending=" << pulse_.pending() << " commits=" << pulse_.commits() << "\n"
+      << "s pending=" << pulse_.pending() << " events=" << events_.value() << "\n"
       << std::flush;
   stall_dumps_.fetch_add(1, std::memory_order_relaxed);
 }

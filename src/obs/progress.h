@@ -3,17 +3,17 @@
 // The simulation kernel is single-minded: once run() starts, nothing else
 // happens on its threads until the queues drain. RunPulse is the one-way
 // window out — a lock-free board of relaxed atomics the kernel publishes to
-// (per-event clock + pending count and a commit counter) and a
-// ProgressMonitor thread reads from. The monitor owns all formatting and
-// timing; the kernel's cost when --progress is off is a single relaxed bool
-// load per event, and when on, three relaxed stores.
+// (per-event clock + pending count) and a ProgressMonitor thread reads from,
+// together with the kernel's sim.kernel.events_executed counter. The monitor
+// owns all formatting and timing; the kernel's cost when --progress is off
+// is a single relaxed bool load per event, and when on, two relaxed stores.
 //
 // Everything the monitor prints goes to its sink (stderr by default) and is
 // wall-clock flavored, hence nondeterministic — stdout and every recorded
 // observable stream stay byte-identical with the monitor on or off (CI-
 // enforced). Heartbeats show sim time, sim-seconds per wall-second,
 // events/sec, pending events, and an ETA when a progress-fraction callback
-// is provided. A stall watchdog fires when the commit counter stops moving
+// is provided. A stall watchdog fires when the events counter stops moving
 // for `stall_s` wall seconds and dumps the board — the
 // tell-a-human-where-it-hangs view for deadlocked or runaway scenarios.
 //
@@ -46,16 +46,13 @@ class RunPulse {
   void beat(std::int64_t now_ns, std::int64_t pending) {
     now_.store(now_ns, std::memory_order_relaxed);
     pending_.store(pending, std::memory_order_relaxed);
-    commits_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::uint64_t commits() const { return commits_.load(std::memory_order_relaxed); }
   std::int64_t simNow() const { return now_.load(std::memory_order_relaxed); }
   std::int64_t pending() const { return pending_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> commits_{0};
   std::atomic<std::int64_t> now_{0};
   std::atomic<std::int64_t> pending_{0};
 };
@@ -63,13 +60,12 @@ class RunPulse {
 struct ProgressOptions {
   /// Wall seconds between heartbeats.
   double interval_s = 2.0;
-  /// Wall seconds of commit silence before the stall watchdog dumps state.
+  /// Wall seconds without a dispatched event before the stall watchdog
+  /// dumps state.
   double stall_s = 30.0;
   /// Output stream; nullptr means std::cerr. Never stdout: recorded streams
   /// must stay byte-identical with the monitor on or off.
   std::ostream* sink = nullptr;
-  /// Events-executed counter for throughput lines (optional).
-  const Counter* events = nullptr;
   /// Fraction of the run complete in [0, 1] for ETA lines; return a negative
   /// value for "unknown". Runs on the monitor thread: read atomics only.
   std::function<double()> fraction;
@@ -78,10 +74,10 @@ struct ProgressOptions {
 
 /// The watcher thread. start() spawns it, stop() (or destruction) joins it;
 /// between the two it prints a heartbeat every interval and a stall dump
-/// when the pulse goes quiet.
+/// when `events` (the kernel's sim.kernel.events_executed) stops moving.
 class ProgressMonitor {
  public:
-  explicit ProgressMonitor(const RunPulse& pulse, ProgressOptions opts = {});
+  ProgressMonitor(const RunPulse& pulse, const Counter& events, ProgressOptions opts = {});
   ~ProgressMonitor();
   ProgressMonitor(const ProgressMonitor&) = delete;
   ProgressMonitor& operator=(const ProgressMonitor&) = delete;
@@ -98,6 +94,7 @@ class ProgressMonitor {
   void stallDump(std::ostream& out, double quiet_s);
 
   const RunPulse& pulse_;
+  const Counter& events_;
   ProgressOptions opts_;
   std::thread thread_;
   std::mutex m_;

@@ -326,7 +326,7 @@ TEST(MicroGridPlatform, SocketEchoThroughPacketNetwork) {
   });
   p.run();
   EXPECT_EQ(got, "grid");
-  EXPECT_GT(p.packetNetwork().stats().packets_delivered, 0);
+  EXPECT_GT(p.simulator().metrics().counterValue("net.packet.delivered"), 0);
 }
 
 TEST(MicroGridPlatform, SocketEchoThroughFlowModel) {
@@ -353,7 +353,7 @@ TEST(MicroGridPlatform, SocketEchoThroughFlowModel) {
   p.run();
   EXPECT_EQ(got, "grid");
   ASSERT_NE(p.network().flows(), nullptr);
-  EXPECT_GT(p.network().flows()->stats().flows_started, 0);
+  EXPECT_GT(p.simulator().metrics().counterValue("net.flow.started"), 0);
   // No packet machinery exists in pure flow mode.
   EXPECT_THROW(p.packetNetwork(), mg::UsageError);
 }
@@ -394,8 +394,8 @@ TEST(MicroGridPlatform, HybridEscalatesBySelector) {
   EXPECT_TRUE(p.network().escalate(0, 1, 81));
   EXPECT_FALSE(p.network().escalate(0, 1, 80));
   ASSERT_NE(p.network().flows(), nullptr);
-  EXPECT_GT(p.network().flows()->stats().flows_started, 0);
-  EXPECT_GT(p.packetNetwork().stats().packets_delivered, 0);
+  EXPECT_GT(p.simulator().metrics().counterValue("net.flow.started"), 0);
+  EXPECT_GT(p.simulator().metrics().counterValue("net.packet.delivered"), 0);
 }
 
 TEST(MicroGridPlatform, FlowModeCrashResetsBlockedPeers) {

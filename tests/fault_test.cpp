@@ -850,9 +850,9 @@ TEST(Resilience, FlowStallsThroughZeroBandwidthOutageAndCompletes) {
 
   EXPECT_EQ(received, kBytes);
   ASSERT_NE(p.network().flows(), nullptr);
-  const net::FlowNetworkStats stats = p.network().flows()->stats();
-  EXPECT_GE(stats.flows_stalled, 1) << "outage never parked the transfer";
-  EXPECT_EQ(stats.flows_aborted, 0);
+  const auto& m = p.simulator().metrics();
+  EXPECT_GE(m.counterValue("net.flow.stalls"), 1) << "outage never parked the transfer";
+  EXPECT_EQ(m.counterValue("net.flow.aborted"), 0);
   EXPECT_EQ(p.network().flows()->activeFlows(), 0);
   // The outage pushes completion past the no-fault duration plus the window.
   EXPECT_GT(virtual_s, 0.15 + 0.1);

@@ -65,7 +65,7 @@ TEST(FailureInjection, TcpSurvivesLinkFailureViaBackupRoute) {
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(received, data);
-  EXPECT_GT(net.stats().packets_dropped_down, 0);
+  EXPECT_GT(sim.metrics().counterValue("net.packet.dropped_down"), 0);
 }
 
 TEST(FailureInjection, TcpTransferCompletesAfterLinkFlap) {
@@ -127,7 +127,7 @@ TEST(FailureInjection, LossyWanStillCompletesNpb) {
   auto result = launcher.run("npb.mg", "S", {{"a.site", 1}, {"b.site", 1}});
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(sink.allVerified());
-  EXPECT_GT(platform.packetNetwork().stats().packets_dropped_loss, 0);
+  EXPECT_GT(platform.simulator().metrics().counterValue("net.packet.dropped_loss"), 0);
 }
 
 // ------------------------------------------------- config-file driven -----

@@ -298,8 +298,8 @@ TEST(PacketNetwork, DeliversWithExpectedTiming) {
   sim.run();
   const SimTime expected = kHostStackDelay + tx + st::fromSeconds(0.1e-3) + kHostStackDelay;
   EXPECT_NEAR(static_cast<double>(delivered_at), static_cast<double>(expected), 1000.0);
-  EXPECT_EQ(net.stats().packets_delivered, 1);
-  EXPECT_EQ(net.stats().bytes_delivered, 1000);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.delivered"), 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.bytes_delivered"), 1000);
 }
 
 TEST(PacketNetwork, MultiHopForwardsThroughRouter) {
@@ -342,8 +342,8 @@ TEST(PacketNetwork, QueueOverflowDrops) {
     net.send(std::move(p));
   }
   sim.run();
-  EXPECT_GT(net.stats().packets_dropped_queue, 0);
-  EXPECT_EQ(delivered + net.stats().packets_dropped_queue, 10);
+  EXPECT_GT(sim.metrics().counterValue("net.packet.dropped_queue"), 0);
+  EXPECT_EQ(delivered + sim.metrics().counterValue("net.packet.dropped_queue"), 10);
 }
 
 TEST(PacketNetwork, RandomLossIsDeterministicPerSeed) {
@@ -391,7 +391,7 @@ TEST(PacketNetwork, LinkDownDropsAndUnreachable) {
   net.send(std::move(p));
   sim.run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(net.stats().packets_dropped_down, 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.dropped_down"), 1);
 }
 
 TEST(PacketNetwork, StatsBreakOutDropCausesAndRouteRecomputes) {
@@ -405,7 +405,7 @@ TEST(PacketNetwork, StatsBreakOutDropCausesAndRouteRecomputes) {
   PacketNetwork net(sim, std::move(topo), {});
   net.attachHost(b, [](Packet&&) {});
   // Only topology *changes* recompute routes; construction is not counted.
-  EXPECT_EQ(net.stats().route_recomputes, 0);
+  EXPECT_EQ(sim.metrics().counterValue("net.route.recomputes"), 0);
 
   auto sendOne = [&] {
     Packet p;
@@ -420,8 +420,8 @@ TEST(PacketNetwork, StatsBreakOutDropCausesAndRouteRecomputes) {
   sendOne();
   sim.scheduleAt(st::fromSeconds(0.05), [&] { net.setLinkUp(l, false); });  // recompute #1
   sim.run();
-  EXPECT_EQ(net.stats().packets_dropped_link_down, 1);
-  EXPECT_EQ(net.stats().packets_dropped_node_down, 0);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.drop_link_down"), 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.drop_node_down"), 0);
 
   // The destination crashes while the packet is mid-flight: it crosses the
   // (healthy) wire and is blackholed at delivery, attributed to node_down.
@@ -429,11 +429,11 @@ TEST(PacketNetwork, StatsBreakOutDropCausesAndRouteRecomputes) {
   sendOne();
   sim.scheduleAt(sim.now() + st::fromSeconds(0.05), [&] { net.setNodeUp(b, false); });  // recompute #3
   sim.run();
-  EXPECT_EQ(net.stats().packets_dropped_link_down, 1);
-  EXPECT_EQ(net.stats().packets_dropped_node_down, 1);
-  EXPECT_EQ(net.stats().route_recomputes, 3);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.drop_link_down"), 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.drop_node_down"), 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.route.recomputes"), 3);
   // The cause-specific counters partition the aggregate down-drop count.
-  EXPECT_EQ(net.stats().packets_dropped_down, 2);
+  EXPECT_EQ(sim.metrics().counterValue("net.packet.dropped_down"), 2);
 }
 
 TEST(PacketNetwork, TimeScaleStretchesKernelTime) {
@@ -880,7 +880,8 @@ TEST(Udp, UnboundPortSilentlyDropped) {
   TwoHostNet f;
   f.sim.spawn("client", [&] { f.stack_a->udp().sendTo(f.b, 1234, patternBytes(10)); });
   f.sim.run();  // must terminate without error
-  EXPECT_EQ(f.net->stats().packets_delivered, 1);  // delivered to stack, no socket
+  // Delivered to the stack, which has no socket on that port.
+  EXPECT_EQ(f.sim.metrics().counterValue("net.packet.delivered"), 1);
 }
 
 TEST(Udp, ReplyUsingSourceAddress) {
@@ -946,8 +947,8 @@ TEST(FlowNetwork, TransferBlocksForModeledDuration) {
   // the blocking transfer must land exactly on the analytic estimate.
   EXPECT_NEAR(static_cast<double>(took), static_cast<double>(fn.estimate(0, 2, 100000)),
               static_cast<double>(st::kMicrosecond));
-  EXPECT_EQ(fn.stats().flows_started, 1);
-  EXPECT_EQ(fn.stats().flows_completed, 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.started"), 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.completed"), 1);
 }
 
 TEST(FlowNetwork, ContentionHalvesThroughput) {
@@ -1009,8 +1010,8 @@ TEST(FlowMaxMin, SingleBottleneckSplitsEvenly) {
   EXPECT_NEAR(r1, 50e6, 1.0);
   EXPECT_NEAR(r2, 50e6, 1.0);
   EXPECT_NEAR(r1_after, 100e6, 1.0);
-  EXPECT_EQ(fn.stats().flows_completed, 2);
-  EXPECT_EQ(fn.stats().peak_active_flows, 2);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.completed"), 2);
+  EXPECT_DOUBLE_EQ(sim.metrics().gaugeValue("net.flow.active_peak"), 2.0);
 }
 
 TEST(FlowMaxMin, DirectionsShareNothing) {
@@ -1104,7 +1105,7 @@ TEST(FlowMaxMin, LinkDownAbortsActiveFlows) {
   sim.run();
   EXPECT_EQ(why, "link_down");
   EXPECT_FALSE(completed);
-  EXPECT_EQ(fn.stats().flows_aborted, 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.aborted"), 1);
   EXPECT_EQ(eng.activeFlows(), 0);
 }
 
@@ -1119,7 +1120,7 @@ TEST(FlowMaxMin, TransitNodeCrashAbortsFlows) {
   sim.scheduleAt(10 * st::kMillisecond, [&] { fn.setNodeUp(1, false); });
   sim.run();
   EXPECT_EQ(why, "node_down");
-  EXPECT_EQ(fn.stats().flows_aborted, 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.aborted"), 1);
 }
 
 TEST(FlowMaxMin, DegradeResharesMidFlow) {
@@ -1235,8 +1236,8 @@ TEST(FlowMaxMin, DegradeToZeroStallsThenResumes) {
   EXPECT_EQ(rate_mid, 0.0);
   EXPECT_TRUE(consistent_mid);
   EXPECT_TRUE(estimate_threw);
-  EXPECT_EQ(fn.stats().flows_stalled, 1);
-  EXPECT_EQ(fn.stats().flows_completed, 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.stalls"), 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.completed"), 1);
   EXPECT_FALSE(eng.isStalled(f));  // gone: not stalled
   const double tail = 1e-3 + st::toSeconds(kPerMessageOverhead);
   EXPECT_NEAR(st::toSeconds(done), 0.16 + tail, 1e-6);
@@ -1264,8 +1265,8 @@ TEST(FlowMaxMin, StalledFlowStillAbortsOnLinkDown) {
   sim.scheduleAt(20 * st::kMillisecond, [&] { fn.setLinkUp(0, false); });
   sim.run();
   EXPECT_EQ(why, "link_down");
-  EXPECT_EQ(fn.stats().flows_stalled, 1);
-  EXPECT_EQ(fn.stats().flows_aborted, 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.stalls"), 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.aborted"), 1);
   EXPECT_EQ(eng.activeFlows(), 0);
 }
 
@@ -1297,7 +1298,7 @@ TEST(FlowMaxMin, AbortCallbackCanStartFlowsMidRecompute) {
   EXPECT_TRUE(consistent_in_cb);
   EXPECT_NEAR(repl_rate, 100e6, 1.0);  // alone on L0 after the aborts
   EXPECT_TRUE(eng.indexConsistent());
-  EXPECT_EQ(fn.stats().flows_aborted, 2);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.aborted"), 2);
 }
 
 TEST(FlowMaxMin, IndexConsistentAfterChurn) {
@@ -1321,8 +1322,8 @@ TEST(FlowMaxMin, IndexConsistentAfterChurn) {
   sim.run();
   EXPECT_TRUE(eng.indexConsistent());
   EXPECT_EQ(eng.activeFlows(), 0);
-  EXPECT_EQ(fn.stats().flows_completed, 2);
-  EXPECT_EQ(fn.stats().flows_aborted, 1);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.completed"), 2);
+  EXPECT_EQ(sim.metrics().counterValue("net.flow.aborted"), 1);
 }
 
 TEST(FlowNetwork, ZeroBandwidthParamsFlowOnlyAcceptance) {
@@ -1363,5 +1364,5 @@ TEST(Udp, IncompleteReassemblyTimesOutAndCounts) {
     for (int i = 0; i < 30; ++i) f.stack_a->udp().sendTo(f.b, 53, patternBytes(6000));
   });
   f.sim.run();
-  EXPECT_GT(f.stack_b->udp().datagramsDroppedIncomplete(), 0);
+  EXPECT_GT(f.sim.metrics().counterValue("net.udp.datagrams_dropped_incomplete"), 0);
 }

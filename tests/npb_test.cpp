@@ -1,13 +1,13 @@
 // Tests for the NPB mini-kernels, WaveToy, the micro-benchmarks, and the
-// Autopilot instrumentation.
+// Autopilot instrumentation (progress sensors as metrics gauges).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <tuple>
 
 #include "apps/microbench.h"
 #include "apps/wavetoy.h"
-#include "autopilot/autopilot.h"
 #include "core/launcher.h"
 #include "core/microgrid_platform.h"
 #include "core/reference_platform.h"
@@ -51,22 +51,22 @@ std::vector<npb::KernelResult> runOnReference(npb::Benchmark b, npb::NpbClass cl
   return runOn(platform, b, cls, n);
 }
 
-/// An Autopilot monitor on the simulation's timeline: one level probe for
-/// `sensor`, ticking every `interval` kernel ns. The probe reads NaN (no
-/// sample) until the sensor's first write, so the trace starts there.
+/// An Autopilot monitor on the simulation's timeline: registers `sensor` as
+/// a metrics gauge reading NaN ("no value yet") and adds one level probe for
+/// it, ticking every `interval` kernel ns. A NaN level records no sample, so
+/// the trace starts at the sensor's first write.
 std::unique_ptr<obs::TelemetrySampler> sensorSampler(core::Platform& platform,
-                                                     const autopilot::SensorRegistry& board,
                                                      const std::string& sensor,
                                                      sim::SimTime interval) {
   sim::Simulator& sim = platform.simulator();
+  obs::Gauge& gauge = sim.metrics().gauge(sensor);
+  gauge.set(std::numeric_limits<double>::quiet_NaN());
   sim.timeline().setBaseWidth(interval);
   obs::TelemetrySampler::Options so;
   so.interval_ns = interval;
   auto sampler = std::make_unique<obs::TelemetrySampler>(sim.timeline(),
                                                          sim::telemetryHost(sim), so);
-  sampler->addLevel(sensor, [&board, sensor](std::int64_t) {
-    return board.has(sensor) ? board.get(sensor) : std::numeric_limits<double>::quiet_NaN();
-  });
+  sampler->addLevel(sensor, [&gauge](std::int64_t) { return gauge.value(); });
   return sampler;
 }
 
@@ -242,6 +242,32 @@ TEST(WaveToy, InvalidParamsThrow) {
   EXPECT_TRUE(threw);
 }
 
+TEST(WaveToy, MalformedJobArgumentsFailNamingTheArgument) {
+  struct Case {
+    const char* args;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"50x 3", "parse error: cactus.wavetoy grid_edge wants an integer, got '50x'"},
+      {"abc", "parse error: cactus.wavetoy grid_edge wants an integer, got 'abc'"},
+      {"99999999999 3",
+       "parse error: cactus.wavetoy grid_edge wants an integer, got '99999999999'"},
+      {"50 3y", "parse error: cactus.wavetoy timesteps wants an integer, got '3y'"},
+  };
+  for (const Case& c : cases) {
+    ReferencePlatform platform(core::topologies::alphaCluster());
+    grid::ExecutableRegistry registry;
+    apps::WaveToySink sink;
+    apps::registerWaveToy(registry, sink);
+    core::Launcher launcher(platform, registry);
+    launcher.startServices();
+    auto result = launcher.run("cactus.wavetoy", c.args, {{"vm0.ucsd.edu", 1}});
+    EXPECT_FALSE(result.ok) << c.args;
+    EXPECT_NE(result.error.find(c.message), std::string::npos) << c.args << ": " << result.error;
+    EXPECT_TRUE(sink.results().empty()) << c.args;
+  }
+}
+
 // ------------------------------------------------------------- microbench --
 
 TEST(Microbench, MemoryProbeFindsCapacity) {
@@ -290,29 +316,17 @@ TEST(Microbench, PingPongShapes) {
 
 // -------------------------------------------------------------- autopilot --
 
-TEST(Autopilot, SensorRegistryBasics) {
-  autopilot::SensorRegistry reg;
-  EXPECT_FALSE(reg.has("x"));
-  reg.set("x", 1.5);
-  reg.increment("x", 0.5);
-  reg.increment("y");
-  EXPECT_DOUBLE_EQ(reg.get("x"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.get("y"), 1.0);
-  EXPECT_EQ(reg.names().size(), 2u);
-  EXPECT_THROW(reg.get("zz"), mg::UsageError);
-}
-
 TEST(Autopilot, SamplerRecordsPeriodically) {
   auto cfg = core::topologies::alphaCluster();
   ReferencePlatform platform(cfg);
-  autopilot::SensorRegistry reg;
   platform.spawnOn("vm0.ucsd.edu", "app", [&](vos::HostContext& ctx) {
+    obs::Gauge& sensor = ctx.simulator().metrics().gauge("app.progress");
     for (int i = 0; i < 10; ++i) {
-      reg.set("app.progress", i % 4);
+      sensor.set(i % 4);
       ctx.sleep(1.0);
     }
   });
-  auto sampler = sensorSampler(platform, reg, "app.progress", sim::kSecond);
+  auto sampler = sensorSampler(platform, "app.progress", sim::kSecond);
   sampler->start();
   platform.run();
   const util::Trace trace = platform.simulator().timeline().trace("app.progress");
@@ -323,12 +337,17 @@ TEST(Autopilot, SamplerRecordsPeriodically) {
 
 TEST(Autopilot, NpbSensorBoardPublishesProgress) {
   auto cfg = core::topologies::alphaCluster();
+  const std::string sensor = npb::progressSensor(npb::Benchmark::EP);
+  EXPECT_EQ(sensor, "npb.sensor.EP.progress");
   ReferencePlatform platform(cfg);
-  autopilot::SensorRegistry board;
-  npb::setSensorBoard(&board);
+  obs::Gauge& gauge = platform.simulator().metrics().gauge(sensor);
+  gauge.set(std::numeric_limits<double>::quiet_NaN());
   auto results = runOn(platform, npb::Benchmark::EP, npb::NpbClass::S, 2);
-  npb::setSensorBoard(nullptr);
-  EXPECT_TRUE(board.has("EP.progress"));
+  EXPECT_FALSE(std::isnan(gauge.value()));
+  // Nobody monitoring: the kernel publishes nothing and registers nothing.
+  ReferencePlatform quiet(cfg);
+  runOn(quiet, npb::Benchmark::EP, npb::NpbClass::S, 2);
+  EXPECT_EQ(quiet.simulator().metrics().findGauge(sensor), nullptr);
 }
 
 TEST(Autopilot, Fig17StyleSkewIsSmall) {
@@ -336,17 +355,17 @@ TEST(Autopilot, Fig17StyleSkewIsSmall) {
   // with the paper's RMS metric — the internal-validation methodology.
   // The sampler ticks every 0.5 virtual seconds on each platform.
   auto traceOn = [](core::Platform& platform, sim::SimTime interval) {
-    autopilot::SensorRegistry reg;
-    platform.spawnOn("vm0.ucsd.edu", "app", [&reg](vos::HostContext& ctx) {
+    platform.spawnOn("vm0.ucsd.edu", "app", [](vos::HostContext& ctx) {
       // A slowly varying monitored variable (period >> sample interval);
       // fast sawtooths would alias small timing shifts into large value
       // differences.
+      obs::Gauge& sensor = ctx.simulator().metrics().gauge("app.v");
       for (int i = 0; i < 40; ++i) {
-        reg.set("app.v", (i / 4) % 5);
+        sensor.set((i / 4) % 5);
         ctx.compute(533e6 * 0.5);  // 0.5 virtual seconds
       }
     });
-    auto sampler = sensorSampler(platform, reg, "app.v", interval);
+    auto sampler = sensorSampler(platform, "app.v", interval);
     sampler->start();
     platform.run();
     return platform.simulator().timeline().trace("app.v");

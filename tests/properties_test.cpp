@@ -106,19 +106,20 @@ TEST_P(PacketConservation, EveryPacketAccounted) {
     net.send(std::move(p));
   }
   sim.run();
-  const auto& s = net.stats();
-  EXPECT_EQ(s.packets_sent, kPackets);
-  EXPECT_EQ(s.packets_delivered + s.packets_dropped_queue + s.packets_dropped_loss +
-                s.packets_dropped_down,
+  const auto& m = sim.metrics();
+  EXPECT_EQ(m.counterValue("net.packet.sent"), kPackets);
+  EXPECT_EQ(m.counterValue("net.packet.delivered") + m.counterValue("net.packet.dropped_queue") +
+                m.counterValue("net.packet.dropped_loss") +
+                m.counterValue("net.packet.dropped_down"),
             kPackets);
   EXPECT_LE(delivered_payload, injected_payload);
-  EXPECT_EQ(delivered_payload, s.bytes_delivered);
+  EXPECT_EQ(delivered_payload, m.counterValue("net.packet.bytes_delivered"));
   if (loss == 0.0) {
     // No random loss and queues big enough at this rate: drops only from
     // queue overflow, which the slow middle link can cause.
-    EXPECT_EQ(s.packets_dropped_loss, 0);
+    EXPECT_EQ(m.counterValue("net.packet.dropped_loss"), 0);
   } else {
-    EXPECT_GT(s.packets_dropped_loss, 0);
+    EXPECT_GT(m.counterValue("net.packet.dropped_loss"), 0);
   }
 }
 
@@ -458,11 +459,12 @@ std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental
     });
   }
   sim.run();
-  const auto stats = fn.stats();
-  log.push_back("stats " + std::to_string(stats.flows_started) + "/" +
-                std::to_string(stats.flows_completed) + "/" + std::to_string(stats.flows_aborted) +
-                "/" + std::to_string(stats.flows_stalled) + "/" +
-                std::to_string(stats.share_recomputes));
+  const auto& m = sim.metrics();
+  log.push_back("stats " + std::to_string(m.counterValue("net.flow.started")) + "/" +
+                std::to_string(m.counterValue("net.flow.completed")) + "/" +
+                std::to_string(m.counterValue("net.flow.aborted")) + "/" +
+                std::to_string(m.counterValue("net.flow.stalls")) + "/" +
+                std::to_string(m.counterValue("net.flow.share_recomputes")));
   EXPECT_TRUE(eng.indexConsistent());
   // The event queue only runs dry when no drain is pending, so whatever is
   // still active must be parked as stalled (degraded to zero with no later
