@@ -11,8 +11,10 @@
 //   --exe NAME         registered executable (see --list-executables)
 //   --args "..."       arguments passed to the job
 //   --parts H:N,...    allocation parts (default: one rank per host)
-//   --quantum MS       scheduler quantum in milliseconds (default 10)
-//   --slowdown N       run the emulation N times slower (default 1)
+//   --quantum MS       scheduler quantum in milliseconds (default 10; mgrid
+//                      only)
+//   --slowdown N       run the emulation N times slower (default 1; mgrid
+//                      only)
 //   --netmodel M       network model (mgrid only): packet (default, per-hop
 //                      store-and-forward), flow (max-min fair fluid flows,
 //                      one event per flow state change — orders of magnitude
@@ -20,6 +22,7 @@
 //                      default, packet detail where --netmodel-detail says)
 //   --netmodel-detail P,P,...  hybrid escalation selectors: host:GLOB (or a
 //                      bare hostname glob), port:N, port:LO-HI; repeatable
+//                      (mgrid only)
 //   --faults FILE      fault schedule ([fault ...] sections; mgrid only).
 //                      [fault ...] sections in --config are picked up too.
 //   --explore FILE     model-checking mode (mgrid only): FILE
@@ -107,6 +110,7 @@ struct Options {
   double slowdown = 1.0;
   std::string netmodel;  // "", "packet", "flow", or "hybrid"
   std::vector<std::string> netmodel_detail;
+  std::vector<std::string> mgrid_only;  // emulation-only flags given (pgrid rejects them)
   std::string faults_path;
   std::string explore_path;  // model-checking mode when non-empty
   int explore_budget = 0;    // 0 = use the [explore] section's budget
@@ -144,13 +148,16 @@ Options parseArgs(int argc, char** argv) {
       opt.parts = next();
     } else if (flag == "--quantum") {
       opt.quantum_ms = util::flagDouble(flag, next());
+      opt.mgrid_only.push_back(flag);
     } else if (flag == "--slowdown") {
       opt.slowdown = util::flagDouble(flag, next());
+      opt.mgrid_only.push_back(flag);
     } else if (flag == "--netmodel" || flag.rfind("--netmodel=", 0) == 0) {
       opt.netmodel = (flag == "--netmodel") ? next() : flag.substr(11);
     } else if (flag == "--netmodel-detail" || flag.rfind("--netmodel-detail=", 0) == 0) {
       const std::string val = (flag == "--netmodel-detail") ? next() : flag.substr(18);
       for (const auto& p : util::splitTrim(val, ',')) opt.netmodel_detail.push_back(p);
+      opt.mgrid_only.push_back("--netmodel-detail");
     } else if (flag == "--faults" || flag.rfind("--faults=", 0) == 0) {
       opt.faults_path = (flag == "--faults") ? next() : flag.substr(9);
     } else if (flag == "--explore" || flag.rfind("--explore=", 0) == 0) {
@@ -410,6 +417,9 @@ int main(int argc, char** argv) {
     } else if (opt.platform == "pgrid") {
       if (!opt.netmodel.empty()) {
         throw mg::UsageError("--netmodel needs --platform mgrid (pgrid is always flow-level)");
+      }
+      if (!opt.mgrid_only.empty()) {
+        throw mg::UsageError(opt.mgrid_only.front() + " needs --platform mgrid");
       }
       platform = std::make_unique<core::ReferencePlatform>(cfg);
       std::cout << "reference (physical grid) platform\n";

@@ -71,7 +71,7 @@ void Launcher::startServices(const VirtualGridConfig* publish, const std::string
   });
   for (const auto& host : hosts) {
     platform_.spawnOn(host.hostname, "gatekeeper." + host.hostname, [this](vos::HostContext& ctx) {
-      grid::serveGatekeeper(ctx, registry_, gk_opts_);
+      grid::serveGatekeeper(ctx, registry_);
     });
   }
 }
@@ -182,7 +182,7 @@ void Launcher::markHostUp(const std::string& hostname) {
       });
     }
     platform_.spawnOn(hostname, "gatekeeper." + hostname, [this](vos::HostContext& ctx) {
-      grid::serveGatekeeper(ctx, registry_, gk_opts_);
+      grid::serveGatekeeper(ctx, registry_);
     });
   }
 }

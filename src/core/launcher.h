@@ -80,11 +80,6 @@ class Launcher {
 
   void setLaunchOptions(const LaunchOptions& opts) { opts_ = opts; }
 
-  /// Options for every gatekeeper the launcher spawns (including respawns
-  /// after a restart). Set before startServices(); enables e.g. the batch
-  /// jobmanager mode on all hosts.
-  void setGatekeeperOptions(const grid::GatekeeperOptions& opts) { gk_opts_ = opts; }
-
   /// Fault wiring: stamp the host's GIS record as expired *now*, so
   /// placement searches stop seeing it. Called when a host crashes.
   void markHostDown(const std::string& hostname);
@@ -103,7 +98,6 @@ class Launcher {
   gis::Directory directory_;
   std::string gis_host_;
   LaunchOptions opts_;
-  grid::GatekeeperOptions gk_opts_;
   bool services_started_ = false;
 };
 

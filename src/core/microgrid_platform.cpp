@@ -15,218 +15,33 @@ namespace {
 /// OS overhead on the physical machines.
 constexpr double kUtilization = 0.9;
 
+/// The simulation rate: the override when given, else the fastest rate
+/// every physical machine sustains, with headroom and the slowdown applied.
+double selectRate(const VirtualGridConfig& cfg, const MicroGridOptions& opts) {
+  if (std::isnan(opts.rate_override)) throw ConfigError("simulation rate override is NaN");
+  double rate = opts.rate_override;
+  if (rate <= 0) rate = SimulationRate::compute(cfg).max_feasible * kUtilization / opts.slowdown;
+  if (!std::isfinite(rate) || rate <= 0) {
+    throw ConfigError(util::format("simulation rate %g is not finite and positive", rate));
+  }
+  return rate;
+}
+
 }  // namespace
 
-// ---------------------------------------------------------------- sockets --
-
-class MicroGridPlatform::MgSocket : public vos::StreamSocket {
- public:
-  MgSocket(MicroGridPlatform& p, std::shared_ptr<net::TcpConnection> conn)
-      : p_(p), conn_(std::move(conn)) {}
-
-  void send(const void* data, std::size_t n) override { conn_->send(data, n); }
-  std::size_t recv(void* buf, std::size_t max) override { return conn_->recv(buf, max); }
-  void close() override { conn_->close(); }
-  std::string peerHost() const override {
-    return p_.mapper_.byNode(conn_->remoteNode()).hostname;
-  }
-
- private:
-  MicroGridPlatform& p_;
-  std::shared_ptr<net::TcpConnection> conn_;
-};
-
-class MicroGridPlatform::MgListener : public vos::Listener {
- public:
-  MgListener(MicroGridPlatform& p, std::shared_ptr<net::TcpListener> listener)
-      : p_(p), listener_(std::move(listener)) {}
-
-  std::shared_ptr<vos::StreamSocket> accept() override {
-    return std::make_shared<MgSocket>(p_, listener_->accept());
-  }
-  std::shared_ptr<vos::StreamSocket> acceptFor(double virtual_seconds) override {
-    auto conn = listener_->acceptFor(p_.vt_->toKernel(virtual_seconds));
-    if (!conn) return nullptr;
-    return std::make_shared<MgSocket>(p_, std::move(conn));
-  }
-  void close() override { listener_->close(); }
-
- private:
-  MicroGridPlatform& p_;
-  std::shared_ptr<net::TcpListener> listener_;
-};
-
-// Hybrid mode: a port must accept both escalated (TCP) and fluid
-// connections. Both feed one unified backlog — the flow listener delivers
-// straight into it, and a pump daemon drains the TCP listener's handshake
-// output into it. Pure packet mode never comes through here, so its accept
-// path (and event stream) is untouched.
-class MicroGridPlatform::HybridListener : public vos::Listener {
- public:
-  HybridListener(MicroGridPlatform& p, HostRt& rt, std::uint16_t port)
-      : p_(p),
-        unified_(std::make_shared<sim::Channel<std::shared_ptr<vos::StreamSocket>>>(p.sim_)) {
-    tcp_ = rt.stack->tcp().listen(port);
-    flow_ = p.flow_table_->listen(rt.info->node, port,
-                                  [ch = unified_](std::shared_ptr<vos::StreamSocket> s) {
-                                    if (!ch->closed()) ch->send(std::move(s));
-                                  });
-    // The pump owns shared refs so it can outlive this listener object
-    // (processes are only reaped at kernel safe points).
-    p.sim_.spawn("hybrid-accept-pump", [&p, tcp = tcp_, ch = unified_] {
-      try {
-        while (true) {
-          auto conn = tcp->accept();
-          if (!conn) break;
-          ch->send(std::make_shared<MgSocket>(p, std::move(conn)));
-        }
-      } catch (const sim::ChannelClosed&) {
-        // Listener or backlog closed: orderly pump shutdown.
-      }
-    });
-  }
-
-  ~HybridListener() override { close(); }
-
-  std::shared_ptr<vos::StreamSocket> accept() override { return unified_->recv(); }
-
-  std::shared_ptr<vos::StreamSocket> acceptFor(double virtual_seconds) override {
-    auto v = unified_->recvFor(p_.vt_->toKernel(virtual_seconds));
-    return v ? std::move(*v) : nullptr;
-  }
-
-  void close() override {
-    tcp_->close();
-    flow_->close();
-    unified_->close();
-  }
-
- private:
-  MicroGridPlatform& p_;
-  std::shared_ptr<net::TcpListener> tcp_;
-  std::shared_ptr<FlowListener> flow_;
-  std::shared_ptr<sim::Channel<std::shared_ptr<vos::StreamSocket>>> unified_;
-};
-
-// ---------------------------------------------------------------- context --
-
-class MicroGridPlatform::MgContext : public vos::HostContext {
- public:
-  MgContext(MicroGridPlatform& p, HostRt& rt, const std::string& name)
-      : p_(p), rt_(rt), name_(name) {
-    mem_proc_ = rt_.mem->registerProcess(name);
-  }
-
-  ~MgContext() override {
-    rt_.mem->releaseProcess(mem_proc_);
-    if (task_ >= 0) {
-      auto& ts = rt_.tasks;
-      ts.erase(std::remove(ts.begin(), ts.end(), task_), ts.end());
-      rt_.sched->removeTask(task_);
-      p_.refraction(rt_);
-    }
-  }
-
-  const vos::VirtualHostInfo& host() const override { return *rt_.info; }
-
-  double wallTime() const override { return p_.vt_->toVirtualSeconds(p_.sim_.now()); }
-
-  void sleep(double s) override { p_.sim_.delay(p_.vt_->toKernel(s)); }
-
-  void compute(double ops) override {
-    if (ops < 0) throw mg::UsageError("negative compute");
-    ensureTask();
-    // `ops` execute on the physical CPU; the scheduler's fraction allocation
-    // and the virtual-time rescaling together make the virtual host appear
-    // to run them at its own speed.
-    rt_.sched->compute(task_, ops);
-  }
-
-  void allocateMemory(std::int64_t bytes) override { rt_.mem->allocate(mem_proc_, bytes); }
-  void freeMemory(std::int64_t bytes) override { rt_.mem->free(mem_proc_, bytes); }
-
-  const vos::HostMapper& mapper() const override { return p_.mapper_; }
-
-  std::shared_ptr<vos::Listener> listen(std::uint16_t port) override {
-    switch (p_.opts_.netmodel) {
-      case net::NetModelKind::Packet:
-        return std::make_shared<MgListener>(p_, rt_.stack->tcp().listen(port));
-      case net::NetModelKind::Flow:
-        return p_.flow_table_->listen(rt_.info->node, port);
-      case net::NetModelKind::Hybrid:
-        return std::make_shared<HybridListener>(p_, rt_, port);
-    }
-    throw UsageError("unknown netmodel");
-  }
-
-  std::shared_ptr<vos::StreamSocket> connect(const std::string& host_or_ip,
-                                             std::uint16_t port) override {
-    const vos::VirtualHostInfo& target = p_.mapper_.resolve(host_or_ip);
-    // The connector decides the path; hybrid escalation is symmetric in
-    // (src, dst), so both ends of a detail conversation agree on it.
-    if (p_.opts_.netmodel == net::NetModelKind::Packet ||
-        (p_.opts_.netmodel == net::NetModelKind::Hybrid &&
-         p_.net_->escalate(rt_.info->node, target.node, port))) {
-      return std::make_shared<MgSocket>(p_, rt_.stack->tcp().connect(target.node, port));
-    }
-    return p_.flow_table_->connect(rt_.info->node, target.node, port);
-  }
-
-  sim::Process& spawnProcess(const std::string& name,
-                             std::function<void(vos::HostContext&)> body) override {
-    return p_.spawnOn(rt_.info->hostname, name, std::move(body));
-  }
-
-  sim::Simulator& simulator() override { return p_.sim_; }
-
- private:
-  void ensureTask() {
-    if (task_ >= 0) return;
-    // Lazily created: only CPU-using processes join the fraction division
-    // (socket daemons and the like consume no modeled CPU).
-    // Quantum spans land on the virtual host's track, not the process name.
-    task_ = rt_.sched->addTask(name_, std::max(rt_.host_fraction, 1e-6), rt_.info->hostname);
-    rt_.tasks.push_back(task_);
-    p_.refraction(rt_);
-  }
-
-  MicroGridPlatform& p_;
-  HostRt& rt_;
-  std::string name_;
-  vos::MemoryManager::ProcessId mem_proc_;
-  vos::CpuScheduler::TaskId task_ = -1;
-};
-
-// --------------------------------------------------------------- platform --
-
 MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOptions opts)
-    : mapper_(cfg.mapper()), physicals_(cfg.physicalMachines()), opts_(opts) {
-  if (std::isnan(opts_.rate_override)) throw ConfigError("simulation rate override is NaN");
-  if (opts_.rate_override > 0) {
-    rate_ = opts_.rate_override;
-  } else {
-    const SimulationRate sr = SimulationRate::compute(cfg);
-    rate_ = sr.max_feasible * kUtilization / opts_.slowdown;
-  }
-  if (!std::isfinite(rate_) || rate_ <= 0) {
-    throw ConfigError(util::format("simulation rate %g is not finite and positive", rate_));
-  }
-  vt_ = std::make_unique<vos::VirtualTime>(rate_);
-
+    : Platform(cfg, selectRate(cfg, opts)), opts_(opts) {
   net::PacketNetworkOptions nopts;
-  nopts.time_scale = vt_->kernelPerVirtual();
+  nopts.time_scale = vt_.kernelPerVirtual();
   nopts.seed = opts_.seed;
   switch (opts_.netmodel) {
-    case net::NetModelKind::Packet: {
-      auto pn = std::make_unique<net::PacketNetwork>(sim_, cfg.topology(), nopts);
-      packet_ = pn.get();
-      net_ = std::move(pn);
+    case net::NetModelKind::Packet:
+      attachNetwork(std::make_unique<net::PacketNetwork>(sim_, cfg.topology(), nopts));
       break;
-    }
     case net::NetModelKind::Flow: {
       net::FlowNetworkOptions fopts = opts_.flow;
-      fopts.time_scale = vt_->kernelPerVirtual();
-      net_ = std::make_unique<net::FlowNetwork>(sim_, cfg.topology(), fopts);
+      fopts.time_scale = vt_.kernelPerVirtual();
+      attachNetwork(std::make_unique<net::FlowNetwork>(sim_, cfg.topology(), fopts));
       break;
     }
     case net::NetModelKind::Hybrid: {
@@ -234,51 +49,30 @@ MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOpti
       hopts.packet = nopts;
       hopts.flow = opts_.flow;
       hopts.detail = opts_.netmodel_detail;
-      auto hn = std::make_unique<net::HybridNetwork>(sim_, cfg.topology(), hopts);
-      packet_ = hn.get();
-      net_ = std::move(hn);
+      attachNetwork(std::make_unique<net::HybridNetwork>(sim_, cfg.topology(), hopts));
       break;
     }
   }
-  if (opts_.netmodel != net::NetModelKind::Packet) {
-    flow_table_ = std::make_unique<FlowEndpointTable>(
-        *net_, [this](net::NodeId n) { return mapper_.byNode(n).hostname; },
-        [this](double s) { return vt_->toKernel(s); });
-  }
 
   std::uint64_t seed = opts_.seed;
-  for (const auto& p : physicals_) {
+  for (const auto& p : cfg.physicalMachines()) {
     schedulers_.emplace(p.name, std::make_unique<vos::CpuScheduler>(
                                     sim_, p.cpu_ops, opts_.quantum,
                                     vos::CompetitionProfile::none(), ++seed));
   }
-
-  for (const auto& host : mapper_.hosts()) {
-    HostRt rt;
-    rt.info = &host;
-    // Transport stacks exist only where packets can arrive; pure flow mode
-    // has no per-segment machinery at all.
-    if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, host.node);
-    rt.mem = std::make_unique<vos::MemoryManager>(host.memory_bytes, &sim_.metrics());
-    rt.sched = schedulers_.at(host.physical_host).get();
-    const double phys_ops = cfg.physical(host.physical_host).cpu_ops;
-    rt.host_fraction = std::min(1.0, rate_ * host.cpu_ops / phys_ops);
-    hosts_.emplace(host.hostname, std::move(rt));
+  for (auto& [name, rt] : hosts_) {
+    rt.sched = schedulers_.at(rt.info->physical_host).get();
+    const double phys_ops = cfg.physical(rt.info->physical_host).cpu_ops;
+    rt.host_fraction = std::min(1.0, rate() * rt.info->cpu_ops / phys_ops);
   }
 
-  MG_LOG_INFO("core") << "MicroGrid rate " << rate_ << " (quantum "
+  MG_LOG_INFO("core") << "MicroGrid rate " << rate() << " (quantum "
                       << sim::toSeconds(opts_.quantum) * 1e3 << " ms)";
 }
 
-MicroGridPlatform::~MicroGridPlatform() { sim_.shutdown(); }
+MicroGridPlatform::~MicroGridPlatform() { shutdown(); }
 
-MicroGridPlatform::HostRt& MicroGridPlatform::hostRt(const std::string& hostname) {
-  auto it = hosts_.find(hostname);
-  if (it == hosts_.end()) throw vos::UnknownHost(hostname);
-  return it->second;
-}
-
-void MicroGridPlatform::refraction(HostRt& rt) {
+void MicroGridPlatform::refraction(Host& rt) {
   if (rt.tasks.empty()) return;
   // "This CPU fraction is then divided across each process on a virtual
   // host" (paper §2.4.1). cpu_factor < 1 models a brownout.
@@ -288,7 +82,7 @@ void MicroGridPlatform::refraction(HostRt& rt) {
 }
 
 void MicroGridPlatform::crashHost(const std::string& hostname) {
-  HostRt& rt = hostRt(hostname);
+  Host& rt = host(hostname);
   if (!rt.alive) return;
   rt.alive = false;
   MG_LOG_INFO("core") << "crash " << hostname;
@@ -315,7 +109,7 @@ void MicroGridPlatform::crashHost(const std::string& hostname) {
 }
 
 void MicroGridPlatform::restartHost(const std::string& hostname) {
-  HostRt& rt = hostRt(hostname);
+  Host& rt = host(hostname);
   if (rt.alive) return;
   if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, rt.info->node);
   net_->setNodeUp(rt.info->node, true);
@@ -323,11 +117,11 @@ void MicroGridPlatform::restartHost(const std::string& hostname) {
   MG_LOG_INFO("core") << "restart " << hostname;
 }
 
-bool MicroGridPlatform::hostAlive(const std::string& hostname) { return hostRt(hostname).alive; }
+bool MicroGridPlatform::hostAlive(const std::string& hostname) { return host(hostname).alive; }
 
 void MicroGridPlatform::setHostCpuFactor(const std::string& hostname, double factor) {
   if (factor <= 0 || factor > 1.0) throw UsageError("cpu factor must be in (0, 1]");
-  HostRt& rt = hostRt(hostname);
+  Host& rt = host(hostname);
   rt.cpu_factor = factor;
   refraction(rt);
 }
@@ -340,10 +134,6 @@ net::PacketNetwork& MicroGridPlatform::packetNetwork() {
   return *packet_;
 }
 
-vos::CpuScheduler& MicroGridPlatform::schedulerFor(const std::string& physical_name) {
-  return *schedulers_.at(physical_name);
-}
-
 void MicroGridPlatform::registerTelemetry(obs::TelemetrySampler& sampler) {
   sim::registerKernelProbes(sampler, sim_);
   net_->registerTelemetry(sampler);
@@ -352,9 +142,6 @@ void MicroGridPlatform::registerTelemetry(obs::TelemetrySampler& sampler) {
   for (auto& [name, sched] : schedulers_) {
     sched->registerTelemetry(sampler, name);
   }
-  sampler.addLevel("grid.batch.depth", [this](std::int64_t) {
-    return sim_.metrics().gaugeValue("grid.batch.depth");
-  });
 }
 
 void MicroGridPlatform::registerStateCapture(obs::StateCaptureRegistry& reg) {
@@ -394,20 +181,30 @@ std::size_t MicroGridPlatform::openTcpConnections() {
   return n;
 }
 
-sim::Process& MicroGridPlatform::spawnOn(const std::string& host_or_ip,
-                                         const std::string& process_name,
-                                         std::function<void(vos::HostContext&)> body) {
-  const vos::VirtualHostInfo& info = mapper_.resolve(host_or_ip);
-  HostRt& host = hostRt(info.hostname);
-  if (!host.alive) throw mg::Error("cannot spawn on crashed host " + info.hostname);
-  sim::Process& p =
-      sim_.spawn(process_name, [this, hostname = info.hostname, process_name, body = std::move(body)] {
-        HostRt& rt = hostRt(hostname);
-        MgContext ctx(*this, rt, process_name);
-        body(ctx);
-      });
-  host.procs.push_back(p.id());
-  return p;
+void MicroGridPlatform::computeFor(CpuSlot& slot, double ops) {
+  Host& rt = slot.host;
+  if (slot.task < 0) {
+    // Lazily created: only CPU-using processes join the fraction division
+    // (socket daemons and the like consume no modeled CPU).
+    // Quantum spans land on the virtual host's track, not the process name.
+    slot.task =
+        rt.sched->addTask(slot.process, std::max(rt.host_fraction, 1e-6), rt.info->hostname);
+    rt.tasks.push_back(slot.task);
+    refraction(rt);
+  }
+  // `ops` execute on the physical CPU; the scheduler's fraction allocation
+  // and the virtual-time rescaling together make the virtual host appear
+  // to run them at its own speed.
+  rt.sched->compute(slot.task, ops);
+}
+
+void MicroGridPlatform::releaseCpu(CpuSlot& slot) {
+  if (slot.task < 0) return;
+  Host& rt = slot.host;
+  auto& ts = rt.tasks;
+  ts.erase(std::remove(ts.begin(), ts.end(), slot.task), ts.end());
+  rt.sched->removeTask(slot.task);
+  refraction(rt);
 }
 
 }  // namespace mg::core

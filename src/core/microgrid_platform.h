@@ -13,17 +13,11 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "core/flow_socket.h"
 #include "core/platform.h"
-#include "core/virtual_grid.h"
-#include "net/host_stack.h"
 #include "net/hybrid_network.h"
-#include "net/packet_network.h"
-#include "vos/cpu_scheduler.h"
-#include "vos/memory.h"
-#include "vos/virtual_time.h"
 
 namespace mg::core {
 
@@ -52,23 +46,12 @@ class MicroGridPlatform : public Platform {
   explicit MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOptions opts = {});
   ~MicroGridPlatform() override;
 
-  sim::Simulator& simulator() override { return sim_; }
-  const vos::HostMapper& mapper() const override { return mapper_; }
-  double virtualNow() const override { return vt_->toVirtualSeconds(sim_.now()); }
-
-  sim::Process& spawnOn(const std::string& host_or_ip, const std::string& process_name,
-                        std::function<void(vos::HostContext&)> body) override;
-
   /// The chosen simulation rate (virtual seconds per emulation second).
-  double rate() const { return rate_; }
-  const vos::VirtualTime& virtualTime() const { return *vt_; }
-  /// The network model behind the virtual wire (packet, flow, or hybrid).
-  net::NetworkModel& network() { return *net_; }
+  double rate() const { return vt_.rate(); }
+  const vos::VirtualTime& virtualTime() const { return vt_; }
   /// The packet machinery, when the active model has one (packet or hybrid
   /// mode); throws UsageError under --netmodel=flow.
   net::PacketNetwork& packetNetwork();
-  net::NetModelKind netModel() const { return opts_.netmodel; }
-  vos::CpuScheduler& schedulerFor(const std::string& physical_name);
 
   /// Emulation wall-clock seconds consumed so far (the cost side of the
   /// Fig 15 trade-off).
@@ -76,9 +59,8 @@ class MicroGridPlatform : public Platform {
 
   /// Register the platform's full time-resolved probe set (DESIGN.md §10)
   /// on a sampler: kernel rates (sim.*), the network model's per-link and
-  /// throughput series (net.*), every physical machine's CPU scheduler
-  /// (vos.cpu.util.<machine>, vos.runq.<machine>), and the batch jobmanager
-  /// depth (grid.batch.depth) when one is active. Call after construction,
+  /// throughput series (net.*), and every physical machine's CPU scheduler
+  /// (vos.cpu.util.<machine>, vos.runq.<machine>). Call after construction,
   /// before sampler.start().
   void registerTelemetry(obs::TelemetrySampler& sampler);
 
@@ -117,43 +99,18 @@ class MicroGridPlatform : public Platform {
   /// 1.0 restores full speed.
   void setHostCpuFactor(const std::string& hostname, double factor);
 
+ protected:
+  /// The MicroGrid CPU rule: the process joins its physical machine's
+  /// quantum scheduler on first use, and the host's CPU fraction is
+  /// re-divided among its CPU-using processes as they come and go.
+  void computeFor(CpuSlot& slot, double ops) override;
+  void releaseCpu(CpuSlot& slot) override;
+
  private:
-  friend class MgContext;
-  class MgContext;
-  class MgSocket;
-  class MgListener;
-  class HybridListener;
+  void refraction(Host& rt);
 
-  struct HostRt {
-    const vos::VirtualHostInfo* info = nullptr;
-    std::unique_ptr<net::HostStack> stack;
-    std::unique_ptr<vos::MemoryManager> mem;
-    vos::CpuScheduler* sched = nullptr;
-    double host_fraction = 0;  // of the physical CPU, for all its processes
-    double cpu_factor = 1.0;   // brownout multiplier on host_fraction
-    bool alive = true;
-    std::vector<vos::CpuScheduler::TaskId> tasks;  // live CPU-using processes
-    // Every process ever spawned on this host, by id. Ids (not Process*)
-    // because the kernel reaps finished Process objects at safe points;
-    // killProcessById is a no-op for finished or reaped ids, so stale
-    // entries are harmless.
-    std::vector<std::uint64_t> procs;
-  };
-
-  HostRt& hostRt(const std::string& hostname);
-  void refraction(HostRt& rt);
-
-  sim::Simulator sim_;
-  vos::HostMapper mapper_;
-  std::vector<PhysicalMachine> physicals_;
   MicroGridOptions opts_;
-  double rate_ = 0;
-  std::unique_ptr<vos::VirtualTime> vt_;
-  std::unique_ptr<net::NetworkModel> net_;
-  net::PacketNetwork* packet_ = nullptr;  // non-null in packet/hybrid mode
-  std::unique_ptr<FlowEndpointTable> flow_table_;  // non-null in flow/hybrid mode
   std::map<std::string, std::unique_ptr<vos::CpuScheduler>> schedulers_;
-  std::map<std::string, HostRt> hosts_;
 };
 
 }  // namespace mg::core

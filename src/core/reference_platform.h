@@ -5,18 +5,12 @@
 // travel through the max-min fair flow-level network model — the same
 // FlowNetwork/FlowSocket stack MicroGridPlatform uses under --netmodel=flow,
 // so there is exactly one fluid wiring in the tree. Virtual time equals
-// kernel time (rate 1). See DESIGN.md §2 for why this substitution preserves
-// the comparisons.
+// kernel time (rate 1). Everything but the exact CPU rule is the shared
+// Platform runtime. See DESIGN.md §2 for why this substitution preserves the
+// comparisons.
 #pragma once
 
-#include <map>
-#include <memory>
-
-#include "core/flow_socket.h"
 #include "core/platform.h"
-#include "core/virtual_grid.h"
-#include "net/flow_network.h"
-#include "vos/memory.h"
 
 namespace mg::core {
 
@@ -25,26 +19,8 @@ class ReferencePlatform : public Platform {
   explicit ReferencePlatform(const VirtualGridConfig& cfg);
   ~ReferencePlatform() override;
 
-  sim::Simulator& simulator() override { return sim_; }
-  const vos::HostMapper& mapper() const override { return mapper_; }
-  double virtualNow() const override { return sim::toSeconds(sim_.now()); }
-
-  sim::Process& spawnOn(const std::string& host_or_ip, const std::string& process_name,
-                        std::function<void(vos::HostContext&)> body) override;
-
-  net::FlowNetwork& network() { return *flow_; }
-
- private:
-  friend class RefContext;
-  class RefContext;
-
-  vos::MemoryManager& memoryFor(const std::string& hostname);
-
-  sim::Simulator sim_;
-  vos::HostMapper mapper_;
-  std::unique_ptr<net::FlowNetwork> flow_;
-  std::unique_ptr<FlowEndpointTable> table_;
-  std::map<std::string, std::unique_ptr<vos::MemoryManager>> memory_;
+ protected:
+  void computeFor(CpuSlot& slot, double ops) override;
 };
 
 }  // namespace mg::core

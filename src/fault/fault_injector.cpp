@@ -87,6 +87,22 @@ obs::Counter& FaultInjector::kindCounter(FaultKind k) {
 
 void FaultInjector::arm() {
   if (armed_) throw mg::UsageError("FaultInjector::arm called twice");
+  // Every time the plan puts on the kernel clock — the event, and its
+  // restore `duration` later — must fit SimTime at this simulation rate.
+  const double rate = platform_.virtualTime().rate();
+  for (const auto& ev : plan_.events()) {
+    const char* key = nullptr;
+    if (ev.at / rate >= sim::kMaxSeconds) {
+      key = "at";
+    } else if ((ev.at + ev.duration) / rate >= sim::kMaxSeconds) {
+      key = "duration";
+    }
+    if (key != nullptr) {
+      throw ConfigError(util::format(
+          "fault '%s': %s reaches past the kernel clock's range (%g s) at simulation rate %g",
+          ev.name.c_str(), key, sim::kMaxSeconds, rate));
+    }
+  }
   armed_ = true;
   sim::Simulator& sim = platform_.simulator();
   for (const auto& ev : plan_.events()) {

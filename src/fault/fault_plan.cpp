@@ -94,7 +94,14 @@ FaultEvent FaultPlan::parseEvent(const util::ConfigSection& sec,
   if (ev.kind == FaultKind::Partition && ev.nodes.empty()) {
     throw ConfigError("partition fault '" + ev.name + "' needs a nodes list");
   }
-  if (sec.has("loss")) ev.loss = sec.getDouble("loss");
+  if (sec.has("loss")) {
+    // Negative is the "loss unchanged" sentinel, so only [0, 1) is a loss.
+    ev.loss = sec.getDouble("loss");
+    if (!(ev.loss >= 0 && ev.loss < 1.0)) {
+      throw ConfigError("fault '" + ev.name + "': loss must be in [0, 1), got " +
+                        obs::formatDouble(ev.loss));
+    }
+  }
   ev.latency_mult = sec.getDouble("latency_mult", 1.0);
   ev.bandwidth_mult = sec.getDouble("bandwidth_mult", 1.0);
   ev.factor = sec.getDouble("factor", 1.0);

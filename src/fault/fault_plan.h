@@ -11,7 +11,7 @@
 //   at             = 3s
 //   kind           = link_degrade
 //   target         = la-chi
-//   loss           = 0.02     # absolute loss rate (omit to keep)
+//   loss           = 0.02     # absolute loss rate in [0, 1) (omit to keep)
 //   latency_mult   = 4        # multiplies current latency
 //   bandwidth_mult = 0.25     # multiplies current bandwidth
 //   duration       = 10s      # optional: restore saved parameters

@@ -15,7 +15,12 @@ constexpr SimTime kMicrosecond = 1000;
 constexpr SimTime kMillisecond = 1000 * kMicrosecond;
 constexpr SimTime kSecond = 1000 * kMillisecond;
 
+/// Seconds beyond which fromSeconds() would overflow SimTime (2^63 ns is
+/// about 9.22e9 s, ~292 years); a little margin below the exact limit.
+constexpr double kMaxSeconds = 9.2e9;
+
 /// Convert seconds (double) to SimTime, rounding to the nearest nanosecond.
+/// `s` must lie within +-kMaxSeconds.
 constexpr SimTime fromSeconds(double s) {
   return static_cast<SimTime>(s * static_cast<double>(kSecond) + (s >= 0 ? 0.5 : -0.5));
 }

@@ -3,12 +3,14 @@
 // This is the MicroGrid's interposition surface (paper §2.2): applications
 // written against HostContext use only virtual identities — hostnames,
 // virtual IPs, virtual time, abstract compute — and therefore run unmodified
-// on any platform that implements the interface:
+// on any platform. core::Platform holds the one implementation, shared by
 //
 //   * core::MicroGridPlatform — the emulated Grid (CPU scheduler, packet
 //     network, rescaled virtual time);
 //   * core::ReferencePlatform — the "physical grid" model used as ground
-//     truth in the validation experiments.
+//     truth in the validation experiments (exact compute, flow network).
+//
+// The two differ only in their CPU rule and network model.
 //
 // One HostContext exists per simulated process; siblings on the same virtual
 // host share its CPU allocation and memory capacity.

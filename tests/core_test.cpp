@@ -146,59 +146,6 @@ TEST(ReferencePlatform, ComputeIsExact) {
   EXPECT_NEAR(t, 1.0, 1e-9);
 }
 
-TEST(ReferencePlatform, SleepAndWallTime) {
-  auto cfg = topologies::alphaCluster();
-  ReferencePlatform p(cfg);
-  double t = -1;
-  p.spawnOn("vm1.ucsd.edu", "w", [&](vos::HostContext& ctx) {
-    EXPECT_DOUBLE_EQ(ctx.wallTime(), 0.0);
-    ctx.sleep(2.5);
-    t = ctx.wallTime();
-  });
-  p.run();
-  EXPECT_DOUBLE_EQ(t, 2.5);
-}
-
-TEST(ReferencePlatform, SocketEchoAcrossHosts) {
-  auto cfg = topologies::alphaCluster();
-  ReferencePlatform p(cfg);
-  std::string got;
-  p.spawnOn("vm0.ucsd.edu", "server", [&](vos::HostContext& ctx) {
-    auto listener = ctx.listen(80);
-    auto sock = listener->accept();
-    char buf[64];
-    const size_t n = sock->recv(buf, sizeof buf);
-    sock->send(buf, n);
-    sock->close();
-  });
-  p.spawnOn("vm1.ucsd.edu", "client", [&](vos::HostContext& ctx) {
-    ctx.sleep(0.001);
-    auto sock = ctx.connect("1.11.11.1", 80);  // by virtual IP
-    sock->send("ping", 4);
-    char buf[8];
-    sock->recvExact(buf, 4);
-    got.assign(buf, 4);
-    EXPECT_EQ(sock->peerHost(), "vm0.ucsd.edu");
-  });
-  p.run();
-  EXPECT_EQ(got, "ping");
-}
-
-TEST(ReferencePlatform, ConnectionRefusedWithoutListener) {
-  auto cfg = topologies::alphaCluster();
-  ReferencePlatform p(cfg);
-  bool refused = false;
-  p.spawnOn("vm0.ucsd.edu", "client", [&](vos::HostContext& ctx) {
-    try {
-      ctx.connect("vm1.ucsd.edu", 1234);
-    } catch (const mg::Error&) {
-      refused = true;
-    }
-  });
-  p.run();
-  EXPECT_TRUE(refused);
-}
-
 TEST(ReferencePlatform, TransferTimeMatchesFlowModel) {
   auto cfg = topologies::alphaCluster();
   ReferencePlatform p(cfg);
@@ -223,14 +170,114 @@ TEST(ReferencePlatform, TransferTimeMatchesFlowModel) {
   EXPECT_NEAR(duration, 0.088, 0.01);
 }
 
-TEST(ReferencePlatform, MemoryEnforced) {
+// ------------------------------------------------------ platform contract --
+//
+// Both platforms run processes on one host runtime; only the CPU and network
+// models differ. The process-facing contract holds on the reference, on
+// MicroGrid flow at rate 1, and on MicroGrid packet at its derived rate.
+
+enum class PlatformKind { Reference, MicroGridFlowRate1, MicroGridPacket };
+
+// Names each instance: ctest shows the printed parameter after the suite.
+void PrintTo(PlatformKind kind, std::ostream* os) {
+  switch (kind) {
+    case PlatformKind::Reference: *os << "Reference"; return;
+    case PlatformKind::MicroGridFlowRate1: *os << "MicroGridFlowRate1"; return;
+    case PlatformKind::MicroGridPacket: *os << "MicroGridPacket"; return;
+  }
+}
+
+std::unique_ptr<Platform> makePlatform(PlatformKind kind, const VirtualGridConfig& cfg) {
+  switch (kind) {
+    case PlatformKind::Reference:
+      return std::make_unique<ReferencePlatform>(cfg);
+    case PlatformKind::MicroGridFlowRate1: {
+      MicroGridOptions opts;
+      opts.netmodel = net::NetModelKind::Flow;
+      opts.rate_override = 1.0;
+      return std::make_unique<MicroGridPlatform>(cfg, opts);
+    }
+    case PlatformKind::MicroGridPacket:
+      return std::make_unique<MicroGridPlatform>(cfg);
+  }
+  return nullptr;
+}
+
+class PlatformContract : public ::testing::TestWithParam<PlatformKind> {
+ protected:
+  std::unique_ptr<Platform> make(const VirtualGridConfig& cfg) {
+    return makePlatform(GetParam(), cfg);
+  }
+  /// At rate 1 the virtual clock is the kernel clock; elsewhere a virtual
+  /// duration rounds to a whole kernel nanosecond.
+  bool unitRate() const { return GetParam() != PlatformKind::MicroGridPacket; }
+};
+
+TEST_P(PlatformContract, SleepAndWallTime) {
+  auto cfg = topologies::alphaCluster();
+  auto p = make(cfg);
+  double t = -1;
+  p->spawnOn("vm1.ucsd.edu", "w", [&](vos::HostContext& ctx) {
+    EXPECT_DOUBLE_EQ(ctx.wallTime(), 0.0);
+    ctx.sleep(2.5);
+    t = ctx.wallTime();
+  });
+  p->run();
+  if (unitRate()) {
+    EXPECT_DOUBLE_EQ(t, 2.5);
+  } else {
+    EXPECT_NEAR(t, 2.5, 1e-9);
+  }
+}
+
+TEST_P(PlatformContract, SocketEchoAcrossHosts) {
+  auto cfg = topologies::alphaCluster();
+  auto p = make(cfg);
+  std::string got;
+  p->spawnOn("vm0.ucsd.edu", "server", [&](vos::HostContext& ctx) {
+    auto listener = ctx.listen(80);
+    auto sock = listener->accept();
+    char buf[64];
+    const size_t n = sock->recv(buf, sizeof buf);
+    sock->send(buf, n);
+    sock->close();
+  });
+  p->spawnOn("vm1.ucsd.edu", "client", [&](vos::HostContext& ctx) {
+    ctx.sleep(0.001);
+    auto sock = ctx.connect("1.11.11.1", 80);  // by virtual IP
+    sock->send("ping", 4);
+    char buf[8];
+    sock->recvExact(buf, 4);
+    got.assign(buf, 4);
+    EXPECT_EQ(sock->peerHost(), "vm0.ucsd.edu");
+  });
+  p->run();
+  EXPECT_EQ(got, "ping");
+}
+
+TEST_P(PlatformContract, ConnectionRefusedWithoutListener) {
+  auto cfg = topologies::alphaCluster();
+  auto p = make(cfg);
+  bool refused = false;
+  p->spawnOn("vm0.ucsd.edu", "client", [&](vos::HostContext& ctx) {
+    try {
+      ctx.connect("vm1.ucsd.edu", 1234);
+    } catch (const mg::Error&) {
+      refused = true;
+    }
+  });
+  p->run();
+  EXPECT_TRUE(refused);
+}
+
+TEST_P(PlatformContract, MemoryEnforced) {
   VirtualGridConfig cfg;
   cfg.addPhysical("p", 100e6);
   cfg.addHost("tiny", "1.1.1.1", 100e6, 64 * 1024, "p");
-  ReferencePlatform p(cfg);
+  auto p = make(cfg);
   bool oom = false;
   std::int64_t allocated = 0;
-  p.spawnOn("tiny", "memhog", [&](vos::HostContext& ctx) {
+  p->spawnOn("tiny", "memhog", [&](vos::HostContext& ctx) {
     try {
       for (;;) {
         ctx.allocateMemory(1024);
@@ -240,10 +287,15 @@ TEST(ReferencePlatform, MemoryEnforced) {
       oom = true;
     }
   });
-  p.run();
+  p->run();
   EXPECT_TRUE(oom);
   EXPECT_EQ(allocated, 64 * 1024 - vos::MemoryManager::kProcessOverhead);
 }
+
+INSTANTIATE_TEST_SUITE_P(Platforms, PlatformContract,
+                         ::testing::Values(PlatformKind::Reference,
+                                           PlatformKind::MicroGridFlowRate1,
+                                           PlatformKind::MicroGridPacket));
 
 // ------------------------------------------------------ MicroGridPlatform --
 

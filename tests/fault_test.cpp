@@ -22,6 +22,19 @@
 using namespace mg;
 namespace st = mg::sim;
 
+/// Runs `fn`, expecting a ConfigError whose message holds every fragment.
+template <typename Fn>
+void expectConfigErrorNaming(Fn fn, std::initializer_list<const char*> fragments) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    for (const char* f : fragments) {
+      EXPECT_NE(std::string(e.what()).find(f), std::string::npos) << e.what();
+    }
+  }
+}
+
 // ------------------------------------------------------------- FaultPlan --
 
 TEST(FaultPlanTest, ParsesSortsAndFillsFields) {
@@ -249,6 +262,39 @@ TEST(FaultInjectorTest, ValidatesTargetsAgainstGrid) {
   fault::FaultPlan ok;
   ok.add(simpleEvent(fault::FaultKind::LinkDown, "eth0"));
   EXPECT_NO_THROW(fault::FaultInjector(p, ok));
+}
+
+TEST(FaultInjectorTest, FaultTimesBeyondTheKernelClockAreRejectedAtArm) {
+  // At rate 0.9 a virtual second is 1/0.9 kernel seconds, and the kernel
+  // clock (int64 ns) ends near 9.2e9 s. Beyond it the conversion used to
+  // wrap: a crash at 1e10 s fired at t=0, and a 1e300 s restore failed
+  // mid-run as a "negative delay".
+  core::MicroGridOptions opts;
+  opts.rate_override = 0.9;
+  auto armed = [&](const fault::FaultEvent& ev) {
+    core::MicroGridPlatform p(core::topologies::alphaCluster(), opts);
+    fault::FaultPlan plan;
+    plan.add(ev);
+    fault::FaultInjector injector(p, std::move(plan));
+    injector.arm();
+  };
+  fault::FaultEvent late = mgtest::simpleEvent(fault::FaultKind::HostCrash, "vm0.ucsd.edu", 1e10);
+  late.name = "late";
+  expectConfigErrorNaming([&] { armed(late); }, {"'late'", "at"});
+  fault::FaultEvent forever =
+      mgtest::simpleEvent(fault::FaultKind::HostCrash, "vm0.ucsd.edu", 1.0, 1e300);
+  forever.name = "forever";
+  expectConfigErrorNaming([&] { armed(forever); }, {"'forever'", "duration"});
+
+  // 1e9 virtual seconds is ~1.1e9 kernel seconds: in range, and it fires then.
+  core::MicroGridPlatform p(core::topologies::alphaCluster(), opts);
+  fault::FaultPlan plan;
+  plan.add(mgtest::simpleEvent(fault::FaultKind::HostCrash, "vm0.ucsd.edu", 1e9));
+  fault::FaultInjector injector(p, std::move(plan));
+  injector.arm();
+  EXPECT_NEAR(p.run(), 1e9, 1e-3);
+  EXPECT_FALSE(p.hostAlive("vm0.ucsd.edu"));
+  EXPECT_EQ(injector.injected(), 1);
 }
 
 TEST(FaultInjectorTest, RegistersAllCountersUpFront) {
@@ -778,6 +824,24 @@ TEST(Resilience, HostCrashAbortsOpenSpansAndMarksThem) {
   EXPECT_EQ(r.aborted_still_open, 0);
   EXPECT_EQ(r.fault_instants, 2);  // crash + restart
   EXPECT_NE(r.span_tree.find("aborted=host_crash"), std::string::npos);
+}
+
+TEST(FaultPlanTest, DegradeLossOutsideUnitIntervalIsRejected) {
+  // The link model takes loss rates in [0, 1). Out-of-range values once
+  // passed the plan and either killed the run mid-simulation with an
+  // anonymous "bad link parameters" (loss >= 1) or were silently read as
+  // the "keep the loss" sentinel (loss < 0).
+  auto parse = [](const std::string& loss, const std::string& extra = "") {
+    return fault::FaultPlan::fromConfig(util::Config::parse(
+        "[fault lossy]\nat = 1s\nkind = link_degrade\ntarget = eth0\nloss = " + loss + "\n" +
+        extra));
+  };
+  for (const char* bad : {"2", "1"}) {
+    expectConfigErrorNaming([&] { parse(bad); }, {"'lossy'", "loss"});
+  }
+  expectConfigErrorNaming([&] { parse("-0.5", "latency_mult = 2\n"); }, {"'lossy'", "loss"});
+  EXPECT_DOUBLE_EQ(parse("0").events()[0].loss, 0.0);
+  EXPECT_DOUBLE_EQ(parse("0.999").events()[0].loss, 0.999);
 }
 
 TEST(FaultPlanTest, DegradeToZeroBandwidthIsLegal) {

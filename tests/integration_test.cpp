@@ -307,8 +307,10 @@ TEST(ErrorPaths, RunWithoutServicesThrows) {
 
 TEST(ErrorPaths, SpawnOnUnknownHostThrows) {
   auto cfg = core::topologies::alphaCluster();
-  core::MicroGridPlatform platform(cfg);
-  EXPECT_THROW(platform.spawnOn("nope", "p", [](vos::HostContext&) {}), vos::UnknownHost);
+  core::MicroGridPlatform mgrid(cfg);
+  core::ReferencePlatform pgrid(cfg);
+  EXPECT_THROW(mgrid.spawnOn("nope", "p", [](vos::HostContext&) {}), vos::UnknownHost);
+  EXPECT_THROW(pgrid.spawnOn("nope", "p", [](vos::HostContext&) {}), vos::UnknownHost);
 }
 
 // ------------------------------------------------- mixed workloads --------
