@@ -36,6 +36,9 @@ int BatchQueue::maxWidth() const {
 
 void BatchQueue::submit(const QueuedJob& job, double now) {
   (void)now;
+  if (running_.count(job.id) != 0) {
+    throw UsageError("batch queue: job " + std::to_string(job.id) + " is already running");
+  }
   queue_.push_back(job);
 }
 
@@ -53,6 +56,7 @@ bool BatchQueue::finish(std::int64_t id) {
   auto it = running_.find(id);
   if (it == running_.end()) return false;
   used_ -= it->second.cpus;
+  by_end_.erase({it->second.expected_end_s, id});
   running_.erase(it);
   return true;
 }
@@ -62,7 +66,9 @@ bool BatchQueue::tryStart(const QueuedJob& job, double now) {
       opt_.policy == QueuePolicy::TimeShared ? opt_.slots * opt_.oversubscribe : opt_.slots;
   if (used_ + job.cpus > capacity) return false;
   used_ += job.cpus;
-  running_[job.id] = Running{job.cpus, now + job.est_runtime_s};
+  const double end = now + job.est_runtime_s;
+  running_.emplace(job.id, Running{job.cpus, end});
+  by_end_.emplace(std::make_pair(end, job.id), job.cpus);
   return true;
 }
 
@@ -77,25 +83,16 @@ std::vector<StartedJob> BatchQueue::dispatch(double now) {
   if (queue_.empty() || opt_.policy != QueuePolicy::EasyBackfill) return started;
 
   // EASY backfilling. The blocked head holds a reservation at its shadow
-  // time: walk running jobs in expected-end order, accumulating freed cores
-  // until the head fits. Cores free at that instant beyond the head's need
-  // are the "extra" pool a backfill job may borrow indefinitely; anything
-  // else it borrows must be returned by the shadow time.
+  // time: walk running jobs in (expected end, id) order, accumulating freed
+  // cores until the head fits. Cores free at that instant beyond the head's
+  // need are the "extra" pool a backfill job may borrow indefinitely;
+  // anything else it borrows must be returned by the shadow time.
   const QueuedJob& head = queue_.front();
-  std::vector<const Running*> by_end;
-  by_end.reserve(running_.size());
-  for (const auto& [id, r] : running_) by_end.push_back(&r);
-  std::sort(by_end.begin(), by_end.end(), [](const Running* a, const Running* b) {
-    return a->expected_end_s < b->expected_end_s;
-  });
-
   double shadow = now;
   int avail = opt_.slots - used_;
-  std::size_t i = 0;
-  while (avail < head.cpus && i < by_end.size()) {
-    avail += by_end[i]->cpus;
-    shadow = by_end[i]->expected_end_s;
-    ++i;
+  for (auto it = by_end_.begin(); avail < head.cpus && it != by_end_.end(); ++it) {
+    avail += it->second;
+    shadow = it->first.first;
   }
   // avail >= head.cpus here unless the head is wider than the machine, which
   // submit-side validation rules out; guard anyway so a bad est can't wedge.

@@ -13,9 +13,12 @@
 //  * EasyBackfill  — FCFS plus EASY (aggressive) backfilling: the queue head
 //                    gets a shadow-time reservation computed from running
 //                    jobs' user estimates, and later jobs may jump ahead only
-//                    if they cannot delay that reservation. The scan is
-//                    capped at `backfill_window` candidates so dispatch stays
-//                    O(window + running), not O(depth), at million-job scale.
+//                    if they cannot delay that reservation. Running jobs
+//                    sit in an index ordered by (expected end, id), so the
+//                    shadow walk stops after the few jobs the head needs, and
+//                    the candidate scan is capped at `backfill_window`:
+//                    dispatch costs O(window + jobs walked + log running),
+//                    not O(depth) or a sort of the running set.
 //  * TimeShared    — admit up to `oversubscribe` x slots cores and let the
 //                    caller stretch runtimes (processor sharing); queue past
 //                    that point, FCFS.
@@ -25,6 +28,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mg::econ {
@@ -62,7 +66,8 @@ class BatchQueue {
   /// error to reject.
   int maxWidth() const;
 
-  /// Enqueue. Does not start anything — call dispatch() after.
+  /// Enqueue. Does not start anything — call dispatch() after. Throws
+  /// UsageError if `job.id` is already running.
   void submit(const QueuedJob& job, double now);
 
   /// Remove a still-queued job. False if unknown or already running.
@@ -101,6 +106,9 @@ class BatchQueue {
   int used_ = 0;
   std::deque<QueuedJob> queue_;
   std::map<std::int64_t, Running> running_;
+  // The same jobs keyed (expected end, id) -> cpus: the EASY shadow walk's
+  // order. Ties free their cores in ascending id order.
+  std::map<std::pair<double, std::int64_t>, int> by_end_;
 };
 
 }  // namespace mg::econ

@@ -158,7 +158,7 @@ void GridEconomy::registerStateCapture(obs::StateCaptureRegistry& reg) {
     w.u64("econ.active", active_.size());
     for (const auto& [id, a] : active_) {
       w.i64("job", id);
-      w.str("cluster", a.cluster);
+      w.str("cluster", a.cluster->meta.name);
       w.boolean("running", a.running);
       w.boolean("backing_off", a.backing_off);
       w.i64("resubmits", a.resubmits);
@@ -214,7 +214,7 @@ void GridEconomy::placeJob(Job job, int resubmits) {
   Cluster& c = clusters_.at(p.cluster);
   Active& a = active_[job.id];
   a.job = job;
-  a.cluster = p.cluster;
+  a.cluster = &c;
   a.runtime_c = job.runtime_s * (kRefCoreOps / c.meta.core_ops);
   a.start_s = -1;
   a.resubmits = resubmits;
@@ -245,12 +245,12 @@ void GridEconomy::startTransfer(const Job& job, Cluster& c, int resubmits) {
         [this, id] {
           auto it = active_.find(id);
           if (it == active_.end() || it->second.backing_off) return;
-          auto cit = clusters_.find(it->second.cluster);
-          if (cit == clusters_.end() || !cit->second.alive) {
+          Cluster& dst = *it->second.cluster;
+          if (!dst.alive) {
             resubmit(id, "cluster_down");
             return;
           }
-          enqueue(it->second.job, cit->second, it->second.resubmits);
+          enqueue(it->second.job, dst, it->second.resubmits);
         },
         [this, id](const std::string& reason) { resubmit(id, reason); });
     c_transfers_.inc();
@@ -294,10 +294,7 @@ void GridEconomy::startJob(Cluster& c, const StartedJob& s) {
   } else {
     const std::int64_t id = a.job.id;
     a.finish_event = sim_.scheduleAt(std::max(sim_.now(), kernelAt(now + a.runtime_c)),
-                                     [this, id, name = c.meta.name] {
-                                       auto cit = clusters_.find(name);
-                                       if (cit != clusters_.end()) finishJob(cit->second, id);
-                                     });
+                                     [this, id, cl = &c] { finishJob(*cl, id); });
   }
 }
 
@@ -312,15 +309,12 @@ void GridEconomy::armPsEvent(Cluster& c) {
   // +1 ns past the converted finish time, so the guard below never spins on
   // float/integer rounding.
   const sim::SimTime t = std::max(sim_.now(), kernelAt(when) + 1);
-  c.ps_event = sim_.scheduleAt(t, [this, name = c.meta.name] {
-    auto cit = clusters_.find(name);
-    if (cit == clusters_.end()) return;
-    Cluster& cl = cit->second;
-    cl.ps_event = 0;
+  c.ps_event = sim_.scheduleAt(t, [this, cl = &c] {
+    cl->ps_event = 0;
     double w = 0;
     std::int64_t jid = 0;
-    while (cl.ps.nextFinish(w, jid) && kernelAt(w) < sim_.now()) finishJob(cl, jid);
-    armPsEvent(cl);
+    while (cl->ps.nextFinish(w, jid) && kernelAt(w) < sim_.now()) finishJob(*cl, jid);
+    armPsEvent(*cl);
   });
 }
 
@@ -350,7 +344,7 @@ void GridEconomy::finishJob(Cluster& c, std::int64_t id) {
   }
   c_completed_.inc();
   ++rpt_.completed;
-  ++rpt_.per_cluster[c.meta.name];
+  ++c.completed;
   rpt_.makespan_s = std::max(rpt_.makespan_s, now);
   pump(c);
 }
@@ -362,16 +356,14 @@ void GridEconomy::resubmit(std::int64_t id, const std::string& reason) {
   Active& a = it->second;
   if (a.backing_off) return;  // already on its way back through the broker
   // Undo any queue/pool residue on the old cluster (covers flow-abort while
-  // queued and crash requeues alike; cluster may already be rebuilt).
-  auto cit = clusters_.find(a.cluster);
-  if (cit != clusters_.end()) {
-    cit->second.queue.cancel(id);
-    if (a.running) {
-      if (cit->second.meta.policy == QueuePolicy::TimeShared) {
-        if (cit->second.ps.remove(id, now_s())) armPsEvent(cit->second);
-      }
-      cit->second.queue.finish(id);
+  // queued and crash requeues alike; a crash may already have reset both).
+  Cluster& c = *a.cluster;
+  c.queue.cancel(id);
+  if (a.running) {
+    if (c.meta.policy == QueuePolicy::TimeShared) {
+      if (c.ps.remove(id, now_s())) armPsEvent(c);
     }
+    c.queue.finish(id);
   }
   if (a.finish_event != 0) {
     sim_.cancel(a.finish_event);
@@ -452,10 +444,10 @@ void GridEconomy::crashCluster(const std::string& name) {
 
   std::vector<std::int64_t> affected;
   for (const auto& [id, a] : active_) {
-    if (a.cluster == name) affected.push_back(id);
+    if (a.cluster == &c) affected.push_back(id);
   }
-  // Reset the queue/pool wholesale; resubmit() then treats each job as
-  // already evicted.
+  // Reset the queue/pool wholesale, in place (closures hold &c); resubmit()
+  // then treats each job as already evicted.
   c.queue = BatchQueue(c.queue.options());
   if (c.ps_event != 0) {
     sim_.cancel(c.ps_event);
@@ -477,6 +469,9 @@ void GridEconomy::restartCluster(const std::string& name) {
 }
 
 EconReport GridEconomy::report() {
+  for (const auto& [name, c] : clusters_) {
+    if (c.completed > 0) rpt_.per_cluster[name] = c.completed;
+  }
   rpt_.slowdown_p50 = slowdown_hist_.quantile(0.50);
   rpt_.slowdown_p95 = slowdown_hist_.quantile(0.95);
   rpt_.slowdown_p99 = slowdown_hist_.quantile(0.99);

@@ -135,6 +135,7 @@ class GridEconomy {
     net::NodeId head_node = net::kNoNode;
     bool alive = true;
     sim::EventId ps_event = 0;  // pending PS-finish event (0 = none)
+    std::int64_t completed = 0;  // folded into EconReport::per_cluster
 
     Cluster(const EconCluster& m, const BatchQueue::Options& qopt) : meta(m), queue(qopt) {
       ps.cores = m.slots;
@@ -144,7 +145,7 @@ class GridEconomy {
   /// A job somewhere between placement and completion.
   struct Active {
     Job job;
-    std::string cluster;
+    Cluster* cluster = nullptr;  // a clusters_ node; those never move
     double runtime_c = 0;  // runtime scaled to the cluster's core speed
     double start_s = -1;   // dispatch time; < 0 while queued/transferring
     int resubmits = 0;
@@ -184,7 +185,9 @@ class GridEconomy {
   Broker broker_;
   gis::Directory gis_;
   gis::Dn gis_base_;
-  std::map<std::string, Cluster> clusters_;  // name-ordered
+  // Name-ordered and built once in the constructor: hot closures and
+  // Active::cluster hold Cluster* into it.
+  std::map<std::string, Cluster> clusters_;
   // Data-site index -> head node of the first (name-ordered) cluster at that
   // site; kNoNode for a site no cluster holds.
   std::vector<net::NodeId> site_heads_;

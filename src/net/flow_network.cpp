@@ -401,9 +401,11 @@ void FlowEngine::finishDrain(FlowId id) {
   // propagate (path latency) and clear the receive stack (per-message
   // overhead) before the receiver sees the message.
   const sim::SimTime tail = f.latency + kPerMessageOverhead;
+  // One span id, 0 unless the engine owns it, keeps the closure within
+  // EventFn's inline buffer.
   sim_.scheduleAfter(model_.scaleDuration(tail),
-                     [this, cb = std::move(f.on_complete), span = f.span, owns = f.owns_span] {
-                       if (owns) sim_.spans().end(span);
+                     [this, cb = std::move(f.on_complete), owned = f.owns_span ? f.span : 0] {
+                       if (owned != 0) sim_.spans().end(owned);
                        if (cb) cb();
                      });
   // Chain before re-sharing: a pipelined sender's next chunk starts at this

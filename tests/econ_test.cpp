@@ -2,6 +2,10 @@
 // policies, broker placement, and the end-to-end event-driven economy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -166,6 +170,218 @@ TEST(BatchQueue, TimeSharedAdmitsOversubscribed) {
   EXPECT_EQ(q.depth(), 1);
   EXPECT_TRUE(q.finish(1));
   EXPECT_EQ(ids(q.dispatch(5)), (std::vector<std::int64_t>{3}));
+}
+
+TEST(BatchQueue, SubmitOfARunningIdThrows) {
+  econ::BatchQueue q({});
+  q.submit(qj(1, 2, 10), 0);
+  ASSERT_EQ(ids(q.dispatch(0)), (std::vector<std::int64_t>{1}));
+  EXPECT_THROW(q.submit(qj(1, 2, 10), 0), mg::UsageError);
+  EXPECT_EQ(q.depth(), 0);
+  EXPECT_EQ(q.usedSlots(), 2);
+  EXPECT_TRUE(q.finish(1));
+  EXPECT_EQ(q.usedSlots(), 0);
+  q.submit(qj(1, 2, 10), 0);  // finished ids may come back
+  EXPECT_EQ(ids(q.dispatch(1)), (std::vector<std::int64_t>{1}));
+}
+
+TEST(BatchQueue, EqualExpectedEndsFreeCoresInIdOrder) {
+  // Two running jobs both end at t=10 on 5 slots, 1 core free. The head
+  // needs 2, so the shadow walk stops after the first tied job it visits;
+  // whatever that job frees beyond the head's need is the backfill "extra"
+  // pool. Candidate 4 (1 core, ends t=50 > shadow) starts only from extra.
+  auto run = [](int cpus_of_1, int cpus_of_2) {
+    econ::BatchQueue::Options opt;
+    opt.slots = 5;
+    opt.policy = econ::QueuePolicy::EasyBackfill;
+    econ::BatchQueue q(opt);
+    q.submit(qj(1, cpus_of_1, 10), 0);
+    q.submit(qj(2, cpus_of_2, 10), 0);
+    EXPECT_EQ(ids(q.dispatch(0)), (std::vector<std::int64_t>{1, 2}));
+    q.submit(qj(3, 2, 100), 0);
+    q.submit(qj(4, 1, 50), 0);
+    return ids(q.dispatch(0));
+  };
+  // Id 1 frees 1 core first: avail 2, no extra, 4 waits.
+  EXPECT_TRUE(run(1, 3).empty());
+  // Id 1 frees 3 cores first: avail 4, extra 2, 4 backfills.
+  EXPECT_EQ(run(3, 1), (std::vector<std::int64_t>{4}));
+}
+
+namespace {
+
+/// The EASY queue as it was before the running index: every blocked dispatch
+/// copies the id-ordered running set and sorts it by expected end. The
+/// stable sort makes its tie order (end, id) at every size.
+class CopySortOracle {
+ public:
+  explicit CopySortOracle(int slots) : slots_(slots) {}
+
+  void submit(const econ::QueuedJob& job) { queue_.push_back(job); }
+
+  bool cancel(std::int64_t id) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (it->id == id) {
+        queue_.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool finish(std::int64_t id) {
+    auto it = running_.find(id);
+    if (it == running_.end()) return false;
+    used_ -= it->second.first;
+    running_.erase(it);
+    return true;
+  }
+
+  std::vector<econ::StartedJob> dispatch(double now) {
+    std::vector<econ::StartedJob> started;
+    while (!queue_.empty() && tryStart(queue_.front(), now)) {
+      started.push_back({queue_.front(), false});
+      queue_.pop_front();
+    }
+    if (queue_.empty()) return started;
+    const econ::QueuedJob& head = queue_.front();
+    std::vector<std::pair<int, double>> by_end;  // (cpus, end), id order
+    for (const auto& [id, r] : running_) by_end.push_back(r);
+    std::stable_sort(by_end.begin(), by_end.end(),
+                     [](const auto& a, const auto& b) { return a.second < b.second; });
+    double shadow = now;
+    int avail = slots_ - used_;
+    for (std::size_t i = 0; avail < head.cpus && i < by_end.size(); ++i) {
+      avail += by_end[i].first;
+      shadow = by_end[i].second;
+    }
+    const int extra = std::max(0, avail - head.cpus);
+    int scanned = 0;
+    for (auto it = std::next(queue_.begin());
+         it != queue_.end() && scanned < kWindow && used_ < slots_;) {
+      ++scanned;
+      const econ::QueuedJob& cand = *it;
+      if (cand.cpus <= slots_ - used_ &&
+          (now + cand.est_runtime_s <= shadow || cand.cpus <= extra)) {
+        tryStart(cand, now);
+        started.push_back({cand, true});
+        it = queue_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return started;
+  }
+
+  std::vector<std::int64_t> runningIds() const {
+    std::vector<std::int64_t> out;
+    for (const auto& [id, r] : running_) out.push_back(id);
+    return out;
+  }
+  std::vector<std::int64_t> queuedIds() const {
+    std::vector<std::int64_t> out;
+    for (const auto& q : queue_) out.push_back(q.id);
+    return out;
+  }
+  int used() const { return used_; }
+
+  static constexpr int kWindow = econ::BatchQueue::Options{}.backfill_window;
+
+ private:
+  bool tryStart(const econ::QueuedJob& job, double now) {
+    if (used_ + job.cpus > slots_) return false;
+    used_ += job.cpus;
+    running_[job.id] = {job.cpus, now + job.est_runtime_s};
+    return true;
+  }
+
+  int slots_;
+  int used_ = 0;
+  std::deque<econ::QueuedJob> queue_;
+  std::map<std::int64_t, std::pair<int, double>> running_;  // id -> (cpus, end)
+};
+
+struct DifferentialStats {
+  std::size_t peak_running = 0;
+  int backfills = 0;
+};
+
+/// Seeded random submit/finish/cancel/dispatch against both queues.
+DifferentialStats differentialRun(std::uint64_t seed, int slots, int max_cpus, int steps) {
+  econ::BatchQueue::Options opt;
+  opt.slots = slots;
+  opt.policy = econ::QueuePolicy::EasyBackfill;
+  econ::BatchQueue q(opt);
+  CopySortOracle oracle(slots);
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::int64_t next_id = 1;
+  double now = 0;
+  DifferentialStats stats;
+  for (int step = 0; step < steps; ++step) {
+    const std::size_t op = pick(10);
+    if (op < 5) {
+      // Whole-second estimates on a whole-second clock: expected ends tie.
+      const int cpus = 1 + static_cast<int>(pick(static_cast<std::size_t>(max_cpus)));
+      const double est = static_cast<double>(1 + pick(8));
+      const econ::QueuedJob job = qj(next_id++, cpus, est, now);
+      q.submit(job, now);
+      oracle.submit(job);
+    } else if (op < 8) {
+      const std::vector<std::int64_t> running = oracle.runningIds();
+      if (!running.empty()) {
+        const std::int64_t id = running[pick(running.size())];
+        EXPECT_TRUE(q.finish(id));
+        EXPECT_TRUE(oracle.finish(id));
+      }
+    } else if (op < 9) {
+      const std::vector<std::int64_t> queued = oracle.queuedIds();
+      if (!queued.empty()) {
+        const std::int64_t id = queued[pick(queued.size())];
+        EXPECT_TRUE(q.cancel(id));
+        EXPECT_TRUE(oracle.cancel(id));
+      }
+    } else {
+      now += static_cast<double>(pick(3));
+    }
+    const std::vector<econ::StartedJob> got = q.dispatch(now);
+    const std::vector<econ::StartedJob> want = oracle.dispatch(now);
+    EXPECT_EQ(ids(got), ids(want)) << "seed " << seed << " step " << step;
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].backfilled, want[i].backfilled) << "seed " << seed << " step " << step;
+      stats.backfills += got[i].backfilled ? 1 : 0;
+    }
+    EXPECT_EQ(q.usedSlots(), oracle.used());
+    EXPECT_EQ(static_cast<std::size_t>(q.depth()), oracle.queuedIds().size());
+    EXPECT_EQ(static_cast<std::size_t>(q.runningCount()), oracle.runningIds().size());
+    if (::testing::Test::HasFailure()) break;
+    stats.peak_running = std::max(stats.peak_running, oracle.runningIds().size());
+  }
+  return stats;
+}
+
+}  // namespace
+
+TEST(BatchQueue, EasyIndexMatchesCopyAndSortOracleUpTo16Running) {
+  int backfills = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const DifferentialStats s = differentialRun(seed, /*slots=*/16, /*max_cpus=*/6, /*steps=*/400);
+    EXPECT_LE(s.peak_running, 16u);
+    backfills += s.backfills;
+  }
+  EXPECT_GT(backfills, 0);
+}
+
+TEST(BatchQueue, EasyIndexMatchesCopyAndSortOracleBeyond16Running) {
+  std::size_t peak = 0;
+  int backfills = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const DifferentialStats s = differentialRun(seed, /*slots=*/96, /*max_cpus=*/8, /*steps=*/600);
+    peak = std::max(peak, s.peak_running);
+    backfills += s.backfills;
+  }
+  EXPECT_GT(peak, 16u);  // past the size where std::sort is an insertion sort
+  EXPECT_GT(backfills, 0);
 }
 
 TEST(BatchQueue, PolicyNamesParse) {
@@ -334,6 +550,23 @@ TEST(Economy, ClusterCrashResubmitsInFlightJobs) {
   // forced at least one broker-level resubmission.
   EXPECT_EQ(r.completed + r.failed + r.rejected_budget + r.rejected_unplaceable, r.submitted);
   EXPECT_GT(r.resubmits, 0);
+}
+
+TEST(Economy, DataStagingNeverFallsBackToTheHeap) {
+  // Every stage-in is a flow whose completion tail is an EventFn; it must fit
+  // the inline buffer (one span id, not an id plus an ownership flag).
+  const econ::EconGrid grid = econ::makeEconGrid(smallGrid());
+  core::MicroGridOptions mopts;
+  mopts.netmodel = net::NetModelKind::Flow;
+  mopts.rate_override = 1.0;
+  core::MicroGridPlatform platform(grid.grid, mopts);
+  econ::EconOptions eopts;
+  eopts.workload = smallWorkload(200);
+  econ::GridEconomy economy(platform, grid, eopts);
+  economy.arm();
+  platform.run();
+  EXPECT_GT(economy.report().transfers, 0);
+  EXPECT_EQ(platform.simulator().metrics().counterValue("sim.kernel.eventfn_heap_fallbacks"), 0);
 }
 
 TEST(Economy, GridGeneratorShapesAndPolicyParse) {
