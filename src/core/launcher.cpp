@@ -12,6 +12,8 @@ namespace mg::core {
 namespace {
 
 constexpr const char* kGisBase = "ou=MicroGrid, o=Grid";
+/// Virtual seconds before the first resubmission; doubles per attempt.
+constexpr double kResubmitBackoffSeconds = 1.0;
 
 /// Re-place parts whose hosts the GIS no longer lists (their records expired
 /// when they crashed). Runs in the client process between attempts; on any
@@ -99,7 +101,7 @@ std::shared_ptr<LaunchResult> Launcher::submitAsync(
         co.client().setRetryPolicy(opts.retry);
         result->submitted_at = ctx.wallTime();
         std::vector<grid::AllocationPart> cur = parts;
-        double backoff = opts.backoff_seconds;
+        double backoff = kResubmitBackoffSeconds;
         for (int attempt = 0;; ++attempt) {
           std::map<std::string, std::string> env = extra_env;
           // Fresh port block per attempt: ranks of a failed attempt may

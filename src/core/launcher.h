@@ -34,11 +34,10 @@ struct LaunchResult {
 };
 
 /// Resilience knobs for Launcher::run. With max_resubmits > 0 a failed job
-/// is resubmitted (after a doubling virtual-time backoff), re-placing parts
-/// whose hosts have dropped out of the GIS.
+/// is resubmitted (after a doubling virtual-time backoff of 1, 2, 4, ...
+/// seconds), re-placing parts whose hosts have dropped out of the GIS.
 struct LaunchOptions {
   int max_resubmits = 0;
-  double backoff_seconds = 1.0;  // virtual; doubles per resubmission
   grid::GramRetryPolicy retry;
 };
 

@@ -1,41 +1,17 @@
 #include "econ/batch_queue.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace mg::econ {
 
-QueuePolicy parseQueuePolicy(const std::string& s) {
-  const std::string t = util::toLower(s);
-  if (t == "fcfs") return QueuePolicy::Fcfs;
-  if (t == "easy" || t == "backfill" || t == "easy-backfill") return QueuePolicy::EasyBackfill;
-  if (t == "timeshared" || t == "time-shared" || t == "ps") return QueuePolicy::TimeShared;
-  throw ConfigError("unknown queue policy '" + s + "' (fcfs, easy, timeshared)");
-}
-
-const char* queuePolicyName(QueuePolicy p) {
-  switch (p) {
-    case QueuePolicy::Fcfs: return "fcfs";
-    case QueuePolicy::EasyBackfill: return "easy";
-    case QueuePolicy::TimeShared: return "timeshared";
-  }
-  return "?";
-}
-
 BatchQueue::BatchQueue(const Options& opt) : opt_(opt) {
   if (opt_.slots < 1) throw ConfigError("batch queue: slots must be >= 1");
-  if (opt_.backfill_window < 1) throw ConfigError("batch queue: backfill_window must be >= 1");
-  if (opt_.oversubscribe < 1) throw ConfigError("batch queue: oversubscribe must be >= 1");
 }
 
-int BatchQueue::maxWidth() const {
-  return opt_.policy == QueuePolicy::TimeShared ? opt_.slots * opt_.oversubscribe : opt_.slots;
-}
-
-void BatchQueue::submit(const QueuedJob& job, double now) {
-  (void)now;
+void BatchQueue::submit(const QueuedJob& job) {
   if (running_.count(job.id) != 0) {
     throw UsageError("batch queue: job " + std::to_string(job.id) + " is already running");
   }
@@ -63,7 +39,7 @@ bool BatchQueue::finish(std::int64_t id) {
 
 bool BatchQueue::tryStart(const QueuedJob& job, double now) {
   const int capacity =
-      opt_.policy == QueuePolicy::TimeShared ? opt_.slots * opt_.oversubscribe : opt_.slots;
+      opt_.policy == QueuePolicy::TimeShared ? opt_.slots * kOversubscribe : opt_.slots;
   if (used_ + job.cpus > capacity) return false;
   used_ += job.cpus;
   const double end = now + job.est_runtime_s;
@@ -100,7 +76,7 @@ std::vector<StartedJob> BatchQueue::dispatch(double now) {
 
   int scanned = 0;
   for (auto it = std::next(queue_.begin());
-       it != queue_.end() && scanned < opt_.backfill_window && used_ < opt_.slots;) {
+       it != queue_.end() && scanned < kBackfillWindow && used_ < opt_.slots;) {
     ++scanned;
     const QueuedJob& cand = *it;
     const bool fits_now = cand.cpus <= opt_.slots - used_;

@@ -1,25 +1,22 @@
-// Batch queue scheduling policies (the "local resource manager" the broker
-// and the GRAM batch jobmanager share).
+// Batch queue scheduling policies: the "local resource manager" of each
+// cluster in the grid economy (src/econ/economy.*).
 //
 // A BatchQueue is a pure policy object: it owns slot accounting and queue
-// order but no clock and no events. Callers feed it time explicitly —
-// submit(job, now), finish(id), dispatch(now) — and it answers with the jobs
-// that may start. That keeps the same code exact in both worlds it serves:
-// the event-driven million-job economy simulation (src/econ/economy.*) and
-// the full-fidelity GRAM gatekeeper batch mode (src/grid/gram.*).
+// order but no clock and no events. The economy feeds it time explicitly —
+// submit(job), finish(id), dispatch(now) — and it answers with the jobs
+// that may start.
 //
-// Three policies:
-//  * Fcfs          — strict arrival order; head-of-line blocking and all.
+// Two policies:
 //  * EasyBackfill  — FCFS plus EASY (aggressive) backfilling: the queue head
 //                    gets a shadow-time reservation computed from running
 //                    jobs' user estimates, and later jobs may jump ahead only
 //                    if they cannot delay that reservation. Running jobs
 //                    sit in an index ordered by (expected end, id), so the
 //                    shadow walk stops after the few jobs the head needs, and
-//                    the candidate scan is capped at `backfill_window`:
+//                    the candidate scan is capped at `kBackfillWindow`:
 //                    dispatch costs O(window + jobs walked + log running),
 //                    not O(depth) or a sort of the running set.
-//  * TimeShared    — admit up to `oversubscribe` x slots cores and let the
+//  * TimeShared    — admit up to `kOversubscribe` x slots cores and let the
 //                    caller stretch runtimes (processor sharing); queue past
 //                    that point, FCFS.
 #pragma once
@@ -27,15 +24,17 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
 namespace mg::econ {
 
-enum class QueuePolicy { Fcfs, EasyBackfill, TimeShared };
-QueuePolicy parseQueuePolicy(const std::string& s);
-const char* queuePolicyName(QueuePolicy p);
+enum class QueuePolicy { EasyBackfill, TimeShared };
+
+/// Queued jobs an EASY dispatch examines beyond the head.
+inline constexpr int kBackfillWindow = 64;
+/// TimeShared admits up to this many times `slots` cores.
+inline constexpr int kOversubscribe = 4;
 
 /// What the queue needs to know about a job. `est_runtime_s` is the user's
 /// estimate (reservations use it; actual completion is the caller's business).
@@ -56,19 +55,13 @@ class BatchQueue {
   struct Options {
     int slots = 8;  // schedulable cores
     QueuePolicy policy = QueuePolicy::EasyBackfill;
-    int backfill_window = 64;  // queued jobs examined beyond the head
-    int oversubscribe = 4;     // TimeShared admission cap multiplier
   };
 
   explicit BatchQueue(const Options& opt);
 
-  /// Widest job this queue can ever run; wider submissions are the caller's
-  /// error to reject.
-  int maxWidth() const;
-
   /// Enqueue. Does not start anything — call dispatch() after. Throws
   /// UsageError if `job.id` is already running.
-  void submit(const QueuedJob& job, double now);
+  void submit(const QueuedJob& job);
 
   /// Remove a still-queued job. False if unknown or already running.
   bool cancel(std::int64_t id);
@@ -80,7 +73,6 @@ class BatchQueue {
   std::vector<StartedJob> dispatch(double now);
 
   int freeSlots() const { return opt_.slots - used_; }
-  int usedSlots() const { return used_; }
   int depth() const { return static_cast<int>(queue_.size()); }
   int runningCount() const { return static_cast<int>(running_.size()); }
   const Options& options() const { return opt_; }

@@ -225,17 +225,17 @@ void GridEconomy::placeJob(Job job, int resubmits) {
   broker_.noteScheduled(p.cluster, job.cpus, est_c * job.cpus);
 
   if (job.input_bytes > 0 && job.data_site >= 0 && job.data_site != c.meta.site) {
-    startTransfer(job, c, resubmits);
+    startTransfer(job, c);
   } else {
-    enqueue(job, c, resubmits);
+    enqueue(job, c);
   }
 }
 
-void GridEconomy::startTransfer(const Job& job, Cluster& c, int resubmits) {
+void GridEconomy::startTransfer(const Job& job, Cluster& c) {
   net::FlowEngine* fe = platform_.network().flows();
   const net::NodeId src = siteHead(job.data_site);
   if (!fe || src == net::kNoNode || src == c.head_node) {
-    enqueue(job, c, resubmits);
+    enqueue(job, c);
     return;
   }
   const std::int64_t id = job.id;
@@ -250,7 +250,7 @@ void GridEconomy::startTransfer(const Job& job, Cluster& c, int resubmits) {
             resubmit(id, "cluster_down");
             return;
           }
-          enqueue(it->second.job, dst, it->second.resubmits);
+          enqueue(it->second.job, dst);
         },
         [this, id](const std::string& reason) { resubmit(id, reason); });
     c_transfers_.inc();
@@ -262,14 +262,13 @@ void GridEconomy::startTransfer(const Job& job, Cluster& c, int resubmits) {
   }
 }
 
-void GridEconomy::enqueue(const Job& job, Cluster& c, int resubmits) {
-  (void)resubmits;
+void GridEconomy::enqueue(const Job& job, Cluster& c) {
   QueuedJob q;
   q.id = job.id;
   q.cpus = job.cpus;
   q.est_runtime_s = job.est_runtime_s * (kRefCoreOps / c.meta.core_ops);
   q.submit_s = now_s();
-  c.queue.submit(q, q.submit_s);
+  c.queue.submit(q);
   pump(c);
 }
 

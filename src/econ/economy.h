@@ -157,8 +157,8 @@ class GridEconomy {
   void scheduleNextArrival();
   void handleArrival(Job job, int resubmits);
   void placeJob(Job job, int resubmits);
-  void startTransfer(const Job& job, Cluster& c, int resubmits);
-  void enqueue(const Job& job, Cluster& c, int resubmits);
+  void startTransfer(const Job& job, Cluster& c);
+  void enqueue(const Job& job, Cluster& c);
   void pump(Cluster& c);
   void startJob(Cluster& c, const StartedJob& s);
   void finishJob(Cluster& c, std::int64_t id);

@@ -105,9 +105,11 @@ void FaultInjector::arm() {
   }
   armed_ = true;
   sim::Simulator& sim = platform_.simulator();
-  for (const auto& ev : plan_.events()) {
-    const sim::SimTime t = platform_.virtualTime().toKernel(ev.at);
-    sim.scheduleAt(std::max(t, sim.now()), [this, ev] { fire(ev); });
+  // Closures carry an index, not the event, so they fit EventFn inline.
+  const std::vector<FaultEvent>& evs = plan_.events();
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    const sim::SimTime t = platform_.virtualTime().toKernel(evs[i].at);
+    sim.scheduleAt(std::max(t, sim.now()), [this, i] { fire(plan_.events()[i]); });
   }
 }
 
@@ -139,14 +141,19 @@ void FaultInjector::fire(const FaultEvent& ev) {
   const net::Topology& topo = net.topology();
   const double now = platform_.virtualNow();
 
-  // Synthesize the inverse event `duration` virtual seconds later. The
-  // inverse goes through fire() itself, so it is counted and traced like any
-  // other injected fault.
-  auto scheduleInverse = [&](FaultEvent inverse) {
+  // Synthesize the inverse event `duration` virtual seconds later and keep
+  // it in inverses_; the closure holds its index. The inverse goes through
+  // fire() itself, so it is counted and traced like any other injected fault.
+  auto addInverse = [&](FaultEvent inverse) {
     inverse.at = ev.at + ev.duration;
     inverse.duration = 0;
+    inverses_.push_back(std::move(inverse));
+    return inverses_.size() - 1;
+  };
+  auto scheduleInverse = [&](FaultEvent inverse) {
+    const std::size_t i = addInverse(std::move(inverse));
     sim.scheduleAfter(platform_.virtualTime().toKernel(ev.duration),
-                      [this, inverse] { fire(inverse); });
+                      [this, i] { fire(inverses_[i]); });
   };
 
   // Every case decides explicitly: apply (mutate state, count, schedule the
@@ -191,13 +198,11 @@ void FaultInjector::fire(const FaultEvent& ev) {
       if (ev.duration > 0) {
         // Restoring saved parameters needs the closure, not a plain inverse
         // event; it is still counted as a link_degrade application.
-        FaultEvent inv = ev;
-        inv.at = ev.at + ev.duration;
-        inv.duration = 0;
+        const std::size_t i = addInverse(ev);
         sim.scheduleAfter(platform_.virtualTime().toKernel(ev.duration),
-                          [this, inv, lid, saved] {
+                          [this, i, lid, saved] {
                             platform_.network().applyLinkParams(lid, saved);
-                            applied(inv);
+                            applied(inverses_[i]);
                           });
       }
       break;

@@ -10,6 +10,7 @@
 // dependencies.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -89,6 +90,11 @@ class FaultInjector {
   obs::Counter& c_injected_;
   obs::Counter& c_ignored_;
   std::map<std::string, obs::Counter*> kind_counters_;
+
+  // Inverse events synthesized from applied faults with a `duration`, so a
+  // scheduled closure holds an index rather than a copy. Not part of the
+  // state capture: the kernel's pending events already carry the schedule.
+  std::deque<FaultEvent> inverses_;
 
   // Partition id -> links taken down, for heal.
   std::map<std::string, std::vector<net::LinkId>> partitions_;

@@ -4,8 +4,6 @@
 #include <map>
 #include <optional>
 
-#include "econ/batch_queue.h"
-
 #include "net/tcp.h"
 #include "obs/span.h"
 #include "sim/condition.h"
@@ -33,9 +31,6 @@ namespace {
 /// Modeled cost of authentication (the GSI stand-in), in operations on the
 /// gatekeeper's host CPU.
 constexpr double kAuthOps = 2e6;
-/// Runtime estimate (seconds) used for EASY reservations when the RSL
-/// carries no `maxwalltime` attribute.
-constexpr double kDefaultEstSeconds = 60;
 /// Retry backoff growth per attempt.
 constexpr double kRetryBackoffMultiplier = 2.0;
 
@@ -49,9 +44,6 @@ struct GkState {
   std::map<int, JobRecord> jobs;
   int next_id = 1;
   sim::Condition done;  // notified on every terminal transition
-  // Batch jobmanager mode (GatekeeperOptions::batch.enabled).
-  std::optional<econ::BatchQueue> batch;
-  std::map<int, Rsl> queued;  // RSLs of jobs waiting for dispatch
 };
 
 bool isTerminal(JobState s) {
@@ -67,44 +59,6 @@ std::string statusBody(const JobStatus& st) {
     default:
       return jobStateName(st.state);
   }
-}
-
-void runJobManager(vos::HostContext& ctx, const ExecutableRegistry& registry,
-                   std::shared_ptr<GkState> state, GatekeeperOptions opts, int job_id, Rsl rsl);
-
-/// Batch mode: start every queued job the policy allows right now.
-void pumpBatch(vos::HostContext& ctx, const ExecutableRegistry& registry,
-               std::shared_ptr<GkState> state, const GatekeeperOptions& opts) {
-  if (!state->batch) return;
-  auto& metrics = ctx.simulator().metrics();
-  const double now = ctx.wallTime();
-  for (const econ::StartedJob& s : state->batch->dispatch(now)) {
-    const int id = static_cast<int>(s.job.id);
-    auto rit = state->queued.find(id);
-    if (rit == state->queued.end()) {  // cancelled between dispatch rounds
-      state->batch->finish(id);
-      continue;
-    }
-    const Rsl rsl = rit->second;
-    state->queued.erase(rit);
-    metrics.counter("grid.batch.started").inc();
-    if (s.backfilled) metrics.counter("grid.batch.backfilled").inc();
-    metrics.histogram("grid.batch.wait_s", 0, 3600, 360).add(now - s.job.submit_s);
-    ctx.spawnProcess("jobmanager." + std::to_string(id),
-                     [&registry, state, opts, id, rsl](vos::HostContext& jmctx) {
-                       runJobManager(jmctx, registry, state, opts, id, rsl);
-                     });
-  }
-  metrics.gauge("grid.batch.depth").set(state->batch->depth());
-  metrics.gauge("grid.batch.used_slots").set(state->batch->usedSlots());
-}
-
-/// Terminal transition of a dispatched batch job: free its slots, start
-/// whatever now fits.
-void finishBatchJob(vos::HostContext& ctx, const ExecutableRegistry& registry,
-                    std::shared_ptr<GkState> state, const GatekeeperOptions& opts, int job_id) {
-  if (!state->batch) return;
-  if (state->batch->finish(job_id)) pumpBatch(ctx, registry, state, opts);
 }
 
 void runJobManager(vos::HostContext& ctx, const ExecutableRegistry& registry,
@@ -125,7 +79,6 @@ void runJobManager(vos::HostContext& ctx, const ExecutableRegistry& registry,
     job.status.state = JobState::Failed;
     job.status.error = why;
     state->done.notifyAll();
-    finishBatchJob(ctx, registry, state, opts, job_id);
   };
 
   // Jobmanager startup cost (fork/exec, RSL evaluation in real Globus).
@@ -134,7 +87,6 @@ void runJobManager(vos::HostContext& ctx, const ExecutableRegistry& registry,
   if (job.cancel_requested) {
     job.status.state = JobState::Cancelled;
     state->done.notifyAll();
-    finishBatchJob(ctx, registry, state, opts, job_id);
     return;
   }
 
@@ -194,7 +146,6 @@ void runJobManager(vos::HostContext& ctx, const ExecutableRegistry& registry,
           if (--*remaining == 0) {
             if (jr.status.state == JobState::Active) jr.status.state = JobState::Done;
             state->done.notifyAll();
-            finishBatchJob(pctx, registry, state, opts, job_id);
           }
         });
   }
@@ -224,37 +175,6 @@ std::string handleRequest(vos::HostContext& ctx, const ExecutableRegistry& regis
     }
     const int id = state->next_id++;
     state->jobs.emplace(id, JobRecord{});
-    if (state->batch) {
-      // Batch mode: queue rather than launch. Submission still succeeds —
-      // infeasible jobs land in the Failed state the client polls for, the
-      // same way a real scheduler rejects at queue time, not submit time.
-      JobRecord& job = state->jobs.at(id);
-      const int width = rsl.count();
-      if (width < 1) {
-        job.status.state = JobState::Failed;
-        job.status.error = "count must be >= 1";
-        state->done.notifyAll();
-      } else if (width > state->batch->maxWidth()) {
-        job.status.state = JobState::Failed;
-        job.status.error = "count " + std::to_string(width) + " exceeds queue capacity " +
-                           std::to_string(state->batch->maxWidth());
-        state->done.notifyAll();
-      } else {
-        double est = kDefaultEstSeconds;
-        if (rsl.has("maxwalltime")) {
-          try {
-            est = util::parseTime(rsl.get("maxwalltime"));
-          } catch (const mg::Error&) {
-            // unparsable estimate: keep the default, don't reject the job
-          }
-        }
-        const double now = ctx.wallTime();
-        state->queued.emplace(id, rsl);
-        state->batch->submit(econ::QueuedJob{id, width, est, now}, now);
-        pumpBatch(ctx, registry, state, opts);
-      }
-      return "OK\n" + std::to_string(id);
-    }
     ctx.spawnProcess("jobmanager." + std::to_string(id),
                      [&registry, state, opts, id, rsl](vos::HostContext& jmctx) {
                        runJobManager(jmctx, registry, state, opts, id, rsl);
@@ -292,15 +212,7 @@ std::string handleRequest(vos::HostContext& ctx, const ExecutableRegistry& regis
     if (it == state->jobs.end()) return "ERR\nno such job " + lines[1];
     JobRecord& job = it->second;
     if (job.status.state == JobState::Pending) {
-      // A job still sitting in the batch queue leaves it immediately; one
-      // whose jobmanager is already spinning up is cancelled at startup.
-      if (state->batch && state->batch->cancel(id)) {
-        state->queued.erase(id);
-        job.status.state = JobState::Cancelled;
-        state->done.notifyAll();
-        ctx.simulator().metrics().counter("grid.batch.cancelled_queued").inc();
-        return "OK\n";
-      }
+      // The jobmanager is still spinning up; it cancels at startup.
       job.cancel_requested = true;
       return "OK\n";
     }
@@ -315,7 +227,6 @@ std::string handleRequest(vos::HostContext& ctx, const ExecutableRegistry& regis
 void serveGatekeeper(vos::HostContext& ctx, const ExecutableRegistry& registry,
                      GatekeeperOptions opts) {
   auto state = std::make_shared<GkState>(ctx.simulator());
-  if (opts.batch.enabled) state->batch.emplace(opts.batch.queue);
   auto listener = ctx.listen(kGatekeeperPort);
   MG_LOG_INFO("gram") << "gatekeeper listening on " << ctx.hostname() << ":" << kGatekeeperPort;
   for (;;) {

@@ -19,7 +19,6 @@
 #include <memory>
 #include <string>
 
-#include "econ/batch_queue.h"
 #include "grid/registry.h"
 #include "grid/rsl.h"
 #include "vos/context.h"
@@ -44,16 +43,6 @@ struct GatekeeperOptions {
   /// Modeled cost of jobmanager startup, in operations on the gatekeeper's
   /// host CPU. Authentication before it has a fixed cost (DESIGN.md §12).
   double jobmanager_startup_ops = 5e6;
-  /// Batch jobmanager mode. When enabled, SUBMIT enqueues the job into an
-  /// econ::BatchQueue (slots = `queue.slots` cores; RSL `count` is the
-  /// job's width) instead of launching immediately: jobs *queue* when the
-  /// host is busy rather than oversubscribing it. Jobs still report
-  /// PENDING until dispatch; CANCEL of a queued job removes it
-  /// immediately. Queue wait/depth land under `grid.batch.*` metrics.
-  struct BatchMode {
-    bool enabled = false;
-    econ::BatchQueue::Options queue;
-  } batch;
 };
 
 /// Serve the gatekeeper on ctx's host. Blocks forever; spawn as a process.

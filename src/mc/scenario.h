@@ -6,11 +6,11 @@
 // fault decision points to capture state digests, runToEnd() drains the
 // run so the invariant checker can inspect the terminal state.
 //
-// Because process stacks hold pointers into live heap state, a snapshot
-// cannot byte-copy them; a scenario is therefore a *factory* — a pure
-// function from a FaultPlan to a fresh, deterministic instance. "Restoring" a snapshot means
-// rebuilding via the factory, replaying to the capture time, and verifying
-// the state digest (see mc/snapshot.h). That makes determinism of the
+// Because process stacks hold pointers into live heap state, a run cannot
+// be byte-copied; a scenario is therefore a *factory* — a pure function
+// from a FaultPlan to a fresh, deterministic instance. Returning to a
+// state means rebuilding via the factory and replaying to its virtual
+// time, where digest() identifies it. That makes determinism of the
 // factory a hard requirement: two instances built from equal plans must be
 // byte-identical at every virtual time.
 #pragma once
@@ -56,9 +56,6 @@ struct ScenarioRun {
 
   /// Canonical digest of the full platform state at the current pause point.
   std::uint64_t digest() const { return capture.digest(); }
-  /// The field-by-field transcript of digest() — the diff surface when a
-  /// restore does not reproduce the captured state.
-  std::vector<std::string> transcript() const { return capture.transcript(); }
 
   ScenarioRun() = default;
   ScenarioRun(const ScenarioRun&) = delete;

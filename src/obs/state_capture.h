@@ -1,5 +1,4 @@
-// Canonical state capture for snapshot/restore and the fault-schedule
-// explorer (DESIGN.md §11).
+// Canonical state capture for the fault-schedule explorer (DESIGN.md §11).
 //
 // A StateWriter folds a layer's observable state into a single 64-bit
 // digest (streaming FNV-1a over a canonical byte encoding). Layers expose
@@ -8,12 +7,13 @@
 // capture functions so a whole platform's state folds into one digest in a
 // canonical (name-sorted) order, independent of registration order.
 //
-// The digest is the snapshot's identity: process stacks hold pointers into
-// live heap state, so the simulator cannot byte-copy them; instead a
-// snapshot is {virtual time, digest, replay recipe} and restore replays
-// deterministically, verifying the digest at the target time. Capturing must therefore be strictly
-// read-only and itself deterministic: iterate containers in sorted order,
-// fold doubles by bit pattern, never by formatted text.
+// The digest is a run's identity at a pause point: process stacks hold
+// pointers into live heap state, so the simulator cannot byte-copy them;
+// instead two runs are compared by rebuilding each from its fault plan,
+// replaying deterministically to the same virtual time and comparing
+// digests. Capturing must therefore be strictly read-only and itself
+// deterministic: iterate containers in sorted order, fold doubles by bit
+// pattern, never by formatted text.
 //
 // Digests are conservative: two states with equal digests are treated as
 // equal by the explorer's pruning, which is sound because every folded field
@@ -28,18 +28,12 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace mg::obs {
 
-/// Streams typed fields into an FNV-1a-64 digest. Optionally keeps a
-/// human-readable transcript of every field (key + value) so a digest
-/// mismatch on restore can be diagnosed by diffing two transcripts.
+/// Streams typed fields into an FNV-1a-64 digest.
 class StateWriter {
  public:
-  explicit StateWriter(bool keep_transcript = false)
-      : keep_transcript_(keep_transcript) {}
-
   /// Open a named field or section. Keys are folded into the digest, so two
   /// captures agree only when their key sequences agree too.
   void key(std::string_view name);
@@ -52,17 +46,10 @@ class StateWriter {
 
   std::uint64_t digest() const { return hash_; }
 
-  /// One "key=value" line per field, in capture order; empty unless
-  /// constructed with keep_transcript = true.
-  const std::vector<std::string>& transcript() const { return transcript_; }
-
  private:
   void bytes(const void* data, std::size_t n);
-  void note(std::string_view name, std::string value);
 
   std::uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  bool keep_transcript_ = false;
-  std::vector<std::string> transcript_;
 };
 
 /// Named capture functions, folded in name-sorted order. The platform and
@@ -82,10 +69,6 @@ class StateCaptureRegistry {
 
   /// Fold every registered capture, sorted by name, into one digest.
   std::uint64_t digest() const;
-
-  /// The transcript form of digest(): every field of every capture as
-  /// "section/key=value" lines — the diff surface for restore mismatches.
-  std::vector<std::string> transcript() const;
 
  private:
   std::map<std::string, CaptureFn> captures_;

@@ -37,11 +37,4 @@ class UsageError : public Error {
   explicit UsageError(const std::string& what) : Error("usage error: " + what) {}
 };
 
-/// A snapshot restore diverged from the captured state (mc/snapshot.h): the
-/// scenario factory was not a pure function of its fault plan.
-class StateError : public Error {
- public:
-  explicit StateError(const std::string& what) : Error("state error: " + what) {}
-};
-
 }  // namespace mg

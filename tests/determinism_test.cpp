@@ -1,9 +1,10 @@
 // Seed-sweep determinism: for every seed, two fresh runs of NPB EP under
 // faults (a lossy link all run long plus a transient outage mid-run) must be
 // byte-identical in every observable stream — metrics snapshot, span tree,
-// and the application's own checksums. The model checker's replay-restore
-// construction (mc/snapshot.h) is built entirely on this property, so a
-// single seed where it breaks invalidates the whole subsystem.
+// and the application's own checksums. The fault-schedule explorer rebuilds
+// each schedule through a scenario factory and replays it (mc/scenario.h),
+// so it is built entirely on this property: a single seed where it breaks
+// invalidates the whole subsystem.
 #include <gtest/gtest.h>
 
 #include <cstdint>

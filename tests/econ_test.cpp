@@ -107,37 +107,22 @@ std::vector<std::int64_t> ids(const std::vector<econ::StartedJob>& started) {
 
 }  // namespace
 
-TEST(BatchQueue, FcfsBlocksBehindWideHead) {
-  econ::BatchQueue::Options opt;
-  opt.slots = 4;
-  opt.policy = econ::QueuePolicy::Fcfs;
-  econ::BatchQueue q(opt);
-  q.submit(qj(1, 2, 10), 0);
-  EXPECT_EQ(ids(q.dispatch(0)), (std::vector<std::int64_t>{1}));
-  q.submit(qj(2, 4, 10), 0);  // cannot fit while 1 runs
-  q.submit(qj(3, 1, 1), 0);   // could fit, but FCFS never jumps
-  EXPECT_TRUE(q.dispatch(0).empty());
-  EXPECT_EQ(q.depth(), 2);
-  EXPECT_TRUE(q.finish(1));
-  EXPECT_FALSE(q.finish(1));  // already released
-  EXPECT_EQ(ids(q.dispatch(10)), (std::vector<std::int64_t>{2}));
-}
-
 TEST(BatchQueue, EasyBackfillRespectsShadowReservation) {
   econ::BatchQueue::Options opt;
   opt.slots = 4;
   opt.policy = econ::QueuePolicy::EasyBackfill;
   econ::BatchQueue q(opt);
-  q.submit(qj(1, 2, 10), 0);  // runs, ends at t=10 by its estimate
+  q.submit(qj(1, 2, 10));  // runs, ends at t=10 by its estimate
   ASSERT_EQ(ids(q.dispatch(0)), (std::vector<std::int64_t>{1}));
-  q.submit(qj(2, 4, 10), 0);  // head: needs all 4 slots, shadow time t=10
-  q.submit(qj(3, 2, 5), 0);   // fits now, ends t=5 <= shadow: backfills
-  q.submit(qj(4, 2, 20), 0);  // would end t=20 > shadow and no extra: waits
+  q.submit(qj(2, 4, 10));  // head: needs all 4 slots, shadow time t=10
+  q.submit(qj(3, 2, 5));   // fits now, ends t=5 <= shadow: backfills
+  q.submit(qj(4, 2, 20));  // would end t=20 > shadow and no extra: waits
   const auto started = q.dispatch(0);
   ASSERT_EQ(ids(started), (std::vector<std::int64_t>{3}));
   EXPECT_TRUE(started[0].backfilled);
   // Head starts only once both running jobs have released their cores.
   EXPECT_TRUE(q.finish(1));
+  EXPECT_FALSE(q.finish(1));  // already released
   EXPECT_TRUE(q.dispatch(10).empty());
   EXPECT_TRUE(q.finish(3));
   EXPECT_EQ(ids(q.dispatch(10)), (std::vector<std::int64_t>{2}));
@@ -147,9 +132,9 @@ TEST(BatchQueue, EasyBackfillRespectsShadowReservation) {
 
 TEST(BatchQueue, CancelRemovesQueuedButNotRunning) {
   econ::BatchQueue q({});
-  q.submit(qj(1, 8, 10), 0);
+  q.submit(qj(1, 8, 10));
   q.dispatch(0);
-  q.submit(qj(2, 1, 1), 0);
+  q.submit(qj(2, 1, 1));
   EXPECT_TRUE(q.cancel(2));
   EXPECT_FALSE(q.cancel(2));  // gone
   EXPECT_FALSE(q.cancel(1));  // running jobs are not cancellable here
@@ -160,12 +145,11 @@ TEST(BatchQueue, TimeSharedAdmitsOversubscribed) {
   econ::BatchQueue::Options opt;
   opt.slots = 2;
   opt.policy = econ::QueuePolicy::TimeShared;
-  opt.oversubscribe = 2;
   econ::BatchQueue q(opt);
-  EXPECT_EQ(q.maxWidth(), 4);
-  q.submit(qj(1, 2, 10), 0);
-  q.submit(qj(2, 2, 10), 0);  // 4 cores on 2 slots: admitted (stretched)
-  q.submit(qj(3, 1, 10), 0);  // past the admission cap: queues
+  static_assert(econ::kOversubscribe == 4);
+  q.submit(qj(1, 4, 10));
+  q.submit(qj(2, 4, 10));  // 8 cores on 2 slots: admitted (stretched)
+  q.submit(qj(3, 1, 10));  // past the admission cap of 4 x 2: queues
   EXPECT_EQ(ids(q.dispatch(0)), (std::vector<std::int64_t>{1, 2}));
   EXPECT_EQ(q.depth(), 1);
   EXPECT_TRUE(q.finish(1));
@@ -174,14 +158,14 @@ TEST(BatchQueue, TimeSharedAdmitsOversubscribed) {
 
 TEST(BatchQueue, SubmitOfARunningIdThrows) {
   econ::BatchQueue q({});
-  q.submit(qj(1, 2, 10), 0);
+  q.submit(qj(1, 2, 10));
   ASSERT_EQ(ids(q.dispatch(0)), (std::vector<std::int64_t>{1}));
-  EXPECT_THROW(q.submit(qj(1, 2, 10), 0), mg::UsageError);
+  EXPECT_THROW(q.submit(qj(1, 2, 10)), mg::UsageError);
   EXPECT_EQ(q.depth(), 0);
-  EXPECT_EQ(q.usedSlots(), 2);
+  EXPECT_EQ(q.freeSlots(), 6);
   EXPECT_TRUE(q.finish(1));
-  EXPECT_EQ(q.usedSlots(), 0);
-  q.submit(qj(1, 2, 10), 0);  // finished ids may come back
+  EXPECT_EQ(q.freeSlots(), 8);
+  q.submit(qj(1, 2, 10));  // finished ids may come back
   EXPECT_EQ(ids(q.dispatch(1)), (std::vector<std::int64_t>{1}));
 }
 
@@ -195,11 +179,11 @@ TEST(BatchQueue, EqualExpectedEndsFreeCoresInIdOrder) {
     opt.slots = 5;
     opt.policy = econ::QueuePolicy::EasyBackfill;
     econ::BatchQueue q(opt);
-    q.submit(qj(1, cpus_of_1, 10), 0);
-    q.submit(qj(2, cpus_of_2, 10), 0);
+    q.submit(qj(1, cpus_of_1, 10));
+    q.submit(qj(2, cpus_of_2, 10));
     EXPECT_EQ(ids(q.dispatch(0)), (std::vector<std::int64_t>{1, 2}));
-    q.submit(qj(3, 2, 100), 0);
-    q.submit(qj(4, 1, 50), 0);
+    q.submit(qj(3, 2, 100));
+    q.submit(qj(4, 1, 50));
     return ids(q.dispatch(0));
   };
   // Id 1 frees 1 core first: avail 2, no extra, 4 waits.
@@ -285,7 +269,7 @@ class CopySortOracle {
   }
   int used() const { return used_; }
 
-  static constexpr int kWindow = econ::BatchQueue::Options{}.backfill_window;
+  static constexpr int kWindow = econ::kBackfillWindow;
 
  private:
   bool tryStart(const econ::QueuedJob& job, double now) {
@@ -325,7 +309,7 @@ DifferentialStats differentialRun(std::uint64_t seed, int slots, int max_cpus, i
       const int cpus = 1 + static_cast<int>(pick(static_cast<std::size_t>(max_cpus)));
       const double est = static_cast<double>(1 + pick(8));
       const econ::QueuedJob job = qj(next_id++, cpus, est, now);
-      q.submit(job, now);
+      q.submit(job);
       oracle.submit(job);
     } else if (op < 8) {
       const std::vector<std::int64_t> running = oracle.runningIds();
@@ -351,7 +335,7 @@ DifferentialStats differentialRun(std::uint64_t seed, int slots, int max_cpus, i
       EXPECT_EQ(got[i].backfilled, want[i].backfilled) << "seed " << seed << " step " << step;
       stats.backfills += got[i].backfilled ? 1 : 0;
     }
-    EXPECT_EQ(q.usedSlots(), oracle.used());
+    EXPECT_EQ(q.freeSlots(), slots - oracle.used());
     EXPECT_EQ(static_cast<std::size_t>(q.depth()), oracle.queuedIds().size());
     EXPECT_EQ(static_cast<std::size_t>(q.runningCount()), oracle.runningIds().size());
     if (::testing::Test::HasFailure()) break;
@@ -382,13 +366,6 @@ TEST(BatchQueue, EasyIndexMatchesCopyAndSortOracleBeyond16Running) {
   }
   EXPECT_GT(peak, 16u);  // past the size where std::sort is an insertion sort
   EXPECT_GT(backfills, 0);
-}
-
-TEST(BatchQueue, PolicyNamesParse) {
-  EXPECT_EQ(econ::parseQueuePolicy("fcfs"), econ::QueuePolicy::Fcfs);
-  EXPECT_EQ(econ::parseQueuePolicy("easy"), econ::QueuePolicy::EasyBackfill);
-  EXPECT_EQ(econ::parseQueuePolicy("timeshared"), econ::QueuePolicy::TimeShared);
-  EXPECT_THROW(econ::parseQueuePolicy("sjf"), mg::ConfigError);
 }
 
 // ----------------------------------------------------------------- broker --

@@ -489,6 +489,29 @@ TEST(FaultInjectorTest, IgnoredEventsAreByteDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(FaultInjectorTest, ScheduledFaultsNeverFallBackToTheHeap) {
+  // The plan of examples/grids/alpha4_faults.ini: one fault of each kind
+  // that schedules an inverse (plain and the degrade restore closure).
+  // Scheduled fault closures hold indices, so each fits EventFn inline.
+  const fault::FaultPlan plan = fault::FaultPlan::fromConfig(util::Config::parse(
+      "[fault eth1-degrade]\nat = 1s\nkind = link_degrade\ntarget = eth1\nloss = 0.01\n"
+      "latency_mult = 4\nbandwidth_mult = 0.5\nduration = 6s\n"
+      "[fault vm3-crash]\nat = 2s\nkind = host_crash\ntarget = vm3.ucsd.edu\nduration = 5s\n"
+      "[fault vm0-brownout]\nat = 3s\nkind = cpu_brownout\ntarget = vm0.ucsd.edu\n"
+      "factor = 0.5\nduration = 4s\n"));
+  mgtest::LauncherHarness h;
+  h.registry.add("idle", [](grid::JobContext& jc) {
+    jc.os.sleep(8.0);  // outlasts every fault and its inverse
+    return 0;
+  });
+  const fault::FaultInjector& injector = h.armFaults(plan);
+  const core::LaunchResult r = h.launcher.run("idle", "", mgtest::LauncherHarness::fourRanks());
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(injector.injected(), 6);  // three faults and their three inverses
+  EXPECT_EQ(h.platform.simulator().metrics().counterValue("sim.kernel.eventfn_heap_fallbacks"),
+            0);
+}
+
 // -------------------------------------------------- network fault detail --
 
 TEST(NetFaults, RecomputeExactlyOncePerLinkStateChange) {

@@ -176,97 +176,13 @@ TEST(GramLifecycle, StatusOfUnknownJobFails) {
   EXPECT_TRUE(bad_contact_threw);
 }
 
-// ------------------------------------------------------- GRAM batch mode --
-
-namespace {
-
-/// Gatekeeper with the batch jobmanager mode on: `slots` cores, EASY policy.
-grid::GatekeeperOptions batchOpts(int slots) {
-  grid::GatekeeperOptions gk;
-  gk.batch.enabled = true;
-  gk.batch.queue.slots = slots;
-  return gk;
-}
-
-}  // namespace
-
-TEST(GramBatch, JobsQueueWhenSlotsAreBusy) {
-  auto cfg = core::topologies::alphaCluster();
-  core::ReferencePlatform platform(cfg);
-  grid::ExecutableRegistry registry;
-  registry.add("slow", [](grid::JobContext& jc) {
-    jc.os.sleep(1.0);
-    return 0;
-  });
-  platform.spawnOn("vm0.ucsd.edu", "gatekeeper", [&](vos::HostContext& ctx) {
-    grid::serveGatekeeper(ctx, registry, batchOpts(2));
-  });
-
-  grid::JobStatus queued_mid;  // the queued job, while the first still runs
-  grid::JobStatus first_done, second_done;
-  platform.spawnOn("vm1.ucsd.edu", "client", [&](vos::HostContext& ctx) {
-    ctx.sleep(0.01);
-    grid::GramClient client(ctx);
-    grid::Rsl rsl;
-    rsl.set("executable", "slow");
-    rsl.set("count", "2");  // fills both slots
-    const std::string c1 = client.submit("vm0.ucsd.edu", rsl);
-    const std::string c2 = client.submit("vm0.ucsd.edu", rsl);
-    ctx.sleep(0.5);  // well past jobmanager startup
-    queued_mid = client.status(c2);
-    first_done = client.wait(c1);
-    second_done = client.wait(c2);
-  });
-  platform.run();
-  // Without batch mode both jobs would run concurrently; with 2 slots the
-  // second must still be PENDING half a second in.
-  EXPECT_EQ(queued_mid.state, grid::JobState::Pending);
-  EXPECT_EQ(first_done.state, grid::JobState::Done);
-  EXPECT_EQ(second_done.state, grid::JobState::Done);
-  EXPECT_EQ(platform.simulator().metrics().counterValue("grid.batch.started"), 2);
-}
-
-TEST(GramBatch, CancelOfQueuedJobIsImmediate) {
-  auto cfg = core::topologies::alphaCluster();
-  core::ReferencePlatform platform(cfg);
-  grid::ExecutableRegistry registry;
-  registry.add("slow", [](grid::JobContext& jc) {
-    jc.os.sleep(1.0);
-    return 0;
-  });
-  platform.spawnOn("vm0.ucsd.edu", "gatekeeper", [&](vos::HostContext& ctx) {
-    grid::serveGatekeeper(ctx, registry, batchOpts(1));
-  });
-
-  grid::JobStatus cancelled;
-  grid::JobStatus runner;
-  platform.spawnOn("vm1.ucsd.edu", "client", [&](vos::HostContext& ctx) {
-    ctx.sleep(0.01);
-    grid::GramClient client(ctx);
-    grid::Rsl rsl;
-    rsl.set("executable", "slow");
-    const std::string c1 = client.submit("vm0.ucsd.edu", rsl);  // occupies the slot
-    const std::string c2 = client.submit("vm0.ucsd.edu", rsl);  // queued behind it
-    ctx.sleep(0.2);
-    client.cancel(c2);
-    cancelled = client.status(c2);  // no wait: the cancel must be immediate
-    runner = client.wait(c1);
-  });
-  platform.run();
-  EXPECT_EQ(cancelled.state, grid::JobState::Cancelled);
-  EXPECT_EQ(runner.state, grid::JobState::Done);
-  EXPECT_EQ(platform.simulator().metrics().counterValue("grid.batch.cancelled_queued"), 1);
-  // The cancelled job never started.
-  EXPECT_EQ(platform.simulator().metrics().counterValue("grid.batch.started"), 1);
-}
-
-TEST(GramBatch, DuplicateSubmitsGetUniqueIds) {
+TEST(GramLifecycle, DuplicateSubmitsGetUniqueIds) {
   auto cfg = core::topologies::alphaCluster();
   core::ReferencePlatform platform(cfg);
   grid::ExecutableRegistry registry;
   registry.add("noop", [](grid::JobContext&) { return 0; });
   platform.spawnOn("vm0.ucsd.edu", "gatekeeper", [&](vos::HostContext& ctx) {
-    grid::serveGatekeeper(ctx, registry, batchOpts(4));
+    grid::serveGatekeeper(ctx, registry);
   });
 
   std::vector<std::string> contacts;
@@ -282,26 +198,4 @@ TEST(GramBatch, DuplicateSubmitsGetUniqueIds) {
   platform.run();
   std::set<std::string> unique(contacts.begin(), contacts.end());
   EXPECT_EQ(unique.size(), 3u);
-}
-
-TEST(GramBatch, TooWideJobFailsAtQueueTime) {
-  auto cfg = core::topologies::alphaCluster();
-  core::ReferencePlatform platform(cfg);
-  grid::ExecutableRegistry registry;
-  registry.add("noop", [](grid::JobContext&) { return 0; });
-  platform.spawnOn("vm0.ucsd.edu", "gatekeeper", [&](vos::HostContext& ctx) {
-    grid::serveGatekeeper(ctx, registry, batchOpts(2));
-  });
-  grid::JobStatus st;
-  platform.spawnOn("vm1.ucsd.edu", "client", [&](vos::HostContext& ctx) {
-    ctx.sleep(0.01);
-    grid::GramClient client(ctx);
-    grid::Rsl rsl;
-    rsl.set("executable", "noop");
-    rsl.set("count", "3");  // wider than the 2-slot queue can ever run
-    st = client.wait(client.submit("vm0.ucsd.edu", rsl));
-  });
-  platform.run();
-  EXPECT_EQ(st.state, grid::JobState::Failed);
-  EXPECT_NE(st.error.find("exceeds queue capacity"), std::string::npos);
 }

@@ -1,4 +1,4 @@
-// Model-checking subsystem tests: snapshot/restore by deterministic replay,
+// Model-checking subsystem tests: state identity by deterministic replay,
 // the fault-schedule explorer (enumeration, causal reduction, state-hash
 // pruning, budget, spec parsing), and the invariant surface. The seeded
 // mutation check lives in mc_mutation_test.cpp — it needs MG_MC_MUTATION set
@@ -14,7 +14,6 @@
 #include "mc/explorer.h"
 #include "mc/invariants.h"
 #include "mc/scenario.h"
-#include "mc/snapshot.h"
 #include "npb/npb.h"
 #include "util/config.h"
 #include "util/error.h"
@@ -74,27 +73,26 @@ std::vector<mc::CandidateFault> transferCandidates() {
 }  // namespace
 
 // ---------------------------------------------------------------- snapshot --
+// A state is revisited by rebuilding through the factory and replaying to
+// its virtual time; digest() is its identity (DESIGN.md §11).
 
-TEST(McSnapshot, RoundTripRestoresByteIdenticalState) {
+TEST(McSnapshot, ReplayToOneTimeReproducesTheDigest) {
   const auto factory = mc::transferScenario();
   const fault::FaultPlan plan = outagePlan();
 
   auto run = factory(plan);
+  auto replay = factory(plan);
   const double t = run->runTo(0.015);  // mid-transfer, outage in progress
-  const mc::Snapshot snap = mc::capture(*run, t, plan);
-  EXPECT_EQ(snap.digest, run->digest());
+  EXPECT_EQ(replay->runTo(t), t);
+  EXPECT_EQ(replay->digest(), run->digest());
 
-  auto restored = mc::restore(factory, snap);
-  EXPECT_EQ(restored->digest(), snap.digest);
-
-  // The restored instance is a full replacement, not just digest-equal at
-  // the pause point: driven to the end, both runs land on the same state.
+  // The replay is a full replacement, not just digest-equal at the pause
+  // point: driven to the end, both runs land on the same state.
   run->runToEnd();
-  restored->runToEnd();
-  EXPECT_EQ(run->digest(), restored->digest());
-  EXPECT_EQ(run->transcript(), restored->transcript());
+  replay->runToEnd();
+  EXPECT_EQ(run->digest(), replay->digest());
   EXPECT_EQ(run->units_completed(), 1);
-  EXPECT_EQ(restored->units_completed(), 1);
+  EXPECT_EQ(replay->units_completed(), 1);
 }
 
 TEST(McSnapshot, FreshRunsFromEqualPlansAreByteIdentical) {
@@ -105,22 +103,15 @@ TEST(McSnapshot, FreshRunsFromEqualPlansAreByteIdentical) {
   a->runToEnd();
   b->runToEnd();
   EXPECT_EQ(a->digest(), b->digest());
-  EXPECT_EQ(a->transcript(), b->transcript());
 }
 
-TEST(McSnapshot, DigestMismatchOnRestoreThrowsStateError) {
+TEST(McSnapshot, DifferentPlanDivergesAtThePausePoint) {
   const auto factory = mc::transferScenario();
-  const fault::FaultPlan plan = outagePlan();
-  auto run = factory(plan);
-  const double t = run->runTo(0.015);
-  mc::Snapshot snap = mc::capture(*run, t, plan);
-  snap.digest ^= 1;  // impersonate a factory that is not a pure function
-  try {
-    mc::restore(factory, snap);
-    FAIL() << "tampered snapshot restored cleanly";
-  } catch (const StateError& e) {
-    EXPECT_NE(std::string(e.what()).find("diverged"), std::string::npos) << e.what();
-  }
+  auto faulted = factory(outagePlan());
+  auto clean = factory(fault::FaultPlan{});
+  const double t = faulted->runTo(0.015);  // the outage is in progress
+  clean->runTo(t);
+  EXPECT_NE(faulted->digest(), clean->digest());
 }
 
 TEST(McSnapshot, DigestChangesAsTheRunProgresses) {
