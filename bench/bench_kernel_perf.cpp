@@ -9,8 +9,8 @@
 #include <memory>
 
 #include "net/flow_network.h"
-#include "net/host_stack.h"
 #include "net/packet_network.h"
+#include "net/tcp.h"
 #include "sim/channel.h"
 #include "sim/simulator.h"
 #include "util/strings.h"
@@ -146,15 +146,15 @@ static void BM_TcpThroughputSim(benchmark::State& state) {
     auto b = topo.addHost("b");
     topo.addLink("l", a, b, 100e6, sim::fromSeconds(0.1e-3));
     net::PacketNetwork net(sim, std::move(topo), {});
-    net::HostStack sa(net, a), sb(net, b);
+    net::TcpStack sa(net, a), sb(net, b);
     sim.spawn("server", [&] {
-      auto listener = sb.tcp().listen(80);
+      auto listener = sb.listen(80);
       auto conn = listener->accept();
       std::vector<std::uint8_t> sink(1 << 20);
       conn->recvExact(sink.data(), sink.size());
     });
     sim.spawn("client", [&] {
-      auto conn = sa.tcp().connect(b, 80);
+      auto conn = sa.connect(b, 80);
       std::vector<std::uint8_t> data(1 << 20, 0xab);
       conn->send(data.data(), data.size());
       conn->close();

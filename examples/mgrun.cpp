@@ -19,7 +19,8 @@
 //                      store-and-forward), flow (max-min fair fluid flows,
 //                      one event per flow state change — orders of magnitude
 //                      fewer events on large grids), or hybrid (flows by
-//                      default, packet detail where --netmodel-detail says)
+//                      default, packet detail for the connections
+//                      --netmodel-detail names)
 //   --netmodel-detail P,P,...  hybrid escalation selectors: host:GLOB (or a
 //                      bare hostname glob), port:N, port:LO-HI; repeatable
 //                      (mgrid only)

@@ -94,7 +94,7 @@ void MicroGridPlatform::crashHost(const std::string& hostname) {
   // onto the wire before the blackhole closes behind them. Flow-mode
   // connections get the same dying gasp: every socket touching the node
   // resets immediately.
-  if (rt.stack) rt.stack->tcp().abortAll("host " + hostname + " crashed");
+  if (rt.stack) rt.stack->abortAll("host " + hostname + " crashed");
   if (flow_table_) flow_table_->crashNode(rt.info->node);
   // Kill every process; each unwinds synchronously, releasing its memory
   // lease and scheduler slot. Finished (possibly reaped) ids are no-ops.
@@ -102,16 +102,13 @@ void MicroGridPlatform::crashHost(const std::string& hostname) {
   procs.swap(rt.procs);
   for (std::uint64_t id : procs) sim_.killProcessById(id);
   net_->setNodeUp(rt.info->node, false);
-  if (rt.stack) {
-    net_->attachHost(rt.info->node, nullptr);  // the stack is about to die
-    rt.stack.reset();
-  }
+  rt.stack.reset();  // detaches the node's transport dispatch
 }
 
 void MicroGridPlatform::restartHost(const std::string& hostname) {
   Host& rt = host(hostname);
   if (rt.alive) return;
-  if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, rt.info->node);
+  if (packet_ != nullptr) rt.stack = std::make_unique<net::TcpStack>(*packet_, rt.info->node);
   net_->setNodeUp(rt.info->node, true);
   rt.alive = true;
   MG_LOG_INFO("core") << "restart " << hostname;
@@ -168,7 +165,7 @@ void MicroGridPlatform::registerStateCapture(obs::StateCaptureRegistry& reg) {
       if (rt.mem) {
         w.i64("mem_used", rt.mem->used());
       }
-      if (rt.stack) rt.stack->tcp().saveState(w);
+      if (rt.stack) rt.stack->saveState(w);
     }
   });
 }
@@ -176,7 +173,7 @@ void MicroGridPlatform::registerStateCapture(obs::StateCaptureRegistry& reg) {
 std::size_t MicroGridPlatform::openTcpConnections() {
   std::size_t n = 0;
   for (const auto& [name, rt] : hosts_) {
-    if (rt.stack) n += rt.stack->tcp().openConnections();
+    if (rt.stack) n += rt.stack->openConnections();
   }
   return n;
 }

@@ -31,7 +31,7 @@ struct MicroGridOptions {
   double rate_override = 0;
   /// Which model backs the virtual wire (DESIGN.md §8): full packet
   /// simulation, max-min fair fluid flows, or hybrid (fluid by default,
-  /// packet detail for traffic matching `netmodel_detail`).
+  /// packet detail, both ways, for connections matching `netmodel_detail`).
   net::NetModelKind netmodel = net::NetModelKind::Packet;
   /// Hybrid escalation patterns (see net::DetailSelector).
   std::vector<std::string> netmodel_detail;

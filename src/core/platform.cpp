@@ -51,7 +51,7 @@ class Platform::HybridListener : public vos::Listener {
   HybridListener(Platform& p, Host& rt, std::uint16_t port)
       : p_(p),
         unified_(std::make_shared<sim::Channel<std::shared_ptr<vos::StreamSocket>>>(p.sim_)) {
-    tcp_ = rt.stack->tcp().listen(port);
+    tcp_ = rt.stack->listen(port);
     flow_ = p.flow_table_->listen(rt.info->node, port,
                                   [ch = unified_](std::shared_ptr<vos::StreamSocket> s) {
                                     if (!ch->closed()) ch->send(std::move(s));
@@ -123,7 +123,7 @@ class Platform::Context : public vos::HostContext {
   const vos::HostMapper& mapper() const override { return p_.mapper_; }
 
   std::shared_ptr<vos::Listener> listen(std::uint16_t port) override {
-    if (!p_.flow_table_) return std::make_shared<MgListener>(p_, rt_.stack->tcp().listen(port));
+    if (!p_.flow_table_) return std::make_shared<MgListener>(p_, rt_.stack->listen(port));
     if (!rt_.stack) return p_.flow_table_->listen(rt_.info->node, port);
     return std::make_shared<HybridListener>(p_, rt_, port);
   }
@@ -131,11 +131,13 @@ class Platform::Context : public vos::HostContext {
   std::shared_ptr<vos::StreamSocket> connect(const std::string& host_or_ip,
                                              std::uint16_t port) override {
     const vos::VirtualHostInfo& target = p_.mapper_.resolve(host_or_ip);
-    // The connector decides the path through the model: packet always
-    // escalates, flow never, hybrid per its selector — symmetric in
-    // (src, dst), so both ends of a detail conversation agree on it.
+    // The connector decides the path through the model, once for the whole
+    // connection: packet always escalates, flow never, hybrid per its
+    // selector. An escalated connection is TCP over packets in both
+    // directions (the reply segments to this end's ephemeral port included);
+    // any other is a flow socket in both directions.
     if (rt_.stack && p_.net_->escalate(rt_.info->node, target.node, port)) {
-      return std::make_shared<MgSocket>(p_, rt_.stack->tcp().connect(target.node, port));
+      return std::make_shared<MgSocket>(p_, rt_.stack->connect(target.node, port));
     }
     return p_.flow_table_->connect(rt_.info->node, target.node, port);
   }
@@ -172,7 +174,7 @@ void Platform::attachNetwork(std::unique_ptr<net::NetworkModel> net) {
     h.info = &info;
     // Transport stacks exist only where packets can arrive; pure flow mode
     // has no per-segment machinery at all.
-    if (packet_ != nullptr) h.stack = std::make_unique<net::HostStack>(*net_, info.node);
+    if (packet_ != nullptr) h.stack = std::make_unique<net::TcpStack>(*packet_, info.node);
     h.mem = std::make_unique<vos::MemoryManager>(info.memory_bytes, &sim_.metrics());
     hosts_.emplace(info.hostname, std::move(h));
   }

@@ -27,8 +27,8 @@
 
 #include "core/flow_socket.h"
 #include "core/virtual_grid.h"
-#include "net/host_stack.h"
 #include "net/packet_network.h"
+#include "net/tcp.h"
 #include "sim/simulator.h"
 #include "vos/context.h"
 #include "vos/cpu_scheduler.h"
@@ -74,7 +74,7 @@ class Platform {
   /// exact rule leaves them at their defaults.
   struct Host {
     const vos::VirtualHostInfo* info = nullptr;
-    std::unique_ptr<net::HostStack> stack;  // where packets can arrive
+    std::unique_ptr<net::TcpStack> stack;  // where packets can arrive
     std::unique_ptr<vos::MemoryManager> mem;
     vos::CpuScheduler* sched = nullptr;
     double host_fraction = 0;  // of the physical CPU, for all its processes

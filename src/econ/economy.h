@@ -98,7 +98,8 @@ class GridEconomy {
   /// backlog / running counts, and the broker's (GIS-stale) per-cluster
   /// backlog view — the gap between econ.queue.backlog_s.<c> and
   /// econ.broker.view_backlog_s.<c> is the staleness the MDS-style refresh
-  /// interval buys. Everything here is process-lane state.
+  /// interval buys. The sampler reads these between kernel events, on the
+  /// kernel's thread.
   void registerTelemetry(obs::TelemetrySampler& sampler);
 
   /// State capture (DESIGN.md §11): per-cluster queue/pool occupancy and

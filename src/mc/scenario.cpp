@@ -18,7 +18,7 @@ double ScenarioRun::runToEnd() {
 }
 
 ScenarioRun::~ScenarioRun() {
-  // Join every process thread before members start dying under them.
+  // Unwind every simulated process before members start dying under them.
   if (platform) platform->shutdown();
 }
 

@@ -30,7 +30,7 @@ namespace mg::mc {
 
 struct ScenarioRun {
   /// Opaque keep-alive (executable registries, result sinks, byte counters).
-  /// Declared first so it outlives the platform and its threads.
+  /// Declared first so it outlives the platform and its processes.
   std::shared_ptr<void> context;
 
   std::unique_ptr<core::MicroGridPlatform> platform;

@@ -7,7 +7,6 @@
 
 #include "sim/condition.h"
 #include "util/error.h"
-#include "util/log.h"
 
 namespace mg::net {
 namespace {
@@ -35,7 +34,6 @@ FlowEngine::FlowEngine(NetworkModel& model, FlowNetworkOptions opts)
       c_recomputes_(sim_.metrics().counter("net.flow.share_recomputes")),
       c_visited_(sim_.metrics().counter("net.flow.recompute_flow_visits")),
       c_stalled_(sim_.metrics().counter("net.flow.stalls")),
-      c_dropped_down_(sim_.metrics().counter("net.flow.dropped_down")),
       g_active_(sim_.metrics().gauge("net.flow.active")),
       g_peak_(sim_.metrics().gauge("net.flow.active_peak")),
       h_scope_(sim_.metrics().histogram("net.flow.recompute_flows", 0, 4096, 64)) {
@@ -81,12 +79,12 @@ FlowId FlowEngine::start(NodeId src, NodeId dst, std::int64_t payload_bytes,
   if (payload_bytes < 0) throw UsageError("negative transfer size");
   const double wire_bits = static_cast<double>(payload_bytes) * kByteOverhead * 8.0;
   return startBits(src, dst, wire_bits, payload_bytes, std::move(on_complete),
-                   std::move(on_abort), 0, std::move(on_drain));
+                   std::move(on_abort), std::move(on_drain));
 }
 
 FlowId FlowEngine::startBits(NodeId src, NodeId dst, double wire_bits,
                              std::int64_t payload_bytes, CompleteFn on_complete,
-                             AbortFn on_abort, obs::SpanId span, DrainFn on_drain) {
+                             AbortFn on_abort, DrainFn on_drain) {
   const Topology& topo = model_.topology();
   if (src < 0 || src >= topo.nodeCount() || dst < 0 || dst >= topo.nodeCount()) {
     throw UsageError("flow endpoint out of range");
@@ -143,12 +141,7 @@ FlowId FlowEngine::startBits(NodeId src, NodeId dst, double wire_bits,
   f.remaining_bits = wire_bits;
   const sim::SimTime now = sim_.now();
   f.last_integrated = now;
-  if (span != 0) {
-    f.span = span;
-  } else if (sim_.spans().enabled()) {
-    f.span = sim_.spans().begin("net.flow", "flow", topo.node(src).name);
-    f.owns_span = true;
-  }
+  if (sim_.spans().enabled()) f.span = sim_.spans().begin("net.flow", "flow", topo.node(src).name);
 
   const FlowId id = next_id_++;
   auto [it, inserted] = flows_.emplace(id, std::move(f));
@@ -162,49 +155,6 @@ FlowId FlowEngine::startBits(NodeId src, NodeId dst, double wire_bits,
   for (std::uint32_t d : it->second.dlinks) seedDlink(d);
   recomputeComponent();
   return id;
-}
-
-void FlowEngine::sendPacket(Packet&& pkt) {
-  const Topology& topo = model_.topology();
-  if (pkt.src < 0 || pkt.src >= topo.nodeCount() || pkt.dst < 0 || pkt.dst >= topo.nodeCount()) {
-    throw UsageError("packet endpoint out of range");
-  }
-  if (pkt.src != pkt.dst && model_.routing().nextLink(pkt.src, pkt.dst) == kNoLink) {
-    c_dropped_down_.inc();
-    sim_.spans().endWith(pkt.span, "dropped", "no_route");
-    return;
-  }
-  auto p = std::make_shared<Packet>(std::move(pkt));
-  const double wire_bits = static_cast<double>(p->wireBytes()) * 8.0;
-  const auto payload_bytes = static_cast<std::int64_t>(p->payload.size());
-  const obs::SpanId span = p->span;
-  startBits(
-      p->src, p->dst, wire_bits, payload_bytes,
-      [this, p]() mutable { deliverPacket(std::move(*p)); },
-      [this, p](const std::string& why) {
-        c_dropped_down_.inc();
-        sim_.spans().endWith(p->span, "dropped", why);
-      },
-      span);
-}
-
-void FlowEngine::deliverPacket(Packet&& pkt) {
-  const Topology& topo = model_.topology();
-  if (!topo.node(pkt.dst).up) {
-    // Same blackhole semantics as the packet model: crashed hosts receive
-    // nothing, so peers learn of the failure from their own timers.
-    c_dropped_down_.inc();
-    sim_.spans().endWith(pkt.span, "dropped", "node_down");
-    return;
-  }
-  sim_.spans().end(pkt.span);
-  pkt.span = 0;
-  NetworkModel::PacketHandler& h = model_.handlers_.at(static_cast<std::size_t>(pkt.dst));
-  if (!h) {
-    MG_LOG_TRACE("net") << "flow packet to unattached node " << topo.node(pkt.dst).name;
-    return;
-  }
-  h(std::move(pkt));
 }
 
 void FlowEngine::integrateFlow(Flow& f, sim::SimTime now) {
@@ -401,11 +351,9 @@ void FlowEngine::finishDrain(FlowId id) {
   // propagate (path latency) and clear the receive stack (per-message
   // overhead) before the receiver sees the message.
   const sim::SimTime tail = f.latency + kPerMessageOverhead;
-  // One span id, 0 unless the engine owns it, keeps the closure within
-  // EventFn's inline buffer.
   sim_.scheduleAfter(model_.scaleDuration(tail),
-                     [this, cb = std::move(f.on_complete), owned = f.owns_span ? f.span : 0] {
-                       if (owned != 0) sim_.spans().end(owned);
+                     [this, cb = std::move(f.on_complete), span = f.span] {
+                       if (span != 0) sim_.spans().end(span);
                        if (cb) cb();
                      });
   // Chain before re-sharing: a pipelined sender's next chunk starts at this
@@ -436,7 +384,7 @@ void FlowEngine::abortMatching(const std::function<bool(const Flow&)>& pred,
     unindexFlow(id, f, now);
     c_aborted_.inc();
     if (f.drain_event != 0) sim_.cancel(f.drain_event);
-    if (f.owns_span) sim_.spans().endWith(f.span, "aborted", reason);
+    if (f.span != 0) sim_.spans().endWith(f.span, "aborted", reason);
     if (f.on_abort) {
       // Deliver the abort in event context, never from inside a fault hook.
       sim_.scheduleAt(now, [cb = std::move(f.on_abort), reason] { cb(reason); });
@@ -591,8 +539,6 @@ void FlowEngine::saveState(obs::StateWriter& w) const {
 
 FlowNetwork::FlowNetwork(sim::Simulator& sim, Topology topo, FlowNetworkOptions opts)
     : NetworkModel(sim, std::move(topo), opts.time_scale), engine_(*this, opts) {}
-
-void FlowNetwork::send(Packet&& pkt) { engine_.sendPacket(std::move(pkt)); }
 
 sim::SimTime FlowNetwork::transfer(NodeId src, NodeId dst, std::int64_t bytes) {
   const sim::SimTime begin = sim_.now();

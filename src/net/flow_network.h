@@ -8,7 +8,8 @@
 // drain, completion, fault — never per packet per hop, which is what lets
 // the fluid model scale orders of magnitude past the packet simulator
 // (DESIGN.md §8, the paper's "does not scale up to large simulations"
-// bottleneck).
+// bottleneck). Flows carry socket messages (core::FlowSocket); no packet
+// ever enters the engine.
 //
 // Recomputation is *exact-incremental* (DESIGN.md §8 "Incremental
 // sharing"): a link→flows reverse index identifies the connected component
@@ -63,9 +64,10 @@ struct FlowNetworkOptions {
 using FlowId = std::int64_t;
 constexpr FlowId kNoFlow = 0;
 
-/// The max-min fair fluid engine. Owned by FlowNetwork (all traffic) and
-/// HybridNetwork (non-escalated traffic); platforms reach it through
-/// NetworkModel::flows() to run socket-level transfers as single events.
+/// The max-min fair fluid engine. Owned by FlowNetwork (every connection)
+/// and HybridNetwork (the connections its selector does not escalate);
+/// platforms reach it through NetworkModel::flows() to run socket-level
+/// transfers as single events.
 class FlowEngine {
  public:
   using CompleteFn = std::function<void()>;
@@ -88,17 +90,10 @@ class FlowEngine {
   FlowId start(NodeId src, NodeId dst, std::int64_t payload_bytes, CompleteFn on_complete,
                AbortFn on_abort = {}, DrainFn on_drain = {});
 
-  /// Low-level variant with explicit wire bits (the packet-as-flow path
-  /// knows its exact framing). `span`, when nonzero, is an externally owned
-  /// transit span: the engine neither creates nor closes one.
+  /// Low-level variant with explicit wire bits (fairness tests and the
+  /// kernel benchmarks size flows directly).
   FlowId startBits(NodeId src, NodeId dst, double wire_bits, std::int64_t payload_bytes,
-                   CompleteFn on_complete, AbortFn on_abort, obs::SpanId span = 0,
-                   DrainFn on_drain = {});
-
-  /// Model one packet as a flow of its wire size; delivery invokes the
-  /// destination node's handler (NetworkModel::attachHost). Unroutable or
-  /// fault-killed packets are dropped under `net.flow.dropped_down`.
-  void sendPacket(Packet&& pkt);
+                   CompleteFn on_complete, AbortFn on_abort, DrainFn on_drain = {});
 
   /// Modeled duration of an uncontended transfer (no flow started):
   /// kPerMessageOverhead + path latency + wire_bits / bottleneck. Throws
@@ -157,8 +152,7 @@ class FlowEngine {
     CompleteFn on_complete;
     AbortFn on_abort;
     DrainFn on_drain;
-    obs::SpanId span = 0;
-    bool owns_span = false;
+    obs::SpanId span = 0;  // 0 when spans are off
     // Scratch for the recompute pass.
     double new_rate = 0;
     bool fixed = false;
@@ -188,7 +182,6 @@ class FlowEngine {
   void rescheduleComponent();
   void finishDrain(FlowId id);
   void abortMatching(const std::function<bool(const Flow&)>& pred, const std::string& reason);
-  void deliverPacket(Packet&& pkt);
   void publishActiveGauges();
   void publishLinkGauges(std::size_t lid, sim::SimTime now);
   double linkBusySeconds(std::size_t lid, sim::SimTime now) const;
@@ -249,23 +242,19 @@ class FlowEngine {
   obs::Counter& c_recomputes_;    // max-min recompute passes
   obs::Counter& c_visited_;       // flows visited across all passes
   obs::Counter& c_stalled_;       // transitions into the zero-rate park
-  obs::Counter& c_dropped_down_;  // packet-as-flow sends lost to faults
   obs::Gauge& g_active_;
   obs::Gauge& g_peak_;
   util::Histogram& h_scope_;
   std::int64_t peak_active_ = 0;
 };
 
-/// The pure fluid model: every send/transfer goes through the FlowEngine.
+/// The pure fluid model: every connection is a flow socket on the
+/// FlowEngine; no packet exists.
 class FlowNetwork : public NetworkModel {
  public:
   FlowNetwork(sim::Simulator& sim, Topology topo, FlowNetworkOptions opts = {});
 
   NetModelKind kind() const override { return NetModelKind::Flow; }
-
-  /// Datagram-as-flow: the packet is delivered whole to the destination
-  /// handler when its flow completes.
-  void send(Packet&& pkt) override;
 
   bool escalate(NodeId, NodeId, std::uint16_t) const override { return false; }
   FlowEngine* flows() override { return &engine_; }

@@ -100,14 +100,6 @@ HybridNetwork::HybridNetwork(sim::Simulator& sim, Topology topo, HybridNetworkOp
                 return f;
               }()) {}
 
-void HybridNetwork::send(Packet&& pkt) {
-  if (escalate(pkt.src, pkt.dst, pkt.dst_port)) {
-    PacketNetwork::send(std::move(pkt));
-  } else {
-    engine_.sendPacket(std::move(pkt));
-  }
-}
-
 void HybridNetwork::onLinkDown(LinkId link) {
   PacketNetwork::onLinkDown(link);
   engine_.abortFlowsOnLink(link, "link_down");

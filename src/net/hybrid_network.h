@@ -1,14 +1,17 @@
 // Hybrid network model: fluid flows by default, full packet simulation for
-// the traffic the user asked to see in detail.
+// the connections the user asked to see in detail.
 //
 // The MicroGrid paper's tension is fidelity vs. scale: the packet model
 // reproduces transport dynamics but costs O(hops) events per MTU, the flow
 // model costs O(1) events per message but abstracts away queueing and loss.
 // HybridNetwork keeps both wired to the same topology, routing table and
-// fault plumbing, and picks per message: traffic matching the detail
-// selector (--netmodel-detail=host:GLOB / port:LO-HI patterns) rides the
-// packet path, everything else is fluid. Both paths share metrics and
-// spans, so observability output is uniform.
+// fault plumbing. The choice is made once per connection, when it opens: a
+// connection matching the detail selector (--netmodel-detail=host:GLOB /
+// port:LO-HI patterns) runs TCP over the packet path in both directions,
+// every other connection is a flow socket on the fluid engine. A packet
+// exists only on an escalated connection, and only the packet path carries
+// it. Both paths share metrics and spans, so observability output is
+// uniform.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +28,13 @@ namespace mg::net {
 bool globMatch(std::string_view pattern, std::string_view text);
 
 /// Compiled --netmodel-detail patterns. Accepted forms:
-///   host:GLOB   escalate traffic whose src or dst node name matches GLOB
-///   port:N      escalate traffic to destination port N
-///   port:LO-HI  escalate destination ports in [LO, HI]
+///   host:GLOB   escalate connections whose src or dst node name matches GLOB
+///   port:N      escalate connections to listening port N
+///   port:LO-HI  escalate listening ports in [LO, HI]
 ///   GLOB        shorthand for host:GLOB
-/// A message escalates if any pattern matches. Node globs are precompiled
-/// to a per-node bitset so the per-send test is O(ports) with no string
-/// work.
+/// A connection escalates if any pattern matches. Node globs are
+/// precompiled to a per-node bitset so the per-connect test is O(ports)
+/// with no string work.
 class DetailSelector {
  public:
   DetailSelector() = default;
@@ -60,10 +63,6 @@ class HybridNetwork : public PacketNetwork {
   HybridNetwork(sim::Simulator& sim, Topology topo, HybridNetworkOptions opts = {});
 
   NetModelKind kind() const override { return NetModelKind::Hybrid; }
-
-  /// Escalated traffic goes through the packet machinery (queues, loss,
-  /// per-hop events); the rest becomes fluid flows.
-  void send(Packet&& pkt) override;
 
   bool escalate(NodeId src, NodeId dst, std::uint16_t dst_port) const override {
     return selector_.matches(src, dst, dst_port);

@@ -35,15 +35,10 @@ NetworkModel::NetworkModel(sim::Simulator& sim, Topology topo, double time_scale
       time_scale_(time_scale) {
   if (time_scale_ <= 0) throw UsageError("time_scale must be positive");
   unit_time_scale_ = (time_scale_ == 1.0);
-  handlers_.resize(static_cast<size_t>(topo_.nodeCount()));
 }
 
 sim::SimTime NetworkModel::scaledSlow(sim::SimTime t) const {
   return static_cast<sim::SimTime>(std::llround(static_cast<double>(t) * time_scale_));
-}
-
-void NetworkModel::attachHost(NodeId node, PacketHandler handler) {
-  handlers_.at(static_cast<size_t>(node)) = std::move(handler);
 }
 
 void NetworkModel::recomputeRoutes() {

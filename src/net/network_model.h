@@ -1,22 +1,20 @@
 // The pluggable network-model interface (DESIGN.md §8).
 //
-// Transports (HostStack/TCP/UDP), the platforms, and fault injection talk to
-// a NetworkModel, not to a concrete simulator: the same wiring runs at
-// packet-level detail (PacketNetwork), as a max-min fair fluid model
-// (FlowNetwork), or as a hybrid that escalates selected traffic to packet
-// detail (HybridNetwork). The base class owns everything the models share —
-// the topology, the fault-aware routing table, per-node transport handlers,
-// the time_scale rescaling, and the link/node fault surface — so a fault
-// injected through setLinkUp() behaves identically no matter which model is
-// live.
+// The platforms and fault injection talk to a NetworkModel, not to a
+// concrete simulator: the same wiring runs at packet-level detail
+// (PacketNetwork), as a max-min fair fluid model (FlowNetwork), or as a
+// hybrid that carries the connections its selector escalates at packet
+// detail and the rest as flows (HybridNetwork). The base class owns what
+// the models share — the topology, the fault-aware routing table, the
+// time_scale rescaling, and the link/node fault surface — so a fault
+// injected through setLinkUp() behaves identically no matter which model
+// is live. Packets and their per-node transport handlers belong to
+// PacketNetwork alone; the fluid engine never sees one.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
-#include "net/packet.h"
 #include "net/topology.h"
 #include "obs/sampler.h"
 #include "sim/simulator.h"
@@ -43,8 +41,6 @@ class FlowEngine;
 
 class NetworkModel {
  public:
-  using PacketHandler = std::function<void(Packet&&)>;
-
   /// `time_scale` is kernel-clock nanoseconds per network nanosecond; the
   /// MicroGrid platform passes 1/rate so virtual-time behaviour is preserved
   /// at any emulation rate.
@@ -58,14 +54,6 @@ class NetworkModel {
   sim::Simulator& simulator() { return sim_; }
   const Topology& topology() const { return topo_; }
   const RoutingTable& routing() const { return routing_; }
-
-  /// Install the transport dispatch for a host node. One handler per node;
-  /// replacing is allowed (tests), unhandled packets are dropped.
-  void attachHost(NodeId node, PacketHandler handler);
-
-  /// Inject a packet at its source node; delivery invokes the destination
-  /// node's handler at the model's notion of the right simulated time.
-  virtual void send(Packet&& pkt) = 0;
 
   // --- fault surface (src/fault drives these) ---
   //
@@ -96,10 +84,10 @@ class NetworkModel {
   /// the pure packet model.
   virtual FlowEngine* flows() { return nullptr; }
 
-  /// Should traffic between src and dst on destination port `port` be
+  /// Should a connection from src to dst's listening port `port` be
   /// modeled at packet-level detail? Packet: always; Flow: never; Hybrid:
-  /// per the --netmodel-detail selector. Platforms use this to pick the
-  /// socket implementation per connection.
+  /// per the --netmodel-detail selector. Platforms ask once, at connect
+  /// time, and the answer holds for both directions of the connection.
   virtual bool escalate(NodeId src, NodeId dst, std::uint16_t port) const {
     (void)src;
     (void)dst;
@@ -124,8 +112,6 @@ class NetworkModel {
   virtual void saveState(obs::StateWriter& w) const;
 
  protected:
-  friend class FlowEngine;
-
   // Model-specific reactions, invoked after the state flip and before the
   // routing recompute. Fluid models react with *scoped* work:
   // down/params hooks touch only the contention component containing the
@@ -152,7 +138,6 @@ class NetworkModel {
   sim::Simulator& sim_;
   Topology topo_;
   RoutingTable routing_;
-  std::vector<PacketHandler> handlers_;
   obs::Counter& c_route_recomputes_;
 
  private:

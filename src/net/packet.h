@@ -17,14 +17,10 @@ namespace mg::net {
 constexpr std::int64_t kMtuBytes = 1500;
 /// IPv4 + TCP headers.
 constexpr std::int64_t kTcpIpHeaderBytes = 40;
-/// IPv4 + UDP headers.
-constexpr std::int64_t kUdpIpHeaderBytes = 28;
 /// Ethernet framing per packet: preamble(8) + header(14) + FCS(4) + IFG(12).
 constexpr std::int64_t kEthernetOverheadBytes = 38;
 /// Maximum TCP payload per packet.
 constexpr std::int64_t kTcpMss = kMtuBytes - kTcpIpHeaderBytes;  // 1460
-
-enum class Protocol : std::uint8_t { Tcp, Udp };
 
 /// TCP flag bits.
 enum TcpFlags : std::uint8_t {
@@ -37,20 +33,14 @@ enum TcpFlags : std::uint8_t {
 struct Packet {
   NodeId src = kNoNode;
   NodeId dst = kNoNode;
-  Protocol protocol = Protocol::Tcp;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
 
-  // TCP fields (ignored for UDP).
+  // TCP fields.
   std::uint8_t flags = 0;
   std::uint64_t seq = 0;  // first payload byte's stream offset
   std::uint64_t ack = 0;  // next expected stream offset (valid with kFlagAck)
   std::int64_t window = 0;  // advertised receive window, bytes
-
-  // UDP fields.
-  std::uint32_t datagram_id = 0;   // which datagram a fragment belongs to
-  std::uint16_t fragment = 0;      // fragment index within the datagram
-  std::uint16_t fragment_count = 1;
 
   std::vector<std::uint8_t> payload;
 
@@ -64,8 +54,7 @@ struct Packet {
 
   /// IP-layer size: headers plus payload.
   std::int64_t ipBytes() const {
-    const std::int64_t hdr = (protocol == Protocol::Tcp) ? kTcpIpHeaderBytes : kUdpIpHeaderBytes;
-    return hdr + static_cast<std::int64_t>(payload.size());
+    return kTcpIpHeaderBytes + static_cast<std::int64_t>(payload.size());
   }
 
   /// Bytes occupying link queues and transmission time (adds framing).

@@ -23,7 +23,12 @@ PacketNetwork::PacketNetwork(sim::Simulator& sim, Topology topo, PacketNetworkOp
       c_bytes_delivered_(sim.metrics().counter("net.packet.bytes_delivered")),
       c_wire_bytes_(sim.metrics().counter("net.packet.wire_bytes_sent")),
       rng_(opts.seed) {
+  handlers_.resize(static_cast<size_t>(topo_.nodeCount()));
   link_queues_.resize(static_cast<size_t>(topo_.linkCount()) * 2);
+}
+
+void PacketNetwork::attachHost(NodeId node, PacketHandler handler) {
+  handlers_.at(static_cast<size_t>(node)) = std::move(handler);
 }
 
 double PacketNetwork::linkBusyKernelSeconds(LinkId link, sim::SimTime t) const {
@@ -246,7 +251,7 @@ void PacketNetwork::validateLinkParams(LinkId link, const net::LinkParams& param
   (void)link;
   // Per-segment serialization time divides by bandwidth, so the packet
   // pipeline (and the hybrid model, which inherits this check for its
-  // escalated traffic) cannot express a fully-starved link; only the pure
+  // escalated connections) cannot express a fully-starved link; only the pure
   // fluid model accepts bandwidth 0 (flows stall until restore).
   if (params.bandwidth_bps <= 0) {
     throw UsageError("packet model needs positive link bandwidth");

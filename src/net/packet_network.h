@@ -11,6 +11,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "net/network_model.h"
 #include "net/packet.h"
@@ -32,13 +33,19 @@ struct PacketNetworkOptions {
 
 class PacketNetwork : public NetworkModel {
  public:
+  using PacketHandler = std::function<void(Packet&&)>;
+
   PacketNetwork(sim::Simulator& sim, Topology topo, PacketNetworkOptions opts = {});
 
   NetModelKind kind() const override { return NetModelKind::Packet; }
 
+  /// Install the transport dispatch for a host node. One handler per node;
+  /// replacing is allowed (tests), unhandled packets are dropped.
+  void attachHost(NodeId node, PacketHandler handler);
+
   /// Inject a packet at its source node. Takes the full path through link
   /// queues; delivery invokes the destination node's handler.
-  void send(Packet&& pkt) override;
+  void send(Packet&& pkt);
 
   /// Time-resolved probes (DESIGN.md §10): delivered/wire-byte rates plus
   /// one net.packet.link_util.<name> series per link — the summed duplex
@@ -100,6 +107,8 @@ class PacketNetwork : public NetworkModel {
   obs::Counter& c_wire_bytes_;       // includes headers/framing/retransmits
   // The loss process, seeded with opts.seed.
   util::Rng rng_;
+  // Transport dispatch per node (attachHost); empty = unattached.
+  std::vector<PacketHandler> handlers_;
   // linkqueues_[link * 2 + direction]
   std::vector<LinkQueue> link_queues_;
   // In-flight packet records: packets traversing a latency/stack-delay leg

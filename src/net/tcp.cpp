@@ -53,7 +53,6 @@ Packet TcpConnection::makePacket(std::uint8_t flags) const {
   Packet p;
   p.src = local_node_;
   p.dst = remote_node_;
-  p.protocol = Protocol::Tcp;
   p.src_port = local_port_;
   p.dst_port = remote_port_;
   p.flags = flags;
@@ -550,16 +549,18 @@ void TcpListener::close() {
 // TcpStack
 // ===========================================================================
 
-TcpStack::TcpStack(NetworkModel& net, NodeId node)
+TcpStack::TcpStack(PacketNetwork& net, NodeId node)
     : net_(net),
       node_(node),
       c_connections_(net.simulator().metrics().counter("net.tcp.connections")),
       c_segments_(net.simulator().metrics().counter("net.tcp.segments_sent")),
       c_retransmits_(net.simulator().metrics().counter("net.tcp.retransmits")),
       c_bytes_sent_(net.simulator().metrics().counter("net.tcp.bytes_sent")),
-      c_bytes_received_(net.simulator().metrics().counter("net.tcp.bytes_received")) {}
+      c_bytes_received_(net.simulator().metrics().counter("net.tcp.bytes_received")) {
+  net_.attachHost(node_, [this](Packet&& pkt) { onPacket(std::move(pkt)); });
+}
 
-TcpStack::~TcpStack() = default;
+TcpStack::~TcpStack() { net_.attachHost(node_, nullptr); }
 
 std::shared_ptr<TcpListener> TcpStack::listen(std::uint16_t port) {
   if (listeners_.count(port)) throw UsageError("port already listening");
@@ -634,7 +635,6 @@ void TcpStack::sendRst(const Packet& cause) {
   Packet rst;
   rst.src = node_;
   rst.dst = cause.src;
-  rst.protocol = Protocol::Tcp;
   rst.src_port = cause.dst_port;
   rst.dst_port = cause.src_port;
   rst.flags = kFlagRst;
@@ -685,7 +685,6 @@ void TcpStack::abortAll(const std::string& why) {
     Packet rst;
     rst.src = node_;
     rst.dst = conn->remote_node_;
-    rst.protocol = Protocol::Tcp;
     rst.src_port = conn->local_port_;
     rst.dst_port = conn->remote_port_;
     rst.flags = kFlagRst;

@@ -19,7 +19,7 @@
 #include <memory>
 #include <optional>
 
-#include "net/network_model.h"
+#include "net/packet_network.h"
 #include "sim/channel.h"
 #include "sim/condition.h"
 
@@ -186,10 +186,11 @@ class TcpListener {
   std::unique_ptr<sim::Channel<std::shared_ptr<TcpConnection>>> backlog_;
 };
 
-/// The per-host TCP endpoint table. Packets are fed in by HostStack.
+/// The per-host TCP endpoint table. It is the node's transport dispatch on
+/// the packet network from construction until destruction.
 class TcpStack {
  public:
-  TcpStack(NetworkModel& net, NodeId node);
+  TcpStack(PacketNetwork& net, NodeId node);
   ~TcpStack();
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -200,7 +201,7 @@ class TcpStack {
   /// Blocking active open; throws ConnectionRefused on failure.
   std::shared_ptr<TcpConnection> connect(NodeId dst, std::uint16_t port);
 
-  /// Transport dispatch (called by HostStack).
+  /// Transport dispatch (the handler attached to the packet network).
   void onPacket(Packet&& pkt);
 
   /// A passive connection completed its handshake; hand it to the listener.
@@ -213,7 +214,7 @@ class TcpStack {
   void abortAll(const std::string& why);
 
   NodeId node() const { return node_; }
-  NetworkModel& network() { return net_; }
+  PacketNetwork& network() { return net_; }
   sim::Simulator& simulator() { return net_.simulator(); }
 
   /// Connections still in the endpoint table — everything that is neither
@@ -243,7 +244,7 @@ class TcpStack {
   void removeListener(std::uint16_t port);
   std::uint16_t allocateEphemeralPort();
 
-  NetworkModel& net_;
+  PacketNetwork& net_;
   NodeId node_;
   // Host-wide transport counters: every stack on a simulator resolves the
   // same `net.tcp.*` registry entries, so these aggregate across hosts.

@@ -1,10 +1,11 @@
 // Wall-clock live run monitoring (mgrun --progress; DESIGN.md §10).
 //
-// The simulation kernel is single-minded: once run() starts, nothing else
-// happens on its threads until the queues drain. RunPulse is the one-way
-// window out — a lock-free board of relaxed atomics the kernel publishes to
-// (per-event clock + pending count) and a ProgressMonitor thread reads from,
-// together with the kernel's sim.kernel.events_executed counter. The monitor
+// The simulation kernel is single-minded: once run() starts, its thread (on
+// which every simulated process also runs) does nothing else until the
+// queues drain. RunPulse is the one-way window out — a lock-free board of
+// relaxed atomics the kernel publishes to (per-event clock + pending count)
+// and a ProgressMonitor thread reads from, together with the kernel's
+// sim.kernel.events_executed counter. The monitor
 // owns all formatting and timing; the kernel's cost when --progress is off
 // is a single relaxed bool load per event, and when on, two relaxed stores.
 //

@@ -26,12 +26,13 @@ LogLevel levelFromEnv() {
 
 std::atomic<LogLevel> g_level{levelFromEnv()};
 
-// Installed/cleared only while the simulation is quiescent; emitting threads
-// (process threads, parallel-engine workers) call it concurrently but never
-// mutate it, and g_log_mutex below keeps the emitted lines whole.
+// Installed/cleared only while the simulation is quiescent; emitters only
+// call it, never mutate it, and g_log_mutex below keeps the emitted lines
+// whole.
 std::function<std::int64_t()> g_sim_time_source;
 
-// Parallel-engine workers may log concurrently; serialize whole lines.
+// Logging is a free function any thread of an embedding program may call
+// (a simulator per thread, a watcher thread); serialize whole lines.
 std::mutex g_log_mutex;
 
 const char* levelName(LogLevel level) {

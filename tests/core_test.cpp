@@ -450,6 +450,38 @@ TEST(MicroGridPlatform, HybridEscalatesBySelector) {
   EXPECT_GT(p.simulator().metrics().counterValue("net.packet.delivered"), 0);
 }
 
+TEST(MicroGridPlatform, HybridEscalatedConnectionIsPacketBothWays) {
+  // The escalation choice is made once, at connect: the server's replies go
+  // to the client's ephemeral port, which no `port:81` selector matches,
+  // yet they must ride the same TCP connection over packets, not the
+  // fluid engine.
+  auto cfg = topologies::alphaCluster();
+  MicroGridOptions mopts;
+  mopts.netmodel = net::NetModelKind::Hybrid;
+  mopts.netmodel_detail = {"port:81"};
+  MicroGridPlatform p(cfg, mopts);
+  std::string echoed;
+  p.spawnOn("vm0.ucsd.edu", "srv81", [&](vos::HostContext& ctx) {
+    auto listener = ctx.listen(81);
+    auto sock = listener->accept();
+    char buf[64];
+    const size_t n = sock->recv(buf, sizeof buf);
+    sock->send(buf, n);
+  });
+  p.spawnOn("vm1.ucsd.edu", "client", [&](vos::HostContext& ctx) {
+    ctx.sleep(0.001);
+    auto sock = ctx.connect("vm0.ucsd.edu", 81);
+    sock->send("pckt", 4);
+    char buf[8];
+    sock->recvExact(buf, 4);
+    echoed.assign(buf, 4);
+  });
+  p.run();
+  EXPECT_EQ(echoed, "pckt");
+  EXPECT_GT(p.simulator().metrics().counterValue("net.packet.delivered"), 0);
+  EXPECT_EQ(p.simulator().metrics().counterValue("net.flow.started"), 0);
+}
+
 TEST(MicroGridPlatform, FlowModeCrashResetsBlockedPeers) {
   auto cfg = topologies::alphaCluster();
   MicroGridOptions mopts;

@@ -12,7 +12,7 @@
 #include "fault/fault_plan.h"
 #include "gis/directory.h"
 #include "grid/gram.h"
-#include "net/host_stack.h"
+#include "net/tcp.h"
 #include "npb/npb.h"
 #include "vmpi/comm.h"
 #include "vos/cpu_scheduler.h"
@@ -544,18 +544,18 @@ TEST(NetFaults, InFlightPacketsDroppedOnLinkDownAreCounted) {
   // outage catches packets in flight.
   net::LinkId only = topo.addLink("only", a, b, 10e6, st::fromSeconds(1e-3));
   net::PacketNetwork net(sim, std::move(topo), {});
-  net::HostStack sa(net, a), sb(net, b);
+  net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 256 * 1024;
   std::vector<std::uint8_t> data(kSize, 0x5a);
   std::vector<std::uint8_t> received(kSize);
   sim.spawn("server", [&] {
-    auto listener = sb.tcp().listen(80);
+    auto listener = sb.listen(80);
     auto conn = listener->accept();
     conn->recvExact(received.data(), kSize);
   });
   sim.spawn("client", [&] {
-    auto conn = sa.tcp().connect(b, 80);
+    auto conn = sa.connect(b, 80);
     conn->send(data.data(), kSize);
     conn->close();
   });

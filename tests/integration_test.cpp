@@ -10,7 +10,7 @@
 #include "npb/npb.h"
 #include "gis/schema.h"
 #include "gis/service.h"
-#include "net/host_stack.h"
+#include "net/tcp.h"
 #include "vmpi/comm.h"
 
 using namespace mg;
@@ -39,7 +39,7 @@ TEST(FailureInjection, TcpSurvivesLinkFailureViaBackupRoute) {
   topo.addLink("backup1", a, r, 100e6, st::fromSeconds(5e-3));
   topo.addLink("backup2", r, b, 100e6, st::fromSeconds(5e-3));
   net::PacketNetwork net(sim, std::move(topo), {});
-  net::HostStack sa(net, a), sb(net, b);
+  net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 1 << 20;
   std::vector<std::uint8_t> data(kSize);
@@ -48,13 +48,13 @@ TEST(FailureInjection, TcpSurvivesLinkFailureViaBackupRoute) {
   bool done = false;
 
   sim.spawn("server", [&] {
-    auto listener = sb.tcp().listen(80);
+    auto listener = sb.listen(80);
     auto conn = listener->accept();
     conn->recvExact(received.data(), kSize);
     done = true;
   });
   sim.spawn("client", [&] {
-    auto conn = sa.tcp().connect(b, 80);
+    auto conn = sa.connect(b, 80);
     conn->send(data.data(), kSize);
     conn->close();
   });
@@ -77,20 +77,20 @@ TEST(FailureInjection, TcpTransferCompletesAfterLinkFlap) {
   auto b = topo.addHost("b");
   net::LinkId only = topo.addLink("only", a, b, 100e6, st::fromSeconds(1e-3));
   net::PacketNetwork net(sim, std::move(topo), {});
-  net::HostStack sa(net, a), sb(net, b);
+  net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 256 * 1024;
   std::vector<std::uint8_t> data(kSize, 0x3c);
   std::vector<std::uint8_t> received(kSize);
   st::SimTime finished = -1;
   sim.spawn("server", [&] {
-    auto listener = sb.tcp().listen(80);
+    auto listener = sb.listen(80);
     auto conn = listener->accept();
     conn->recvExact(received.data(), kSize);
     finished = sim.now();
   });
   sim.spawn("client", [&] {
-    auto conn = sa.tcp().connect(b, 80);
+    auto conn = sa.connect(b, 80);
     conn->send(data.data(), kSize);
     conn->close();
   });

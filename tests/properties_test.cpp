@@ -13,11 +13,12 @@
 #include "core/microgrid_platform.h"
 #include "core/reference_platform.h"
 #include "core/topologies.h"
-#include "net/host_stack.h"
 #include "net/packet_network.h"
+#include "net/tcp.h"
 #include "net/topology.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "vmpi/comm.h"
 
 using namespace mg;
 namespace st = mg::sim;
@@ -36,12 +37,12 @@ TEST_P(TcpGoodputLaw, GoodputMatchesTheory) {
   auto b = topo.addHost("b");
   topo.addLink("l", a, b, bw_bps, st::fromSeconds(latency_s), 1 << 20);
   net::PacketNetwork net(sim, std::move(topo), {});
-  net::HostStack sa(net, a), sb(net, b);
+  net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 4 << 20;
   st::SimTime start = 0, end = 0;
   sim.spawn("server", [&] {
-    auto listener = sb.tcp().listen(80);
+    auto listener = sb.listen(80);
     auto conn = listener->accept();
     std::vector<std::uint8_t> sink(kSize);
     start = sim.now();
@@ -49,7 +50,7 @@ TEST_P(TcpGoodputLaw, GoodputMatchesTheory) {
     end = sim.now();
   });
   sim.spawn("client", [&] {
-    auto conn = sa.tcp().connect(b, 80);
+    auto conn = sa.connect(b, 80);
     std::vector<std::uint8_t> data(1 << 16, 0xcd);
     for (size_t sent = 0; sent < kSize; sent += data.size()) conn->send(data.data(), data.size());
     conn->close();
@@ -100,7 +101,6 @@ TEST_P(PacketConservation, EveryPacketAccounted) {
     net::Packet p;
     p.src = a;
     p.dst = b;
-    p.protocol = net::Protocol::Udp;
     p.payload.resize(static_cast<size_t>(100 + (i * 37) % 1300));
     injected_payload += static_cast<std::int64_t>(p.payload.size());
     net.send(std::move(p));
@@ -230,7 +230,6 @@ TEST_P(SameSeedDeterminism, EventCountsAndSnapshotsMatch) {
       net::Packet p;
       p.src = a;
       p.dst = b;
-      p.protocol = net::Protocol::Udp;
       p.payload.resize(static_cast<size_t>(64 + (i * 131) % 1200));
       net.send(std::move(p));
     }
@@ -620,6 +619,118 @@ TEST(PlatformAgreement, FlowSocketsMatchReferenceAtRateOne) {
     ASSERT_EQ(on_ref.size(), jobs.size() * 9 + 1) << "seed " << seed;
     ASSERT_EQ(on_emu, on_ref) << "seed " << seed;
   }
+}
+
+// ------------------------------------------------- hybrid model oracles ---
+
+// HybridNetwork decides once per connection which model carries it
+// (DESIGN.md §8). At the two ends of its selector range it must be
+// indistinguishable from the model it then reduces to: with an empty
+// selector every connection is a flow socket (= flow), and with `host:*`
+// every connection is TCP over packets (= packet). Checked bitwise on every
+// per-rank virtual timestamp of a seeded vmpi workload — ping-pongs and
+// allreduces with seeded sizes — over the random topologies above.
+namespace {
+
+struct MpiWorkload {
+  struct PingPong {
+    int a = 0, b = 0;
+    std::size_t bytes = 0;
+  };
+  std::vector<PingPong> pingpongs;
+  std::vector<std::size_t> allreduce_doubles;  // one allreduce after each ping-pong
+};
+
+MpiWorkload makeMpiWorkload(util::Rng& rng, int ranks) {
+  const std::size_t sizes[] = {1, 1000, 1460, 65536, 300000};
+  const std::size_t doubles[] = {1, 100, 5000};
+  MpiWorkload w;
+  const int rounds = 1 + static_cast<int>(rng.below(3));
+  for (int i = 0; i < rounds; ++i) {
+    MpiWorkload::PingPong pp;
+    pp.a = static_cast<int>(rng.below(static_cast<std::uint64_t>(ranks)));
+    pp.b = static_cast<int>(rng.below(static_cast<std::uint64_t>(ranks)));
+    if (pp.b == pp.a) pp.b = (pp.b + 1) % ranks;
+    pp.bytes = sizes[rng.below(std::size(sizes))];
+    w.pingpongs.push_back(pp);
+    w.allreduce_doubles.push_back(doubles[rng.below(std::size(doubles))]);
+  }
+  return w;
+}
+
+/// One rank per host; returns every virtual timestamp each rank observed
+/// (hex floats, so equality is bitwise) plus the final virtual time.
+std::vector<std::string> runMpiWorkload(const FlowScenario& s, const MpiWorkload& w,
+                                        net::NetModelKind kind,
+                                        std::vector<std::string> detail) {
+  const core::VirtualGridConfig cfg = socketGrid(s);
+  core::MicroGridOptions opts;
+  opts.netmodel = kind;
+  opts.netmodel_detail = std::move(detail);
+  core::MicroGridPlatform platform(cfg, opts);
+  std::vector<std::string> hosts;
+  for (int h = 0; h < s.hosts; ++h) hosts.push_back(util::format("h%d", h));
+  std::vector<std::vector<std::string>> per_rank(hosts.size());
+  for (int r = 0; r < s.hosts; ++r) {
+    platform.spawnOn(hosts[static_cast<std::size_t>(r)], util::format("rank%d", r),
+                     [&, r](vos::HostContext& ctx) {
+                       auto& log = per_rank[static_cast<std::size_t>(r)];
+                       auto comm = vmpi::Comm::init(ctx, r, hosts);
+                       log.push_back(util::format("init %a", ctx.wallTime()));
+                       for (std::size_t i = 0; i < w.pingpongs.size(); ++i) {
+                         const auto& pp = w.pingpongs[i];
+                         const int tag = static_cast<int>(i);
+                         std::vector<std::uint8_t> buf(pp.bytes, 5);
+                         if (r == pp.a) {
+                           comm->send(pp.b, tag, buf.data(), buf.size());
+                           comm->recv(pp.b, tag, buf.data(), buf.size());
+                         } else if (r == pp.b) {
+                           comm->recv(pp.a, tag, buf.data(), buf.size());
+                           comm->send(pp.a, tag, buf.data(), buf.size());
+                         }
+                         log.push_back(util::format("pingpong%zu %a", i, ctx.wallTime()));
+                         std::vector<double> v(w.allreduce_doubles[i], 1.0 + r);
+                         comm->allreduce(v.data(), v.size(), vmpi::Op::Sum);
+                         log.push_back(util::format("allreduce%zu %a %a", i, ctx.wallTime(),
+                                                    v.front()));
+                       }
+                       comm->finalize();
+                       log.push_back(util::format("finalize %a", ctx.wallTime()));
+                     });
+  }
+  platform.run();
+  std::vector<std::string> out;
+  for (int r = 0; r < s.hosts; ++r) {
+    for (const std::string& line : per_rank[static_cast<std::size_t>(r)]) {
+      out.push_back(util::format("rank%d ", r) + line);
+    }
+  }
+  out.push_back(util::format("end %a", platform.virtualNow()));
+  return out;
+}
+
+/// Over 50 seeded topologies and workloads, hybrid with `detail` must log
+/// exactly what the `bound` model logs.
+void expectHybridEquals(net::NetModelKind bound, const std::vector<std::string>& detail) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const FlowScenario s = makeFlowScenario(seed * 0x9E3779B97F4A7C15ull + 11);
+    util::Rng rng(seed);
+    const MpiWorkload w = makeMpiWorkload(rng, s.hosts);
+    const auto on_bound = runMpiWorkload(s, w, bound, {});
+    const auto on_hybrid = runMpiWorkload(s, w, net::NetModelKind::Hybrid, detail);
+    // Every rank logged init, two stamps per round and finalize.
+    ASSERT_EQ(on_bound.size(), static_cast<std::size_t>(s.hosts) * (2 * w.pingpongs.size() + 2) + 1)
+        << "seed " << seed;
+    ASSERT_EQ(on_hybrid, on_bound) << "seed " << seed;
+  }
+}
+
+}  // namespace
+
+TEST(HybridOracle, EmptySelectorEqualsFlow) { expectHybridEquals(net::NetModelKind::Flow, {}); }
+
+TEST(HybridOracle, EscalatingEveryHostEqualsPacket) {
+  expectHybridEquals(net::NetModelKind::Packet, {"host:*"});
 }
 
 // ------------------------------------------ routing contraction oracle ---

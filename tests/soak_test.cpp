@@ -93,7 +93,6 @@ TEST(Soak, ThousandHostsSixtySecondsUnderFaults) {
         net::Packet p;
         p.src = hostAt(c, i);
         p.dst = hostAt(dst_cluster, (i * 7 + step) % kHostsPerCluster);
-        p.protocol = net::Protocol::Udp;
         p.payload.assign(static_cast<std::size_t>(120 + (i % 64)), 0x5a);
         net.send(std::move(p));
         ++sent;
