@@ -25,6 +25,11 @@ std::string hex64(std::uint64_t v) {
   return util::format("%016llx", static_cast<unsigned long long>(v));
 }
 
+/// When the event and the inverse it schedules are both over.
+double overAt(const fault::FaultEvent& ev, double at) {
+  return ev.duration > 0 ? at + ev.duration : at;
+}
+
 }  // namespace
 
 Explorer::Explorer(ScenarioFactory factory, std::vector<CandidateFault> candidates,
@@ -37,8 +42,18 @@ Explorer::Explorer(ScenarioFactory factory, std::vector<CandidateFault> candidat
     c.times.erase(std::unique(c.times.begin(), c.times.end()), c.times.end());
     for (double t : c.times) {
       if (t < 0) throw ConfigError("candidate '" + c.event.name + "' has a negative time");
+      quiescence_ = std::max(quiescence_, overAt(c.event, t));
     }
   }
+  for (const auto& ev : opts_.base.events()) {
+    quiescence_ = std::max(quiescence_, overAt(ev, ev.at));
+  }
+}
+
+std::string Explorer::Outcome::render() const {
+  return util::format("%s%s end=%s digest=%s", violation.empty() ? "ok" : "VIOLATION ",
+                      violation.c_str(), obs::formatDouble(end).c_str(),
+                      hex64(digest).c_str());
 }
 
 void Explorer::resolveTouches() {
@@ -110,9 +125,7 @@ std::vector<std::vector<int>> Explorer::orderings(const std::vector<int>& group,
         break;
       }
     }
-    if (canonical && opts_.causal_reduction) {
-      keep.push_back(perm);
-    } else if (!opts_.causal_reduction) {
+    if (canonical || !opts_.causal_reduction) {
       keep.push_back(perm);
     } else {
       ++stats.pruned_causal;
@@ -154,41 +167,60 @@ void Explorer::runSchedule(const std::vector<fault::FaultEvent>& firing,
   }
 
   // Step decision point by decision point; at each, the digest plus the
-  // yet-to-fire suffix identify this branch's entire future.
-  std::vector<double> decisions;
-  for (const auto& ev : firing) decisions.push_back(ev.at);
-  std::sort(decisions.begin(), decisions.end());
-  decisions.erase(std::unique(decisions.begin(), decisions.end()), decisions.end());
-  for (double t : decisions) {
-    run->runTo(t);
-    if (!opts_.hash_pruning) continue;
-    const std::uint64_t d = run->digest();
-    std::string suffix;
-    for (const auto& ev : firing) {
-      if (ev.at <= t) continue;
-      suffix += ev.name + "@" + obs::formatDouble(ev.at) + "|";
-    }
-    if (!memo_.insert({d, suffix}).second) {
-      ++out.stats.pruned_hash;
-      log(sig + " pruned@" + obs::formatDouble(t) + " digest=" + hex64(d));
-      return;
+  // yet-to-fire suffix identify this branch's entire future. Every key this
+  // replay inserts gets its outcome once that is known, whether the replay
+  // reaches the end or is pruned at a later point.
+  std::vector<Outcome*> inserted;
+  Outcome outcome;
+  bool pruned = false;
+  if (opts_.hash_pruning) {
+    std::vector<double> decisions{quiescence_};
+    for (const auto& ev : firing) decisions.push_back(ev.at);
+    std::sort(decisions.begin(), decisions.end());
+    decisions.erase(std::unique(decisions.begin(), decisions.end()), decisions.end());
+    for (double t : decisions) {
+      run->runTo(t);
+      if (run->platform->simulator().pendingEventCount() == 0) {
+        // Drained at or before t, and the bounded run moved the clock to t:
+        // replay from scratch so the end time and digest are the run's own.
+        run = factory_(plan);
+        break;
+      }
+      const std::uint64_t d = run->digest();
+      std::string suffix;
+      for (const auto& ev : firing) {
+        if (ev.at <= t) continue;
+        suffix += ev.name + "@" + obs::formatDouble(ev.at) + "|";
+      }
+      const auto [it, fresh] = memo_.try_emplace({d, std::move(suffix)});
+      if (!fresh) {
+        ++out.stats.pruned_hash;
+        outcome = it->second;
+        log(sig + " pruned@" + obs::formatDouble(t) + " digest=" + hex64(d) + " " +
+            outcome.render());
+        pruned = true;
+        break;
+      }
+      inserted.push_back(&it->second);
     }
   }
 
-  const double end = run->runToEnd();
-  ++out.stats.runs;
-  const std::vector<Violation> vs = checkInvariants(*run);
-  const std::uint64_t final_digest = run->digest();
-  if (vs.empty()) {
-    log(sig + " ok end=" + obs::formatDouble(end) + " digest=" + hex64(final_digest));
-    return;
+  if (!pruned) {
+    outcome.end = run->runToEnd();
+    ++out.stats.runs;
+    const std::vector<Violation> vs = checkInvariants(*run);
+    if (!vs.empty()) outcome.violation = vs.front().invariant + ": " + vs.front().detail;
+    outcome.digest = run->digest();
+    log(sig + " " + outcome.render());
   }
+  for (Outcome* o : inserted) *o = outcome;
+  if (outcome.violation.empty()) return;
   ++out.stats.violations;
-  log(sig + " VIOLATION " + vs.front().invariant + ": " + vs.front().detail +
-      " digest=" + hex64(final_digest));
+  // A pruned branch inherits from an earlier replay, so the first violating
+  // schedule is always a replayed one.
   if (!out.violation_found) {
     out.violation_found = true;
-    out.first_violation = vs.front().invariant + ": " + vs.front().detail;
+    out.first_violation = outcome.violation;
     out.violating_plan = plan;
   }
   if (opts_.stop_at_first_violation) stop_ = true;

@@ -17,7 +17,19 @@
 //   state-hash pruning       while replaying, the platform digest is taken
 //       after each decision time; if (digest, remaining suffix) was already
 //       explored, this schedule's future is byte-identical to one already
-//       checked and the replay stops early.
+//       checked: the replay stops early and the branch inherits that
+//       twin's outcome (verdict, end time, final digest), so a pruned
+//       violating branch still counts as a violation.
+//
+// The decision times are the schedule's fault times plus the quiescence
+// time T_q: the latest `at + duration` (`at` for a permanent fault) over
+// every candidate time and every base event, derived from the menu. At T_q
+// every fault has fired and healed, so the remaining suffix is empty and
+// schedules that converged by then share one memo key however their
+// prefixes differed. A run whose event queue drains before a decision
+// point has ended there: the kernel's bounded run would move its clock to
+// the decision time, so the explorer replays it from scratch to its own end
+// instead.
 //
 // On a violation, the explorer greedily delta-debugs the schedule down to a
 // minimal reproducing FaultPlan and serializes it as INI — feed it back
@@ -49,6 +61,8 @@ struct CandidateFault {
 struct ExploreOptions {
   /// Stop after this many schedules enumerated (run + pruned); 0 = no cap.
   int budget = 0;
+  /// false: replay every schedule to the end without pausing (the oracle
+  /// pruned verdicts are checked against).
   bool hash_pruning = true;
   bool causal_reduction = true;
   /// Keep exploring after the first violation (all violations are counted;
@@ -62,15 +76,17 @@ struct ExploreOptions {
 
 struct ExploreStats {
   std::int64_t enumerated = 0;     // schedules visited (runs + pruned)
-  std::int64_t runs = 0;           // schedules replayed to the end
+  std::int64_t runs = 0;           // replayed to the end (each pruned one is not)
   std::int64_t pruned_hash = 0;    // stopped early by (digest, suffix) memo
   std::int64_t pruned_causal = 0;  // orderings cut by independence
-  std::int64_t violations = 0;
+  std::int64_t violations = 0;     // replayed or inherited by a pruned branch
 };
 
 struct ExploreResult {
   ExploreStats stats;
-  /// One deterministic line per schedule: index, signature, outcome, digest.
+  /// One deterministic line per schedule: index, signature, outcome, end
+  /// time, final digest; a pruned one names its pause point and digest
+  /// before the outcome it inherits.
   /// Byte-identical across runs — the explorer's own determinism gate.
   std::vector<std::string> branch_log;
   bool violation_found = false;
@@ -112,6 +128,14 @@ class Explorer {
   static Spec parseSpec(const util::Config& cfg);
 
  private:
+  /// How a replayed schedule ended; a pruned branch inherits its twin's.
+  struct Outcome {
+    std::string violation;  // "invariant: detail" of the first hit; "" = ok
+    double end = 0;
+    std::uint64_t digest = 0;
+    std::string render() const;
+  };
+
   struct Touch {
     bool universal = false;       // depends on everything (partition, heal)
     std::set<std::string> nodes;  // topology node names touched
@@ -137,7 +161,8 @@ class Explorer {
   std::vector<CandidateFault> candidates_;
   ExploreOptions opts_;
   std::vector<Touch> touches_;
-  std::set<std::pair<std::uint64_t, std::string>> memo_;  // (digest, suffix)
+  double quiescence_ = 0;  // T_q: every candidate and base fault is over
+  std::map<std::pair<std::uint64_t, std::string>, Outcome> memo_;  // (digest, suffix)
   bool stop_ = false;
 };
 

@@ -3,7 +3,7 @@
 // A ScenarioRun is one fully-armed simulation instance: a MicroGridPlatform
 // with a workload submitted (but not yet driven) and a FaultInjector armed
 // with some FaultPlan. The explorer owns the stepping — runTo() pauses at
-// fault decision points to capture state digests, runToEnd() drains the
+// its decision points to capture state digests, runToEnd() drains the
 // run so the invariant checker can inspect the terminal state.
 //
 // Because process stacks hold pointers into live heap state, a run cannot
@@ -47,7 +47,8 @@ struct ScenarioRun {
   std::function<std::string()> workload_error;
 
   /// Drive the simulation to virtual time `virtual_s` (armed fault events in
-  /// (last, virtual_s] fire inside). Returns the new virtual time.
+  /// (last, virtual_s] fire inside). Returns the new virtual time, which is
+  /// `virtual_s` even when the event queue drained earlier.
   double runTo(double virtual_s);
 
   /// Drain the simulation (daemons stay suspended); returns the final

@@ -12,6 +12,7 @@
 // emit a plan that replays the violation outside the explorer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -25,10 +26,10 @@
 
 using namespace mg;
 
-TEST(McMutation, ExplorerFindsMinimizesAndReplaysTheSeededBug) {
-  ::setenv("MG_MC_MUTATION", "1", 1);
+namespace {
 
-  const auto factory = mc::transferScenario();
+/// The guilty crash plus an innocent link fault on the transfer scenario.
+std::vector<mc::CandidateFault> mutationCandidates() {
   std::vector<mc::CandidateFault> cands;
 
   // The guilty candidate: crash + auto-restart 0.5 vs later — inside the
@@ -46,8 +47,16 @@ TEST(McMutation, ExplorerFindsMinimizesAndReplaysTheSeededBug) {
   drop.event.name = "drop-eth1";
   drop.times = {0.005, 0.01};
   cands.push_back(drop);
+  return cands;
+}
 
-  mc::Explorer ex(factory, cands);
+}  // namespace
+
+TEST(McMutation, ExplorerFindsMinimizesAndReplaysTheSeededBug) {
+  ::setenv("MG_MC_MUTATION", "1", 1);
+
+  const auto factory = mc::transferScenario();
+  mc::Explorer ex(factory, mutationCandidates());
   const mc::ExploreResult r = ex.explore();
 
   ASSERT_TRUE(r.violation_found);
@@ -71,6 +80,40 @@ TEST(McMutation, ExplorerFindsMinimizesAndReplaysTheSeededBug) {
   const auto reparsed =
       fault::FaultPlan::fromConfig(util::Config::parse(r.minimal_plan.toIni()));
   EXPECT_EQ(reparsed.events(), r.minimal_plan.events());
+}
+
+TEST(McMutation, PrunedVerdictsMatchFullReplay) {
+  ::setenv("MG_MC_MUTATION", "1", 1);
+
+  // The seeded-bug menu plus a fault on vm2's idle uplink whose two timings
+  // converge before the crash, so violating branches are pruned there and
+  // inherit their twin's verdict: the count, every verdict and the reported
+  // first violation must match the full replay's.
+  std::vector<mc::CandidateFault> cands = mutationCandidates();
+  mc::CandidateFault idle;
+  idle.event = mgtest::simpleEvent(fault::FaultKind::LinkDown, "eth2", 0.001, 0.001);
+  idle.event.name = "drop-eth2";
+  idle.times = {0.001, 0.002};
+  cands.push_back(idle);
+  auto explore = [&](bool hash) {
+    mc::ExploreOptions opts;
+    opts.hash_pruning = hash;
+    mc::Explorer ex(mc::transferScenario(), cands, opts);
+    return ex.explore();
+  };
+  const mc::ExploreResult pruned = explore(true);
+  const mc::ExploreResult full = explore(false);
+  const auto inherited = std::count_if(
+      pruned.branch_log.begin(), pruned.branch_log.end(), [](const std::string& l) {
+        return l.find(" pruned@") != std::string::npos &&
+               l.find(" VIOLATION ") != std::string::npos;
+      });
+  EXPECT_GT(inherited, 0);
+  EXPECT_EQ(mgtest::branchOutcomes(pruned.branch_log),
+            mgtest::branchOutcomes(full.branch_log));
+  EXPECT_EQ(pruned.stats.violations, full.stats.violations);
+  EXPECT_EQ(pruned.first_violation, full.first_violation);
+  EXPECT_EQ(pruned.minimal_plan.events(), full.minimal_plan.events());
 }
 
 TEST(McMutation, SchedulesWithoutTheRestartWindowStayClean) {

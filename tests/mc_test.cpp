@@ -70,6 +70,58 @@ std::vector<mc::CandidateFault> transferCandidates() {
   return out;
 }
 
+/// The final digests named by mgtest::branchOutcomes() lines.
+std::set<std::string> finalDigests(const std::vector<std::string>& outcomes) {
+  std::set<std::string> out;
+  for (const std::string& s : outcomes) out.insert(s.substr(s.rfind(" digest=") + 8));
+  return out;
+}
+
+/// The examples/grids/alpha4_explore.ini menu over NPB EP class S on the
+/// Alpha preset (what `mgrun --explore` runs), with or without hash pruning.
+mc::ExploreResult exploreAlphaEp(bool hash_pruning) {
+  mc::Explorer::Spec spec = mc::Explorer::parseSpec(util::Config::parse(R"(
+[explore]
+budget = 200
+hash_pruning = true
+causal_reduction = true
+
+[candidate crash-vm3]
+at = 0.5s
+kind = host_crash
+target = vm3.ucsd.edu
+duration = 1s
+times = 0.2s, 0.5s, 1s, 1.5s
+
+[candidate drop-eth1]
+at = 0.3s
+kind = link_down
+target = eth1
+duration = 0.2s
+times = 0.2s, 0.5s, 1s, 1.5s
+
+[candidate lossy-eth0]
+at = 0.2s
+kind = link_degrade
+target = eth0
+loss = 0.05
+duration = 0.5s
+times = 0.2s, 0.5s, 1s
+)"));
+  npb::ResultSink sink;
+  mc::LauncherScenarioSpec lspec;
+  lspec.grid = core::topologies::alphaCluster();
+  lspec.config_name = "mgrun";
+  lspec.executable = "npb.ep";
+  lspec.arguments = "S";
+  lspec.parts = {{"vm0.ucsd.edu", 1}, {"vm1.ucsd.edu", 1}};
+  lspec.max_resubmits = 2;
+  lspec.registrar = [&sink](grid::ExecutableRegistry& r) { npb::registerNpb(r, sink); };
+  spec.options.hash_pruning = hash_pruning;
+  mc::Explorer ex(mc::launcherScenario(std::move(lspec)), spec.candidates, spec.options);
+  return ex.explore();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- snapshot --
@@ -199,55 +251,65 @@ TEST(McExplorer, ReductionsPruneWithoutChangingTheVerdict) {
 }
 
 TEST(McExplorer, AlphaEpExplorationCountsArePinned) {
-  // The examples/grids/alpha4_explore.ini menu over NPB EP class S on the
-  // Alpha preset (what `mgrun --explore` runs). Which states compare equal
-  // decides the pruning counts, so these exact values guard the state
-  // digest: a change to what saveState() folds may change every digest's
-  // bytes, but it must not change which states are equal.
-  const mc::Explorer::Spec spec = mc::Explorer::parseSpec(util::Config::parse(R"(
-[explore]
-budget = 200
-hash_pruning = true
-causal_reduction = true
-
-[candidate crash-vm3]
-at = 0.5s
-kind = host_crash
-target = vm3.ucsd.edu
-duration = 1s
-times = 0.2s, 0.5s, 1s, 1.5s
-
-[candidate drop-eth1]
-at = 0.3s
-kind = link_down
-target = eth1
-duration = 0.2s
-times = 0.2s, 0.5s, 1s, 1.5s
-
-[candidate lossy-eth0]
-at = 0.2s
-kind = link_degrade
-target = eth0
-loss = 0.05
-duration = 0.5s
-times = 0.2s, 0.5s, 1s
-)"));
-  npb::ResultSink sink;
-  mc::LauncherScenarioSpec lspec;
-  lspec.grid = core::topologies::alphaCluster();
-  lspec.config_name = "mgrun";
-  lspec.executable = "npb.ep";
-  lspec.arguments = "S";
-  lspec.parts = {{"vm0.ucsd.edu", 1}, {"vm1.ucsd.edu", 1}};
-  lspec.max_resubmits = 2;
-  lspec.registrar = [&sink](grid::ExecutableRegistry& r) { npb::registerNpb(r, sink); };
-  mc::Explorer ex(mc::launcherScenario(std::move(lspec)), spec.candidates, spec.options);
-  const mc::ExploreResult r = ex.explore();
+  // Which states compare equal decides the pruning counts, so these exact
+  // values guard the state digest: a change to what saveState() folds may
+  // change every digest's bytes, but it must not change which states are
+  // equal. Every candidate has healed by the quiescence time (crash-vm3 @
+  // 1.5 s + 1 s = 2.5 s), where all but 16 schedules meet a twin.
+  const mc::ExploreResult r = exploreAlphaEp(/*hash_pruning=*/true);
   EXPECT_EQ(r.stats.enumerated, 115);
-  EXPECT_EQ(r.stats.runs, 84);
-  EXPECT_EQ(r.stats.pruned_hash, 31);
+  EXPECT_EQ(r.stats.runs, 16);
+  EXPECT_EQ(r.stats.pruned_hash, 99);
   EXPECT_EQ(r.stats.pruned_causal, 37);
   EXPECT_EQ(r.stats.violations, 0);
+}
+
+TEST(McExplorer, PrunedVerdictsMatchFullReplay) {
+  // The oracle replays every schedule to the end. Each pruned branch's
+  // inherited verdict, end time and final digest must be the one its own
+  // replay would have reached.
+  const mc::ExploreResult pruned = exploreAlphaEp(/*hash_pruning=*/true);
+  const mc::ExploreResult full = exploreAlphaEp(/*hash_pruning=*/false);
+  ASSERT_EQ(full.stats.runs, full.stats.enumerated);
+  const auto got = mgtest::branchOutcomes(pruned.branch_log);
+  const auto want = mgtest::branchOutcomes(full.branch_log);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(finalDigests(got).size(), 12u);
+  EXPECT_EQ(finalDigests(got), finalDigests(want));
+  EXPECT_EQ(pruned.stats.violations, full.stats.violations);
+}
+
+TEST(McExplorer, QuiescencePointNeverMovesADrainedRunsClock) {
+  // The transfer finishes within ms; the optional crash puts the
+  // quiescence time at 1 s + 0.5 s. A schedule that skips the crash drains
+  // long before that, and stepping it on to 1.5 s would report that as its
+  // end.
+  std::vector<mc::CandidateFault> cands;
+  mc::CandidateFault drop;
+  drop.event = mgtest::simpleEvent(fault::FaultKind::LinkDown, "eth2", 0.005, 0.02);
+  drop.event.name = "drop-eth2";
+  drop.times = {0.005, 0.01};
+  cands.push_back(drop);
+  mc::CandidateFault crash;
+  crash.event = mgtest::simpleEvent(fault::FaultKind::HostCrash, "vm3.ucsd.edu", 1.0, 0.5);
+  crash.event.name = "crash-vm3";
+  cands.push_back(crash);
+
+  auto explore = [&](bool hash) {
+    mc::ExploreOptions opts;
+    opts.hash_pruning = hash;
+    mc::Explorer ex(mc::transferScenario(), cands, opts);
+    return ex.explore();
+  };
+  const mc::ExploreResult pruned = explore(true);
+  const mc::ExploreResult full = explore(false);
+  EXPECT_EQ(mgtest::branchOutcomes(pruned.branch_log),
+            mgtest::branchOutcomes(full.branch_log));
+  // Schedules differing only in the bystander link fault's timing meet at
+  // the crash, with no hand-placed late decision point. (A transfer outlives
+  // no fault, so its runs drain by T_q and are never pruned there.)
+  EXPECT_GT(pruned.stats.pruned_hash, 0);
+  EXPECT_EQ(pruned.stats.violations, 0);
 }
 
 TEST(McExplorer, BudgetCapsEnumeration) {

@@ -211,4 +211,24 @@ inline mg::econ::EconReport runEconomy(const mg::econ::EconGridSpec& gspec,
   return economy.report();
 }
 
+// ------------------------------------------------ explorer branch logs
+
+/// Each schedule's "[signature] outcome" from an explorer branch log. The
+/// index is dropped, and so is a pruned branch's "pruned@t digest=X"
+/// pause point, so the outcomes a pruned exploration inherits line up with
+/// those of a full replay (hash_pruning = false) of the same menu.
+inline std::vector<std::string> branchOutcomes(const std::vector<std::string>& log) {
+  std::vector<std::string> out;
+  for (const std::string& line : log) {
+    std::string s = line.substr(line.find(' ') + 1);  // "#n " goes
+    const std::size_t p = s.find("] pruned@");
+    if (p != std::string::npos) {
+      const std::size_t d = s.find(" digest=", p) + 8 + 16;  // 16 hex digits
+      s.erase(p + 1, d - (p + 1));
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
 }  // namespace mgtest
