@@ -2,15 +2,14 @@
 //
 // The paper flags NSE's cost and scalability as the key obstacle ("NSE
 // performs detailed simulation, with high overhead ... does not scale up").
-// Since the NetworkModel refactor the model is a runtime switch on ONE
-// platform (mgrun --netmodel=packet|flow|hybrid), so this ablation holds
+// The model is a runtime switch on ONE network class and ONE platform
+// (mgrun --netmodel=packet|flow|hybrid), so this ablation holds
 // everything else fixed — same MicroGridPlatform, same GRAM path, same
 // quantum — and varies only the network model. It reports (a) the timing
 // difference the cheaper models introduce and (b) the simulation cost
 // (kernel events) of each.
 #include "bench_common.h"
-#include "net/flow_network.h"
-#include "net/hybrid_network.h"
+#include "net/network.h"
 
 using namespace mgbench;
 

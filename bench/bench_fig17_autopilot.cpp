@@ -15,8 +15,7 @@
 #include <limits>
 
 #include "bench_common.h"
-#include "obs/sampler.h"
-#include "sim/telemetry.h"
+#include "sim/sampler.h"
 
 using namespace mgbench;
 
@@ -40,9 +39,9 @@ util::Trace traceOf(core::Platform& platform, sim::SimTime interval, npb::Benchm
   launcher.startServices();
 
   sim.timeline().setBaseWidth(interval);
-  obs::TelemetrySampler::Options sopts;
+  sim::TelemetrySampler::Options sopts;
   sopts.interval_ns = interval;
-  obs::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), sopts);
+  sim::TelemetrySampler sampler(sim, sopts);
   sampler.addLevel(sensor, [&gauge](std::int64_t) { return gauge.value(); });
   sampler.start();
   auto result = launcher.run("npb." + util::toLower(npb::benchmarkName(b)), "A",

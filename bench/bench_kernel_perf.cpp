@@ -8,9 +8,9 @@
 #include <functional>
 #include <memory>
 
-#include "net/flow_network.h"
-#include "net/packet_network.h"
+#include "net/network.h"
 #include "net/tcp.h"
+#include "sim/channel.h"
 #include "sim/channel.h"
 #include "sim/simulator.h"
 #include "util/strings.h"
@@ -121,7 +121,7 @@ static void BM_PacketForwarding(benchmark::State& state) {
       topo.addLink(util::format("l%d", i), prev, next, 1e9, 1000);
       prev = next;
     }
-    net::PacketNetwork net(sim, std::move(topo), {});
+    net::Network net(sim, std::move(topo), {});
     net.attachHost(prev, [](net::Packet&&) {});
     for (int i = 0; i < 1000; ++i) {
       net::Packet p;
@@ -145,11 +145,14 @@ static void BM_TcpThroughputSim(benchmark::State& state) {
     auto a = topo.addHost("a");
     auto b = topo.addHost("b");
     topo.addLink("l", a, b, 100e6, sim::fromSeconds(0.1e-3));
-    net::PacketNetwork net(sim, std::move(topo), {});
+    net::Network net(sim, std::move(topo), {});
     net::TcpStack sa(net, a), sb(net, b);
     sim.spawn("server", [&] {
-      auto listener = sb.listen(80);
-      auto conn = listener->accept();
+      sim::Channel<std::shared_ptr<net::TcpConnection>> backlog(sim);
+      auto listener = sb.listen(80, [&backlog](std::shared_ptr<net::TcpConnection> c) {
+        if (c) backlog.trySend(std::move(c));
+      });
+      auto conn = backlog.recv();
       std::vector<std::uint8_t> sink(1 << 20);
       conn->recvExact(sink.data(), sink.size());
     });
@@ -193,10 +196,11 @@ static void BM_FlowChurn(benchmark::State& state) {
                      100e6, sim::fromSeconds(0.05e-3));
       }
     }
-    net::FlowNetworkOptions opts;
+    net::NetworkOptions opts;
+    opts.kind = net::NetModelKind::Flow;
     opts.incremental = incremental;
-    net::FlowNetwork fn(sim, std::move(topo), opts);
-    auto& eng = fn.engine();
+    net::Network fn(sim, std::move(topo), opts);
+    auto& eng = *fn.flows();
     std::function<void(int, int)> restart = [&](int idx, int rounds_left) {
       if (rounds_left <= 0) return;
       const int dst = (idx + kHostsPer) % (kClusters * kHostsPer);

@@ -41,8 +41,7 @@
 #include <vector>
 
 #include "core/microgrid_platform.h"
-#include "obs/sampler.h"
-#include "sim/telemetry.h"
+#include "sim/sampler.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -147,7 +146,7 @@ RunResult runWorkload(const core::VirtualGridConfig& cfg, const Options& opt,
                       net::NetModelKind kind, const std::string& timeline_path = {}) {
   core::MicroGridOptions mopts;
   mopts.netmodel = kind;
-  mopts.flow.incremental = !opt.full_recompute;
+  mopts.flow_incremental = !opt.full_recompute;
   if (kind == net::NetModelKind::Hybrid) {
     // Escalate the first half of the pair ports so both paths carry traffic.
     mopts.netmodel_detail = {"port:7000-" + std::to_string(7000 + std::max(0, opt.pairs / 2 - 1))};
@@ -190,14 +189,14 @@ RunResult runWorkload(const core::VirtualGridConfig& cfg, const Options& opt,
                      });
   }
 
-  std::unique_ptr<obs::TelemetrySampler> sampler;
+  std::unique_ptr<sim::TelemetrySampler> sampler;
   if (!timeline_path.empty()) {
     sim::Simulator& sim = platform.simulator();
     sim.timeline().setBaseWidth(sim::fromSeconds(opt.timeline_interval_s));
-    obs::TelemetrySampler::Options sopts;
+    sim::TelemetrySampler::Options sopts;
     sopts.interval_ns = sim::fromSeconds(opt.timeline_interval_s);
     sampler =
-        std::make_unique<obs::TelemetrySampler>(sim.timeline(), sim::telemetryHost(sim), sopts);
+        std::make_unique<sim::TelemetrySampler>(sim, sopts);
     platform.registerTelemetry(*sampler);
     sampler->start();
   }

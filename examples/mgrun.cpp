@@ -88,10 +88,9 @@
 #include "mc/scenario.h"
 #include "npb/npb.h"
 #include "obs/progress.h"
-#include "obs/sampler.h"
 #include "obs/sim_profiler.h"
 #include "obs/trace_export.h"
-#include "sim/telemetry.h"
+#include "sim/sampler.h"
 #include "util/strings.h"
 
 using namespace mg;
@@ -225,11 +224,11 @@ void printMetrics(obs::MetricsRegistry& metrics, const std::string& fmt) {
 /// Build a telemetry sampler over the simulator's recorder, with the bucket
 /// width matched to the interval so early buckets hold one sample each. The
 /// caller registers probes, then calls start().
-std::unique_ptr<obs::TelemetrySampler> makeSampler(sim::Simulator& sim, double interval_s) {
+std::unique_ptr<sim::TelemetrySampler> makeSampler(sim::Simulator& sim, double interval_s) {
   sim.timeline().setBaseWidth(sim::fromSeconds(interval_s));
-  obs::TelemetrySampler::Options sopts;
+  sim::TelemetrySampler::Options sopts;
   sopts.interval_ns = sim::fromSeconds(interval_s);
-  return std::make_unique<obs::TelemetrySampler>(sim.timeline(), sim::telemetryHost(sim), sopts);
+  return std::make_unique<sim::TelemetrySampler>(sim, sopts);
 }
 
 void writeTimeline(const obs::TimeSeriesRecorder& timeline, const std::string& path) {
@@ -309,7 +308,7 @@ int main(int argc, char** argv) {
       econ::GridEconomy economy(platform, grid, eopts);
       economy.arm();
 
-      std::unique_ptr<obs::TelemetrySampler> sampler;
+      std::unique_ptr<sim::TelemetrySampler> sampler;
       if (!opt.timeline_out.empty()) {
         sampler = makeSampler(platform.simulator(), opt.timeline_interval_s);
         platform.registerTelemetry(*sampler);
@@ -455,7 +454,7 @@ int main(int argc, char** argv) {
     lopts.max_resubmits = opt.resubmits >= 0 ? opt.resubmits : (plan.empty() ? 0 : 2);
     launcher.setLaunchOptions(lopts);
 
-    std::unique_ptr<obs::TelemetrySampler> sampler;
+    std::unique_ptr<sim::TelemetrySampler> sampler;
     if (!opt.timeline_out.empty()) {
       sampler = makeSampler(mgrid->simulator(), opt.timeline_interval_s);
       mgrid->registerTelemetry(*sampler);

@@ -24,8 +24,7 @@ static_assert(kChunkBytes >= 1 && kWindowBytes >= 1, "send() must make progress"
 
 // ------------------------------------------------------------------ table --
 
-FlowEndpointTable::FlowEndpointTable(net::NetworkModel& net, HostnameFn hostname,
-                                     ToKernelFn to_kernel)
+FlowEndpointTable::FlowEndpointTable(net::Network& net, HostnameFn hostname)
     : net_(net),
       engine_(*[&net] {
         net::FlowEngine* e = net.flows();
@@ -33,8 +32,7 @@ FlowEndpointTable::FlowEndpointTable(net::NetworkModel& net, HostnameFn hostname
         return e;
       }()),
       sim_(net.simulator()),
-      hostname_(std::move(hostname)),
-      to_kernel_(std::move(to_kernel)) {}
+      hostname_(std::move(hostname)) {}
 
 std::shared_ptr<FlowListener> FlowEndpointTable::listen(net::NodeId node, std::uint16_t port,
                                                         AcceptSink sink) {
@@ -226,39 +224,19 @@ void FlowSocket::enterError(const std::string& what) {
 
 FlowListener::FlowListener(FlowEndpointTable& table, net::NodeId node, std::uint16_t port,
                            FlowEndpointTable::AcceptSink sink)
-    : table_(table),
-      node_(node),
-      port_(port),
-      sink_(std::move(sink)),
-      backlog_(std::make_unique<sim::Channel<std::shared_ptr<vos::StreamSocket>>>(table.sim_)) {}
+    : table_(table), node_(node), port_(port), sink_(std::move(sink)) {}
 
 FlowListener::~FlowListener() { close(); }
 
 void FlowListener::deliver(std::shared_ptr<vos::StreamSocket> sock) {
-  if (closed_) return;
-  if (sink_) {
-    sink_(std::move(sock));
-    return;
-  }
-  backlog_->send(std::move(sock));
-}
-
-std::shared_ptr<vos::StreamSocket> FlowListener::accept() {
-  if (sink_) throw UsageError("listener delivers through its accept sink");
-  return backlog_->recv();
-}
-
-std::shared_ptr<vos::StreamSocket> FlowListener::acceptFor(double virtual_seconds) {
-  if (sink_) throw UsageError("listener delivers through its accept sink");
-  auto v = backlog_->recvFor(table_.to_kernel_(virtual_seconds));
-  return v ? std::move(*v) : nullptr;
+  if (!closed_) sink_(std::move(sock));
 }
 
 void FlowListener::close() {
   if (closed_) return;
   closed_ = true;
   table_.unlisten(node_, port_);
-  backlog_->close();
+  sink_(nullptr);
 }
 
 }  // namespace mg::core

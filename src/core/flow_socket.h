@@ -28,9 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/flow_network.h"
 #include "net/tcp.h"
-#include "sim/channel.h"
 #include "sim/condition.h"
 #include "vos/context.h"
 
@@ -44,19 +42,18 @@ class FlowEndpointTable {
  public:
   /// Resolves a node id to its virtual hostname (peerHost()).
   using HostnameFn = std::function<std::string(net::NodeId)>;
-  /// Converts virtual seconds to kernel time (acceptFor()).
-  using ToKernelFn = std::function<sim::SimTime(double)>;
-  /// Where a listener delivers accepted sockets; hybrid mode points this at
-  /// a backlog shared with the TCP listener.
+  /// Where a listener delivers each accepted socket, in connect order.
+  /// Called once with nullptr when the listener closes, so the owner can
+  /// close its backlog (the same contract as net::TcpAcceptSink).
   using AcceptSink = std::function<void(std::shared_ptr<vos::StreamSocket>)>;
 
-  FlowEndpointTable(net::NetworkModel& net, HostnameFn hostname, ToKernelFn to_kernel);
+  /// `net` must have a fluid engine (Network::flows()).
+  FlowEndpointTable(net::Network& net, HostnameFn hostname);
   FlowEndpointTable(const FlowEndpointTable&) = delete;
   FlowEndpointTable& operator=(const FlowEndpointTable&) = delete;
 
   /// Bind a listener; throws UsageError if (node, port) is taken.
-  std::shared_ptr<FlowListener> listen(net::NodeId node, std::uint16_t port,
-                                       AcceptSink sink = {});
+  std::shared_ptr<FlowListener> listen(net::NodeId node, std::uint16_t port, AcceptSink sink);
 
   /// Blocking active open (process context). Throws ConnectionRefused when
   /// nothing is listening or the target host is down.
@@ -76,11 +73,10 @@ class FlowEndpointTable {
   void unlisten(net::NodeId node, std::uint16_t port);
   void track(const std::shared_ptr<FlowSocket>& sock);
 
-  net::NetworkModel& net_;
+  net::Network& net_;
   net::FlowEngine& engine_;
   sim::Simulator& sim_;
   HostnameFn hostname_;
-  ToKernelFn to_kernel_;
   std::map<std::pair<net::NodeId, std::uint16_t>, FlowListener*> listeners_;
   // Live sockets by endpoint node, for crashNode; pruned opportunistically.
   std::map<net::NodeId, std::vector<std::weak_ptr<FlowSocket>>> by_node_;
@@ -130,13 +126,15 @@ class FlowSocket : public vos::StreamSocket, public std::enable_shared_from_this
   sim::Condition writable_;
 };
 
-/// A passive flow-mode socket; accept() yields connections in connect order.
-class FlowListener : public vos::Listener {
+/// A bound flow-mode port; connections go to its accept sink.
+class FlowListener {
  public:
-  ~FlowListener() override;
-  std::shared_ptr<vos::StreamSocket> accept() override;
-  std::shared_ptr<vos::StreamSocket> acceptFor(double virtual_seconds) override;
-  void close() override;
+  ~FlowListener();
+  FlowListener(const FlowListener&) = delete;
+  FlowListener& operator=(const FlowListener&) = delete;
+  /// Unbind the port (later connects are refused) and tell the sink.
+  /// Idempotent.
+  void close();
 
   std::uint16_t port() const { return port_; }
 
@@ -152,7 +150,6 @@ class FlowListener : public vos::Listener {
   std::uint16_t port_;
   bool closed_ = false;
   FlowEndpointTable::AcceptSink sink_;
-  std::unique_ptr<sim::Channel<std::shared_ptr<vos::StreamSocket>>> backlog_;
 };
 
 }  // namespace mg::core

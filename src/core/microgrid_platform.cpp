@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/sampler.h"
-#include "sim/telemetry.h"
+#include "sim/sampler.h"
 #include "util/log.h"
 #include "util/strings.h"
 
@@ -31,28 +30,13 @@ double selectRate(const VirtualGridConfig& cfg, const MicroGridOptions& opts) {
 
 MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOptions opts)
     : Platform(cfg, selectRate(cfg, opts)), opts_(opts) {
-  net::PacketNetworkOptions nopts;
+  net::NetworkOptions nopts;
+  nopts.kind = opts_.netmodel;
   nopts.time_scale = vt_.kernelPerVirtual();
   nopts.seed = opts_.seed;
-  switch (opts_.netmodel) {
-    case net::NetModelKind::Packet:
-      attachNetwork(std::make_unique<net::PacketNetwork>(sim_, cfg.topology(), nopts));
-      break;
-    case net::NetModelKind::Flow: {
-      net::FlowNetworkOptions fopts = opts_.flow;
-      fopts.time_scale = vt_.kernelPerVirtual();
-      attachNetwork(std::make_unique<net::FlowNetwork>(sim_, cfg.topology(), fopts));
-      break;
-    }
-    case net::NetModelKind::Hybrid: {
-      net::HybridNetworkOptions hopts;
-      hopts.packet = nopts;
-      hopts.flow = opts_.flow;
-      hopts.detail = opts_.netmodel_detail;
-      attachNetwork(std::make_unique<net::HybridNetwork>(sim_, cfg.topology(), hopts));
-      break;
-    }
-  }
+  nopts.incremental = opts_.flow_incremental;
+  nopts.detail = opts_.netmodel_detail;
+  attachNetwork(cfg, std::move(nopts));
 
   std::uint64_t seed = opts_.seed;
   for (const auto& p : cfg.physicalMachines()) {
@@ -108,7 +92,7 @@ void MicroGridPlatform::crashHost(const std::string& hostname) {
 void MicroGridPlatform::restartHost(const std::string& hostname) {
   Host& rt = host(hostname);
   if (rt.alive) return;
-  if (packet_ != nullptr) rt.stack = std::make_unique<net::TcpStack>(*packet_, rt.info->node);
+  if (net_->carriesPackets()) rt.stack = std::make_unique<net::TcpStack>(*net_, rt.info->node);
   net_->setNodeUp(rt.info->node, true);
   rt.alive = true;
   MG_LOG_INFO("core") << "restart " << hostname;
@@ -123,15 +107,7 @@ void MicroGridPlatform::setHostCpuFactor(const std::string& hostname, double fac
   refraction(rt);
 }
 
-net::PacketNetwork& MicroGridPlatform::packetNetwork() {
-  if (packet_ == nullptr) {
-    throw UsageError("no packet machinery under --netmodel=" +
-                     std::string(net::netModelKindName(opts_.netmodel)));
-  }
-  return *packet_;
-}
-
-void MicroGridPlatform::registerTelemetry(obs::TelemetrySampler& sampler) {
+void MicroGridPlatform::registerTelemetry(sim::TelemetrySampler& sampler) {
   sim::registerKernelProbes(sampler, sim_);
   net_->registerTelemetry(sampler);
   // schedulers_ is name-ordered, so probe registration order (and with it

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/platform.h"
-#include "net/hybrid_network.h"
 
 namespace mg::core {
 
@@ -35,9 +34,8 @@ struct MicroGridOptions {
   net::NetModelKind netmodel = net::NetModelKind::Packet;
   /// Hybrid escalation patterns (see net::DetailSelector).
   std::vector<std::string> netmodel_detail;
-  /// Fluid-path tuning for flow/hybrid mode; its time_scale is derived from
-  /// the simulation rate, not taken from here.
-  net::FlowNetworkOptions flow;
+  /// Component-scoped flow recompute (see net::NetworkOptions::incremental).
+  bool flow_incremental = true;
   std::uint64_t seed = 42;
 };
 
@@ -49,24 +47,20 @@ class MicroGridPlatform : public Platform {
   /// The chosen simulation rate (virtual seconds per emulation second).
   double rate() const { return vt_.rate(); }
   const vos::VirtualTime& virtualTime() const { return vt_; }
-  /// The packet machinery, when the active model has one (packet or hybrid
-  /// mode); throws UsageError under --netmodel=flow.
-  net::PacketNetwork& packetNetwork();
-
   /// Emulation wall-clock seconds consumed so far (the cost side of the
   /// Fig 15 trade-off).
   double emulationNow() const { return sim::toSeconds(sim_.now()); }
 
   /// Register the platform's full time-resolved probe set (DESIGN.md §10)
-  /// on a sampler: kernel rates (sim.*), the network model's per-link and
+  /// on a sampler: kernel rates (sim.*), the network's per-link and
   /// throughput series (net.*), and every physical machine's CPU scheduler
   /// (vos.cpu.util.<machine>, vos.runq.<machine>). Call after construction,
   /// before sampler.start().
-  void registerTelemetry(obs::TelemetrySampler& sampler);
+  void registerTelemetry(sim::TelemetrySampler& sampler);
 
   /// Register the platform's full state-capture set (DESIGN.md §11) on
   /// `reg`: the kernel's clock/heap/process table ("sim"), the metrics
-  /// registry snapshot ("obs.metrics"), the network model with its queues,
+  /// registry snapshot ("obs.metrics"), the network with its queues,
   /// RNG stream and flows ("net"), every physical machine's CPU scheduler
   /// ("vos.sched.<machine>"), and every virtual host's runtime — aliveness,
   /// CPU factor, memory accounting, TCP endpoint table ("core.hosts").

@@ -1,5 +1,7 @@
 #include "core/platform.h"
 
+#include "sim/channel.h"
+
 namespace mg::core {
 
 // ---------------------------------------------------------------- sockets --
@@ -21,76 +23,55 @@ class Platform::MgSocket : public vos::StreamSocket {
   std::shared_ptr<net::TcpConnection> conn_;
 };
 
-class Platform::MgListener : public vos::Listener {
+// The one listener, whatever the mode: it owns the backlog, and each
+// transport that can carry a connection to this port (TCP when the network
+// carries packets, flow sockets when it has a fluid engine) binds the port
+// with an accept sink that feeds it. A transport closing its binding (a
+// host crash) closes the backlog, so blocked accepters wake as they would on
+// any closed listener.
+class Platform::HostListener : public vos::Listener {
  public:
-  MgListener(Platform& p, std::shared_ptr<net::TcpListener> listener)
-      : p_(p), listener_(std::move(listener)) {}
-
-  std::shared_ptr<vos::StreamSocket> accept() override {
-    return std::make_shared<MgSocket>(p_, listener_->accept());
-  }
-  std::shared_ptr<vos::StreamSocket> acceptFor(double virtual_seconds) override {
-    auto conn = listener_->acceptFor(p_.vt_.toKernel(virtual_seconds));
-    if (!conn) return nullptr;
-    return std::make_shared<MgSocket>(p_, std::move(conn));
-  }
-  void close() override { listener_->close(); }
-
- private:
-  Platform& p_;
-  std::shared_ptr<net::TcpListener> listener_;
-};
-
-// Hybrid mode: a port must accept both escalated (TCP) and fluid
-// connections. Both feed one unified backlog — the flow listener delivers
-// straight into it, and a pump daemon drains the TCP listener's handshake
-// output into it. Pure packet mode never comes through here, so its accept
-// path (and event stream) is untouched.
-class Platform::HybridListener : public vos::Listener {
- public:
-  HybridListener(Platform& p, Host& rt, std::uint16_t port)
-      : p_(p),
-        unified_(std::make_shared<sim::Channel<std::shared_ptr<vos::StreamSocket>>>(p.sim_)) {
-    tcp_ = rt.stack->listen(port);
-    flow_ = p.flow_table_->listen(rt.info->node, port,
-                                  [ch = unified_](std::shared_ptr<vos::StreamSocket> s) {
-                                    if (!ch->closed()) ch->send(std::move(s));
-                                  });
-    // The pump owns shared refs so it can outlive this listener object
-    // (processes are only reaped at kernel safe points).
-    p.sim_.spawn("hybrid-accept-pump", [&p, tcp = tcp_, ch = unified_] {
-      try {
-        while (true) {
-          auto conn = tcp->accept();
-          if (!conn) break;
-          ch->send(std::make_shared<MgSocket>(p, std::move(conn)));
-        }
-      } catch (const sim::ChannelClosed&) {
-        // Listener or backlog closed: orderly pump shutdown.
+  HostListener(Platform& p, Host& rt, std::uint16_t port)
+      : p_(p), backlog_(std::make_shared<Backlog>(p.sim_)) {
+    FlowEndpointTable::AcceptSink feed = [ch = backlog_](std::shared_ptr<vos::StreamSocket> s) {
+      if (s) {
+        ch->trySend(std::move(s));
+      } else {
+        ch->close();
       }
-    });
+    };
+    if (rt.stack) {
+      tcp_ = rt.stack->listen(port, [&p, feed](std::shared_ptr<net::TcpConnection> c) {
+        feed(c ? std::make_shared<MgSocket>(p, std::move(c)) : nullptr);
+      });
+    }
+    if (p.flow_table_) flow_ = p.flow_table_->listen(rt.info->node, port, std::move(feed));
   }
 
-  ~HybridListener() override { close(); }
+  ~HostListener() override { close(); }
 
-  std::shared_ptr<vos::StreamSocket> accept() override { return unified_->recv(); }
+  std::shared_ptr<vos::StreamSocket> accept() override { return backlog_->recv(); }
 
   std::shared_ptr<vos::StreamSocket> acceptFor(double virtual_seconds) override {
-    auto v = unified_->recvFor(p_.vt_.toKernel(virtual_seconds));
+    auto v = backlog_->recvFor(p_.vt_.toKernel(virtual_seconds));
     return v ? std::move(*v) : nullptr;
   }
 
   void close() override {
-    tcp_->close();
-    flow_->close();
-    unified_->close();
+    if (tcp_) tcp_->close();
+    if (flow_) flow_->close();
+    backlog_->close();
   }
 
  private:
+  using Backlog = sim::Channel<std::shared_ptr<vos::StreamSocket>>;
+
   Platform& p_;
+  // Shared with the sinks, which the transports may call after this
+  // listener is gone (they hold the sink until their binding closes).
+  std::shared_ptr<Backlog> backlog_;
   std::shared_ptr<net::TcpListener> tcp_;
   std::shared_ptr<FlowListener> flow_;
-  std::shared_ptr<sim::Channel<std::shared_ptr<vos::StreamSocket>>> unified_;
 };
 
 // ---------------------------------------------------------------- context --
@@ -123,16 +104,14 @@ class Platform::Context : public vos::HostContext {
   const vos::HostMapper& mapper() const override { return p_.mapper_; }
 
   std::shared_ptr<vos::Listener> listen(std::uint16_t port) override {
-    if (!p_.flow_table_) return std::make_shared<MgListener>(p_, rt_.stack->listen(port));
-    if (!rt_.stack) return p_.flow_table_->listen(rt_.info->node, port);
-    return std::make_shared<HybridListener>(p_, rt_, port);
+    return std::make_shared<HostListener>(p_, rt_, port);
   }
 
   std::shared_ptr<vos::StreamSocket> connect(const std::string& host_or_ip,
                                              std::uint16_t port) override {
     const vos::VirtualHostInfo& target = p_.mapper_.resolve(host_or_ip);
-    // The connector decides the path through the model, once for the whole
-    // connection: packet always escalates, flow never, hybrid per its
+    // The connector decides the path through the network, once for the
+    // whole connection: packet always escalates, flow never, hybrid per its
     // selector. An escalated connection is TCP over packets in both
     // directions (the reply segments to this end's ephemeral port included);
     // any other is a flow socket in both directions.
@@ -161,20 +140,18 @@ class Platform::Context : public vos::HostContext {
 Platform::Platform(const VirtualGridConfig& cfg, double rate)
     : mapper_(cfg.mapper()), vt_(rate) {}
 
-void Platform::attachNetwork(std::unique_ptr<net::NetworkModel> net) {
-  net_ = std::move(net);
-  packet_ = dynamic_cast<net::PacketNetwork*>(net_.get());
+void Platform::attachNetwork(const VirtualGridConfig& cfg, net::NetworkOptions opts) {
+  net_ = std::make_unique<net::Network>(sim_, cfg.topology(), std::move(opts));
   if (net_->flows() != nullptr) {
     flow_table_ = std::make_unique<FlowEndpointTable>(
-        *net_, [this](net::NodeId n) { return mapper_.byNode(n).hostname; },
-        [this](double s) { return vt_.toKernel(s); });
+        *net_, [this](net::NodeId n) { return mapper_.byNode(n).hostname; });
   }
   for (const auto& info : mapper_.hosts()) {
     Host h;
     h.info = &info;
     // Transport stacks exist only where packets can arrive; pure flow mode
     // has no per-segment machinery at all.
-    if (packet_ != nullptr) h.stack = std::make_unique<net::TcpStack>(*packet_, info.node);
+    if (net_->carriesPackets()) h.stack = std::make_unique<net::TcpStack>(*net_, info.node);
     h.mem = std::make_unique<vos::MemoryManager>(info.memory_bytes, &sim_.metrics());
     hosts_.emplace(info.hostname, std::move(h));
   }

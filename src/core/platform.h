@@ -8,11 +8,12 @@
 //    level network, and virtual-time rescaling.
 //
 // They differ only in their resource models. Platform owns everything else,
-// once: the simulator, the host mapper, the virtual clock, the network model
-// with its per-host transport stacks and flow-socket table, the per-host
-// record, spawnOn, and the one vos::HostContext implementation. A subclass
-// picks the simulation rate and the network model, and supplies the CPU
-// rule (computeFor/releaseCpu) — the only seam between the two.
+// once: the simulator, the host mapper, the virtual clock, the network with
+// its per-host transport stacks and flow-socket table, the per-host record,
+// spawnOn, the one vos::HostContext implementation and the one listener. A
+// subclass picks the simulation rate and the network's options, and
+// supplies the CPU rule (computeFor/releaseCpu) — the only seam between the
+// two.
 //
 // Applications only ever see vos::HostContext, so the same program runs on
 // both — the reproduction's analogue of "unmodified Globus applications".
@@ -27,7 +28,7 @@
 
 #include "core/flow_socket.h"
 #include "core/virtual_grid.h"
-#include "net/packet_network.h"
+#include "net/network.h"
 #include "net/tcp.h"
 #include "sim/simulator.h"
 #include "vos/context.h"
@@ -44,8 +45,8 @@ class Platform {
 
   sim::Simulator& simulator() { return sim_; }
   const vos::HostMapper& mapper() const { return mapper_; }
-  /// The network model behind the virtual wire (packet, flow, or hybrid).
-  net::NetworkModel& network() { return *net_; }
+  /// The network behind the virtual wire (packet, flow, or hybrid mode).
+  net::Network& network() { return *net_; }
 
   /// Start a process on the named virtual host (hostname or virtual IP).
   /// The body receives that process's HostContext. Returns the simulator
@@ -98,11 +99,11 @@ class Platform {
   /// `rate` is virtual seconds per kernel second (1 for the reference).
   Platform(const VirtualGridConfig& cfg, double rate);
 
-  /// Install the network model and build the per-host records: transport
-  /// stacks when the model carries packets, a flow-socket table when it has
-  /// a fluid engine, and each host's memory manager. Call once, from the
-  /// subclass constructor.
-  void attachNetwork(std::unique_ptr<net::NetworkModel> net);
+  /// Build the network and the per-host records: transport stacks when the
+  /// network carries packets, a flow-socket table when it has a fluid
+  /// engine, and each host's memory manager. Call once, from the subclass
+  /// constructor.
+  void attachNetwork(const VirtualGridConfig& cfg, net::NetworkOptions opts);
 
   /// The CPU rule: block the calling process while it executes `ops`
   /// operations (ops >= 0).
@@ -115,16 +116,14 @@ class Platform {
   sim::Simulator sim_;
   vos::HostMapper mapper_;
   vos::VirtualTime vt_;
-  std::unique_ptr<net::NetworkModel> net_;
-  net::PacketNetwork* packet_ = nullptr;           // non-null in packet/hybrid mode
+  std::unique_ptr<net::Network> net_;
   std::unique_ptr<FlowEndpointTable> flow_table_;  // non-null in flow/hybrid mode
   std::map<std::string, Host> hosts_;
 
  private:
   class Context;
   class MgSocket;
-  class MgListener;
-  class HybridListener;
+  class HostListener;
 };
 
 }  // namespace mg::core

@@ -1,11 +1,11 @@
 #include "core/reference_platform.h"
 
-#include "net/flow_network.h"
-
 namespace mg::core {
 
 ReferencePlatform::ReferencePlatform(const VirtualGridConfig& cfg) : Platform(cfg, 1.0) {
-  attachNetwork(std::make_unique<net::FlowNetwork>(sim_, cfg.topology()));
+  net::NetworkOptions nopts;
+  nopts.kind = net::NetModelKind::Flow;
+  attachNetwork(cfg, std::move(nopts));
 }
 
 ReferencePlatform::~ReferencePlatform() { shutdown(); }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "net/flow_network.h"
-#include "obs/sampler.h"
+#include "net/flow_engine.h"
+#include "sim/sampler.h"
 #include "util/error.h"
 
 namespace mg::econ {
@@ -120,7 +120,7 @@ GridEconomy::GridEconomy(core::MicroGridPlatform& platform, const EconGrid& grid
       });
 }
 
-void GridEconomy::registerTelemetry(obs::TelemetrySampler& sampler) {
+void GridEconomy::registerTelemetry(sim::TelemetrySampler& sampler) {
   sampler.addLevel("econ.active_jobs",
                    [this](std::int64_t) { return static_cast<double>(active_.size()); });
   sampler.addCounterRate("econ.submitted_per_s", c_submitted_);

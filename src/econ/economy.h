@@ -100,7 +100,7 @@ class GridEconomy {
   /// econ.broker.view_backlog_s.<c> is the staleness the MDS-style refresh
   /// interval buys. The sampler reads these between kernel events, on the
   /// kernel's thread.
-  void registerTelemetry(obs::TelemetrySampler& sampler);
+  void registerTelemetry(sim::TelemetrySampler& sampler);
 
   /// State capture (DESIGN.md §11): per-cluster queue/pool occupancy and
   /// aliveness, every in-flight job's phase, and the workload generator

@@ -137,7 +137,7 @@ void FaultInjector::skipped(const FaultEvent& ev, const std::string& why) {
 
 void FaultInjector::fire(const FaultEvent& ev) {
   sim::Simulator& sim = platform_.simulator();
-  net::NetworkModel& net = platform_.network();
+  net::Network& net = platform_.network();
   const net::Topology& topo = net.topology();
   const double now = platform_.virtualNow();
 

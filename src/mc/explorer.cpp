@@ -179,13 +179,9 @@ void Explorer::runSchedule(const std::vector<fault::FaultEvent>& firing,
     std::sort(decisions.begin(), decisions.end());
     decisions.erase(std::unique(decisions.begin(), decisions.end()), decisions.end());
     for (double t : decisions) {
+      // A run that drains at or before t keeps its own clock, so its digest
+      // (and end time) are the run's own, never t.
       run->runTo(t);
-      if (run->platform->simulator().pendingEventCount() == 0) {
-        // Drained at or before t, and the bounded run moved the clock to t:
-        // replay from scratch so the end time and digest are the run's own.
-        run = factory_(plan);
-        break;
-      }
       const std::uint64_t d = run->digest();
       std::string suffix;
       for (const auto& ev : firing) {

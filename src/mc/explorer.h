@@ -27,9 +27,9 @@
 // every fault has fired and healed, so the remaining suffix is empty and
 // schedules that converged by then share one memo key however their
 // prefixes differed. A run whose event queue drains before a decision
-// point has ended there: the kernel's bounded run would move its clock to
-// the decision time, so the explorer replays it from scratch to its own end
-// instead.
+// point has ended there, and keeps its own clock: Simulator::runUntil moves
+// the clock to the limit only while events remain, so a drained run's
+// digest and end time are its own and it is memoized like any other.
 //
 // On a violation, the explorer greedily delta-debugs the schedule down to a
 // minimal reproducing FaultPlan and serializes it as INI — feed it back

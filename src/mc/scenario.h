@@ -47,8 +47,9 @@ struct ScenarioRun {
   std::function<std::string()> workload_error;
 
   /// Drive the simulation to virtual time `virtual_s` (armed fault events in
-  /// (last, virtual_s] fire inside). Returns the new virtual time, which is
-  /// `virtual_s` even when the event queue drained earlier.
+  /// (last, virtual_s] fire inside). Returns the new virtual time: `virtual_s`
+  /// while events remain, else the time of the last event (a drained run
+  /// keeps its own clock, as after runToEnd()).
   double runTo(double virtual_s);
 
   /// Drain the simulation (daemons stay suspended); returns the final

@@ -1,11 +1,11 @@
-#include "net/flow_network.h"
+#include "net/flow_engine.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
 
-#include "sim/condition.h"
+#include "net/network.h"
 #include "util/error.h"
 
 namespace mg::net {
@@ -23,10 +23,10 @@ bool rateChanged(double a, double b) {
 
 }  // namespace
 
-FlowEngine::FlowEngine(NetworkModel& model, FlowNetworkOptions opts)
-    : model_(model),
-      sim_(model.simulator()),
-      opts_(opts),
+FlowEngine::FlowEngine(Network& net, bool incremental)
+    : model_(net),
+      sim_(net.simulator()),
+      incremental_(incremental),
       c_started_(sim_.metrics().counter("net.flow.started")),
       c_completed_(sim_.metrics().counter("net.flow.completed")),
       c_aborted_(sim_.metrics().counter("net.flow.aborted")),
@@ -203,7 +203,7 @@ void FlowEngine::seedDlink(std::uint32_t d) {
 
 void FlowEngine::recomputeComponent() {
   c_recomputes_.inc();
-  if (opts_.incremental) {
+  if (incremental_) {
     // Close the component: alternate link→flows (reverse index) and
     // flow→links (routes) until no new element appears. comp_dlinks_
     // doubles as the BFS worklist.
@@ -459,7 +459,7 @@ double FlowEngine::linkUtilization(LinkId link) const {
   return linkBusySeconds(static_cast<std::size_t>(link), sim_.now()) / elapsed;
 }
 
-void FlowEngine::registerTelemetry(obs::TelemetrySampler& sampler) {
+void FlowEngine::registerTelemetry(sim::TelemetrySampler& sampler) {
   sampler.addLevel("net.flow.active",
                    [this](std::int64_t) { return static_cast<double>(flows_.size()); });
   sampler.addCounterRate("net.flow.completed_per_s", c_completed_);
@@ -535,31 +535,6 @@ void FlowEngine::saveState(obs::StateWriter& w) const {
     w.i64("integrated", f.last_integrated);
     w.boolean("stalled", f.stalled);
   }
-}
-
-FlowNetwork::FlowNetwork(sim::Simulator& sim, Topology topo, FlowNetworkOptions opts)
-    : NetworkModel(sim, std::move(topo), opts.time_scale), engine_(*this, opts) {}
-
-sim::SimTime FlowNetwork::transfer(NodeId src, NodeId dst, std::int64_t bytes) {
-  const sim::SimTime begin = sim_.now();
-  sim::Condition done(sim_);
-  bool finished = false;
-  std::string abort_why;
-  engine_.start(
-      src, dst, bytes,
-      [&] {
-        finished = true;
-        done.notifyAll();
-      },
-      [&](const std::string& why) {
-        abort_why = why;
-        finished = true;
-        done.notifyAll();
-      });
-  while (!finished) done.wait();
-  if (!abort_why.empty()) throw mg::Error("flow aborted: " + abort_why);
-  const double inv = 1.0 / timeScale();
-  return static_cast<sim::SimTime>(std::llround(static_cast<double>(sim_.now() - begin) * inv));
 }
 
 }  // namespace mg::net

@@ -37,7 +37,10 @@
 #include <string>
 #include <vector>
 
-#include "net/network_model.h"
+#include "net/topology.h"
+#include "obs/state_capture.h"
+#include "sim/sampler.h"
+#include "sim/simulator.h"
 #include "util/stats.h"
 
 namespace mg::net {
@@ -49,25 +52,16 @@ inline constexpr sim::SimTime kPerMessageOverhead = 60 * sim::kMicrosecond;
 inline constexpr double kByteOverhead = 1538.0 / 1460.0;
 static_assert(kByteOverhead >= 1.0, "wire size cannot be below payload size");
 
-struct FlowNetworkOptions {
-  /// Kernel-clock nanoseconds per network nanosecond (see PacketNetwork).
-  double time_scale = 1.0;
-  /// Component-scoped recompute (the default). `false` re-runs progressive
-  /// filling over *all* flows on every change — the slow full-recompute
-  /// oracle the incremental engine is property-tested against; results are
-  /// bit-identical either way.
-  bool incremental = true;
-};
-
 /// Identifies an active flow; kNoFlow for flows that never entered the
 /// shared-link stage (same-node or zero-byte transfers).
 using FlowId = std::int64_t;
 constexpr FlowId kNoFlow = 0;
 
-/// The max-min fair fluid engine. Owned by FlowNetwork (every connection)
-/// and HybridNetwork (the connections its selector does not escalate);
-/// platforms reach it through NetworkModel::flows() to run socket-level
-/// transfers as single events.
+class Network;
+
+/// The max-min fair fluid engine: the fluid half of a Network (flow and
+/// hybrid mode), which platforms reach through Network::flows() to run
+/// socket-level transfers as single events.
 class FlowEngine {
  public:
   using CompleteFn = std::function<void()>;
@@ -78,7 +72,9 @@ class FlowEngine {
   /// frees up — instead of waiting a full one-way delivery.
   using DrainFn = std::function<void()>;
 
-  FlowEngine(NetworkModel& model, FlowNetworkOptions opts);
+  /// `incremental` selects the component-scoped recompute; `false` is the
+  /// full-recompute oracle (NetworkOptions::incremental).
+  FlowEngine(Network& net, bool incremental);
   FlowEngine(const FlowEngine&) = delete;
   FlowEngine& operator=(const FlowEngine&) = delete;
 
@@ -101,8 +97,7 @@ class FlowEngine {
   /// capacity (an uncontended transfer would never finish).
   sim::SimTime estimate(NodeId src, NodeId dst, std::int64_t payload_bytes) const;
 
-  /// Fault hooks (the owning model calls these from NetworkModel's fault
-  /// hooks, after the topology flip).
+  /// Fault hooks (the owning Network calls these after the topology flip).
   void abortFlowsOnLink(LinkId link, const std::string& reason);
   void abortFlowsAtNode(NodeId node, const std::string& reason);
   /// Link performance parameters changed (degrade / restore): re-share the
@@ -116,7 +111,7 @@ class FlowEngine {
   /// net.flow.completed_per_s / bytes_per_s (rates), and one
   /// net.flow.link_util.<name> utilization rate per topology link (fraction
   /// of kernel time the link carried >= 1 flow, from the busy-time accrual).
-  void registerTelemetry(obs::TelemetrySampler& sampler);
+  void registerTelemetry(sim::TelemetrySampler& sampler);
 
   int activeFlows() const { return static_cast<int>(flows_.size()); }
   /// A flow's current max-min rate in bits/s; 0 when the id is not active
@@ -187,9 +182,9 @@ class FlowEngine {
   double linkBusySeconds(std::size_t lid, sim::SimTime now) const;
   double nowNetSeconds() const;
 
-  NetworkModel& model_;
+  Network& model_;
   sim::Simulator& sim_;
-  FlowNetworkOptions opts_;
+  bool incremental_;
 
   std::map<FlowId, Flow> flows_;  // ordered: deterministic iteration
   FlowId next_id_ = 1;
@@ -246,53 +241,6 @@ class FlowEngine {
   obs::Gauge& g_peak_;
   util::Histogram& h_scope_;
   std::int64_t peak_active_ = 0;
-};
-
-/// The pure fluid model: every connection is a flow socket on the
-/// FlowEngine; no packet exists.
-class FlowNetwork : public NetworkModel {
- public:
-  FlowNetwork(sim::Simulator& sim, Topology topo, FlowNetworkOptions opts = {});
-
-  NetModelKind kind() const override { return NetModelKind::Flow; }
-
-  bool escalate(NodeId, NodeId, std::uint16_t) const override { return false; }
-  FlowEngine* flows() override { return &engine_; }
-  FlowEngine& engine() { return engine_; }
-
-  /// Modeled duration of an uncontended transfer.
-  sim::SimTime estimate(NodeId src, NodeId dst, std::int64_t bytes) const {
-    return engine_.estimate(src, dst, bytes);
-  }
-
-  /// Blocking transfer of `bytes` payload from src to dst (process
-  /// context). Returns the network-time duration the transfer took
-  /// (unscaled). Throws ConfigError if the nodes are not connected and
-  /// mg::Error if a fault aborts the flow mid-transfer.
-  sim::SimTime transfer(NodeId src, NodeId dst, std::int64_t bytes);
-
-  void registerTelemetry(obs::TelemetrySampler& sampler) override {
-    engine_.registerTelemetry(sampler);
-  }
-
-  void saveState(obs::StateWriter& w) const override {
-    NetworkModel::saveState(w);
-    engine_.saveState(w);
-  }
-
- protected:
-  void onLinkDown(LinkId link) override { engine_.abortFlowsOnLink(link, "link_down"); }
-  // Up transitions are no-ops for the fluid engine: a restored link or node
-  // carries no flows (everything crossing it was aborted when it went
-  // down), routes are fixed at flow start, and progressive filling never
-  // reads up/down flags — so no active flow's rate can change.
-  void onLinkUp(LinkId) override {}
-  void onNodeDown(NodeId node) override { engine_.abortFlowsAtNode(node, "node_down"); }
-  void onNodeUp(NodeId) override {}
-  void onLinkParamsChanged(LinkId link) override { engine_.onLinkChanged(link); }
-
- private:
-  FlowEngine engine_;
 };
 
 }  // namespace mg::net

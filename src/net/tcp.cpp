@@ -522,34 +522,21 @@ void TcpConnection::maybeFinish() {
 // TcpListener
 // ===========================================================================
 
-TcpListener::TcpListener(TcpStack& stack, std::uint16_t port)
-    : stack_(stack),
-      port_(port),
-      backlog_(std::make_unique<sim::Channel<std::shared_ptr<TcpConnection>>>(stack.simulator())) {}
-
-std::shared_ptr<TcpConnection> TcpListener::accept() {
-  if (closed_) throw UsageError("accept on closed listener");
-  return backlog_->recv();
-}
-
-std::shared_ptr<TcpConnection> TcpListener::acceptFor(sim::SimTime timeout) {
-  if (closed_) throw UsageError("accept on closed listener");
-  auto v = backlog_->recvFor(timeout);
-  return v ? *v : nullptr;
-}
+TcpListener::TcpListener(TcpStack& stack, std::uint16_t port, TcpAcceptSink sink)
+    : stack_(stack), port_(port), sink_(std::move(sink)) {}
 
 void TcpListener::close() {
   if (closed_) return;
   closed_ = true;
   stack_.removeListener(port_);
-  backlog_->close();
+  sink_(nullptr);
 }
 
 // ===========================================================================
 // TcpStack
 // ===========================================================================
 
-TcpStack::TcpStack(PacketNetwork& net, NodeId node)
+TcpStack::TcpStack(Network& net, NodeId node)
     : net_(net),
       node_(node),
       c_connections_(net.simulator().metrics().counter("net.tcp.connections")),
@@ -562,9 +549,9 @@ TcpStack::TcpStack(PacketNetwork& net, NodeId node)
 
 TcpStack::~TcpStack() { net_.attachHost(node_, nullptr); }
 
-std::shared_ptr<TcpListener> TcpStack::listen(std::uint16_t port) {
+std::shared_ptr<TcpListener> TcpStack::listen(std::uint16_t port, TcpAcceptSink sink) {
   if (listeners_.count(port)) throw UsageError("port already listening");
-  auto listener = std::shared_ptr<TcpListener>(new TcpListener(*this, port));
+  auto listener = std::shared_ptr<TcpListener>(new TcpListener(*this, port, std::move(sink)));
   listeners_[port] = listener.get();
   return listener;
 }
@@ -628,7 +615,7 @@ void TcpStack::connectionEstablished(TcpConnection& conn) {
   c_connections_.inc();
   const ConnKey key{conn.local_port_, conn.remote_node_, conn.remote_port_};
   auto it = connections_.find(key);
-  if (it != connections_.end()) lit->second->backlog_->trySend(it->second);
+  if (it != connections_.end()) lit->second->sink_(it->second);
 }
 
 void TcpStack::sendRst(const Packet& cause) {

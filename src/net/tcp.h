@@ -15,12 +15,12 @@
 #include <compare>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 
-#include "net/packet_network.h"
-#include "sim/channel.h"
+#include "net/network.h"
 #include "sim/condition.h"
 
 namespace mg::net {
@@ -164,39 +164,40 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::int64_t retransmits_ = 0;
 };
 
-/// A passive listening socket; accept() yields connections in SYN order.
+/// Where a listener hands each connection that completes its handshake, in
+/// SYN order (event context). Called once with nullptr when the listener
+/// closes, so the owner can close its backlog.
+using TcpAcceptSink = std::function<void(std::shared_ptr<TcpConnection>)>;
+
+/// A bound listening port; connections go to its accept sink.
 class TcpListener {
  public:
-  /// Block until a connection completes the handshake.
-  std::shared_ptr<TcpConnection> accept();
-
-  /// Accept with timeout; nullptr on expiry.
-  std::shared_ptr<TcpConnection> acceptFor(sim::SimTime timeout);
-
   std::uint16_t port() const { return port_; }
+  /// Unbind the port (later SYNs get an RST) and tell the sink. Idempotent.
   void close();
 
  private:
   friend class TcpStack;
-  TcpListener(TcpStack& stack, std::uint16_t port);
+  TcpListener(TcpStack& stack, std::uint16_t port, TcpAcceptSink sink);
 
   TcpStack& stack_;
   std::uint16_t port_;
   bool closed_ = false;
-  std::unique_ptr<sim::Channel<std::shared_ptr<TcpConnection>>> backlog_;
+  TcpAcceptSink sink_;
 };
 
 /// The per-host TCP endpoint table. It is the node's transport dispatch on
 /// the packet network from construction until destruction.
 class TcpStack {
  public:
-  TcpStack(PacketNetwork& net, NodeId node);
+  /// `net` must carry packets (Network::carriesPackets()).
+  TcpStack(Network& net, NodeId node);
   ~TcpStack();
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
 
   /// Start listening; throws UsageError if the port is taken.
-  std::shared_ptr<TcpListener> listen(std::uint16_t port);
+  std::shared_ptr<TcpListener> listen(std::uint16_t port, TcpAcceptSink sink);
 
   /// Blocking active open; throws ConnectionRefused on failure.
   std::shared_ptr<TcpConnection> connect(NodeId dst, std::uint16_t port);
@@ -214,7 +215,7 @@ class TcpStack {
   void abortAll(const std::string& why);
 
   NodeId node() const { return node_; }
-  PacketNetwork& network() { return net_; }
+  Network& network() { return net_; }
   sim::Simulator& simulator() { return net_.simulator(); }
 
   /// Connections still in the endpoint table — everything that is neither
@@ -244,7 +245,7 @@ class TcpStack {
   void removeListener(std::uint16_t port);
   std::uint16_t allocateEphemeralPort();
 
-  PacketNetwork& net_;
+  Network& net_;
   NodeId node_;
   // Host-wide transport counters: every stack on a simulator resolves the
   // same `net.tcp.*` registry entries, so these aggregate across hosts.

@@ -34,7 +34,7 @@ struct Node {
 };
 
 /// A full-duplex link: both directions have independent queues in the
-/// PacketNetwork but share these parameters.
+/// network's packet half but share these parameters.
 struct Link {
   std::string name;
   NodeId a = kNoNode;

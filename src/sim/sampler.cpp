@@ -1,11 +1,10 @@
-#include "obs/sampler.h"
+#include "sim/sampler.h"
 
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "util/error.h"
 
-namespace mg::obs {
+namespace mg::sim {
 namespace {
 
 /// Probes registered past this cap are ignored (droppedProbes() counts them).
@@ -13,12 +12,8 @@ constexpr std::size_t kMaxProbes = 4096;
 
 }  // namespace
 
-TelemetrySampler::TelemetrySampler(TimeSeriesRecorder& recorder, Host host, Options opts)
-    : recorder_(recorder), host_(std::move(host)), opts_(opts) {
+TelemetrySampler::TelemetrySampler(Simulator& sim, Options opts) : sim_(sim), opts_(opts) {
   if (opts_.interval_ns <= 0) throw UsageError("TelemetrySampler wants interval > 0");
-  if (!host_.now || !host_.schedule_at || !host_.pending_events) {
-    throw UsageError("TelemetrySampler host is missing a callable");
-  }
 }
 
 void TelemetrySampler::addProbe(Probe p) {
@@ -39,7 +34,7 @@ void TelemetrySampler::addRate(std::string series,
   addProbe(Probe{std::move(series), std::move(cumulative), /*rate=*/true, 0});
 }
 
-void TelemetrySampler::addCounterRate(std::string series, const Counter& counter) {
+void TelemetrySampler::addCounterRate(std::string series, const obs::Counter& counter) {
   addRate(std::move(series),
           [&counter](std::int64_t) { return static_cast<double>(counter.value()); });
 }
@@ -47,7 +42,7 @@ void TelemetrySampler::addCounterRate(std::string series, const Counter& counter
 void TelemetrySampler::start() {
   if (started_) throw UsageError("TelemetrySampler::start called twice");
   started_ = true;
-  const std::int64_t t0 = host_.now();
+  const std::int64_t t0 = sim_.now();
   // The t0 tick records every level at its initial value and primes the
   // rate baselines (a rate's first recorded sample covers [t0, t0+interval]).
   collect(t0);
@@ -60,10 +55,10 @@ void TelemetrySampler::collect(std::int64_t t) {
   for (Probe& p : probes_) {
     const double v = p.read(t);
     if (p.rate) {
-      if (last_tick_ >= 0 && dt_s > 0) recorder_.add(p.series, t, (v - p.prev) / dt_s);
+      if (last_tick_ >= 0 && dt_s > 0) sim_.timeline().add(p.series, t, (v - p.prev) / dt_s);
       p.prev = v;
     } else if (!std::isnan(v)) {
-      recorder_.add(p.series, t, v);
+      sim_.timeline().add(p.series, t, v);
     }
   }
   last_tick_ = t;
@@ -73,17 +68,28 @@ void TelemetrySampler::collect(std::int64_t t) {
 void TelemetrySampler::scheduleNext(std::int64_t t) {
   // Without pending events the run is over (Simulator::run drains to empty);
   // rescheduling would keep it alive forever.
-  if (host_.pending_events() == 0) return;
+  if (sim_.pendingEventCount() == 0) return;
   const std::int64_t next = t + opts_.interval_ns;
-  host_.schedule_at(next, [this, next] {
+  sim_.scheduleAt(next, EventFn([this, next] {
     collect(next);
     scheduleNext(next);
-  });
+  }));
 }
 
 void TelemetrySampler::finish() {
   if (!started_) return;
-  collect(host_.now());
+  collect(sim_.now());
 }
 
-}  // namespace mg::obs
+void registerKernelProbes(TelemetrySampler& sampler, Simulator& sim) {
+  sampler.addCounterRate("sim.events_per_s",
+                         sim.metrics().counter("sim.kernel.events_executed"));
+  sampler.addLevel("sim.pending_events", [&sim](std::int64_t) {
+    return static_cast<double>(sim.pendingEventCount());
+  });
+  sampler.addLevel("sim.arena_slots", [&sim](std::int64_t) {
+    return static_cast<double>(sim.eventArenaSlots());
+  });
+}
+
+}  // namespace mg::sim

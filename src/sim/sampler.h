@@ -1,16 +1,14 @@
 // Event-driven periodic sampling of gauges and counters-as-rates into a
 // TimeSeriesRecorder (DESIGN.md §10).
 //
-// The sampler schedules itself as a recurring simulation event at a fixed
-// interval, reads every registered probe, and records one sample per
-// probe per tick. It is deliberately decoupled from sim::Simulator (obs is a
-// lower layer): the kernel surface arrives as a Host struct of callables,
-// bound by sim::telemetryHost().
+// The sampler schedules itself as a recurring kernel event at a fixed
+// interval, reads every registered probe, and records one sample per probe
+// per tick into the simulator's run-wide timeline (Simulator::timeline()).
 //
 // Probes take the sample timestamp explicitly so resources can close open
 // busy-intervals against the sampler's clock.
 //
-// The sampler reschedules only while host.pending_events() > 0, so it never
+// The sampler reschedules only while other events are pending, so it never
 // keeps Simulator::run() (which runs until all queues drain) alive on its
 // own, and the final tick is the first one at or after the last real event.
 // finish() takes one closing sample so rate probes account the tail interval.
@@ -21,31 +19,20 @@
 #include <string>
 #include <vector>
 
-#include "obs/timeline.h"
+#include "obs/metrics.h"
+#include "sim/simulator.h"
 
-namespace mg::obs {
-
-class Counter;
+namespace mg::sim {
 
 class TelemetrySampler {
  public:
-  /// The kernel surface the sampler runs against (see sim::telemetryHost).
-  struct Host {
-    /// Current simulation time (ns).
-    std::function<std::int64_t()> now;
-    /// Schedule a callable at absolute sim time t (>= now).
-    std::function<void(std::int64_t, std::function<void()>)> schedule_at;
-    /// Events currently scheduled.
-    std::function<std::size_t()> pending_events;
-  };
-
   struct Options {
     std::int64_t interval_ns = 100'000'000;  // 100 ms
   };
 
-  TelemetrySampler(TimeSeriesRecorder& recorder, Host host)
-      : TelemetrySampler(recorder, std::move(host), Options{}) {}
-  TelemetrySampler(TimeSeriesRecorder& recorder, Host host, Options opts);
+  /// Records into sim.timeline(). The Simulator must outlive the sampler.
+  explicit TelemetrySampler(Simulator& sim) : TelemetrySampler(sim, Options{}) {}
+  TelemetrySampler(Simulator& sim, Options opts);
 
   /// Sample the probe's value at time t. Recorded as-is (a level); a NaN
   /// reading means "no value yet" and records no sample, so a series can
@@ -59,13 +46,13 @@ class TelemetrySampler {
   void addRate(std::string series, std::function<double(std::int64_t)> cumulative);
 
   /// Rate of a registry counter (events/sec, packets/sec, ...).
-  void addCounterRate(std::string series, const Counter& counter);
+  void addCounterRate(std::string series, const obs::Counter& counter);
 
   /// Take the t=now baseline sample and schedule the recurring tick. Call
   /// once, after probes are registered and before the run.
   void start();
 
-  /// Take a final closing sample at host.now() unless one already landed
+  /// Take a final closing sample at the current time unless one already landed
   /// there. Call after the run returns.
   void finish();
 
@@ -89,8 +76,7 @@ class TelemetrySampler {
   /// Schedule the next tick if the run still has events to execute.
   void scheduleNext(std::int64_t t);
 
-  TimeSeriesRecorder& recorder_;
-  Host host_;
+  Simulator& sim_;
   Options opts_;
   std::vector<Probe> probes_;
   bool started_ = false;
@@ -99,4 +85,10 @@ class TelemetrySampler {
   std::int64_t dropped_probes_ = 0;
 };
 
-}  // namespace mg::obs
+/// Kernel health probes: sim.events_per_s (rate of
+/// sim.kernel.events_executed), sim.pending_events, sim.arena_slots — the
+/// "is the simulator itself healthy" view next to the per-resource probes
+/// the net/vos/econ layers register.
+void registerKernelProbes(TelemetrySampler& sampler, Simulator& sim);
+
+}  // namespace mg::sim

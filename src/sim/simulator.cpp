@@ -551,7 +551,7 @@ SimTime Simulator::runLoop(SimTime limit, bool bounded) {
     reapIfNeeded();
     dispatchTop();
   }
-  if (bounded) queue_.now = limit;
+  if (bounded && !queue_.heap.empty()) queue_.now = limit;
   return queue_.now;
 }
 

@@ -222,7 +222,9 @@ class Simulator {
   /// Run until the event queue is empty. Returns the final time.
   SimTime run();
 
-  /// Run events with time <= t, then set now to t.
+  /// Run events with time <= t. When events remain past t, now moves to t;
+  /// when the queue drains first, now stays at the last dispatched event,
+  /// as after run().
   void runUntil(SimTime t);
 
   /// Kill all unfinished processes, unwinding each one's stack. Not implied
@@ -315,8 +317,8 @@ class Simulator {
   obs::SpanRecorder& spans() { return spans_; }
   const obs::SpanRecorder& spans() const { return spans_; }
 
-  /// The run-wide telemetry timeline (fed by an obs::TelemetrySampler; see
-  /// sim/telemetry.h).
+  /// The run-wide telemetry timeline (fed by a sim::TelemetrySampler; see
+  /// sim/sampler.h).
   obs::TimeSeriesRecorder& timeline() { return timeline_; }
   const obs::TimeSeriesRecorder& timeline() const { return timeline_; }
 

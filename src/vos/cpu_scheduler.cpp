@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/sampler.h"
+#include "sim/sampler.h"
 
 namespace mg::vos {
 
@@ -208,7 +208,7 @@ void CpuScheduler::scheduleNext() {
   });
 }
 
-void CpuScheduler::registerTelemetry(obs::TelemetrySampler& sampler, const std::string& label) {
+void CpuScheduler::registerTelemetry(sim::TelemetrySampler& sampler, const std::string& label) {
   sampler.addRate("vos.cpu.util." + label, [this](std::int64_t t) {
     double busy = busy_wall_s_;
     if (running_) {

@@ -24,7 +24,7 @@
 #include "sim/simulator.h"
 #include "util/rng.h"
 
-namespace mg::obs {
+namespace mg::sim {
 class TelemetrySampler;
 }
 
@@ -94,7 +94,7 @@ class CpuScheduler {
   /// Time-resolved probes (DESIGN.md §10): vos.cpu.util.<label> — fraction
   /// of wall time this scheduler's physical CPU spent occupied by quanta —
   /// and vos.runq.<label>, live tasks with pending demand.
-  void registerTelemetry(obs::TelemetrySampler& sampler, const std::string& label);
+  void registerTelemetry(sim::TelemetrySampler& sampler, const std::string& label);
 
   /// Fold the scheduler's dynamic state into `w` (DESIGN.md §11): the task
   /// table in slot order (name, fraction, consumed CPU, pending demand,

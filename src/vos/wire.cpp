@@ -14,7 +14,7 @@ void StreamSocket::recvExact(void* buf, std::size_t n) {
   }
 }
 
-void sendFrame(StreamSocket& sock, const std::string& payload) {
+void sendFrame(StreamSocket& sock, const std::string& payload, obs::MetricsRegistry& metrics) {
   if (payload.size() > kMaxFrameBytes) throw mg::UsageError("frame too large");
   const auto len = static_cast<std::uint32_t>(payload.size());
   const std::uint8_t hdr[4] = {
@@ -25,9 +25,11 @@ void sendFrame(StreamSocket& sock, const std::string& payload) {
   };
   sock.send(hdr, 4);
   if (!payload.empty()) sock.send(payload.data(), payload.size());
+  metrics.counter("vos.wire.frames_sent").inc();
+  metrics.counter("vos.wire.bytes_sent").inc(static_cast<std::int64_t>(payload.size()) + 4);
 }
 
-std::string recvFrame(StreamSocket& sock) {
+std::string recvFrame(StreamSocket& sock, obs::MetricsRegistry& metrics) {
   std::uint8_t hdr[4];
   sock.recvExact(hdr, 4);
   const std::uint32_t len = (static_cast<std::uint32_t>(hdr[0]) << 24) |
@@ -37,19 +39,8 @@ std::string recvFrame(StreamSocket& sock) {
   if (len > kMaxFrameBytes) throw mg::Error("oversized frame");
   std::string payload(len, '\0');
   if (len > 0) sock.recvExact(payload.data(), len);
-  return payload;
-}
-
-void sendFrame(StreamSocket& sock, const std::string& payload, obs::MetricsRegistry& metrics) {
-  sendFrame(sock, payload);
-  metrics.counter("vos.wire.frames_sent").inc();
-  metrics.counter("vos.wire.bytes_sent").inc(static_cast<std::int64_t>(payload.size()) + 4);
-}
-
-std::string recvFrame(StreamSocket& sock, obs::MetricsRegistry& metrics) {
-  std::string payload = recvFrame(sock);
   metrics.counter("vos.wire.frames_received").inc();
-  metrics.counter("vos.wire.bytes_received").inc(static_cast<std::int64_t>(payload.size()) + 4);
+  metrics.counter("vos.wire.bytes_received").inc(static_cast<std::int64_t>(len) + 4);
   return payload;
 }
 

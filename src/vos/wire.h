@@ -14,17 +14,14 @@ namespace mg::vos {
 /// Frames larger than this are rejected (wire-protocol sanity bound).
 constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 
-/// Send one framed message.
-void sendFrame(StreamSocket& sock, const std::string& payload);
-
-/// Receive one framed message; throws mg::Error on EOF mid-frame or
-/// oversized frames.
-std::string recvFrame(StreamSocket& sock);
-
-/// Metrics-aware variants: also bump the `vos.wire.frames_{sent,received}`
-/// and `vos.wire.bytes_{sent,received}` counters. Control-plane traffic only
-/// (GIS/GRAM), so the per-frame name lookup is not a hot path.
+/// Send one framed message and bump the `vos.wire.frames_sent` and
+/// `vos.wire.bytes_sent` counters. Control-plane traffic only (GIS/GRAM), so
+/// the per-frame name lookup is not a hot path.
 void sendFrame(StreamSocket& sock, const std::string& payload, obs::MetricsRegistry& metrics);
+
+/// Receive one framed message and bump `vos.wire.frames_received` and
+/// `vos.wire.bytes_received`; throws mg::Error on EOF mid-frame or oversized
+/// frames.
 std::string recvFrame(StreamSocket& sock, obs::MetricsRegistry& metrics);
 
 }  // namespace mg::vos

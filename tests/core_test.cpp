@@ -406,8 +406,13 @@ TEST(MicroGridPlatform, SocketEchoThroughFlowModel) {
   EXPECT_EQ(got, "grid");
   ASSERT_NE(p.network().flows(), nullptr);
   EXPECT_GT(p.simulator().metrics().counterValue("net.flow.started"), 0);
-  // No packet machinery exists in pure flow mode.
-  EXPECT_THROW(p.packetNetwork(), mg::UsageError);
+  // No packet machinery exists in pure flow mode: no packet half, so a
+  // packet has nowhere to go.
+  EXPECT_FALSE(p.network().carriesPackets());
+  net::Packet pkt;
+  pkt.src = 0;
+  pkt.dst = 1;
+  EXPECT_THROW(p.network().send(std::move(pkt)), mg::UsageError);
 }
 
 TEST(MicroGridPlatform, HybridEscalatesBySelector) {

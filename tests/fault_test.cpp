@@ -13,6 +13,7 @@
 #include "gis/directory.h"
 #include "grid/gram.h"
 #include "net/tcp.h"
+#include "tcp_backlog.h"
 #include "npb/npb.h"
 #include "vmpi/comm.h"
 #include "vos/cpu_scheduler.h"
@@ -523,7 +524,7 @@ TEST(NetFaults, RecomputeExactlyOncePerLinkStateChange) {
   net::LinkId direct = topo.addLink("direct", a, b, 100e6, st::fromSeconds(1e-3));
   topo.addLink("backup1", a, r, 100e6, st::fromSeconds(5e-3));
   topo.addLink("backup2", r, b, 100e6, st::fromSeconds(5e-3));
-  net::PacketNetwork net(sim, std::move(topo), {});
+  net::Network net(sim, std::move(topo), {});
   const auto& m = sim.metrics();
 
   const std::int64_t r0 = m.counterValue("net.route.recomputes");
@@ -543,14 +544,14 @@ TEST(NetFaults, InFlightPacketsDroppedOnLinkDownAreCounted) {
   // Slow link: by the time it fails, TCP's window fills the queue, so the
   // outage catches packets in flight.
   net::LinkId only = topo.addLink("only", a, b, 10e6, st::fromSeconds(1e-3));
-  net::PacketNetwork net(sim, std::move(topo), {});
+  net::Network net(sim, std::move(topo), {});
   net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 256 * 1024;
   std::vector<std::uint8_t> data(kSize, 0x5a);
   std::vector<std::uint8_t> received(kSize);
   sim.spawn("server", [&] {
-    auto listener = sb.listen(80);
+    auto listener = mgtest::listenOn(sb, 80);
     auto conn = listener->accept();
     conn->recvExact(received.data(), kSize);
   });

@@ -42,34 +42,45 @@ class LoopbackSocket : public vos::StreamSocket {
 
 TEST(Wire, FrameRoundTrip) {
   LoopbackSocket sock;
-  vos::sendFrame(sock, "hello");
-  vos::sendFrame(sock, "");
-  vos::sendFrame(sock, std::string(100000, 'x'));
-  EXPECT_EQ(vos::recvFrame(sock), "hello");
-  EXPECT_EQ(vos::recvFrame(sock), "");
-  EXPECT_EQ(vos::recvFrame(sock).size(), 100000u);
+  obs::MetricsRegistry metrics;
+  vos::sendFrame(sock, "hello", metrics);
+  vos::sendFrame(sock, "", metrics);
+  vos::sendFrame(sock, std::string(100000, 'x'), metrics);
+  EXPECT_EQ(vos::recvFrame(sock, metrics), "hello");
+  EXPECT_EQ(vos::recvFrame(sock, metrics), "");
+  EXPECT_EQ(vos::recvFrame(sock, metrics).size(), 100000u);
+  // Three frames each way; every frame carries a 4-byte length header.
+  EXPECT_EQ(metrics.counter("vos.wire.frames_sent").value(), 3);
+  EXPECT_EQ(metrics.counter("vos.wire.frames_received").value(), 3);
+  EXPECT_EQ(metrics.counter("vos.wire.bytes_sent").value(), 100005 + 12);
+  EXPECT_EQ(metrics.counter("vos.wire.bytes_received").value(), 100005 + 12);
 }
 
 TEST(Wire, TruncatedFrameThrows) {
   LoopbackSocket sock;
+  obs::MetricsRegistry metrics;
   const std::uint8_t bogus[4] = {0, 0, 0, 10};  // announces 10 bytes, sends none
   sock.send(bogus, 4);
-  EXPECT_THROW(vos::recvFrame(sock), mg::Error);
+  EXPECT_THROW(vos::recvFrame(sock, metrics), mg::Error);
 }
 
 TEST(Wire, OversizedFrameRejected) {
   LoopbackSocket sock;
+  obs::MetricsRegistry metrics;
   const std::uint8_t huge[4] = {0x7f, 0xff, 0xff, 0xff};
   sock.send(huge, 4);
-  EXPECT_THROW(vos::recvFrame(sock), mg::Error);
+  EXPECT_THROW(vos::recvFrame(sock, metrics), mg::Error);
 }
 
 TEST(Wire, EofMidPayloadThrows) {
   LoopbackSocket sock;
+  obs::MetricsRegistry metrics;
   const std::uint8_t hdr[4] = {0, 0, 0, 8};
   sock.send(hdr, 4);
   sock.send("abc", 3);  // 3 of 8 bytes
-  EXPECT_THROW(vos::recvFrame(sock), mg::Error);
+  EXPECT_THROW(vos::recvFrame(sock, metrics), mg::Error);
+  // A frame that never completed is not counted.
+  EXPECT_EQ(metrics.counter("vos.wire.frames_received").value(), 0);
 }
 
 // --------------------------------------------------------- job hosts ------

@@ -11,6 +11,7 @@
 #include "gis/schema.h"
 #include "gis/service.h"
 #include "net/tcp.h"
+#include "tcp_backlog.h"
 #include "vmpi/comm.h"
 
 using namespace mg;
@@ -38,7 +39,7 @@ TEST(FailureInjection, TcpSurvivesLinkFailureViaBackupRoute) {
   net::LinkId direct = topo.addLink("direct", a, b, 100e6, st::fromSeconds(1e-3));
   topo.addLink("backup1", a, r, 100e6, st::fromSeconds(5e-3));
   topo.addLink("backup2", r, b, 100e6, st::fromSeconds(5e-3));
-  net::PacketNetwork net(sim, std::move(topo), {});
+  net::Network net(sim, std::move(topo), {});
   net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 1 << 20;
@@ -48,7 +49,7 @@ TEST(FailureInjection, TcpSurvivesLinkFailureViaBackupRoute) {
   bool done = false;
 
   sim.spawn("server", [&] {
-    auto listener = sb.listen(80);
+    auto listener = mgtest::listenOn(sb, 80);
     auto conn = listener->accept();
     conn->recvExact(received.data(), kSize);
     done = true;
@@ -76,7 +77,7 @@ TEST(FailureInjection, TcpTransferCompletesAfterLinkFlap) {
   auto a = topo.addHost("a");
   auto b = topo.addHost("b");
   net::LinkId only = topo.addLink("only", a, b, 100e6, st::fromSeconds(1e-3));
-  net::PacketNetwork net(sim, std::move(topo), {});
+  net::Network net(sim, std::move(topo), {});
   net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 256 * 1024;
@@ -84,7 +85,7 @@ TEST(FailureInjection, TcpTransferCompletesAfterLinkFlap) {
   std::vector<std::uint8_t> received(kSize);
   st::SimTime finished = -1;
   sim.spawn("server", [&] {
-    auto listener = sb.listen(80);
+    auto listener = mgtest::listenOn(sb, 80);
     auto conn = listener->accept();
     conn->recvExact(received.data(), kSize);
     finished = sim.now();

@@ -2,14 +2,16 @@
 // simulator, the TCP transport, and the flow-level reference model.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <numeric>
 
-#include "net/flow_network.h"
-#include "net/packet_network.h"
+#include "net/network.h"
 #include "net/tcp.h"
 #include "net/topology.h"
+#include "sim/condition.h"
 #include "sim/simulator.h"
+#include "tcp_backlog.h"
 #include "util/config.h"
 
 using namespace mg::net;
@@ -25,20 +27,54 @@ namespace {
 struct TwoHostNet {
   Simulator sim;
   NodeId a, b;
-  std::unique_ptr<PacketNetwork> net;
+  std::unique_ptr<Network> net;
   std::unique_ptr<TcpStack> stack_a, stack_b;
 
   explicit TwoHostNet(double bw = 100e6, SimTime lat = st::fromSeconds(0.1e-3),
-                      double loss = 0.0, PacketNetworkOptions opts = {}) {
+                      double loss = 0.0, NetworkOptions opts = {}) {
     Topology topo;
     a = topo.addHost("a");
     b = topo.addHost("b");
     topo.addLink("l", a, b, bw, lat, 256 * 1024, loss);
-    net = std::make_unique<PacketNetwork>(sim, std::move(topo), opts);
+    net = std::make_unique<Network>(sim, std::move(topo), opts);
     stack_a = std::make_unique<TcpStack>(*net, a);
     stack_b = std::make_unique<TcpStack>(*net, b);
   }
 };
+
+/// Options for a network built in flow mode (every connection a fluid flow).
+NetworkOptions flowMode() {
+  NetworkOptions opts;
+  opts.kind = NetModelKind::Flow;
+  return opts;
+}
+
+/// Blocking transfer of `bytes` payload from src to dst on a flow-mode
+/// network (process context). Returns the network-time duration the
+/// transfer took (unscaled). Throws ConfigError if the nodes are not
+/// connected and mg::Error if a fault aborts the flow mid-transfer.
+SimTime transfer(Network& net, NodeId src, NodeId dst, std::int64_t bytes) {
+  Simulator& sim = net.simulator();
+  const SimTime begin = sim.now();
+  st::Condition done(sim);
+  bool finished = false;
+  std::string abort_why;
+  net.flows()->start(
+      src, dst, bytes,
+      [&] {
+        finished = true;
+        done.notifyAll();
+      },
+      [&](const std::string& why) {
+        abort_why = why;
+        finished = true;
+        done.notifyAll();
+      });
+  while (!finished) done.wait();
+  if (!abort_why.empty()) throw mg::Error("flow aborted: " + abort_why);
+  const double inv = 1.0 / net.timeScale();
+  return static_cast<SimTime>(std::llround(static_cast<double>(sim.now() - begin) * inv));
+}
 
 std::vector<std::uint8_t> patternBytes(size_t n, std::uint8_t salt = 0) {
   std::vector<std::uint8_t> v(n);
@@ -281,8 +317,8 @@ TEST(PacketNetwork, DeliversWithExpectedTiming) {
   NodeId a = topo.addHost("a");
   NodeId b = topo.addHost("b");
   topo.addLink("l", a, b, 100e6, st::fromSeconds(0.1e-3));
-  PacketNetworkOptions opts;
-  PacketNetwork net(sim, std::move(topo), opts);
+  NetworkOptions opts;
+  Network net(sim, std::move(topo), opts);
   SimTime delivered_at = -1;
   net.attachHost(b, [&](Packet&&) { delivered_at = sim.now(); });
 
@@ -307,7 +343,7 @@ TEST(PacketNetwork, MultiHopForwardsThroughRouter) {
   NodeId b = topo.addHost("b");
   topo.addLink("l0", a, r, 100e6, st::fromSeconds(1e-3));
   topo.addLink("l1", r, b, 100e6, st::fromSeconds(1e-3));
-  PacketNetwork net(sim, std::move(topo), {});
+  Network net(sim, std::move(topo), {});
   bool delivered = false;
   net.attachHost(b, [&](Packet&&) { delivered = true; });
   Packet p;
@@ -328,7 +364,7 @@ TEST(PacketNetwork, QueueOverflowDrops) {
   NodeId b = topo.addHost("b");
   // Tiny queue: 3 KB holds just two 1500 B packets.
   topo.addLink("l", a, b, 1e6, st::fromSeconds(1e-3), 3000);
-  PacketNetwork net(sim, std::move(topo), {});
+  Network net(sim, std::move(topo), {});
   int delivered = 0;
   net.attachHost(b, [&](Packet&&) { ++delivered; });
   for (int i = 0; i < 10; ++i) {
@@ -350,9 +386,9 @@ TEST(PacketNetwork, RandomLossIsDeterministicPerSeed) {
     NodeId a = topo.addHost("a");
     NodeId b = topo.addHost("b");
     topo.addLink("l", a, b, 100e6, 1000, 256 * 1024, 0.3);
-    PacketNetworkOptions opts;
+    NetworkOptions opts;
     opts.seed = seed;
-    PacketNetwork net(sim, std::move(topo), opts);
+    Network net(sim, std::move(topo), opts);
     int delivered = 0;
     net.attachHost(b, [&](Packet&&) { ++delivered; });
     for (int i = 0; i < 200; ++i) {
@@ -377,7 +413,7 @@ TEST(PacketNetwork, LinkDownDropsAndUnreachable) {
   NodeId a = topo.addHost("a");
   NodeId b = topo.addHost("b");
   LinkId l = topo.addLink("l", a, b, 100e6, 1000);
-  PacketNetwork net(sim, std::move(topo), {});
+  Network net(sim, std::move(topo), {});
   int delivered = 0;
   net.attachHost(b, [&](Packet&&) { ++delivered; });
   net.setLinkUp(l, false);
@@ -399,7 +435,7 @@ TEST(PacketNetwork, StatsBreakOutDropCausesAndRouteRecomputes) {
   // 1 kb/s: a small packet spends ~0.4 s on the wire, leaving a wide window
   // to yank the link or the node mid-flight.
   LinkId l = topo.addLink("l", a, b, 1000.0, 1000);
-  PacketNetwork net(sim, std::move(topo), {});
+  Network net(sim, std::move(topo), {});
   net.attachHost(b, [](Packet&&) {});
   // Only topology *changes* recompute routes; construction is not counted.
   EXPECT_EQ(sim.metrics().counterValue("net.route.recomputes"), 0);
@@ -440,9 +476,9 @@ TEST(PacketNetwork, TimeScaleStretchesKernelTime) {
     NodeId a = topo.addHost("a");
     NodeId b = topo.addHost("b");
     topo.addLink("l", a, b, 100e6, st::fromSeconds(1e-3));
-    PacketNetworkOptions opts;
+    NetworkOptions opts;
     opts.time_scale = scale;
-    PacketNetwork net(sim, std::move(topo), opts);
+    Network net(sim, std::move(topo), opts);
     net.attachHost(b, [](Packet&&) {});
     Packet p;
     p.src = a;
@@ -462,7 +498,7 @@ TEST(Tcp, ConnectAcceptEcho) {
   TwoHostNet f;
   std::string got;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     char buf[64];
     size_t n = conn->recv(buf, sizeof buf);
@@ -488,7 +524,7 @@ TEST(Tcp, LargeTransferIntegrity) {
   auto data = patternBytes(kSize, 7);
   std::vector<std::uint8_t> received;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     received.resize(kSize);
     conn->recvExact(received.data(), kSize);
@@ -507,7 +543,7 @@ TEST(Tcp, ThroughputApproachesLinkEfficiency) {
   const size_t kSize = 4 << 20;
   SimTime start = 0, end = 0;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     std::vector<std::uint8_t> sink(kSize);
     start = f.sim.now();
@@ -535,7 +571,7 @@ TEST(Tcp, SurvivesRandomLoss) {
   std::vector<std::uint8_t> received;
   std::shared_ptr<TcpConnection> client_conn;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     received.resize(kSize);
     conn->recvExact(received.data(), kSize);
@@ -571,7 +607,7 @@ TEST(Tcp, EofAfterPeerClose) {
   TwoHostNet f;
   size_t eof_result = 99;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     const char msg[] = "bye";
     conn->send(msg, 3);
@@ -591,7 +627,7 @@ TEST(Tcp, RecvExactThrowsOnEarlyClose) {
   TwoHostNet f;
   bool threw = false;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     const char msg[] = "xx";
     conn->send(msg, 2);
@@ -615,7 +651,7 @@ TEST(Tcp, FlowControlWithSlowReader) {
   const size_t kSize = 3 << 20;  // 3 MB > 1 MB recv buffer
   size_t total = 0;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     std::vector<std::uint8_t> buf(64 * 1024);
     for (;;) {
@@ -640,7 +676,7 @@ TEST(Tcp, BidirectionalSimultaneousTransfer) {
   const size_t kSize = 200 * 1024;
   std::vector<std::uint8_t> got_a, got_b;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     auto out = patternBytes(kSize, 1);
     got_b.resize(kSize);
@@ -671,7 +707,7 @@ TEST(Tcp, MultipleConnectionsShareLink) {
   const size_t kSize = 512 * 1024;
   int done = 0;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     for (int i = 0; i < 3; ++i) {
       auto conn = listener->accept();
       f.sim.spawn("handler" + std::to_string(i), [conn, &done] {
@@ -698,7 +734,7 @@ TEST(Tcp, SendAfterCloseThrows) {
   TwoHostNet f;
   bool threw = false;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     char c;
     conn->recv(&c, 1);
@@ -722,7 +758,7 @@ TEST(Tcp, AcceptForTimesOut) {
   TwoHostNet f;
   bool timed_out = false;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->acceptFor(50 * st::kMillisecond);
     timed_out = (conn == nullptr);
   });
@@ -733,10 +769,10 @@ TEST(Tcp, AcceptForTimesOut) {
 TEST(Tcp, ListenTwiceOnSamePortThrows) {
   TwoHostNet f;
   f.sim.spawn("p", [&] {
-    auto l1 = f.stack_a->listen(80);
-    EXPECT_THROW(f.stack_a->listen(80), mg::UsageError);
+    auto l1 = mgtest::listenOn(*f.stack_a, 80);
+    EXPECT_THROW(mgtest::listenOn(*f.stack_a, 80), mg::UsageError);
     l1->close();
-    auto l2 = f.stack_a->listen(80);  // reusable after close
+    auto l2 = mgtest::listenOn(*f.stack_a, 80);  // reusable after close
     l2->close();
   });
   f.sim.run();
@@ -746,7 +782,7 @@ TEST(Tcp, SmallMessageLatencyDominatedByPropagation) {
   TwoHostNet f(100e6, st::fromSeconds(25e-3));  // 25 ms one-way
   SimTime rtt = 0;
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     char c;
     conn->recv(&c, 1);
@@ -774,7 +810,7 @@ TEST_P(TcpTransferSweep, TransferIsLossless) {
   auto data = patternBytes(size, static_cast<std::uint8_t>(size & 0xff));
   std::vector<std::uint8_t> received(size);
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     if (size > 0) conn->recvExact(received.data(), size);
   });
@@ -799,7 +835,7 @@ TEST_P(TcpLossSweep, DeliversDespiteLoss) {
   auto data = patternBytes(kSize, 9);
   std::vector<std::uint8_t> received(kSize);
   f.sim.spawn("server", [&] {
-    auto listener = f.stack_b->listen(80);
+    auto listener = mgtest::listenOn(*f.stack_b, 80);
     auto conn = listener->accept();
     conn->recvExact(received.data(), kSize);
   });
@@ -830,24 +866,24 @@ Topology lineTopo(double bw1 = 100e6, double bw2 = 100e6) {
 
 TEST(FlowNetwork, EstimateMatchesFormula) {
   Simulator sim;
-  FlowNetworkOptions opts;
-  FlowNetwork fn(sim, lineTopo(100e6, 10e6), opts);
+  NetworkOptions opts = flowMode();
+  Network fn(sim, lineTopo(100e6, 10e6), opts);
   const std::int64_t bytes = 1'000'000;
   const double wire_bits = bytes * kByteOverhead * 8.0;
   const SimTime expected =
       kPerMessageOverhead + st::fromSeconds(3e-3) + st::fromSeconds(wire_bits / 10e6);
-  EXPECT_NEAR(static_cast<double>(fn.estimate(0, 2, bytes)), static_cast<double>(expected), 10.0);
+  EXPECT_NEAR(static_cast<double>(fn.flows()->estimate(0, 2, bytes)), static_cast<double>(expected), 10.0);
 }
 
 TEST(FlowNetwork, TransferBlocksForModeledDuration) {
   Simulator sim;
-  FlowNetwork fn(sim, lineTopo(), {});
+  Network fn(sim, lineTopo(), flowMode());
   SimTime took = 0;
-  sim.spawn("p", [&] { took = fn.transfer(0, 2, 100000); });
+  sim.spawn("p", [&] { took = transfer(fn, 0, 2, 100000); });
   sim.run();
   // An uncontended flow runs at the bottleneck rate for its whole life, so
   // the blocking transfer must land exactly on the analytic estimate.
-  EXPECT_NEAR(static_cast<double>(took), static_cast<double>(fn.estimate(0, 2, 100000)),
+  EXPECT_NEAR(static_cast<double>(took), static_cast<double>(fn.flows()->estimate(0, 2, 100000)),
               static_cast<double>(st::kMicrosecond));
   EXPECT_EQ(sim.metrics().counterValue("net.flow.started"), 1);
   EXPECT_EQ(sim.metrics().counterValue("net.flow.completed"), 1);
@@ -859,15 +895,15 @@ TEST(FlowNetwork, ContentionHalvesThroughput) {
   SimTime solo = 0;
   {
     Simulator sim;
-    FlowNetwork fn(sim, lineTopo(), {});
-    sim.spawn("p", [&] { solo = fn.transfer(0, 2, 1'000'000); });
+    Network fn(sim, lineTopo(), flowMode());
+    sim.spawn("p", [&] { solo = transfer(fn, 0, 2, 1'000'000); });
     sim.run();
   }
   Simulator sim;
-  FlowNetwork fn(sim, lineTopo(), {});
+  Network fn(sim, lineTopo(), flowMode());
   SimTime t1 = 0, t2 = 0;
-  sim.spawn("p1", [&] { t1 = fn.transfer(0, 2, 1'000'000); });
-  sim.spawn("p2", [&] { t2 = fn.transfer(0, 2, 1'000'000); });
+  sim.spawn("p1", [&] { t1 = transfer(fn, 0, 2, 1'000'000); });
+  sim.spawn("p2", [&] { t2 = transfer(fn, 0, 2, 1'000'000); });
   sim.run();
   const double wire_s = 1'000'000 * (1538.0 / 1460.0) * 8.0 / 100e6;  // solo drain
   const double tol = 2e-3 * static_cast<double>(st::kSecond);
@@ -894,8 +930,8 @@ TEST(FlowMaxMin, SingleBottleneckSplitsEvenly) {
   t.addHost("a");
   t.addHost("b");
   t.addLink("l0", 0, 1, 100e6, st::fromSeconds(1e-3));
-  FlowNetwork fn(sim, std::move(t), {});
-  auto& eng = fn.engine();
+  Network fn(sim, std::move(t), flowMode());
+  auto& eng = *fn.flows();
   FlowId f1 = 0, f2 = 0;
   double r1 = -1, r2 = -1, r1_after = -1;
   sim.scheduleAt(0, [&] {
@@ -924,8 +960,8 @@ TEST(FlowMaxMin, DirectionsShareNothing) {
   t.addHost("a");
   t.addHost("b");
   t.addLink("l0", 0, 1, 100e6, st::fromSeconds(1e-3));
-  FlowNetwork fn(sim, std::move(t), {});
-  auto& eng = fn.engine();
+  Network fn(sim, std::move(t), flowMode());
+  auto& eng = *fn.flows();
   FlowId fwd = 0, rev = 0;
   double r_fwd = -1, r_rev = -1;
   sim.scheduleAt(0, [&] {
@@ -946,8 +982,8 @@ TEST(FlowMaxMin, ParkingLotOracle) {
   //   L0 carries {F0, F1, F3} -> bottleneck share 100/3 Mbit/s fixes them;
   //   L1 then has 100 - 100/3 left for F2 alone -> 200/3 Mbit/s.
   Simulator sim;
-  FlowNetwork fn(sim, twoHopTopo(), {});
-  auto& eng = fn.engine();
+  Network fn(sim, twoHopTopo(), flowMode());
+  auto& eng = *fn.flows();
   FlowId f0 = 0, f1 = 0, f2 = 0, f3 = 0;
   double r0 = -1, r1 = -1, r2 = -1, r3 = -1;
   sim.scheduleAt(0, [&] {
@@ -975,13 +1011,13 @@ TEST(FlowMaxMin, ReShareOnCompletionOracle) {
   // remaining 7.5 Mbit alone at 100 Mbit/s, draining at t=0.125 s. Each
   // completion fires latency + per-message overhead after its drain.
   Simulator sim;
-  FlowNetworkOptions opts;
+  NetworkOptions opts = flowMode();
   Topology t;
   t.addHost("a");
   t.addHost("b");
   t.addLink("l0", 0, 1, 100e6, st::fromSeconds(1e-3));
-  FlowNetwork fn(sim, std::move(t), opts);
-  auto& eng = fn.engine();
+  Network fn(sim, std::move(t), opts);
+  auto& eng = *fn.flows();
   SimTime done_a = 0, done_b = 0;
   sim.scheduleAt(0, [&] {
     eng.startBits(0, 1, 10e6, 0, [&] { done_a = sim.now(); }, {});
@@ -995,8 +1031,8 @@ TEST(FlowMaxMin, ReShareOnCompletionOracle) {
 
 TEST(FlowMaxMin, LinkDownAbortsActiveFlows) {
   Simulator sim;
-  FlowNetwork fn(sim, twoHopTopo(), {});
-  auto& eng = fn.engine();
+  Network fn(sim, twoHopTopo(), flowMode());
+  auto& eng = *fn.flows();
   std::string why;
   bool completed = false;
   sim.scheduleAt(0, [&] {
@@ -1013,8 +1049,8 @@ TEST(FlowMaxMin, LinkDownAbortsActiveFlows) {
 
 TEST(FlowMaxMin, TransitNodeCrashAbortsFlows) {
   Simulator sim;
-  FlowNetwork fn(sim, twoHopTopo(), {});
-  auto& eng = fn.engine();
+  Network fn(sim, twoHopTopo(), flowMode());
+  auto& eng = *fn.flows();
   std::string why;
   sim.scheduleAt(0, [&] {
     eng.startBits(0, 2, 1e9, 0, {}, [&](const std::string& r) { why = r; });
@@ -1029,13 +1065,13 @@ TEST(FlowMaxMin, DegradeResharesMidFlow) {
   // 10 Mbit wire alone at 100 Mbit/s; at t=0.04 s (4 Mbit drained) the link
   // degrades to 50 Mbit/s, so the last 6 Mbit take 0.12 s: drain at 0.16 s.
   Simulator sim;
-  FlowNetworkOptions opts;
+  NetworkOptions opts = flowMode();
   Topology t;
   t.addHost("a");
   t.addHost("b");
   t.addLink("l0", 0, 1, 100e6, st::fromSeconds(1e-3));
-  FlowNetwork fn(sim, std::move(t), opts);
-  auto& eng = fn.engine();
+  Network fn(sim, std::move(t), opts);
+  auto& eng = *fn.flows();
   SimTime done = 0;
   sim.scheduleAt(0, [&] { eng.startBits(0, 1, 10e6, 0, [&] { done = sim.now(); }, {}); });
   sim.scheduleAt(40 * st::kMillisecond, [&] {
@@ -1054,11 +1090,11 @@ TEST(FlowNetwork, NoRouteThrows) {
   Topology t;
   t.addHost("a");
   t.addHost("b");
-  FlowNetwork fn(sim, std::move(t), {});
+  Network fn(sim, std::move(t), flowMode());
   bool threw = false;
   sim.spawn("p", [&] {
     try {
-      fn.transfer(0, 1, 100);
+      transfer(fn, 0, 1, 100);
     } catch (const mg::ConfigError&) {
       threw = true;
     }
@@ -1069,10 +1105,10 @@ TEST(FlowNetwork, NoRouteThrows) {
 
 TEST(FlowNetwork, SameNodeTransferIsJustOverhead) {
   Simulator sim;
-  FlowNetworkOptions opts;
-  FlowNetwork fn(sim, lineTopo(), opts);
+  NetworkOptions opts = flowMode();
+  Network fn(sim, lineTopo(), opts);
   SimTime took = -1;
-  sim.spawn("p", [&] { took = fn.transfer(0, 0, 12345); });
+  sim.spawn("p", [&] { took = transfer(fn, 0, 0, 12345); });
   sim.run();
   EXPECT_EQ(took, kPerMessageOverhead);
 }
@@ -1080,11 +1116,11 @@ TEST(FlowNetwork, SameNodeTransferIsJustOverhead) {
 TEST(FlowNetwork, TimeScaleInvariantInNetworkTime) {
   auto netDuration = [](double scale) {
     Simulator sim;
-    FlowNetworkOptions opts;
+    NetworkOptions opts = flowMode();
     opts.time_scale = scale;
-    FlowNetwork fn(sim, lineTopo(), opts);
+    Network fn(sim, lineTopo(), opts);
     SimTime took = 0;
-    sim.spawn("p", [&] { took = fn.transfer(0, 2, 500000); });
+    sim.spawn("p", [&] { took = transfer(fn, 0, 2, 500000); });
     sim.run();
     return took;
   };
@@ -1100,13 +1136,13 @@ TEST(FlowMaxMin, DegradeToZeroStallsThenResumes) {
   // capacity returns: the remaining 6 Mbit take 0.06 s, so drain lands at
   // 0.16 s exactly as if the link had been 50 Mbit/s the whole middle leg.
   Simulator sim;
-  FlowNetworkOptions opts;
+  NetworkOptions opts = flowMode();
   Topology t;
   t.addHost("a");
   t.addHost("b");
   t.addLink("l0", 0, 1, 100e6, st::fromSeconds(1e-3));
-  FlowNetwork fn(sim, std::move(t), opts);
-  auto& eng = fn.engine();
+  Network fn(sim, std::move(t), opts);
+  auto& eng = *fn.flows();
   FlowId f = 0;
   SimTime done = 0;
   bool stalled_mid = false, consistent_mid = false;
@@ -1153,8 +1189,8 @@ TEST(FlowMaxMin, StalledFlowStillAbortsOnLinkDown) {
   t.addHost("a");
   t.addHost("b");
   t.addLink("l0", 0, 1, 100e6, st::fromSeconds(1e-3));
-  FlowNetwork fn(sim, std::move(t), {});
-  auto& eng = fn.engine();
+  Network fn(sim, std::move(t), flowMode());
+  auto& eng = *fn.flows();
   std::string why;
   sim.scheduleAt(0, [&] {
     eng.startBits(0, 1, 1e9, 0, {}, [&](const std::string& r) { why = r; });
@@ -1178,8 +1214,8 @@ TEST(FlowMaxMin, AbortCallbackCanStartFlowsMidRecompute) {
   // flow (retry loops do) must observe a consistent index and get correct
   // max-min rates, and the other victim's callback must still fire.
   Simulator sim;
-  FlowNetwork fn(sim, twoHopTopo(), {});
-  auto& eng = fn.engine();
+  Network fn(sim, twoHopTopo(), flowMode());
+  auto& eng = *fn.flows();
   FlowId replacement = 0;
   std::string why1, why2;
   double repl_rate = -1;
@@ -1207,8 +1243,8 @@ TEST(FlowMaxMin, IndexConsistentAfterChurn) {
   // Mixed churn — starts, completions, an abort, a degrade — must leave the
   // link→flow reverse index and busy accounting exactly consistent.
   Simulator sim;
-  FlowNetwork fn(sim, twoHopTopo(), {});
-  auto& eng = fn.engine();
+  Network fn(sim, twoHopTopo(), flowMode());
+  auto& eng = *fn.flows();
   sim.scheduleAt(0, [&] {
     eng.startBits(0, 2, 1e6, 0, {}, {});  // drains ~0.02 s, well before the faults
     eng.startBits(0, 1, 1e9, 0, {}, [](const std::string&) {});
@@ -1233,7 +1269,7 @@ TEST(FlowNetwork, ZeroBandwidthParamsFlowOnlyAcceptance) {
   // packet model divides by bandwidth per segment, so it must keep
   // rejecting it; negative capacity is meaningless everywhere.
   Simulator sim;
-  FlowNetwork fn(sim, lineTopo(), {});
+  Network fn(sim, lineTopo(), flowMode());
   LinkParams p = fn.linkParams(0);
   p.bandwidth_bps = 0;
   EXPECT_NO_THROW(fn.applyLinkParams(0, p));
@@ -1245,7 +1281,7 @@ TEST(FlowNetwork, ZeroBandwidthParamsFlowOnlyAcceptance) {
   pt.addHost("a");
   pt.addHost("b");
   pt.addLink("l", 0, 1, 100e6, st::fromSeconds(1e-3));
-  PacketNetwork pn(psim, std::move(pt), {});
+  Network pn(psim, std::move(pt), {});
   LinkParams pp = pn.linkParams(0);
   pp.bandwidth_bps = 0;
   EXPECT_THROW(pn.applyLinkParams(0, pp), mg::UsageError);

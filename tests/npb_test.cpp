@@ -14,8 +14,7 @@
 #include "core/topologies.h"
 #include "npb/cost_model.h"
 #include "npb/npb.h"
-#include "obs/sampler.h"
-#include "sim/telemetry.h"
+#include "sim/sampler.h"
 
 using namespace mg;
 using core::MicroGridPlatform;
@@ -55,17 +54,16 @@ std::vector<npb::KernelResult> runOnReference(npb::Benchmark b, npb::NpbClass cl
 /// a metrics gauge reading NaN ("no value yet") and adds one level probe for
 /// it, ticking every `interval` kernel ns. A NaN level records no sample, so
 /// the trace starts at the sensor's first write.
-std::unique_ptr<obs::TelemetrySampler> sensorSampler(core::Platform& platform,
+std::unique_ptr<sim::TelemetrySampler> sensorSampler(core::Platform& platform,
                                                      const std::string& sensor,
                                                      sim::SimTime interval) {
   sim::Simulator& sim = platform.simulator();
   obs::Gauge& gauge = sim.metrics().gauge(sensor);
   gauge.set(std::numeric_limits<double>::quiet_NaN());
   sim.timeline().setBaseWidth(interval);
-  obs::TelemetrySampler::Options so;
+  sim::TelemetrySampler::Options so;
   so.interval_ns = interval;
-  auto sampler = std::make_unique<obs::TelemetrySampler>(sim.timeline(),
-                                                         sim::telemetryHost(sim), so);
+  auto sampler = std::make_unique<sim::TelemetrySampler>(sim, so);
   sampler->addLevel(sensor, [&gauge](std::int64_t) { return gauge.value(); });
   return sampler;
 }

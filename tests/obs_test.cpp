@@ -23,12 +23,11 @@
 #include "npb/npb.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/sampler.h"
 #include "obs/sim_profiler.h"
 #include "obs/span.h"
 #include "obs/timeline.h"
 #include "obs/trace_export.h"
-#include "sim/telemetry.h"
+#include "sim/sampler.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "vmpi/comm.h"
@@ -467,9 +466,9 @@ GoldenRun runGoldenEpWithFaults() {
   h.armFaults(std::move(plan));
 
   sim.timeline().setBaseWidth(50 * sim::kMillisecond);
-  obs::TelemetrySampler::Options sopts;
+  sim::TelemetrySampler::Options sopts;
   sopts.interval_ns = 50 * sim::kMillisecond;
-  obs::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), sopts);
+  sim::TelemetrySampler sampler(sim, sopts);
   h.platform.registerTelemetry(sampler);
   sampler.start();
 
@@ -721,9 +720,9 @@ TEST(Timeline, CsvAndJsonAreByteStable) {
 TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
   sim::Simulator sim;
   sim.timeline().setBaseWidth(sim::kSecond);
-  mo::TelemetrySampler::Options so;
+  sim::TelemetrySampler::Options so;
   so.interval_ns = sim::kSecond;
-  mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), so);
+  sim::TelemetrySampler sampler(sim, so);
 
   double cum = 0;
   double level = 0;
@@ -764,9 +763,9 @@ TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
 TEST(Sampler, CounterRateAndKernelProbes) {
   sim::Simulator sim;
   sim.timeline().setBaseWidth(100 * sim::kMillisecond);
-  mo::TelemetrySampler::Options so;
+  sim::TelemetrySampler::Options so;
   so.interval_ns = 100 * sim::kMillisecond;
-  mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), so);
+  sim::TelemetrySampler sampler(sim, so);
   sim::registerKernelProbes(sampler, sim);
 
   for (int i = 1; i <= 20; ++i) {
@@ -787,7 +786,7 @@ TEST(Sampler, CounterRateAndKernelProbes) {
 
 TEST(Sampler, ProbesAfterStartThrowAndFinishIsIdempotent) {
   sim::Simulator sim;
-  mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim));
+  sim::TelemetrySampler sampler(sim);
   sampler.addLevel("l", [](std::int64_t) { return 1.0; });
   sampler.start();
   EXPECT_THROW(sampler.addLevel("m", [](std::int64_t) { return 2.0; }), mg::UsageError);
@@ -802,9 +801,9 @@ TEST(Sampler, NanLevelRecordsNoSample) {
   // the series starts at the source's first value (Fig 17's sensors).
   sim::Simulator sim;
   sim.timeline().setBaseWidth(sim::kSecond);
-  mo::TelemetrySampler::Options so;
+  sim::TelemetrySampler::Options so;
   so.interval_ns = sim::kSecond;
-  mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), so);
+  sim::TelemetrySampler sampler(sim, so);
   double level = std::numeric_limits<double>::quiet_NaN();
   sampler.addLevel("l", [&level](std::int64_t) { return level; });
   sim.scheduleAt(sim::fromSeconds(1.5), [&] { level = 4; });

@@ -13,9 +13,10 @@
 #include "core/microgrid_platform.h"
 #include "core/reference_platform.h"
 #include "core/topologies.h"
-#include "net/packet_network.h"
+#include "net/network.h"
 #include "net/tcp.h"
 #include "net/topology.h"
+#include "tcp_backlog.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "vmpi/comm.h"
@@ -36,13 +37,13 @@ TEST_P(TcpGoodputLaw, GoodputMatchesTheory) {
   auto a = topo.addHost("a");
   auto b = topo.addHost("b");
   topo.addLink("l", a, b, bw_bps, st::fromSeconds(latency_s), 1 << 20);
-  net::PacketNetwork net(sim, std::move(topo), {});
+  net::Network net(sim, std::move(topo), {});
   net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 4 << 20;
   st::SimTime start = 0, end = 0;
   sim.spawn("server", [&] {
-    auto listener = sb.listen(80);
+    auto listener = mgtest::listenOn(sb, 80);
     auto conn = listener->accept();
     std::vector<std::uint8_t> sink(kSize);
     start = sim.now();
@@ -91,7 +92,7 @@ TEST_P(PacketConservation, EveryPacketAccounted) {
   topo.addLink("l0", a, r1, 10e6, st::fromSeconds(1e-3), 1 << 20, loss);
   topo.addLink("l1", r1, r2, 5e6, st::fromSeconds(1e-3), 1 << 20, loss);
   topo.addLink("l2", r2, b, 10e6, st::fromSeconds(1e-3), 1 << 20, loss);
-  net::PacketNetwork net(sim, std::move(topo), {});
+  net::Network net(sim, std::move(topo), {});
   std::int64_t delivered_payload = 0;
   net.attachHost(b, [&](net::Packet&& p) { delivered_payload += static_cast<std::int64_t>(p.payload.size()); });
 
@@ -222,9 +223,9 @@ TEST_P(SameSeedDeterminism, EventCountsAndSnapshotsMatch) {
     auto b = topo.addHost("b");
     topo.addLink("l0", a, r, 10e6, st::fromSeconds(1e-3), 64 << 10, 0.05);
     topo.addLink("l1", r, b, 5e6, st::fromSeconds(1e-3), 64 << 10, 0.05);
-    net::PacketNetworkOptions nopts;
+    net::NetworkOptions nopts;
     nopts.seed = seed;
-    net::PacketNetwork net(sim, std::move(topo), nopts);
+    net::Network net(sim, std::move(topo), nopts);
     net.attachHost(b, [](net::Packet&&) {});
     for (int i = 0; i < 300; ++i) {
       net::Packet p;
@@ -392,10 +393,11 @@ std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental
     const auto& l = s.links[i];
     topo.addLink(util::format("l%zu", i), l.a, l.b, l.bw, st::fromSeconds(l.lat_s));
   }
-  net::FlowNetworkOptions opts;
+  net::NetworkOptions opts;
+  opts.kind = net::NetModelKind::Flow;
   opts.incremental = incremental;
-  net::FlowNetwork fn(sim, std::move(topo), opts);
-  auto& eng = fn.engine();
+  net::Network fn(sim, std::move(topo), opts);
+  auto& eng = *fn.flows();
 
   std::vector<std::string> log;
   std::vector<net::FlowId> ids;
@@ -494,7 +496,7 @@ TEST(FlowIncrementalProperty, MatchesFullRecomputeOracleOn100Seeds) {
 // ------------------------------------ flow sockets vs the reference -----
 
 // ReferencePlatform and MicroGridPlatform under --netmodel=flow share one
-// FlowNetwork/FlowEndpointTable wiring; at rate 1 every time conversion
+// flow-mode Network/FlowEndpointTable wiring; at rate 1 every time conversion
 // between them is an identity (x * 1.0, x / 1.0). So on socket-only
 // workloads — no compute, which is where the two platforms differ — every
 // virtual timestamp must be equal, not merely close. The workloads mix
@@ -623,13 +625,15 @@ TEST(PlatformAgreement, FlowSocketsMatchReferenceAtRateOne) {
 
 // ------------------------------------------------- hybrid model oracles ---
 
-// HybridNetwork decides once per connection which model carries it
-// (DESIGN.md §8). At the two ends of its selector range it must be
-// indistinguishable from the model it then reduces to: with an empty
+// Hybrid mode decides once per connection which half of the network carries
+// it (DESIGN.md §8). At the two ends of its selector range it must be
+// indistinguishable from the mode it then reduces to: with an empty
 // selector every connection is a flow socket (= flow), and with `host:*`
 // every connection is TCP over packets (= packet). Checked bitwise on every
 // per-rank virtual timestamp of a seeded vmpi workload — ping-pongs and
-// allreduces with seeded sizes — over the random topologies above.
+// allreduces with seeded sizes — over the random topologies above, and
+// exactly on the kernel's event, spawn and wake counts: hybrid runs the same
+// listener, the same processes and the same events as its bound.
 namespace {
 
 struct MpiWorkload {
@@ -658,11 +662,17 @@ MpiWorkload makeMpiWorkload(util::Rng& rng, int ranks) {
   return w;
 }
 
-/// One rank per host; returns every virtual timestamp each rank observed
-/// (hex floats, so equality is bitwise) plus the final virtual time.
-std::vector<std::string> runMpiWorkload(const FlowScenario& s, const MpiWorkload& w,
-                                        net::NetModelKind kind,
-                                        std::vector<std::string> detail) {
+struct MpiRun {
+  /// Every virtual timestamp each rank observed (hex floats, so equality is
+  /// bitwise) plus the final virtual time.
+  std::vector<std::string> log;
+  /// sim.kernel.events_executed, sim.process.spawned, sim.process.wakes.
+  std::vector<std::int64_t> kernel;
+};
+
+/// One rank per host.
+MpiRun runMpiWorkload(const FlowScenario& s, const MpiWorkload& w, net::NetModelKind kind,
+                      std::vector<std::string> detail) {
   const core::VirtualGridConfig cfg = socketGrid(s);
   core::MicroGridOptions opts;
   opts.netmodel = kind;
@@ -699,18 +709,23 @@ std::vector<std::string> runMpiWorkload(const FlowScenario& s, const MpiWorkload
                      });
   }
   platform.run();
-  std::vector<std::string> out;
+  MpiRun out;
   for (int r = 0; r < s.hosts; ++r) {
     for (const std::string& line : per_rank[static_cast<std::size_t>(r)]) {
-      out.push_back(util::format("rank%d ", r) + line);
+      out.log.push_back(util::format("rank%d ", r) + line);
     }
   }
-  out.push_back(util::format("end %a", platform.virtualNow()));
+  out.log.push_back(util::format("end %a", platform.virtualNow()));
+  obs::MetricsRegistry& m = platform.simulator().metrics();
+  for (const char* name : {"sim.kernel.events_executed", "sim.process.spawned", "sim.process.wakes"}) {
+    out.kernel.push_back(m.counter(name).value());
+  }
   return out;
 }
 
 /// Over 50 seeded topologies and workloads, hybrid with `detail` must log
-/// exactly what the `bound` model logs.
+/// exactly what the `bound` model logs and run exactly as many kernel
+/// events, process spawns and wakes.
 void expectHybridEquals(net::NetModelKind bound, const std::vector<std::string>& detail) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const FlowScenario s = makeFlowScenario(seed * 0x9E3779B97F4A7C15ull + 11);
@@ -719,9 +734,12 @@ void expectHybridEquals(net::NetModelKind bound, const std::vector<std::string>&
     const auto on_bound = runMpiWorkload(s, w, bound, {});
     const auto on_hybrid = runMpiWorkload(s, w, net::NetModelKind::Hybrid, detail);
     // Every rank logged init, two stamps per round and finalize.
-    ASSERT_EQ(on_bound.size(), static_cast<std::size_t>(s.hosts) * (2 * w.pingpongs.size() + 2) + 1)
+    ASSERT_EQ(on_bound.log.size(),
+              static_cast<std::size_t>(s.hosts) * (2 * w.pingpongs.size() + 2) + 1)
         << "seed " << seed;
-    ASSERT_EQ(on_hybrid, on_bound) << "seed " << seed;
+    ASSERT_EQ(on_hybrid.log, on_bound.log) << "seed " << seed;
+    ASSERT_EQ(on_hybrid.kernel, on_bound.kernel)
+        << "seed " << seed << " (events executed, processes spawned, wakes)";
   }
 }
 

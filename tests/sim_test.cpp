@@ -81,6 +81,27 @@ TEST(Simulator, SchedulingInPastThrows) {
   EXPECT_THROW(sim.scheduleAfter(-1, [] {}), mg::UsageError);
 }
 
+TEST(Simulator, RunUntilLeavesADrainedRunsClockAtItsLastEvent) {
+  Simulator sim;
+  std::vector<int> ran;
+  sim.scheduleAt(10, [&] { ran.push_back(1); });
+  sim.scheduleAt(30, [&] { ran.push_back(2); });
+  sim.runUntil(50);  // drains at 30
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.pendingEventCount(), 0u);
+  EXPECT_EQ(sim.now(), 30);
+  // A later limit before the old one is not "in the past" for a drained run.
+  sim.runUntil(40);
+  EXPECT_EQ(sim.now(), 30);
+  // Work scheduled afterwards runs from the run's own clock; once events
+  // remain past the limit, the clock moves to the limit again.
+  sim.scheduleAfter(5, [&] { ran.push_back(3); });
+  sim.scheduleAt(100, [&] { ran.push_back(4); });
+  sim.runUntil(60);
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), 60);
+}
+
 TEST(Simulator, RunUntilStopsAndSetsNow) {
   Simulator sim;
   std::vector<int> ran;

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "net/packet_network.h"
+#include "net/network.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "util/strings.h"
@@ -61,7 +61,7 @@ net::Topology bigGrid() {
 
 TEST(Soak, ThousandHostsSixtySecondsUnderFaults) {
   st::Simulator sim;
-  net::PacketNetwork net(sim, bigGrid(), net::PacketNetworkOptions{});
+  net::Network net(sim, bigGrid(), net::NetworkOptions{});
 
   const auto& t = net.topology();
   std::vector<net::NodeId> hosts;
