@@ -39,15 +39,16 @@ MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOpti
   attachNetwork(cfg, std::move(nopts));
 
   std::uint64_t seed = opts_.seed;
+  std::vector<vos::CpuScheduler*> by_machine;  // in physicalMachines() order
   for (const auto& p : cfg.physicalMachines()) {
-    schedulers_.emplace(p.name, std::make_unique<vos::CpuScheduler>(
-                                    sim_, p.cpu_ops, opts_.quantum,
-                                    vos::CompetitionProfile::none(), ++seed));
+    auto& sched = schedulers_[p.name] = std::make_unique<vos::CpuScheduler>(
+        sim_, p.cpu_ops, opts_.quantum, vos::CompetitionProfile::none(), ++seed);
+    by_machine.push_back(sched.get());
   }
-  for (auto& [name, rt] : hosts_) {
-    rt.sched = schedulers_.at(rt.info->physical_host).get();
-    const double phys_ops = cfg.physical(rt.info->physical_host).cpu_ops;
-    rt.host_fraction = std::min(1.0, rate() * rt.info->cpu_ops / phys_ops);
+  for (Host& rt : hosts_) {
+    const std::size_t m = cfg.physicalIndex(rt.info->physical_host);
+    rt.sched = by_machine[m];
+    rt.host_fraction = std::min(1.0, rate() * rt.info->cpu_ops / cfg.physicalMachines()[m].cpu_ops);
   }
 
   MG_LOG_INFO("core") << "MicroGrid rate " << rate() << " (quantum "
@@ -130,25 +131,29 @@ void MicroGridPlatform::registerStateCapture(obs::StateCaptureRegistry& reg) {
     reg.add("vos.sched." + name,
             [s = sched.get()](obs::StateWriter& w) { s->saveState(w); });
   }
-  reg.add("core.hosts", [this](obs::StateWriter& w) {
-    w.u64("hosts", hosts_.size());
-    for (const auto& [name, rt] : hosts_) {
-      w.str("host", name);
-      w.boolean("alive", rt.alive);
-      w.f64("cpu_factor", rt.cpu_factor);
-      w.f64("host_fraction", rt.host_fraction);
-      w.u64("tasks", rt.tasks.size());
-      if (rt.mem) {
-        w.i64("mem_used", rt.mem->used());
-      }
-      if (rt.stack) rt.stack->saveState(w);
+  // Hosts fold in hostname order; one without a process yet has used none
+  // of its memory.
+  std::vector<const Host*> by_name;
+  for (const Host& rt : hosts_) by_name.push_back(&rt);
+  std::ranges::sort(by_name, {},
+                    [](const Host* h) -> const std::string& { return h->info->hostname; });
+  reg.add("core.hosts", [by_name = std::move(by_name)](obs::StateWriter& w) {
+    w.u64("hosts", by_name.size());
+    for (const Host* rt : by_name) {
+      w.str("host", rt->info->hostname);
+      w.boolean("alive", rt->alive);
+      w.f64("cpu_factor", rt->cpu_factor);
+      w.f64("host_fraction", rt->host_fraction);
+      w.u64("tasks", rt->tasks.size());
+      w.i64("mem_used", rt->mem ? rt->mem->used() : 0);
+      if (rt->stack) rt->stack->saveState(w);
     }
   });
 }
 
 std::size_t MicroGridPlatform::openTcpConnections() {
   std::size_t n = 0;
-  for (const auto& [name, rt] : hosts_) {
+  for (const Host& rt : hosts_) {
     if (rt.stack) n += rt.stack->openConnections();
   }
   return n;

@@ -79,6 +79,9 @@ class Platform::HostListener : public vos::Listener {
 class Platform::Context : public vos::HostContext {
  public:
   Context(Platform& p, Host& rt, const std::string& name) : p_(p), rt_(rt), cpu_{rt, name} {
+    if (!rt_.mem) {
+      rt_.mem = std::make_unique<vos::MemoryManager>(rt_.info->memory_bytes, p_.mem_metrics_);
+    }
     mem_proc_ = rt_.mem->registerProcess(name);
   }
 
@@ -146,33 +149,31 @@ void Platform::attachNetwork(const VirtualGridConfig& cfg, net::NetworkOptions o
     flow_table_ = std::make_unique<FlowEndpointTable>(
         *net_, [this](net::NodeId n) { return mapper_.byNode(n).hostname; });
   }
-  for (const auto& info : mapper_.hosts()) {
-    Host h;
-    h.info = &info;
+  hosts_.resize(mapper_.hosts().size());
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    const vos::VirtualHostInfo& info = mapper_.hosts()[i];
+    hosts_[i].info = &info;
     // Transport stacks exist only where packets can arrive; pure flow mode
     // has no per-segment machinery at all.
-    if (net_->carriesPackets()) h.stack = std::make_unique<net::TcpStack>(*net_, info.node);
-    h.mem = std::make_unique<vos::MemoryManager>(info.memory_bytes, &sim_.metrics());
-    hosts_.emplace(info.hostname, std::move(h));
+    if (net_->carriesPackets()) hosts_[i].stack = std::make_unique<net::TcpStack>(*net_, info.node);
   }
 }
 
 Platform::Host& Platform::host(const std::string& hostname) {
-  auto it = hosts_.find(hostname);
-  if (it == hosts_.end()) throw vos::UnknownHost(hostname);
-  return it->second;
+  Host& h = hosts_[mapper_.indexOf(hostname)];
+  if (h.info->hostname != hostname) throw vos::UnknownHost(hostname);
+  return h;
 }
 
 sim::Process& Platform::spawnOn(const std::string& host_or_ip, const std::string& process_name,
                                 std::function<void(vos::HostContext&)> body) {
-  const vos::VirtualHostInfo& info = mapper_.resolve(host_or_ip);
-  Host& h = host(info.hostname);
-  if (!h.alive) throw mg::Error("cannot spawn on crashed host " + info.hostname);
-  sim::Process& p =
-      sim_.spawn(process_name, [this, hostname = info.hostname, process_name, body = std::move(body)] {
-        Context ctx(*this, host(hostname), process_name);
-        body(ctx);
-      });
+  Host& h = hosts_[mapper_.indexOf(host_or_ip)];
+  if (!h.alive) throw mg::Error("cannot spawn on crashed host " + h.info->hostname);
+  // hosts_ never reallocates after attachNetwork, so the body keeps &h.
+  sim::Process& p = sim_.spawn(process_name, [this, &h, process_name, body = std::move(body)] {
+    Context ctx(*this, h, process_name);
+    body(ctx);
+  });
   h.procs.push_back(p.id());
   return p;
 }

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,7 +75,7 @@ class Platform {
   struct Host {
     const vos::VirtualHostInfo* info = nullptr;
     std::unique_ptr<net::TcpStack> stack;  // where packets can arrive
-    std::unique_ptr<vos::MemoryManager> mem;
+    std::unique_ptr<vos::MemoryManager> mem;  // made when its first process starts
     vos::CpuScheduler* sched = nullptr;
     double host_fraction = 0;  // of the physical CPU, for all its processes
     double cpu_factor = 1.0;   // brownout multiplier on host_fraction
@@ -100,9 +99,8 @@ class Platform {
   Platform(const VirtualGridConfig& cfg, double rate);
 
   /// Build the network and the per-host records: transport stacks when the
-  /// network carries packets, a flow-socket table when it has a fluid
-  /// engine, and each host's memory manager. Call once, from the subclass
-  /// constructor.
+  /// network carries packets, and a flow-socket table when it has a fluid
+  /// engine. Call once, from the subclass constructor.
   void attachNetwork(const VirtualGridConfig& cfg, net::NetworkOptions opts);
 
   /// The CPU rule: block the calling process while it executes `ops`
@@ -111,6 +109,7 @@ class Platform {
   /// Give back what computeFor took; runs as the process's context unwinds.
   virtual void releaseCpu(CpuSlot& slot) { (void)slot; }
 
+  /// The runtime of a hostname (a virtual IP is not one); throws UnknownHost.
   Host& host(const std::string& hostname);
 
   sim::Simulator sim_;
@@ -118,7 +117,9 @@ class Platform {
   vos::VirtualTime vt_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<FlowEndpointTable> flow_table_;  // non-null in flow/hybrid mode
-  std::map<std::string, Host> hosts_;
+  std::vector<Host> hosts_;  // in mapper order: hosts_[mapper_.indexOf(name)]
+  vos::MemoryManager::Instruments mem_metrics_ =
+      vos::MemoryManager::Instruments::in(sim_.metrics());
 
  private:
   class Context;

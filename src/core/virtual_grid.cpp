@@ -10,36 +10,29 @@ namespace mg::core {
 
 void VirtualGridConfig::addPhysical(const std::string& name, double cpu_ops) {
   if (cpu_ops <= 0) throw ConfigError("physical machine '" + name + "' needs positive CPU speed");
-  if (physical_index_.count(name) != 0) {
+  const auto pos = static_cast<std::int32_t>(physical_.size());
+  if (physical_index_.insert(name, pos, machineName()) != pos) {
     throw ConfigError("duplicate physical machine '" + name + "'");
   }
-  physical_index_.emplace(name, physical_.size());
   physical_.push_back(PhysicalMachine{name, cpu_ops});
+  virtual_ops_.push_back(0.0);
 }
 
-const PhysicalMachine& VirtualGridConfig::physical(const std::string& name) const {
-  auto it = physical_index_.find(name);
-  if (it == physical_index_.end()) {
-    throw ConfigError("unknown physical machine '" + name + "'");
-  }
-  return physical_[it->second];
+std::size_t VirtualGridConfig::physicalIndex(const std::string& name) const {
+  const std::int32_t m = physical_index_.find(name, machineName());
+  if (m == util::NameIndex::kNone) throw ConfigError("unknown physical machine '" + name + "'");
+  return static_cast<std::size_t>(m);
 }
 
 net::NodeId VirtualGridConfig::addHost(const std::string& hostname, const std::string& ip,
                                        double cpu_ops, std::int64_t memory_bytes,
                                        const std::string& physical_name) {
   if (cpu_ops <= 0) throw ConfigError("virtual host '" + hostname + "' needs positive CPU speed");
-  physical(physical_name);  // validate
+  if (memory_bytes < 0) throw ConfigError("virtual host '" + hostname + "' has negative memory");
+  const std::size_t machine = physicalIndex(physical_name);
   const net::NodeId node = topology_.addHost(hostname);
-  vos::VirtualHostInfo info;
-  info.hostname = hostname;
-  info.virtual_ip = ip;
-  info.cpu_ops = cpu_ops;
-  info.memory_bytes = memory_bytes;
-  info.physical_host = physical_name;
-  info.node = node;
-  mapper_.add(std::move(info));
-  virtual_ops_[physical_name] += cpu_ops;
+  mapper_.add(vos::VirtualHostInfo{hostname, ip, cpu_ops, memory_bytes, physical_name, node});
+  virtual_ops_[machine] += cpu_ops;
   return node;
 }
 
@@ -103,18 +96,13 @@ void VirtualGridConfig::toGis(gis::Directory& dir, const gis::Dn& base,
   }
 }
 
-double VirtualGridConfig::virtualOpsOn(const std::string& physical_name) const {
-  auto it = virtual_ops_.find(physical_name);
-  return it == virtual_ops_.end() ? 0.0 : it->second;
-}
-
 SimulationRate SimulationRate::compute(const VirtualGridConfig& cfg) {
   SimulationRate rate;
   rate.max_feasible = std::numeric_limits<double>::infinity();
-  for (const auto& p : cfg.physicalMachines()) {
-    const double virt = cfg.virtualOpsOn(p.name);
+  for (std::size_t m = 0; m < cfg.physicalMachines().size(); ++m) {
+    const double phys = cfg.physicalMachines()[m].cpu_ops, virt = cfg.virtualOps()[m];
     // A machine with no mapped virtual hosts imposes no constraint.
-    const double sr = (virt > 0) ? p.cpu_ops / virt : std::numeric_limits<double>::infinity();
+    const double sr = (virt > 0) ? phys / virt : std::numeric_limits<double>::infinity();
     rate.per_machine.push_back(sr);
     rate.max_feasible = std::min(rate.max_feasible, sr);
   }

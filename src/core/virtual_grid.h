@@ -28,12 +28,12 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gis/directory.h"
 #include "net/topology.h"
 #include "util/config.h"
+#include "util/name_index.h"
 #include "vos/virtual_host.h"
 
 namespace mg::core {
@@ -64,7 +64,8 @@ class VirtualGridConfig {
   const vos::HostMapper& mapper() const { return mapper_; }
   const net::Topology& topology() const { return topology_; }
   const std::vector<PhysicalMachine>& physicalMachines() const { return physical_; }
-  const PhysicalMachine& physical(const std::string& name) const;
+  /// Position of a machine in physicalMachines(); throws ConfigError.
+  std::size_t physicalIndex(const std::string& name) const;
 
   /// Parse the config-file form above.
   static VirtualGridConfig fromConfig(const util::Config& cfg);
@@ -72,21 +73,25 @@ class VirtualGridConfig {
   /// Emit Fig 3 virtual host / network records grouped under `config_name`.
   void toGis(gis::Directory& dir, const gis::Dn& base, const std::string& config_name) const;
 
-  /// Sum of virtual CPU speeds mapped onto a physical machine.
-  double virtualOpsOn(const std::string& physical) const;
+  /// Per machine, in physicalMachines() order: its mapped virtual CPU speeds' sum.
+  const std::vector<double>& virtualOps() const { return virtual_ops_; }
 
  private:
   net::NodeId nodeByName(const std::string& name) const;
+  // physical_index_'s view of the names it indexes.
+  auto machineName() const {
+    return [this](std::int32_t m) -> const std::string& {
+      return physical_[static_cast<std::size_t>(m)].name;
+    };
+  }
 
   vos::HostMapper mapper_;
   net::Topology topology_;
   std::vector<PhysicalMachine> physical_;
-  // name → physical_ position, and the running per-machine virtual-ops sum:
-  // generated grids look both up once per addHost, and the simulation-rate
-  // calculation reads the sums once per machine — linear scans made both
-  // quadratic at 100k hosts.
-  std::unordered_map<std::string, std::size_t> physical_index_;
-  std::unordered_map<std::string, double> virtual_ops_;
+  // Beside physical_: the running sum of virtual CPU speeds mapped onto each
+  // machine, and the name index addHost resolves its machine through once.
+  std::vector<double> virtual_ops_;
+  util::NameIndex physical_index_;
 };
 
 /// Simulation-rate calculation (paper §2.3). SR_r = physical spec / virtual

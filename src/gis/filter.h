@@ -1,13 +1,14 @@
 // LDAP-style search filters:
 //
-//   (attr=value)      equality (value may contain '*' wildcards)
+//   (attr=value)      equality (value may contain '*' and '?' wildcards)
 //   (attr=*)          presence
 //   (&(f1)(f2)...)    conjunction
 //   (|(f1)(f2)...)    disjunction
 //   (!(f))            negation
 //
-// Attribute names are case-insensitive; '*' matching is the util::globMatch
-// semantics. Matching a multi-valued attribute succeeds if any value matches.
+// Attribute names are case-insensitive; wildcard matching is the
+// util::globMatch semantics ('*' any run, '?' any one character). Matching
+// a multi-valued attribute succeeds if any value matches.
 #pragma once
 
 #include <memory>

@@ -13,30 +13,6 @@ namespace {
 /// Per-packet processing delay at each intermediate router.
 constexpr sim::SimTime kRouterForwardDelay = 10 * sim::kMicrosecond;
 
-/// Glob match with `*` (any run) and `?` (any one char); case-sensitive.
-bool globMatch(std::string_view pattern, std::string_view text) {
-  // Iterative matcher with single-star backtracking: on mismatch past a
-  // '*', re-anchor the star to swallow one more character.
-  std::size_t p = 0, t = 0;
-  std::size_t star = std::string_view::npos, mark = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      mark = t;
-    } else if (star != std::string_view::npos) {
-      p = star + 1;
-      t = ++mark;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
-}
-
 int parsePort(std::string_view s, const std::string& pattern) {
   int v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
@@ -93,7 +69,7 @@ DetailSelector::DetailSelector(const Topology& topo, const std::vector<std::stri
     if (body.starts_with("host:")) body.remove_prefix(5);
     bool matched = false;
     for (NodeId n = 0; n < topo.nodeCount(); ++n) {
-      if (globMatch(body, topo.node(n).name)) {
+      if (util::globMatch(body, topo.node(n).name)) {
         node_detail_[static_cast<std::size_t>(n)] = 1;
         matched = true;
       }

@@ -9,21 +9,17 @@
 
 namespace mg::net {
 
-NodeId Topology::addHost(std::string name) {
-  if (findNode(name) != kNoNode) throw ConfigError("duplicate node '" + name + "'");
-  nodes_.push_back(Node{std::move(name), NodeKind::Host});
-  adjacency_.emplace_back();
-  const auto id = static_cast<NodeId>(nodes_.size() - 1);
-  node_index_.emplace(nodes_.back().name, id);
-  return id;
-}
+NodeId Topology::addHost(std::string name) { return addNode(std::move(name), NodeKind::Host); }
 
-NodeId Topology::addRouter(std::string name) {
-  if (findNode(name) != kNoNode) throw ConfigError("duplicate node '" + name + "'");
-  nodes_.push_back(Node{std::move(name), NodeKind::Router});
+NodeId Topology::addRouter(std::string name) { return addNode(std::move(name), NodeKind::Router); }
+
+NodeId Topology::addNode(std::string name, NodeKind kind) {
+  const auto id = static_cast<NodeId>(nodes_.size());
+  if (node_index_.insert(name, id, nodeName()) != id) {
+    throw ConfigError("duplicate node '" + name + "'");
+  }
+  nodes_.push_back(Node{std::move(name), kind});
   adjacency_.emplace_back();
-  const auto id = static_cast<NodeId>(nodes_.size() - 1);
-  node_index_.emplace(nodes_.back().name, id);
   return id;
 }
 
@@ -48,19 +44,17 @@ LinkId Topology::addLink(std::string name, NodeId a, NodeId b, double bandwidth_
   LinkId id = static_cast<LinkId>(links_.size() - 1);
   adjacency_[static_cast<size_t>(a)].push_back(id);
   adjacency_[static_cast<size_t>(b)].push_back(id);
-  // emplace keeps the first id on a duplicate name (the old scan order).
-  link_index_.emplace(links_.back().name, id);
+  // The index keeps the first id on a duplicate name (the old scan order).
+  link_index_.insert(links_.back().name, id, linkName());
   return id;
 }
 
-NodeId Topology::findNode(const std::string& name) const {
-  auto it = node_index_.find(name);
-  return it == node_index_.end() ? kNoNode : it->second;
+NodeId Topology::findNode(std::string_view name) const {
+  return node_index_.find(name, nodeName());
 }
 
-LinkId Topology::findLink(const std::string& name) const {
-  auto it = link_index_.find(name);
-  return it == link_index_.end() ? kNoLink : it->second;
+LinkId Topology::findLink(std::string_view name) const {
+  return link_index_.find(name, linkName());
 }
 
 NodeId Topology::peer(LinkId id, NodeId from) const {

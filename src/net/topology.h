@@ -11,11 +11,11 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.h"
 #include "util/config.h"
+#include "util/name_index.h"
 
 namespace mg::net {
 
@@ -24,6 +24,7 @@ using LinkId = std::int32_t;
 
 constexpr NodeId kNoNode = -1;
 constexpr LinkId kNoLink = -1;
+static_assert(kNoNode == util::NameIndex::kNone && kNoLink == util::NameIndex::kNone);
 
 enum class NodeKind { Host, Router };
 
@@ -48,6 +49,7 @@ struct Link {
 
 class Topology {
  public:
+  /// Throws ConfigError on a duplicate node name.
   NodeId addHost(std::string name);
   NodeId addRouter(std::string name);
   LinkId addLink(std::string name, NodeId a, NodeId b, double bandwidth_bps,
@@ -65,10 +67,10 @@ class Topology {
   /// Node id by name; kNoNode if absent. O(1) via the name index (generated
   /// 100k-host grids call this once per addHost/addLink — a linear scan
   /// here made topology construction quadratic).
-  NodeId findNode(const std::string& name) const;
+  NodeId findNode(std::string_view name) const;
   /// Link id by name; kNoLink if absent (first of that name when
   /// duplicates exist, matching the historical scan order).
-  LinkId findLink(const std::string& name) const;
+  LinkId findLink(std::string_view name) const;
 
   /// Links incident to a node.
   const std::vector<LinkId>& linksAt(NodeId id) const { return adjacency_.at(static_cast<size_t>(id)); }
@@ -88,11 +90,22 @@ class Topology {
   static Topology fromConfig(const util::Config& cfg);
 
  private:
+  NodeId addNode(std::string name, NodeKind kind);
+  // The name indexes' views of the names they index.
+  auto nodeName() const {
+    return [this](NodeId n) -> const std::string& { return nodes_[static_cast<size_t>(n)].name; };
+  }
+  auto linkName() const {
+    return [this](LinkId k) -> const std::string& { return links_[static_cast<size_t>(k)].name; };
+  }
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;
-  std::unordered_map<std::string, NodeId> node_index_;
-  std::unordered_map<std::string, LinkId> link_index_;
+  // Name -> position in nodes_ / links_; a miss is NameIndex::kNone, which
+  // equals kNoNode and kNoLink.
+  util::NameIndex node_index_;
+  util::NameIndex link_index_;
 };
 
 /// All-pairs next-hop routing, recomputable when links change state.

@@ -87,7 +87,7 @@ bool globMatch(std::string_view pattern, std::string_view text) {
   size_t p = 0, t = 0;
   size_t star = std::string_view::npos, match = 0;
   while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == text[t])) {
+    if (p < pattern.size() && (pattern[p] == '?' || pattern[p] == text[t])) {
       ++p;
       ++t;
     } else if (p < pattern.size() && pattern[p] == '*') {

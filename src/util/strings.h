@@ -35,8 +35,9 @@ bool endsWith(std::string_view s, std::string_view suffix);
 /// Join the elements of `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Shell-style glob match supporting only '*' (any run of characters).
-/// Used by the GIS filter language, e.g. "(hn=vm*.ucsd.edu)".
+/// Shell-style glob match: '*' is any run of characters, '?' any one
+/// character; case-sensitive. Used by the GIS filter language, e.g.
+/// "(hn=vm*.ucsd.edu)", and by the hybrid network's host selector.
 bool globMatch(std::string_view pattern, std::string_view text);
 
 /// Parse the whole of `s` as an integer / a number; surrounding whitespace

@@ -2,14 +2,15 @@
 
 namespace mg::vos {
 
-MemoryManager::MemoryManager(std::int64_t capacity_bytes, obs::MetricsRegistry* registry)
-    : capacity_(capacity_bytes) {
+MemoryManager::Instruments MemoryManager::Instruments::in(obs::MetricsRegistry& registry) {
+  return Instruments{&registry.counter("vos.mem.allocations"),
+                     &registry.counter("vos.mem.oom_errors"),
+                     &registry.gauge("vos.mem.used_bytes")};
+}
+
+MemoryManager::MemoryManager(std::int64_t capacity_bytes, Instruments instruments)
+    : capacity_(capacity_bytes), metrics_(instruments) {
   if (capacity_bytes < 0) throw ConfigError("negative memory capacity");
-  if (registry != nullptr) {
-    c_allocs_ = &registry->counter("vos.mem.allocations");
-    c_oom_ = &registry->counter("vos.mem.oom_errors");
-    g_used_ = &registry->gauge("vos.mem.used_bytes");
-  }
 }
 
 MemoryManager::Proc& MemoryManager::liveProc(ProcessId id) {
@@ -25,11 +26,11 @@ const MemoryManager::Proc& MemoryManager::liveProc(ProcessId id) const {
 
 MemoryManager::ProcessId MemoryManager::registerProcess(const std::string& name) {
   if (used_ + kProcessOverhead > capacity_) {
-    if (c_oom_ != nullptr) c_oom_->inc();
+    if (metrics_.oom != nullptr) metrics_.oom->inc();
     throw OutOfMemoryError("process overhead for '" + name + "' exceeds capacity");
   }
   used_ += kProcessOverhead;
-  if (g_used_ != nullptr) g_used_->add(static_cast<double>(kProcessOverhead));
+  if (metrics_.used != nullptr) metrics_.used->add(static_cast<double>(kProcessOverhead));
   procs_.push_back(Proc{name, kProcessOverhead, true});
   return static_cast<ProcessId>(procs_.size() - 1);
 }
@@ -37,7 +38,7 @@ MemoryManager::ProcessId MemoryManager::registerProcess(const std::string& name)
 void MemoryManager::releaseProcess(ProcessId id) {
   Proc& p = liveProc(id);
   used_ -= p.used;
-  if (g_used_ != nullptr) g_used_->add(-static_cast<double>(p.used));
+  if (metrics_.used != nullptr) metrics_.used->add(-static_cast<double>(p.used));
   p.used = 0;
   p.live = false;
 }
@@ -46,14 +47,14 @@ void MemoryManager::allocate(ProcessId id, std::int64_t bytes) {
   if (bytes < 0) throw UsageError("negative allocation");
   Proc& p = liveProc(id);
   if (used_ + bytes > capacity_) {
-    if (c_oom_ != nullptr) c_oom_->inc();
+    if (metrics_.oom != nullptr) metrics_.oom->inc();
     throw OutOfMemoryError(p.name + " requested " + std::to_string(bytes) + " bytes, " +
                            std::to_string(available()) + " available");
   }
   used_ += bytes;
   p.used += bytes;
-  if (c_allocs_ != nullptr) c_allocs_->inc();
-  if (g_used_ != nullptr) g_used_->add(static_cast<double>(bytes));
+  if (metrics_.allocs != nullptr) metrics_.allocs->inc();
+  if (metrics_.used != nullptr) metrics_.used->add(static_cast<double>(bytes));
 }
 
 void MemoryManager::free(ProcessId id, std::int64_t bytes) {
@@ -62,7 +63,7 @@ void MemoryManager::free(ProcessId id, std::int64_t bytes) {
   if (bytes > p.used - kProcessOverhead) throw UsageError("freeing more than allocated");
   used_ -= bytes;
   p.used -= bytes;
-  if (g_used_ != nullptr) g_used_->add(-static_cast<double>(bytes));
+  if (metrics_.used != nullptr) metrics_.used->add(-static_cast<double>(bytes));
 }
 
 std::int64_t MemoryManager::processUsage(ProcessId id) const { return liveProc(id).used; }

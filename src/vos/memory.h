@@ -27,10 +27,19 @@ class MemoryManager {
   /// Per-process bookkeeping overhead, matching the paper's ~1 KB.
   static constexpr std::int64_t kProcessOverhead = 1024;
 
-  /// With a registry (the platforms pass their simulator's), accounting is
-  /// mirrored into the `vos.mem.*` instruments; nullptr keeps the manager
-  /// standalone (unit tests).
-  explicit MemoryManager(std::int64_t capacity_bytes, obs::MetricsRegistry* registry = nullptr);
+  /// The `vos.mem.*` instruments every host on one simulator shares. The
+  /// value-initialized default (all null) keeps a manager standalone (unit
+  /// tests).
+  struct Instruments {
+    obs::Counter* allocs;
+    obs::Counter* oom;
+    obs::Gauge* used;
+    /// Registers the instruments in `registry` (the platforms pass their
+    /// simulator's, once, so they are listed before any host allocates).
+    static Instruments in(obs::MetricsRegistry& registry);
+  };
+
+  explicit MemoryManager(std::int64_t capacity_bytes, Instruments instruments = {});
 
   using ProcessId = std::int32_t;
 
@@ -64,10 +73,7 @@ class MemoryManager {
 
   std::int64_t capacity_;
   std::int64_t used_ = 0;
-  // Optional vos.mem.* instruments (shared across hosts on one simulator).
-  obs::Counter* c_allocs_ = nullptr;
-  obs::Counter* c_oom_ = nullptr;
-  obs::Gauge* g_used_ = nullptr;
+  Instruments metrics_;
   std::vector<Proc> procs_;
 };
 

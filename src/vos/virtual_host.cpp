@@ -1,7 +1,5 @@
 #include "vos/virtual_host.h"
 
-#include <algorithm>
-
 namespace mg::vos {
 
 void HostMapper::add(VirtualHostInfo info) {
@@ -9,46 +7,34 @@ void HostMapper::add(VirtualHostInfo info) {
   if (contains(info.hostname) || (!info.virtual_ip.empty() && contains(info.virtual_ip))) {
     throw ConfigError("duplicate virtual host '" + info.hostname + "'");
   }
-  const std::size_t pos = hosts_.size();
+  const auto pos = static_cast<std::int32_t>(hosts_.size());
   hosts_.push_back(std::move(info));
   const VirtualHostInfo& h = hosts_.back();
-  by_name_.emplace(h.hostname, pos);
-  if (!h.virtual_ip.empty()) by_name_.emplace(h.virtual_ip, pos);
-  by_node_.emplace(h.node, pos);
+  by_name_.insert(h.hostname, 2 * pos, entryName());
+  if (!h.virtual_ip.empty()) by_name_.insert(h.virtual_ip, 2 * pos + 1, entryName());
+  if (h.node >= 0) {
+    const auto n = static_cast<std::size_t>(h.node);
+    if (n >= by_node_.size()) by_node_.resize(n + 1, -1);
+    if (by_node_[n] < 0) by_node_[n] = pos;  // the first host on a node keeps it
+  }
 }
 
-const VirtualHostInfo& HostMapper::resolve(const std::string& name_or_ip) const {
-  auto it = by_name_.find(name_or_ip);
-  if (it == by_name_.end()) throw UnknownHost(name_or_ip);
-  return hosts_[it->second];
+std::size_t HostMapper::indexOf(const std::string& name_or_ip) const {
+  const std::int32_t e = find(name_or_ip);
+  if (e == util::NameIndex::kNone) throw UnknownHost(name_or_ip);
+  return static_cast<std::size_t>(e / 2);
 }
 
 const VirtualHostInfo& HostMapper::byNode(net::NodeId node) const {
-  auto it = by_node_.find(node);
-  if (it == by_node_.end()) throw UnknownHost("node " + std::to_string(node));
-  return hosts_[it->second];
+  const auto n = static_cast<std::size_t>(node);
+  if (node < 0 || n >= by_node_.size() || by_node_[n] < 0) {
+    throw UnknownHost("node " + std::to_string(node));
+  }
+  return hosts_[static_cast<std::size_t>(by_node_[n])];
 }
 
 bool HostMapper::contains(const std::string& name_or_ip) const {
-  return by_name_.find(name_or_ip) != by_name_.end();
-}
-
-std::vector<const VirtualHostInfo*> HostMapper::hostsOnPhysical(const std::string& physical) const {
-  std::vector<const VirtualHostInfo*> out;
-  for (const auto& h : hosts_) {
-    if (h.physical_host == physical) out.push_back(&h);
-  }
-  return out;
-}
-
-std::vector<std::string> HostMapper::physicalHosts() const {
-  std::vector<std::string> out;
-  for (const auto& h : hosts_) {
-    if (std::find(out.begin(), out.end(), h.physical_host) == out.end()) {
-      out.push_back(h.physical_host);
-    }
-  }
-  return out;
+  return find(name_or_ip) != util::NameIndex::kNone;
 }
 
 }  // namespace mg::vos

@@ -8,11 +8,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/topology.h"
 #include "util/error.h"
+#include "util/name_index.h"
 
 namespace mg::vos {
 
@@ -34,32 +34,44 @@ class UnknownHost : public mg::Error {
 
 class HostMapper {
  public:
-  /// Register a virtual host. Hostname and IP must be unique.
+  /// Register a virtual host. Hostnames and IPs must be unique, and no
+  /// hostname may equal another host's IP; throws ConfigError.
   void add(VirtualHostInfo info);
 
-  /// Resolve a hostname or virtual IP; throws UnknownHost.
-  const VirtualHostInfo& resolve(const std::string& name_or_ip) const;
+  /// Position in hosts() of a hostname or virtual IP; throws UnknownHost.
+  std::size_t indexOf(const std::string& name_or_ip) const;
 
-  /// Lookup by topology node; throws UnknownHost.
+  /// Resolve a hostname or virtual IP; throws UnknownHost.
+  const VirtualHostInfo& resolve(const std::string& name_or_ip) const {
+    return hosts_[indexOf(name_or_ip)];
+  }
+
+  /// Lookup by topology node; throws UnknownHost (a router has no host).
   const VirtualHostInfo& byNode(net::NodeId node) const;
 
   bool contains(const std::string& name_or_ip) const;
 
   const std::vector<VirtualHostInfo>& hosts() const { return hosts_; }
 
-  /// All virtual hosts mapped onto the given physical machine.
-  std::vector<const VirtualHostInfo*> hostsOnPhysical(const std::string& physical) const;
-
-  /// Distinct physical machine names, in first-use order.
-  std::vector<std::string> physicalHosts() const;
-
  private:
+  // by_name_ holds 2 * pos for hosts_[pos]'s hostname and 2 * pos + 1 for
+  // its virtual IP; find() returns that entry, or NameIndex::kNone.
+  auto entryName() const {
+    return [this](std::int32_t e) -> const std::string& {
+      const VirtualHostInfo& h = hosts_[static_cast<std::size_t>(e / 2)];
+      return e % 2 == 0 ? h.hostname : h.virtual_ip;
+    };
+  }
+  std::int32_t find(const std::string& name_or_ip) const {
+    return by_name_.find(name_or_ip, entryName());
+  }
+
   std::vector<VirtualHostInfo> hosts_;
-  // Name/IP/node lookup indexes (values are hosts_ positions; the vector
-  // reallocates, so no pointers). Generated 100k-host grids resolve names
-  // once per host and per connection — linear scans made setup quadratic.
-  std::unordered_map<std::string, std::size_t> by_name_;
-  std::unordered_map<net::NodeId, std::size_t> by_node_;
+  // Generated 100k-host grids resolve names once per host and per
+  // connection, so both lookups are O(1): hostnames and IPs through one
+  // flat name index, nodes through a dense node-id table (-1: no host).
+  util::NameIndex by_name_;
+  std::vector<std::int32_t> by_node_;
 };
 
 }  // namespace mg::vos

@@ -13,6 +13,8 @@
 #include "gis/schema.h"
 #include "gis/service.h"
 #include "grid/gram.h"
+#include "obs/state_capture.h"
+#include "util/strings.h"
 #include "vmpi/comm.h"
 
 using namespace mg;
@@ -30,7 +32,7 @@ TEST(VirtualGrid, BuildAndQuery) {
   cfg.addLink("l1", "1.1.1.2", "sw", 100e6, 1e-3);  // by IP
   EXPECT_EQ(cfg.topology().nodeCount(), 3);
   EXPECT_EQ(cfg.topology().linkCount(), 2);
-  EXPECT_DOUBLE_EQ(cfg.virtualOpsOn("phys0"), 799e6);
+  EXPECT_DOUBLE_EQ(cfg.virtualOps()[cfg.physicalIndex("phys0")], 799e6);
   EXPECT_THROW(cfg.addHost("vm2", "1.1.1.3", 1e6, 1, "nope"), mg::ConfigError);
   EXPECT_THROW(cfg.addLink("l2", "vm0", "ghost", 1e6, 0), mg::ConfigError);
 }
@@ -64,7 +66,7 @@ latency = 0.05ms
 )"));
   EXPECT_EQ(cfg.mapper().hosts().size(), 2u);
   EXPECT_EQ(cfg.topology().nodeCount(), 3);
-  EXPECT_DOUBLE_EQ(cfg.physical("phys0").cpu_ops, 533e6);
+  EXPECT_DOUBLE_EQ(cfg.physicalMachines()[cfg.physicalIndex("phys0")].cpu_ops, 533e6);
 }
 
 TEST(VirtualGrid, ToGisPublishesFig3Records) {
@@ -296,6 +298,151 @@ INSTANTIATE_TEST_SUITE_P(Platforms, PlatformContract,
                          ::testing::Values(PlatformKind::Reference,
                                            PlatformKind::MicroGridFlowRate1,
                                            PlatformKind::MicroGridPacket));
+
+// ------------------------------------------------------------ name indexes --
+
+namespace {
+/// flow_smoke's tree: `hosts` hosts, 64 to an edge switch and one physical
+/// machine per switch, under one core router; every name is generated.
+VirtualGridConfig generatedTree(int hosts) {
+  VirtualGridConfig cfg;
+  cfg.addRouter("core");
+  for (int s = 0; s * 64 < hosts; ++s) {
+    cfg.addRouter(util::format("sw%d", s));
+    cfg.addLink(util::format("up%d", s), util::format("sw%d", s), "core", 1e9, 2e-4);
+    cfg.addPhysical(util::format("pm%d", s), 64 * 500e6);
+  }
+  for (int h = 0; h < hosts; ++h) {
+    const std::string ip = util::format("10.%d.%d.%d", h / 65536, h / 256 % 256, h % 256);
+    cfg.addHost(util::format("h%d", h), ip, 500e6, 1 << 28, util::format("pm%d", h / 64));
+    cfg.addLink(util::format("eth%d", h), util::format("h%d", h), util::format("sw%d", h / 64),
+                100e6, 5e-5);
+  }
+  return cfg;
+}
+}  // namespace
+
+TEST(NameIndexes, CopiesResolveEveryGeneratedName) {
+  constexpr int kHosts = 100000;
+  constexpr int kSwitches = (kHosts + 63) / 64;
+  const VirtualGridConfig orig = generatedTree(kHosts);
+  const VirtualGridConfig cfg = orig;
+  const net::Topology topo = orig.topology();
+  const vos::HostMapper mapper = orig.mapper();
+  // Node ids: core, then each switch, then each host; link ids: each uplink,
+  // then each host link; machines and hosts in insertion order.
+  int wrong = 0;
+  for (const net::Topology* t : {&orig.topology(), &cfg.topology(), &topo}) {
+    wrong += t->findNode("core") != 0;
+    for (int s = 0; s < kSwitches; ++s) {
+      wrong += t->findNode(util::format("sw%d", s)) != 1 + s;
+      wrong += t->findLink(util::format("up%d", s)) != s;
+    }
+    for (int h = 0; h < kHosts; ++h) {
+      wrong += t->findNode(util::format("h%d", h)) != 1 + kSwitches + h;
+      wrong += t->findLink(util::format("eth%d", h)) != kSwitches + h;
+    }
+  }
+  for (const vos::HostMapper* m : {&orig.mapper(), &cfg.mapper(), &mapper}) {
+    for (int h = 0; h < kHosts; ++h) {
+      const auto pos = static_cast<std::size_t>(h);
+      wrong += m->indexOf(util::format("h%d", h)) != pos;
+      wrong += m->indexOf(util::format("10.%d.%d.%d", h / 65536, h / 256 % 256, h % 256)) != pos;
+      wrong += m->byNode(1 + kSwitches + h).hostname != util::format("h%d", h);
+    }
+  }
+  for (const VirtualGridConfig* c : {&orig, &cfg}) {
+    for (int s = 0; s < kSwitches; ++s) {
+      wrong += c->physicalIndex(util::format("pm%d", s)) != static_cast<std::size_t>(s);
+    }
+  }
+  EXPECT_EQ(wrong, 0);
+}
+
+TEST(NameIndexes, RoutersAndMissesHaveNoHost) {
+  VirtualGridConfig cfg = generatedTree(130);
+  EXPECT_THROW(cfg.mapper().byNode(cfg.topology().findNode("core")), vos::UnknownHost);
+  EXPECT_THROW(cfg.mapper().byNode(cfg.topology().findNode("sw1")), vos::UnknownHost);
+  EXPECT_THROW(cfg.mapper().byNode(net::kNoNode), vos::UnknownHost);
+  EXPECT_EQ(cfg.mapper().resolve("10.0.0.70").hostname, "h70");
+  EXPECT_EQ(cfg.topology().findNode("h130"), net::kNoNode);
+  EXPECT_THROW(cfg.addRouter("h5"), ConfigError);
+  EXPECT_THROW(cfg.addPhysical("pm1", 1e9), ConfigError);
+  EXPECT_THROW(cfg.physicalIndex("pm9"), ConfigError);
+  EXPECT_DOUBLE_EQ(cfg.virtualOps()[cfg.physicalIndex("pm2")], 2 * 500e6);  // h128, h129
+}
+
+// ---------------------------------------------------------- platform hosts --
+
+TEST(PlatformHosts, MemoryMetricsListedBeforeAnySpawn) {
+  const auto cfg = topologies::alphaCluster();
+  ReferencePlatform ref(cfg);
+  MicroGridPlatform mg(cfg);
+  for (Platform* p : std::initializer_list<Platform*>{&ref, &mg}) {
+    const std::string json = p->simulator().metrics().snapshotJson();
+    for (const char* name : {"vos.mem.allocations", "vos.mem.oom_errors", "vos.mem.used_bytes"}) {
+      EXPECT_NE(json.find(util::format("\"%s\"", name)), std::string::npos) << name;
+    }
+  }
+}
+
+TEST(PlatformHosts, StateCaptureWalksHostnameOrder) {
+  VirtualGridConfig cfg;
+  cfg.addPhysical("p0", 1e9);
+  cfg.addRouter("sw");
+  // Added out of name order, each at its own speed (so its own fraction).
+  const std::vector<std::pair<std::string, double>> hosts{
+      {"vm2", 300e6}, {"vm0", 100e6}, {"vm10", 400e6}, {"vm1", 200e6}};
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    cfg.addHost(hosts[i].first, util::format("10.0.0.%zu", i + 1), hosts[i].second, 1 << 20, "p0");
+    cfg.addLink("l" + hosts[i].first, hosts[i].first, "sw", 100e6, 1e-4);
+  }
+  MicroGridOptions opts;
+  opts.netmodel = net::NetModelKind::Flow;
+  MicroGridPlatform p(cfg, opts);
+  p.spawnOn("vm1", "holder", [](vos::HostContext& ctx) {
+    ctx.allocateMemory(4096);
+    ctx.sleep(1.0);
+    ctx.freeMemory(4096);
+  });
+  p.simulator().runUntil(sim::fromSeconds(0.1));
+  obs::StateCaptureRegistry reg;
+  p.registerStateCapture(reg);
+  const std::uint64_t got = reg.digest();
+  // The layout the explorer's digests have always folded: hostname order,
+  // and a mem_used for every host (0 on one that never ran a process).
+  reg.add("core.hosts", [&](obs::StateWriter& w) {
+    w.u64("hosts", 4);
+    for (const std::string name : {"vm0", "vm1", "vm10", "vm2"}) {
+      w.str("host", name);
+      w.boolean("alive", true);
+      w.f64("cpu_factor", 1.0);
+      w.f64("host_fraction", std::min(1.0, p.rate() * cfg.mapper().resolve(name).cpu_ops / 1e9));
+      w.u64("tasks", 0);
+      w.i64("mem_used", name == "vm1" ? vos::MemoryManager::kProcessOverhead + 4096 : 0);
+    }
+  });
+  EXPECT_EQ(reg.digest(), got);
+  p.run();
+}
+
+TEST(PlatformHosts, FaultSurfaceTakesHostnamesOnly) {
+  const auto cfg = topologies::alphaCluster();
+  MicroGridPlatform p(cfg);
+  const vos::VirtualHostInfo& first = cfg.mapper().hosts().front();
+  ASSERT_FALSE(first.virtual_ip.empty());
+  EXPECT_THROW(p.crashHost(first.virtual_ip), vos::UnknownHost);
+  EXPECT_THROW(p.hostAlive(first.virtual_ip), vos::UnknownHost);
+  EXPECT_THROW(p.crashHost("nope"), vos::UnknownHost);
+  EXPECT_TRUE(p.hostAlive(first.hostname));
+  // spawnOn, like every resolution call, takes either.
+  bool ran = false;
+  p.spawnOn(first.virtual_ip, "by-ip", [&](vos::HostContext& ctx) {
+    ran = ctx.host().hostname == first.hostname;
+  });
+  p.run();
+  EXPECT_TRUE(ran);
+}
 
 // ------------------------------------------------------ MicroGridPlatform --
 

@@ -116,6 +116,17 @@ TEST(Filter, WildcardAndPresence) {
   EXPECT_FALSE(Filter::parse("(Configuration_Name=Fast_*)").matches(vmRecord()));
 }
 
+TEST(Filter, QuestionMarkMatchesOneCharacter) {
+  auto host = [](const std::string& name) {
+    Record r(Dn::parse("hn=" + name + ", ou=CSAG, o=Grid"));
+    r.add("hn", name);
+    return r;
+  };
+  const Filter f = Filter::parse("(hn=vm?.ucsd.edu)");
+  EXPECT_TRUE(f.matches(host("vm0.ucsd.edu")));
+  EXPECT_FALSE(f.matches(host("vm10.ucsd.edu")));
+}
+
 TEST(Filter, BooleanCombinators) {
   EXPECT_TRUE(Filter::parse("(&(Is_Virtual_Resource=Yes)(CpuSpeed=10Mops))").matches(vmRecord()));
   EXPECT_FALSE(Filter::parse("(&(Is_Virtual_Resource=Yes)(CpuSpeed=99))").matches(vmRecord()));

@@ -113,6 +113,21 @@ TEST(Topology, RejectsBadInput) {
   EXPECT_THROW(t.addLink("l", h, g, 100e6, 0, 1024, 1.5), mg::ConfigError);
 }
 
+TEST(Topology, NameIndexRules) {
+  Topology t;
+  const NodeId a = t.addHost("a");
+  const NodeId r = t.addRouter("r");
+  EXPECT_THROW(t.addRouter("a"), mg::ConfigError);  // node names are unique across kinds
+  EXPECT_THROW(t.addHost("r"), mg::ConfigError);
+  EXPECT_EQ(t.nodeCount(), 2);  // a rejected name adds nothing
+  EXPECT_EQ(t.findNode("b"), kNoNode);
+  const LinkId first = t.addLink("dup", a, r, 100e6, 0);
+  const LinkId second = t.addLink("dup", r, a, 10e6, 0);  // links may share a name
+  EXPECT_NE(first, second);
+  EXPECT_EQ(t.findLink("dup"), first);
+  EXPECT_EQ(t.findLink("none"), kNoLink);
+}
+
 TEST(Topology, FromConfig) {
   auto cfg = mg::util::Config::parse(R"(
 [node h0]

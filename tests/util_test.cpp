@@ -10,6 +10,7 @@
 
 #include "util/config.h"
 #include "util/error.h"
+#include "util/name_index.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -69,6 +70,47 @@ TEST(Strings, GlobMatchStar) {
   EXPECT_TRUE(mu::globMatch("*", ""));
   EXPECT_TRUE(mu::globMatch("exact", "exact"));
   EXPECT_FALSE(mu::globMatch("exact", "exact2"));
+}
+
+TEST(Strings, GlobMatchQuestionMark) {
+  EXPECT_TRUE(mu::globMatch("vm?.ucsd.edu", "vm0.ucsd.edu"));
+  EXPECT_FALSE(mu::globMatch("vm?.ucsd.edu", "vm10.ucsd.edu"));
+  EXPECT_FALSE(mu::globMatch("vm?.ucsd.edu", "vm.ucsd.edu"));
+  EXPECT_TRUE(mu::globMatch("vm??.ucsd.edu", "vm10.ucsd.edu"));
+  EXPECT_TRUE(mu::globMatch("?*", "a"));
+  EXPECT_FALSE(mu::globMatch("?*", ""));
+  EXPECT_TRUE(mu::globMatch("*?.edu", "vm7.edu"));
+  EXPECT_TRUE(mu::globMatch("a?c", "a?c"));
+}
+
+// -------------------------------------------------------------- NameIndex --
+
+TEST(NameIndex, FindsInsertedPositionsAndMissesOthers) {
+  std::vector<std::string> names;
+  auto name_at = [&](std::int32_t pos) -> const std::string& {
+    return names[static_cast<std::size_t>(pos)];
+  };
+  mu::NameIndex idx;
+  EXPECT_EQ(idx.find("a", name_at), mu::NameIndex::kNone);  // empty table
+  for (int i = 0; i < 1000; ++i) {
+    names.push_back(mu::format("n%d", i));
+    EXPECT_EQ(idx.insert(names.back(), i, name_at), i);
+  }
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(idx.find(mu::format("n%d", i), name_at), i);
+  EXPECT_EQ(idx.find("n1000", name_at), mu::NameIndex::kNone);
+  EXPECT_EQ(idx.find("", name_at), mu::NameIndex::kNone);
+}
+
+TEST(NameIndex, FirstInsertWins) {
+  const std::vector<std::string> names{"x", "y", "x"};
+  auto name_at = [&](std::int32_t pos) -> const std::string& {
+    return names[static_cast<std::size_t>(pos)];
+  };
+  mu::NameIndex idx;
+  EXPECT_EQ(idx.insert("x", 0, name_at), 0);
+  EXPECT_EQ(idx.insert("y", 1, name_at), 1);
+  EXPECT_EQ(idx.insert("x", 2, name_at), 0);  // the duplicate reports the first
+  EXPECT_EQ(idx.find("x", name_at), 0);
 }
 
 TEST(Strings, Format) {

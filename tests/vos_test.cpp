@@ -54,14 +54,25 @@ TEST(HostMapper, DuplicateThrows) {
   EXPECT_THROW(m.add(vm("b", "1.1.1.1", "p")), mg::ConfigError);
 }
 
+TEST(HostMapper, HostnameMayNotEqualAnotherHostsIp) {
+  HostMapper m;
+  m.add(vm("a", "1.1.1.1", "p", 0));
+  EXPECT_THROW(m.add(vm("1.1.1.1", "2.2.2.2", "p", 1)), mg::ConfigError);
+  EXPECT_THROW(m.add(vm("b", "a", "p", 1)), mg::ConfigError);
+  EXPECT_EQ(m.hosts().size(), 1u);
+  EXPECT_EQ(m.indexOf("1.1.1.1"), 0u);
+  EXPECT_EQ(m.resolve("1.1.1.1").hostname, "a");
+  EXPECT_THROW(m.indexOf("2.2.2.2"), UnknownHost);
+}
+
 TEST(HostMapper, PhysicalGrouping) {
   HostMapper m;
   m.add(vm("a", "1.1.1.1", "p0", 0));
   m.add(vm("b", "1.1.1.2", "p1", 1));
   m.add(vm("c", "1.1.1.3", "p0", 2));
-  EXPECT_EQ(m.hostsOnPhysical("p0").size(), 2u);
-  EXPECT_EQ(m.hostsOnPhysical("p1").size(), 1u);
-  EXPECT_EQ(m.physicalHosts(), (std::vector<std::string>{"p0", "p1"}));
+  EXPECT_EQ(m.resolve("a").physical_host, "p0");
+  EXPECT_EQ(m.resolve("1.1.1.2").physical_host, "p1");
+  EXPECT_EQ(m.resolve("c").physical_host, "p0");
 }
 
 // ----------------------------------------------------------------- Memory --
