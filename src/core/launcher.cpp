@@ -107,9 +107,6 @@ std::shared_ptr<LaunchResult> Launcher::submitAsync(
           // Fresh port block per attempt: ranks of a failed attempt may
           // still hold their listeners while they drain.
           env["MG_PORT_BASE"] = std::to_string(grid::kVmpiPortBase + attempt * 64);
-          // Carry the causal context to the server side through the RSL
-          // environment (adopted by the jobmanager).
-          if (job_span.active()) env["MG_TRACE_CTX"] = std::to_string(job_span.id());
           try {
             const grid::CoallocationResult cr = co.run(executable, arguments, cur, env);
             result->ok = cr.ok;

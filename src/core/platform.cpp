@@ -33,8 +33,10 @@ class Platform::HostListener : public vos::Listener {
  public:
   HostListener(Platform& p, Host& rt, std::uint16_t port)
       : p_(p), backlog_(std::make_shared<Backlog>(p.sim_)) {
-    FlowEndpointTable::AcceptSink feed = [ch = backlog_](std::shared_ptr<vos::StreamSocket> s) {
+    FlowEndpointTable::AcceptSink feed = [ch = backlog_, &spans = p.sim_.spans()](
+                                             std::shared_ptr<vos::StreamSocket> s) {
       if (s) {
+        s->cause = spans.current();
         ch->trySend(std::move(s));
       } else {
         ch->close();

@@ -1,6 +1,5 @@
 #include "grid/gram.h"
 
-#include <cstdlib>
 #include <map>
 #include <optional>
 
@@ -64,14 +63,6 @@ std::string statusBody(const JobStatus& st) {
 void runJobManager(vos::HostContext& ctx, const ExecutableRegistry& registry,
                    std::shared_ptr<GkState> state, GatekeeperOptions opts, int job_id, Rsl rsl) {
   JobRecord& job = state->jobs.at(job_id);
-
-  // Adopt the submitter's causal context, carried through the RSL environment
-  // by the launcher. This stitches the server-side half of the job onto the
-  // client's span tree across hosts without touching the wire protocol.
-  const auto& env = rsl.environment();
-  if (auto it = env.find("MG_TRACE_CTX"); it != env.end()) {
-    ctx.simulator().spans().setCurrent(std::strtoull(it->second.c_str(), nullptr, 10));
-  }
   obs::ScopedSpan jm_span(ctx.simulator().spans(), "grid.gram", "jobmanager", ctx.hostname());
   if (jm_span.active()) jm_span.annotate("job", std::to_string(job_id));
 
@@ -232,6 +223,9 @@ void serveGatekeeper(vos::HostContext& ctx, const ExecutableRegistry& registry,
   for (;;) {
     auto sock = listener->accept();
     ctx.spawnProcess("gk-handler", [sock, &registry, state, opts](vos::HostContext& hctx) {
+      // Serve under the client's request span, so the jobmanager a SUBMIT
+      // spawns continues the submitter's causal chain across hosts.
+      hctx.simulator().spans().setCurrent(sock->cause);
       try {
         for (;;) {
           const std::string request = vos::recvFrame(*sock, hctx.simulator().metrics());

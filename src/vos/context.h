@@ -47,6 +47,10 @@ class StreamSocket {
 
   /// Virtual hostname of the peer endpoint.
   virtual std::string peerHost() const = 0;
+
+  /// On an accepted socket, the span current when the connection arrived
+  /// (the connector's); 0 when untraced. Rides beside the bytes, never in them.
+  obs::SpanId cause = 0;
 };
 
 /// A passive socket accepting StreamSocket connections.

@@ -9,12 +9,15 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "core/launcher.h"
 #include "core/microgrid_platform.h"
+#include "core/reference_platform.h"
 #include "core/topologies.h"
 #include "core/virtual_grid.h"
 #include "fault/fault_injector.h"
@@ -286,10 +289,12 @@ struct TracedRun {
   std::string profile;  // obs::SimProfiler::json()
 };
 
-TracedRun runTracedEp() {
+TracedRun runTracedEp(net::NetModelKind netmodel = net::NetModelKind::Packet) {
   TracedRun out;
   core::VirtualGridConfig cfg = smallGrid();
-  out.platform = std::make_unique<core::MicroGridPlatform>(cfg);
+  core::MicroGridOptions mopts;
+  mopts.netmodel = netmodel;
+  out.platform = std::make_unique<core::MicroGridPlatform>(cfg, mopts);
   sim::Simulator& sim = out.platform->simulator();
   sim.spans().setEnabled(true);
 
@@ -411,6 +416,31 @@ TEST(SpansEndToEnd, JobSpanTransitivelyParentsEveryLayer) {
   }
 }
 
+TEST(SpansEndToEnd, JobmanagerContinuesItsSubmitRequest) {
+  // The gatekeeper serves a connection under the span that was current when
+  // it was accepted, so every jobmanager hangs off the client's SUBMIT
+  // request, whether the request rode TCP segments or a flow socket.
+  for (const auto netmodel : {net::NetModelKind::Packet, net::NetModelKind::Flow}) {
+    SCOPED_TRACE(netmodel == net::NetModelKind::Packet ? "packet" : "flow");
+    TracedRun r = runTracedEp(netmodel);
+    const mo::SpanRecorder& rec = r.platform->simulator().spans();
+    int checked = 0;
+    for (const auto& s : rec.spans()) {
+      if (s.component != "grid.gram" || s.name != "jobmanager") continue;
+      const mo::SpanRecorder::Span* p = rec.find(s.parent);
+      ASSERT_NE(p, nullptr) << "jobmanager #" << s.id << " has no parent";
+      EXPECT_EQ(p->component, "grid.gram");
+      EXPECT_EQ(p->name, "request");
+      const std::pair<std::string, std::string> submit{"verb", "SUBMIT"};
+      const bool is_submit =
+          std::find(p->attrs.begin(), p->attrs.end(), submit) != p->attrs.end();
+      EXPECT_TRUE(is_submit) << "jobmanager #" << s.id << " parent #" << p->id;
+      ++checked;
+    }
+    EXPECT_EQ(checked, 2);  // one jobmanager per allocation part
+  }
+}
+
 TEST(SpansEndToEnd, ProfilerAggregatesPerHostPerLayer) {
   TracedRun r = runTracedEp();
   const obs::SimProfiler prof(r.platform->simulator().spans());
@@ -436,6 +466,79 @@ TEST(SpansEndToEnd, ChromeTraceIsWellFormedJson) {
   EXPECT_EQ(r.chrome.substr(r.chrome.size() - 4), "\n]}\n");
   EXPECT_NE(r.chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(r.chrome.find("\"name\":\"thread_name\""), std::string::npos);
+}
+
+// ------------------------------------------------------- observer effect --
+
+namespace {
+
+/// Everything a simulated observer could see of one NPB class S job run the
+/// way mgrun runs it: the launcher path, one rank per Alpha cluster host.
+struct NpbObservation {
+  double virtual_seconds = 0;
+  std::vector<double> checksums;   // by rank
+  std::string metrics;             // snapshotJson() without obs.span.*
+  std::set<std::string> env_keys;  // JobContext::env keys the ranks saw
+  long long spans_begun = 0;
+};
+
+template <class PlatformT>
+NpbObservation observeNpb(const std::string& exe, bool spans) {
+  const core::VirtualGridConfig cfg = core::topologies::alphaCluster();
+  PlatformT platform(cfg);
+  platform.simulator().spans().setEnabled(spans);
+
+  grid::ExecutableRegistry npb_registry;
+  npb::ResultSink sink;
+  npb::registerNpb(npb_registry, sink);
+  NpbObservation out;
+  grid::ExecutableRegistry registry;
+  registry.add(exe, [&](grid::JobContext& jc) {
+    for (const auto& kv : jc.env) out.env_keys.insert(kv.first);
+    return npb_registry.lookup(exe)(jc);
+  });
+  core::Launcher launcher(platform, registry);
+  launcher.startServices(&cfg, "mgrun");
+  const core::LaunchResult result =
+      launcher.run(exe, "S", mgtest::LauncherHarness::fourRanks());
+  EXPECT_TRUE(result.ok) << result.error;
+
+  out.virtual_seconds = result.virtual_seconds;
+  std::vector<npb::KernelResult> ranks = sink.results();
+  std::sort(ranks.begin(), ranks.end(),
+            [](const auto& a, const auto& b) { return a.rank < b.rank; });
+  for (const auto& r : ranks) out.checksums.push_back(r.checksum);
+  const std::string json = platform.simulator().metrics().snapshotJson();
+  out.spans_begun = jsonCounter(json, "obs.span.begun");
+  out.metrics = std::regex_replace(json, std::regex(R"("obs\.span\.[^"]*":[^,}]*,?)"), "");
+  return out;
+}
+
+template <class PlatformT>
+void expectSpansChangeNothing(const char* exe, const char* platform) {
+  SCOPED_TRACE(std::string(exe) + " on " + platform);
+  const NpbObservation off = observeNpb<PlatformT>(exe, false);
+  const NpbObservation on = observeNpb<PlatformT>(exe, true);
+  EXPECT_EQ(off.spans_begun, 0);
+  EXPECT_GT(on.spans_begun, 0);
+  EXPECT_EQ(off.checksums.size(), 4u);
+  EXPECT_EQ(on.virtual_seconds, off.virtual_seconds);
+  EXPECT_EQ(on.checksums, off.checksums);
+  EXPECT_EQ(on.metrics, off.metrics);
+  EXPECT_EQ(on.env_keys, off.env_keys);
+}
+
+}  // namespace
+
+TEST(ObserverEffect, SpansLeaveNpbRunsUnchanged) {
+  // Recording spans is a probe: the traced run must equal the untraced one
+  // in virtual time, results, every non-span counter and the environment
+  // the application sees, on both platforms. Causal context rides beside
+  // the data, never in it.
+  for (const char* exe : {"npb.ep", "npb.mg", "npb.is"}) {
+    expectSpansChangeNothing<core::MicroGridPlatform>(exe, "mgrid");
+    expectSpansChangeNothing<core::ReferencePlatform>(exe, "pgrid");
+  }
 }
 
 // ------------------------------- faulted EP golden run with telemetry ------
