@@ -47,7 +47,7 @@
 //                      or the JSON document form when FILE ends in .json.
 //                      Byte-identical across reruns. mgrid only.
 //   --timeline-interval S  sampling interval in emulation seconds
-//                      (default 0.1)
+//                      (default 0.1; needs --timeline)
 //   --progress[=S]     live heartbeat on stderr every S wall seconds
 //                      (default 2): sim time, sim-s/wall-s, events/sec,
 //                      pending events — plus a stall watchdog that dumps
@@ -71,11 +71,20 @@
 //   --jobs N           override the [workload] job count
 //
 // A bare (non-flag) argument is taken as the config file, so
-// `mgrun --trace-out=ep.json examples/grids/alpha4.ini` works.
+// `mgrun --trace-out=ep.json examples/grids/alpha4.ini` works; a second
+// config path, bare or by --config, is a usage error.
+//
+// Each mode (an mgrid run, a pgrid run, --explore, --workload) reads its own
+// set of flags, listed in kFlagModes below. A flag the chosen mode does not
+// read is a usage error (exit 2), never silently ignored.
+#include <algorithm>
+#include <bit>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <string_view>
 
 #include "apps/wavetoy.h"
 #include "core/launcher.h"
@@ -110,7 +119,7 @@ struct Options {
   double slowdown = 1.0;
   std::string netmodel;  // "", "packet", "flow", or "hybrid"
   std::vector<std::string> netmodel_detail;
-  std::vector<std::string> mgrid_only;  // emulation-only flags given (pgrid rejects them)
+  std::vector<std::string> given;  // every flag given, by its --name (a bare path as --config)
   std::string faults_path;
   std::string explore_path;  // model-checking mode when non-empty
   int explore_budget = 0;    // 0 = use the [explore] section's budget
@@ -130,16 +139,27 @@ struct Options {
 
 Options parseArgs(int argc, char** argv) {
   Options opt;
+  auto setConfig = [&opt](std::string path) {
+    if (!opt.config_path.empty()) {
+      throw mg::UsageError(util::format("two config paths given: '%s' and '%s'",
+                                        opt.config_path.c_str(), path.c_str()));
+    }
+    opt.config_path = std::move(path);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) throw mg::UsageError("missing value for " + flag);
       return argv[++i];
     };
+    opt.given.push_back(flag.rfind("--", 0) == 0 ? flag.substr(0, flag.find('=')) : "--config");
     if (flag == "--config") {
-      opt.config_path = next();
+      setConfig(next());
     } else if (flag == "--platform") {
       opt.platform = next();
+      if (opt.platform != "mgrid" && opt.platform != "pgrid") {
+        throw mg::UsageError("--platform must be mgrid or pgrid");
+      }
     } else if (flag == "--exe") {
       opt.exe = next();
     } else if (flag == "--args") {
@@ -148,16 +168,13 @@ Options parseArgs(int argc, char** argv) {
       opt.parts = next();
     } else if (flag == "--quantum") {
       opt.quantum_ms = util::flagDouble(flag, next());
-      opt.mgrid_only.push_back(flag);
     } else if (flag == "--slowdown") {
       opt.slowdown = util::flagDouble(flag, next());
-      opt.mgrid_only.push_back(flag);
     } else if (flag == "--netmodel" || flag.rfind("--netmodel=", 0) == 0) {
       opt.netmodel = (flag == "--netmodel") ? next() : flag.substr(11);
     } else if (flag == "--netmodel-detail" || flag.rfind("--netmodel-detail=", 0) == 0) {
       const std::string val = (flag == "--netmodel-detail") ? next() : flag.substr(18);
       for (const auto& p : util::splitTrim(val, ',')) opt.netmodel_detail.push_back(p);
-      opt.mgrid_only.push_back("--netmodel-detail");
     } else if (flag == "--faults" || flag.rfind("--faults=", 0) == 0) {
       opt.faults_path = (flag == "--faults") ? next() : flag.substr(9);
     } else if (flag == "--explore" || flag.rfind("--explore=", 0) == 0) {
@@ -203,12 +220,87 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--list-executables") {
       opt.list = true;
     } else if (flag.rfind("--", 0) != 0) {
-      opt.config_path = flag;
+      setConfig(flag);
     } else {
       throw mg::UsageError("unknown flag " + flag + " (see the header of mgrun.cpp)");
     }
   }
   return opt;
+}
+
+// The four modes, as bits of the set of modes that read a flag.
+enum Mode : unsigned { kMgrid = 1, kPgrid = 2, kExplore = 4, kWorkload = 8 };
+constexpr const char* kModeNames[] = {"an mgrid run", "a pgrid run", "--explore", "--workload"};
+constexpr unsigned kGridJob = kMgrid | kPgrid | kExplore;  // one job on a config's grid
+
+struct FlagModes {
+  std::string_view flag;
+  unsigned modes;
+};
+constexpr FlagModes kFlagModes[] = {
+    {"--config", kGridJob},
+    {"--platform", kGridJob},
+    {"--exe", kGridJob},
+    {"--args", kGridJob},
+    {"--parts", kGridJob},
+    {"--resubmits", kGridJob},
+    {"--quantum", kMgrid | kExplore},
+    {"--slowdown", kMgrid | kExplore},
+    {"--netmodel", kMgrid | kExplore},
+    {"--netmodel-detail", kMgrid | kExplore},
+    {"--faults", kMgrid | kExplore},
+    {"--explore", kExplore},
+    {"--explore-budget", kExplore},
+    {"--metrics", kMgrid | kPgrid | kWorkload},
+    {"--timeline", kMgrid | kWorkload},
+    {"--timeline-interval", kMgrid | kWorkload},
+    {"--progress", kMgrid | kPgrid | kWorkload},
+    {"--trace-out", kMgrid | kPgrid},
+    {"--profile", kMgrid | kPgrid},
+    {"--verbose", kMgrid | kPgrid},
+    {"--workload", kWorkload},
+    {"--broker", kWorkload},
+    {"--jobs", kWorkload},
+    {"--list-executables", kGridJob | kWorkload},
+};
+
+Mode modeOf(const Options& opt) {
+  if (!opt.workload_path.empty()) return kWorkload;
+  if (!opt.explore_path.empty()) return kExplore;
+  return opt.platform == "pgrid" ? kPgrid : kMgrid;
+}
+
+/// Reject the first flag given that `mode` does not read, naming the modes
+/// that do, and a --timeline-interval with no timeline to sample.
+void checkFlagsFor(Mode mode, const Options& opt) {
+  for (const std::string& flag : opt.given) {
+    const auto* spec = std::ranges::find(kFlagModes, flag, &FlagModes::flag);
+    if (spec->modes & mode) continue;
+    std::vector<std::string> readers;
+    for (unsigned m = 0; m < std::size(kModeNames); ++m) {
+      if (spec->modes & (1u << m)) readers.emplace_back(kModeNames[m]);
+    }
+    throw mg::UsageError(util::format(
+        "%s is not read by %s (it applies to %s)", flag.c_str(),
+        kModeNames[std::countr_zero(static_cast<unsigned>(mode))],
+        util::join(readers, ", ").c_str()));
+  }
+  if (opt.timeline_out.empty() && std::ranges::count(opt.given, "--timeline-interval") > 0) {
+    throw mg::UsageError("--timeline-interval needs --timeline");
+  }
+}
+
+/// The emulation options an mgrid run and --explore share.
+core::MicroGridOptions mgridOptions(const Options& opt) {
+  core::MicroGridOptions mopts;
+  mopts.quantum = sim::fromSeconds(opt.quantum_ms * 1e-3);
+  mopts.slowdown = opt.slowdown;
+  if (!opt.netmodel.empty()) mopts.netmodel = net::parseNetModelKind(opt.netmodel);
+  if (!opt.netmodel_detail.empty() && mopts.netmodel != net::NetModelKind::Hybrid) {
+    throw mg::UsageError("--netmodel-detail needs --netmodel hybrid");
+  }
+  mopts.netmodel_detail = opt.netmodel_detail;
+  return mopts;
 }
 
 void printMetrics(obs::MetricsRegistry& metrics, const std::string& fmt) {
@@ -285,8 +377,10 @@ int main(int argc, char** argv) {
       for (const auto& name : registry.names()) std::cout << "  " << name << "\n";
       return 0;
     }
+    const Mode mode = modeOf(opt);
+    checkFlagsFor(mode, opt);
 
-    if (!opt.workload_path.empty()) {
+    if (mode == kWorkload) {
       // Economy mode: generate the grid, synthesize the workload, run the
       // broker/batch-queue pipeline event-driven at simulation rate 1.
       const util::Config raw = util::Config::parseFile(opt.workload_path);
@@ -347,7 +441,7 @@ int main(int argc, char** argv) {
     }
     if (!opt.faults_path.empty()) plan.merge(fault::FaultPlan::fromFile(opt.faults_path));
 
-    if (!opt.explore_path.empty()) {
+    if (mode == kExplore) {
       // Model-checking mode: enumerate and replay every fault schedule
       // composable from the [candidate ...] menu, invariants checked per
       // branch. Each schedule rebuilds the platform from scratch.
@@ -363,10 +457,7 @@ int main(int argc, char** argv) {
       lspec.arguments = opt.args;
       lspec.parts = parseParts(opt.parts, cfg);
       lspec.max_resubmits = opt.resubmits >= 0 ? opt.resubmits : 2;
-      lspec.platform.quantum = sim::fromSeconds(opt.quantum_ms * 1e-3);
-      if (!opt.netmodel.empty()) {
-        lspec.platform.netmodel = net::parseNetModelKind(opt.netmodel);
-      }
+      lspec.platform = mgridOptions(opt);
       lspec.registrar = [&npb_sink, &wavetoy_sink](grid::ExecutableRegistry& r) {
         npb::registerNpb(r, npb_sink);
         apps::registerWaveToy(r, wavetoy_sink);
@@ -393,15 +484,8 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<core::Platform> platform;
     core::MicroGridPlatform* mgrid = nullptr;
-    if (opt.platform == "mgrid") {
-      core::MicroGridOptions mopts;
-      mopts.quantum = sim::fromSeconds(opt.quantum_ms * 1e-3);
-      mopts.slowdown = opt.slowdown;
-      if (!opt.netmodel.empty()) mopts.netmodel = net::parseNetModelKind(opt.netmodel);
-      if (!opt.netmodel_detail.empty() && mopts.netmodel != net::NetModelKind::Hybrid) {
-        throw mg::UsageError("--netmodel-detail needs --netmodel hybrid");
-      }
-      mopts.netmodel_detail = opt.netmodel_detail;
+    if (mode == kMgrid) {
+      const core::MicroGridOptions mopts = mgridOptions(opt);
       auto p = std::make_unique<core::MicroGridPlatform>(cfg, mopts);
       std::cout << "MicroGrid platform, simulation rate " << p->rate() << ", quantum "
                 << opt.quantum_ms << " ms\n";
@@ -414,26 +498,15 @@ int main(int argc, char** argv) {
       }
       mgrid = p.get();
       platform = std::move(p);
-    } else if (opt.platform == "pgrid") {
-      if (!opt.netmodel.empty()) {
-        throw mg::UsageError("--netmodel needs --platform mgrid (pgrid is always flow-level)");
-      }
-      if (!opt.mgrid_only.empty()) {
-        throw mg::UsageError(opt.mgrid_only.front() + " needs --platform mgrid");
-      }
+    } else {
       platform = std::make_unique<core::ReferencePlatform>(cfg);
       std::cout << "reference (physical grid) platform\n";
-    } else {
-      throw mg::UsageError("--platform must be mgrid or pgrid");
     }
 
     std::vector<grid::AllocationPart> parts = parseParts(opt.parts, cfg);
 
     if (!opt.trace_out.empty() || !opt.profile.empty()) {
       platform->simulator().spans().setEnabled(true);
-    }
-    if (!opt.timeline_out.empty() && mgrid == nullptr) {
-      throw mg::UsageError("--timeline needs --platform mgrid");
     }
 
     core::Launcher launcher(*platform, registry);

@@ -87,9 +87,9 @@ class Launcher {
   /// (and the GIS server, if it lived there). Called when a host restarts.
   void markHostUp(const std::string& hostname);
 
-  /// Register the middleware's state capture (DESIGN.md §11): the GIS
-  /// directory's canonical LDIF dump under "grid.gis".
-  void registerStateCapture(obs::StateCaptureRegistry& reg);
+  /// Fold the middleware's state into `w` (DESIGN.md §11): the GIS
+  /// directory's canonical LDIF dump.
+  void saveState(obs::StateWriter& w) const;
 
  private:
   Platform& platform_;

@@ -118,37 +118,26 @@ void MicroGridPlatform::registerTelemetry(sim::TelemetrySampler& sampler) {
   }
 }
 
-void MicroGridPlatform::registerStateCapture(obs::StateCaptureRegistry& reg) {
-  reg.add("sim", [this](obs::StateWriter& w) { sim_.saveState(w); });
-  // The metrics snapshot is already canonical (sorted names, round-trip
-  // double formatting), so folding its JSON form keeps every layer's
-  // counters in the digest without a second enumeration surface.
-  reg.add("obs.metrics", [this](obs::StateWriter& w) {
-    w.str("json", sim_.metrics().snapshotJson());
-  });
-  reg.add("net", [this](obs::StateWriter& w) { net_->saveState(w); });
-  for (auto& [name, sched] : schedulers_) {
-    reg.add("vos.sched." + name,
-            [s = sched.get()](obs::StateWriter& w) { s->saveState(w); });
+void MicroGridPlatform::saveState(obs::StateWriter& w) const {
+  w.key("sim");
+  sim_.saveState(w);
+  w.key("net");
+  net_->saveState(w);
+  for (const auto& [name, sched] : schedulers_) {
+    w.key(name);
+    sched->saveState(w);
   }
-  // Hosts fold in hostname order; one without a process yet has used none
-  // of its memory.
-  std::vector<const Host*> by_name;
-  for (const Host& rt : hosts_) by_name.push_back(&rt);
-  std::ranges::sort(by_name, {},
-                    [](const Host* h) -> const std::string& { return h->info->hostname; });
-  reg.add("core.hosts", [by_name = std::move(by_name)](obs::StateWriter& w) {
-    w.u64("hosts", by_name.size());
-    for (const Host* rt : by_name) {
-      w.str("host", rt->info->hostname);
-      w.boolean("alive", rt->alive);
-      w.f64("cpu_factor", rt->cpu_factor);
-      w.f64("host_fraction", rt->host_fraction);
-      w.u64("tasks", rt->tasks.size());
-      w.i64("mem_used", rt->mem ? rt->mem->used() : 0);
-      if (rt->stack) rt->stack->saveState(w);
-    }
-  });
+  // A host without a process yet has used none of its memory.
+  w.u64("hosts", hosts_.size());
+  for (const Host& rt : hosts_) {
+    w.str("host", rt.info->hostname);
+    w.boolean("alive", rt.alive);
+    w.f64("cpu_factor", rt.cpu_factor);
+    w.f64("host_fraction", rt.host_fraction);
+    w.u64("tasks", rt.tasks.size());
+    w.i64("mem_used", rt.mem ? rt.mem->used() : 0);
+    if (rt.stack) rt.stack->saveState(w);
+  }
 }
 
 std::size_t MicroGridPlatform::openTcpConnections() {

@@ -58,15 +58,11 @@ class MicroGridPlatform : public Platform {
   /// before sampler.start().
   void registerTelemetry(sim::TelemetrySampler& sampler);
 
-  /// Register the platform's full state-capture set (DESIGN.md §11) on
-  /// `reg`: the kernel's clock/heap/process table ("sim"), the metrics
-  /// registry snapshot ("obs.metrics"), the network with its queues,
-  /// RNG stream and flows ("net"), every physical machine's CPU scheduler
-  /// ("vos.sched.<machine>"), and every virtual host's runtime — aliveness,
-  /// CPU factor, memory accounting, TCP endpoint table ("core.hosts").
-  /// The snapshot/explorer machinery folds these into one canonical digest
-  /// per decision point. Call after construction; read-only at capture time.
-  void registerStateCapture(obs::StateCaptureRegistry& reg);
+  /// Fold the platform's state into `w` (DESIGN.md §11): the kernel's
+  /// clock, heap and process table, the network with its queues, RNG stream
+  /// and flows, every physical machine's CPU scheduler, and every virtual
+  /// host in mapper order (aliveness, CPU factor, memory, TCP endpoints).
+  void saveState(obs::StateWriter& w) const;
 
   /// TCP connections still open (neither fully closed nor reset), summed
   /// over every live host stack. A crashed host's stack died with its

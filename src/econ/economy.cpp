@@ -143,32 +143,6 @@ void GridEconomy::registerTelemetry(sim::TelemetrySampler& sampler) {
   }
 }
 
-void GridEconomy::registerStateCapture(obs::StateCaptureRegistry& reg) {
-  reg.add("econ", [this](obs::StateWriter& w) {
-    w.u64("econ.clusters", clusters_.size());
-    for (const auto& [name, c] : clusters_) {
-      w.str("cluster", name);
-      w.boolean("alive", c.alive);
-      w.i64("queue_depth", c.queue.depth());
-      w.i64("running", c.queue.runningCount());
-      w.f64("backlog_s", c.queue.backlogSeconds());
-      w.i64("ps_load", c.ps.load);
-      w.f64("ps_v", c.ps.v);
-    }
-    w.u64("econ.active", active_.size());
-    for (const auto& [id, a] : active_) {
-      w.i64("job", id);
-      w.str("cluster", a.cluster->meta.name);
-      w.boolean("running", a.running);
-      w.boolean("backing_off", a.backing_off);
-      w.i64("resubmits", a.resubmits);
-      w.f64("start_s", a.start_s);
-    }
-    w.boolean("have_next", have_next_);
-    if (have_next_) w.f64("next_submit_s", next_job_.submit_s);
-  });
-}
-
 void GridEconomy::arm() {
   if (armed_) throw UsageError("GridEconomy::arm called twice");
   armed_ = true;

@@ -102,11 +102,6 @@ class GridEconomy {
   /// kernel's thread.
   void registerTelemetry(sim::TelemetrySampler& sampler);
 
-  /// State capture (DESIGN.md §11): per-cluster queue/pool occupancy and
-  /// aliveness, every in-flight job's phase, and the workload generator
-  /// cursor, registered under "econ". Read-only at capture time.
-  void registerStateCapture(obs::StateCaptureRegistry& reg);
-
  private:
   /// GPS processor-sharing pool: running jobs' cores share `cores`
   /// max-min-uniformly; completions are tracked in virtual-work time V(t)

@@ -76,7 +76,6 @@ class GramClient {
   void cancel(const std::string& contact);
 
   void setRetryPolicy(const GramRetryPolicy& p) { retry_ = p; }
-  const GramRetryPolicy& retryPolicy() const { return retry_; }
 
  private:
   JobStatus parseStatus(const std::string& body) const;

@@ -17,6 +17,14 @@ double ScenarioRun::runToEnd() {
   return platform->virtualNow();
 }
 
+std::uint64_t ScenarioRun::digest() const {
+  obs::StateWriter w;
+  platform->saveState(w);
+  if (launcher) launcher->saveState(w);
+  injector->saveState(w);
+  return w.digest();
+}
+
 ScenarioRun::~ScenarioRun() {
   // Unwind every simulated process before members start dying under them.
   if (platform) platform->shutdown();
@@ -59,8 +67,6 @@ ScenarioFactory transferScenario() {
     run->units_completed = [received] {
       return *received == kBytes ? std::int64_t{1} : std::int64_t{0};
     };
-    p.registerStateCapture(run->capture);
-    run->injector->registerStateCapture(run->capture);
     return run;
   };
 }
@@ -107,9 +113,6 @@ ScenarioFactory launcherScenario(LauncherScenarioSpec spec) {
       }
       return "";
     };
-    run->platform->registerStateCapture(run->capture);
-    run->launcher->registerStateCapture(run->capture);
-    run->injector->registerStateCapture(run->capture);
     return run;
   };
 }

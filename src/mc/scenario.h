@@ -24,7 +24,6 @@
 #include "core/launcher.h"
 #include "core/microgrid_platform.h"
 #include "fault/fault_injector.h"
-#include "obs/state_capture.h"
 
 namespace mg::mc {
 
@@ -36,7 +35,6 @@ struct ScenarioRun {
   std::unique_ptr<core::MicroGridPlatform> platform;
   std::unique_ptr<core::Launcher> launcher;  // null for raw-process scenarios
   std::unique_ptr<fault::FaultInjector> injector;
-  obs::StateCaptureRegistry capture;
 
   /// Work accounting for the no-lost-jobs invariant: after runToEnd(),
   /// units_completed() must equal units_expected.
@@ -56,8 +54,9 @@ struct ScenarioRun {
   /// virtual time. The platform stays alive for invariant inspection.
   double runToEnd();
 
-  /// Canonical digest of the full platform state at the current pause point.
-  std::uint64_t digest() const { return capture.digest(); }
+  /// Canonical digest of the run's state at the current pause point: the
+  /// platform, then the launcher (when there is one), then the injector.
+  std::uint64_t digest() const;
 
   ScenarioRun() = default;
   ScenarioRun(const ScenarioRun&) = delete;

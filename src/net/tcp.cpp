@@ -104,7 +104,6 @@ std::size_t TcpConnection::recv(void* buf, std::size_t max) {
   auto* out = static_cast<std::uint8_t*>(buf);
   std::copy_n(recv_buf_.begin(), n, out);
   recv_buf_.erase(recv_buf_.begin(), recv_buf_.begin() + static_cast<std::ptrdiff_t>(n));
-  bytes_received_ += static_cast<std::int64_t>(n);
   stack_.c_bytes_received_.inc(static_cast<std::int64_t>(n));
   // Window-update ACK: tell a sender stalled on a closed window that space
   // has opened (replaces the receiver half of the persist machinery).

@@ -62,12 +62,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   NodeId localNode() const { return local_node_; }
   NodeId remoteNode() const { return remote_node_; }
-  std::uint16_t localPort() const { return local_port_; }
-  std::uint16_t remotePort() const { return remote_port_; }
   bool established() const;
 
   std::int64_t bytesSent() const { return bytes_sent_; }
-  std::int64_t bytesReceived() const { return bytes_received_; }
   std::int64_t retransmits() const { return retransmits_; }
 
  private:
@@ -160,7 +157,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   sim::Condition writable_;
 
   std::int64_t bytes_sent_ = 0;
-  std::int64_t bytes_received_ = 0;
   std::int64_t retransmits_ = 0;
 };
 
@@ -222,7 +218,6 @@ class TcpStack {
   /// fully closed (FINs exchanged and drained) nor reset. The explorer's
   /// "all sockets closed or reset" invariant reads this after a run drains.
   std::size_t openConnections() const { return connections_.size(); }
-  std::size_t openListeners() const { return listeners_.size(); }
 
   /// Fold the endpoint table into `w` (DESIGN.md §11): connection keys with
   /// their transport-machine state (seq/ack/window/cwnd, buffered bytes,

@@ -88,14 +88,6 @@ SpanRecorder::Span* SpanRecorder::mutableFind(SpanId id) {
   return const_cast<Span*>(std::as_const(*this).find(id));
 }
 
-std::size_t SpanRecorder::openCount() const {
-  std::size_t n = 0;
-  for (const Span& s : spans_) {
-    if (s.open()) ++n;
-  }
-  return n;
-}
-
 std::string SpanRecorder::serializeTree() const {
   std::string out;
   char buf[64];

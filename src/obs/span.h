@@ -102,7 +102,6 @@ class SpanRecorder {
   const std::deque<Span>& spans() const { return spans_; }
   const Span* find(SpanId id) const;
   std::size_t size() const { return spans_.size(); }
-  std::size_t openCount() const;
 
   /// Byte-stable one-line-per-span rendering of the whole forest, in id
   /// order — the determinism-test currency (diff two same-seed runs).

@@ -48,17 +48,4 @@ void StateWriter::str(std::string_view name, std::string_view v) {
   bytes(&sep, 1);
 }
 
-void StateCaptureRegistry::add(std::string name, CaptureFn fn) {
-  captures_[std::move(name)] = std::move(fn);
-}
-
-std::uint64_t StateCaptureRegistry::digest() const {
-  StateWriter w;
-  for (const auto& [name, fn] : captures_) {
-    w.key(name);
-    fn(w);
-  }
-  return w.digest();
-}
-
 }  // namespace mg::obs

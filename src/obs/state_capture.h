@@ -1,32 +1,34 @@
 // Canonical state capture for the fault-schedule explorer (DESIGN.md §11).
 //
 // A StateWriter folds a layer's observable state into a single 64-bit
-// digest (streaming FNV-1a over a canonical byte encoding). Layers expose
-// `saveState(StateWriter&)` methods — the state-side sibling of the
-// `registerTelemetry` pattern — and a StateCaptureRegistry collects named
-// capture functions so a whole platform's state folds into one digest in a
-// canonical (name-sorted) order, independent of registration order.
+// digest (streaming FNV-1a over a canonical byte encoding). Each layer has
+// a `saveState(StateWriter&) const` method, the state-side sibling of
+// `registerTelemetry`, that folds its own fields and then calls those of
+// the layers it owns, in a fixed order.
+//
+// A digest folds state, not history: two runs that reach the same queues,
+// clocks, processes and bookkeeping by different paths are one state. So
+// the metrics registry, which records what happened, is never folded, and
+// adding or bumping a counter moves no digest.
 //
 // The digest is a run's identity at a pause point: process stacks hold
 // pointers into live heap state, so the simulator cannot byte-copy them;
 // instead two runs are compared by rebuilding each from its fault plan,
 // replaying deterministically to the same virtual time and comparing
 // digests. Capturing must therefore be strictly read-only and itself
-// deterministic: iterate containers in sorted order, fold doubles by bit
+// deterministic: iterate containers in a fixed order, fold doubles by bit
 // pattern, never by formatted text.
 //
-// Digests are conservative: two states with equal digests are treated as
-// equal by the explorer's pruning, which is sound because every folded field
-// is part of the deterministic replay state — a collision can only merge
-// branches whose observable futures were already identical (or, with
-// 2^-64 probability, a hash collision, the standard stateless-model-checking
-// trade-off).
+// The explorer's pruning treats equal digests as equal states. That a fold
+// leaves out no field that decides a verdict is checked by the full-replay
+// oracle (McExplorer.PrunedVerdictsMatchFullReplay), which requires every
+// pruned branch to inherit the outcome its own replay reaches. What remains
+// is the 2^-64 chance of a hash collision, the standard stateless-model-
+// checking trade-off.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
 #include <string_view>
 
 namespace mg::obs {
@@ -50,28 +52,6 @@ class StateWriter {
   void bytes(const void* data, std::size_t n);
 
   std::uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-};
-
-/// Named capture functions, folded in name-sorted order. The platform and
-/// its layers register here once (registerStateCapture), then the explorer
-/// calls digest() as often as it likes.
-class StateCaptureRegistry {
- public:
-  using CaptureFn = std::function<void(StateWriter&)>;
-
-  /// Register `fn` under `name`. Names must be unique; registering a
-  /// duplicate replaces the previous function (a restarted component may
-  /// legitimately re-register).
-  void add(std::string name, CaptureFn fn);
-
-  bool empty() const { return captures_.empty(); }
-  std::size_t size() const { return captures_.size(); }
-
-  /// Fold every registered capture, sorted by name, into one digest.
-  std::uint64_t digest() const;
-
- private:
-  std::map<std::string, CaptureFn> captures_;
 };
 
 }  // namespace mg::obs

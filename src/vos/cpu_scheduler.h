@@ -82,14 +82,12 @@ class CpuScheduler {
   /// Blocking: consume the given amount of physical CPU seconds.
   void computeSeconds(TaskId id, double cpu_seconds);
 
-  double physicalOps() const { return physical_ops_; }
   sim::SimTime quantum() const { return quantum_; }
   double usedCpuSeconds(TaskId id) const;
 
   /// Normalized delivered quantum lengths (Fig 7's samples). Only full
   /// quanta are logged; demand-truncated final slices are excluded.
   const std::vector<double>& quantaLog() const { return quanta_log_; }
-  void clearQuantaLog() { quanta_log_.clear(); }
 
   /// Time-resolved probes (DESIGN.md §10): vos.cpu.util.<label> — fraction
   /// of wall time this scheduler's physical CPU spent occupied by quanta —

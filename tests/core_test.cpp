@@ -386,7 +386,7 @@ TEST(PlatformHosts, MemoryMetricsListedBeforeAnySpawn) {
   }
 }
 
-TEST(PlatformHosts, StateCaptureWalksHostnameOrder) {
+TEST(PlatformHosts, StateCaptureWalksMapperOrder) {
   VirtualGridConfig cfg;
   cfg.addPhysical("p0", 1e9);
   cfg.addRouter("sw");
@@ -406,23 +406,32 @@ TEST(PlatformHosts, StateCaptureWalksHostnameOrder) {
     ctx.freeMemory(4096);
   });
   p.simulator().runUntil(sim::fromSeconds(0.1));
-  obs::StateCaptureRegistry reg;
-  p.registerStateCapture(reg);
-  const std::uint64_t got = reg.digest();
-  // The layout the explorer's digests have always folded: hostname order,
-  // and a mem_used for every host (0 on one that never ran a process).
-  reg.add("core.hosts", [&](obs::StateWriter& w) {
-    w.u64("hosts", 4);
-    for (const std::string name : {"vm0", "vm1", "vm10", "vm2"}) {
-      w.str("host", name);
-      w.boolean("alive", true);
-      w.f64("cpu_factor", 1.0);
-      w.f64("host_fraction", std::min(1.0, p.rate() * cfg.mapper().resolve(name).cpu_ops / 1e9));
-      w.u64("tasks", 0);
-      w.i64("mem_used", name == "vm1" ? vos::MemoryManager::kProcessOverhead + 4096 : 0);
-    }
-  });
-  EXPECT_EQ(reg.digest(), got);
+  obs::StateWriter got;
+  p.saveState(got);
+
+  // The layout the explorer's digests fold: the kernel, the network, the
+  // one (still idle) physical machine, then the hosts in the order they
+  // were added, with a mem_used for every host (0 on one that never ran a
+  // process).
+  obs::StateWriter want;
+  want.key("sim");
+  p.simulator().saveState(want);
+  want.key("net");
+  p.network().saveState(want);
+  want.key("p0");
+  sim::Simulator idle_sim;
+  vos::CpuScheduler(idle_sim, 1e9, opts.quantum, vos::CompetitionProfile::none(), opts.seed + 1)
+      .saveState(want);
+  want.u64("hosts", 4);
+  for (const auto& [name, ops] : hosts) {
+    want.str("host", name);
+    want.boolean("alive", true);
+    want.f64("cpu_factor", 1.0);
+    want.f64("host_fraction", std::min(1.0, p.rate() * ops / 1e9));
+    want.u64("tasks", 0);
+    want.i64("mem_used", name == "vm1" ? vos::MemoryManager::kProcessOverhead + 4096 : 0);
+  }
+  EXPECT_EQ(got.digest(), want.digest());
   p.run();
 }
 
