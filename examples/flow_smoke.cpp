@@ -90,10 +90,8 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--timeline") {
       opt.timeline = next();
     } else if (flag == "--timeline-interval") {
-      opt.timeline_interval_s = util::flagDouble(flag, next());
-      if (opt.timeline_interval_s <= 0) {
-        throw mg::UsageError("--timeline-interval wants seconds > 0");
-      }
+      opt.timeline_interval_s =
+          util::flagDouble(flag, next(), sim::kTickSeconds, sim::kMaxSeconds);
     } else if (flag == "--quiet") {
       opt.quiet = true;
     } else {

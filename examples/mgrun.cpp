@@ -49,10 +49,11 @@
 //   --timeline-interval S  sampling interval in emulation seconds
 //                      (default 0.1; needs --timeline)
 //   --progress[=S]     live heartbeat on stderr every S wall seconds
-//                      (default 2): sim time, sim-s/wall-s, events/sec,
-//                      pending events — plus a stall watchdog that dumps
-//                      kernel state when it goes quiet. stdout is
-//                      byte-identical with --progress on or off.
+//                      (default 2, S in [0.001, 86400]): sim time,
+//                      sim-s/wall-s, events/sec, pending events — plus a
+//                      stall watchdog that dumps kernel state when it goes
+//                      quiet. stdout is byte-identical with --progress on
+//                      or off.
 //   --trace-out FILE   record causal spans and write a Chrome/Perfetto trace
 //                      (load FILE at ui.perfetto.dev or chrome://tracing);
 //                      with --timeline the sampled series ride along as
@@ -195,15 +196,13 @@ Options parseArgs(int argc, char** argv) {
       opt.timeline_out = (flag == "--timeline") ? next() : flag.substr(11);
     } else if (flag == "--timeline-interval" || flag.rfind("--timeline-interval=", 0) == 0) {
       opt.timeline_interval_s = util::flagDouble(
-          "--timeline-interval", (flag == "--timeline-interval") ? next() : flag.substr(20));
-      if (opt.timeline_interval_s <= 0) {
-        throw mg::UsageError("--timeline-interval wants seconds > 0");
-      }
+          "--timeline-interval", (flag == "--timeline-interval") ? next() : flag.substr(20),
+          sim::kTickSeconds, sim::kMaxSeconds);
     } else if (flag == "--progress") {
       opt.progress_s = 2.0;
     } else if (flag.rfind("--progress=", 0) == 0) {
-      opt.progress_s = util::flagDouble("--progress", flag.substr(11));
-      if (opt.progress_s <= 0) throw mg::UsageError("--progress wants seconds > 0");
+      opt.progress_s = util::flagDouble("--progress", flag.substr(11), obs::kMinProgressInterval,
+                                        obs::kMaxProgressInterval);
     } else if (flag == "--profile" || flag.rfind("--profile=", 0) == 0) {
       opt.profile = (flag == "--profile") ? next() : flag.substr(10);
       if (opt.profile != "table" && opt.profile != "json") {
@@ -351,7 +350,6 @@ std::vector<grid::AllocationPart> parseParts(const std::string& spec,
 
 std::unique_ptr<obs::ProgressMonitor> startProgress(sim::Simulator& sim, double interval_s,
                                                     std::function<double()> fraction) {
-  sim.pulse().enable(true);
   obs::ProgressOptions popts;
   popts.interval_s = interval_s;
   popts.fraction = std::move(fraction);

@@ -35,16 +35,19 @@ std::string formatDouble(double v);
 /// Minimal JSON string escaping (quotes, backslashes, newlines).
 std::string jsonEscape(const std::string& s);
 
-/// A monotonically increasing integer instrument. Values are relaxed atomics
-/// so a monitor thread (obs::ProgressMonitor) can read them while the run
-/// bumps them.
+/// A monotonically increasing integer instrument. Single writer: the
+/// simulator's thread bumps it with a plain load and store. The value is an
+/// atomic only so that a signal handler (obs::ProgressMonitor's stall
+/// watchdog) reads it whole.
 class Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void inc(std::int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void inc(std::int64_t n = 1) {
+    v_.store(v_.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -52,7 +55,7 @@ class Counter {
 };
 
 /// A double-valued instrument: settable (level) or accumulating (total).
-/// Relaxed atomics, like Counter.
+/// Single writer, like Counter.
 class Gauge {
  public:
   Gauge() = default;
@@ -61,9 +64,7 @@ class Gauge {
 
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
   void add(double v) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-    }
+    v_.store(v_.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
   }
   double value() const { return v_.load(std::memory_order_relaxed); }
 

@@ -17,9 +17,6 @@
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
 #endif
-#if defined(__SANITIZE_THREAD__)
-#include <sanitizer/tsan_interface.h>
-#endif
 
 #if !defined(__x86_64__)
 #error "sim::Process context switching is implemented for x86-64 only"
@@ -119,13 +116,6 @@ struct ProcessContext {
   void* fake_stack = nullptr;
   const void* caller_bottom = nullptr;
   std::size_t caller_size = 0;
-#endif
-#if defined(__SANITIZE_THREAD__)
-  void* fiber = nullptr;
-  void* caller_fiber = nullptr;
-  ~ProcessContext() {
-    if (fiber) __tsan_destroy_fiber(fiber);
-  }
 #endif
 };
 
@@ -331,9 +321,6 @@ void Process::contextMain(Process* self) noexcept {
 #if defined(__SANITIZE_ADDRESS__)
   __sanitizer_start_switch_fiber(nullptr, c.caller_bottom, c.caller_size);
 #endif
-#if defined(__SANITIZE_THREAD__)
-  __tsan_switch_to_fiber(c.caller_fiber, 0);
-#endif
   mg_sim_context_switch(&c.sp, c.caller_sp);
   __builtin_unreachable();
 }
@@ -349,9 +336,6 @@ void Process::resumeFromKernel() {
     }
     c.stack = sim_.stacks_.acquire();
     c.sp = initialFrame(c.stack, &Process::contextMain, this);
-#if defined(__SANITIZE_THREAD__)
-    c.fiber = __tsan_create_fiber(0);
-#endif
   }
   EhState* eh = ehGlobals();
   const EhState resumer_eh = *eh;
@@ -361,10 +345,6 @@ void Process::resumeFromKernel() {
 #if defined(__SANITIZE_ADDRESS__)
   void* fake_stack = nullptr;
   __sanitizer_start_switch_fiber(&fake_stack, c.stack, kProcessStackBytes);
-#endif
-#if defined(__SANITIZE_THREAD__)
-  c.caller_fiber = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(c.fiber, 0);
 #endif
   mg_sim_context_switch(&c.caller_sp, c.sp);
 #if defined(__SANITIZE_ADDRESS__)
@@ -383,9 +363,6 @@ void Process::yieldToKernel() {
   ProcessContext& c = *ctx_;
 #if defined(__SANITIZE_ADDRESS__)
   __sanitizer_start_switch_fiber(&c.fake_stack, c.caller_bottom, c.caller_size);
-#endif
-#if defined(__SANITIZE_THREAD__)
-  __tsan_switch_to_fiber(c.caller_fiber, 0);
 #endif
   mg_sim_context_switch(&c.sp, c.caller_sp);
 #if defined(__SANITIZE_ADDRESS__)

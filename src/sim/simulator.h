@@ -322,9 +322,9 @@ class Simulator {
   obs::TimeSeriesRecorder& timeline() { return timeline_; }
   const obs::TimeSeriesRecorder& timeline() const { return timeline_; }
 
-  /// The live-monitor publication board (mgrun --progress). Disabled by
-  /// default: one relaxed bool load per dispatched event; enable() turns on
-  /// per-event clock/pending publication for an obs::ProgressMonitor.
+  /// The live-monitor publication board (mgrun --progress). Enabled while
+  /// an obs::ProgressMonitor is started on it; otherwise it costs one
+  /// pointer load per dispatched event.
   obs::RunPulse& pulse() { return pulse_; }
   const obs::RunPulse& pulse() const { return pulse_; }
 

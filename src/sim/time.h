@@ -19,6 +19,10 @@ constexpr SimTime kSecond = 1000 * kMillisecond;
 /// about 9.22e9 s, ~292 years); a little margin below the exact limit.
 constexpr double kMaxSeconds = 9.2e9;
 
+/// One tick of SimTime in seconds: the shortest interval a seconds-valued
+/// input can name without rounding to zero.
+constexpr double kTickSeconds = 1.0 / static_cast<double>(kSecond);
+
 /// Convert seconds (double) to SimTime, rounding to the nearest nanosecond.
 /// `s` must lie within +-kMaxSeconds.
 constexpr SimTime fromSeconds(double s) {

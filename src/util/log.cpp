@@ -32,7 +32,7 @@ std::atomic<LogLevel> g_level{levelFromEnv()};
 std::function<std::int64_t()> g_sim_time_source;
 
 // Logging is a free function any thread of an embedding program may call
-// (a simulator per thread, a watcher thread); serialize whole lines.
+// (a simulator per thread); serialize whole lines.
 std::mutex g_log_mutex;
 
 const char* levelName(LogLevel level) {

@@ -139,10 +139,14 @@ std::int64_t flagInt(std::string_view flag, std::string_view value, std::int64_t
   return *v;
 }
 
-double flagDouble(std::string_view flag, std::string_view value) {
+double flagDouble(std::string_view flag, std::string_view value, double lo, double hi) {
   const std::optional<double> v = parseDouble(value);
   if (!v) {
     throw UsageError(std::string(flag) + " wants a number, got '" + std::string(value) + "'");
+  }
+  if (*v < lo || *v > hi) {
+    throw UsageError(std::string(flag) + format(" wants a number in [%g, %g], got '", lo, hi) +
+                     std::string(value) + "'");
   }
   return *v;
 }

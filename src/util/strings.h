@@ -49,11 +49,13 @@ std::optional<double> parseDouble(std::string_view s);
 
 /// Command-line flag values: parseInt/parseDouble, or a UsageError naming
 /// the flag and the value (e.g. "--jobs wants an integer, got '1e6'").
-/// flagInt also rejects values outside [lo, hi].
+/// Both also reject values outside [lo, hi].
 std::int64_t flagInt(std::string_view flag, std::string_view value,
                      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
                      std::int64_t hi = std::numeric_limits<std::int64_t>::max());
-double flagDouble(std::string_view flag, std::string_view value);
+double flagDouble(std::string_view flag, std::string_view value,
+                  double lo = std::numeric_limits<double>::lowest(),
+                  double hi = std::numeric_limits<double>::max());
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -3,9 +3,11 @@
 // MicroGrid platform: every layer's accounting flows into one snapshot, and
 // same-seed runs produce byte-identical observability output.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -984,10 +986,43 @@ TEST(TraceExport, TimelineSeriesBecomeCounterTracks) {
 
 // ------------------------------------------------- live progress monitor --
 
+namespace {
+
+/// A temporary file standing in for stderr: the monitor write(2)s to its fd.
+class FdSink {
+ public:
+  FdSink() : f_(std::tmpfile()) {}
+  ~FdSink() { std::fclose(f_); }
+  FdSink(const FdSink&) = delete;
+  FdSink& operator=(const FdSink&) = delete;
+
+  int fd() const { return fileno(f_); }
+  std::string str() const {
+    std::string out;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::pread(fd(), buf, sizeof buf, static_cast<off_t>(out.size()))) > 0) {
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+    return out;
+  }
+
+ private:
+  std::FILE* f_;
+};
+
+/// Burn wall time without yielding, as a long-running event would.
+void spinWall(std::chrono::milliseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+}  // namespace
+
 TEST(Progress, PulseTracksClockAndPending) {
   mo::RunPulse pulse;
   EXPECT_FALSE(pulse.enabled());
-  pulse.enable(true);
   pulse.beat(1000, 5);
   pulse.beat(3000, 7);
   EXPECT_EQ(pulse.simNow(), 3000);
@@ -1002,32 +1037,38 @@ TEST(Progress, KernelPublishesClockAndPendingWhenEnabled) {
   sim.scheduleAt(20, [] {});
   sim.run();
   EXPECT_EQ(sim.pulse().simNow(), 0);  // disabled by default: nothing published
-  sim.pulse().enable(true);
+  mo::ProgressOptions popts;
+  popts.interval_s = mo::kMaxProgressInterval;  // enable the pulse, no heartbeat
+  mo::ProgressMonitor monitor(sim.pulse(), sim.metrics().counter("sim.kernel.events_executed"),
+                              popts);
+  monitor.start();
+  EXPECT_TRUE(sim.pulse().enabled());
   sim.scheduleAt(30, [] {});
   sim.scheduleAt(40, [] {});
   sim.run();
   EXPECT_EQ(sim.pulse().simNow(), 40);
   EXPECT_EQ(sim.pulse().pending(), 0);
+  monitor.stop();
+  EXPECT_FALSE(sim.pulse().enabled());
 }
 
 TEST(Progress, MonitorHeartbeatsToSinkAndCountsThem) {
   mo::RunPulse pulse;
-  pulse.enable(true);
-  pulse.beat(2'500'000'000, 3);
   mo::Counter events;
   events.inc(1500);
 
-  std::ostringstream sink;
+  FdSink sink;
   mo::ProgressOptions popts;
   popts.interval_s = 0.02;
   popts.stall_s = 3600;  // watchdog out of the way
-  popts.sink = &sink;
+  popts.fd = sink.fd();
   popts.label = "t-progress";
   popts.fraction = [] { return 0.5; };
   mo::ProgressMonitor monitor(pulse, events, popts);
   monitor.start();
   for (int i = 0; i < 100 && monitor.heartbeats() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    pulse.beat(2'500'000'000, 3);  // as the kernel does after each event
   }
   monitor.stop();
 
@@ -1041,16 +1082,15 @@ TEST(Progress, MonitorHeartbeatsToSinkAndCountsThem) {
 
 TEST(Progress, StallWatchdogDumpsStateOnce) {
   mo::RunPulse pulse;
-  pulse.enable(true);
   pulse.beat(2'000'000'000, 6);
   mo::Counter events;
   events.inc();
 
-  std::ostringstream sink;
+  FdSink sink;
   mo::ProgressOptions popts;
   popts.interval_s = 0.01;
   popts.stall_s = 0.03;  // no events will run: stall fires fast
-  popts.sink = &sink;
+  popts.fd = sink.fd();
   mo::ProgressMonitor monitor(pulse, events, popts);
   monitor.start();
   for (int i = 0; i < 100 && monitor.stallDumps() < 1; ++i) {
@@ -1064,4 +1104,73 @@ TEST(Progress, StallWatchdogDumpsStateOnce) {
   const std::string out = sink.str();
   EXPECT_NE(out.find("STALL"), std::string::npos) << out;
   EXPECT_NE(out.find("t=2.000000s pending=6 events=1"), std::string::npos) << out;
+}
+
+TEST(Progress, KernelHeartbeatsDuringARealRun) {
+  // Each step spins 3 ms of wall time inside a process, so the timer's
+  // handler lands on the process's stack and the kernel's next dispatch
+  // prints the due heartbeat.
+  constexpr int kSteps = 30;
+  sim::Simulator sim;
+  int done = 0;
+  sim.spawn("spinner", [&] {
+    for (int i = 0; i < kSteps; ++i) {
+      sim.delay(sim::kMillisecond);
+      spinWall(std::chrono::milliseconds(3));
+      ++done;
+    }
+  });
+  FdSink sink;
+  mo::ProgressOptions popts;
+  popts.interval_s = 0.01;
+  popts.stall_s = 3600;
+  popts.fd = sink.fd();
+  popts.fraction = [&done] { return static_cast<double>(done) / kSteps; };
+  mo::ProgressMonitor monitor(sim.pulse(), sim.metrics().counter("sim.kernel.events_executed"),
+                              popts);
+  monitor.start();
+  sim.run();
+  monitor.stop();
+
+  EXPECT_GE(monitor.heartbeats(), 2);
+  EXPECT_EQ(monitor.stallDumps(), 0);
+  const std::string out = sink.str();
+  EXPECT_NE(out.find("progress: sim 0.0"), std::string::npos) << out;
+  EXPECT_NE(out.find(" ev ("), std::string::npos) << out;
+  EXPECT_NE(out.find("eta"), std::string::npos) << out;
+}
+
+TEST(Progress, StallInsideOneEventDumpsDuringIt) {
+  // A process stuck in one event never lets the kernel beat again: the
+  // dump must come from the timer's handler while the event still runs.
+  sim::Simulator sim;
+  FdSink sink;
+  mo::ProgressOptions popts;
+  popts.interval_s = 0.01;
+  popts.stall_s = 0.05;
+  popts.fd = sink.fd();
+  mo::ProgressMonitor monitor(sim.pulse(), sim.metrics().counter("sim.kernel.events_executed"),
+                              popts);
+  std::int64_t dumps_inside = -1;
+  sim.spawn("stuck", [&] {
+    sim.delay(sim::fromSeconds(1.5));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (monitor.stallDumps() == 0 && std::chrono::steady_clock::now() < deadline) {
+    }
+    dumps_inside = monitor.stallDumps();
+  });
+  sim.scheduleAt(sim::fromSeconds(3), [] {});
+  sim.scheduleAt(sim::fromSeconds(4), [] {});
+  monitor.start();
+  sim.run();
+  monitor.stop();
+
+  EXPECT_EQ(dumps_inside, 1);
+  const std::string out = sink.str();
+  EXPECT_TRUE(std::regex_search(
+      out, std::regex("progress: STALL no event commit for [0-9]+\\.[0-9]s wall")))
+      << out;
+  // The board as the stuck event left it: its clock, the two later events,
+  // and the spawn's first slice plus the stuck wake-up.
+  EXPECT_NE(out.find("t=1.500000s pending=2 events=2"), std::string::npos) << out;
 }

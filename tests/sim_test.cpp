@@ -658,14 +658,8 @@ TEST(ProcessContext, KilledBeforeFirstSliceSkipsBodyAndStack) {
 }
 
 TEST(ProcessContext, TenThousandProcessesSpawnDelayAndFinish) {
-  // One OS thread per process would need 10k threads here. TSan's runtime
-  // tracks at most 8192 live threads and fibers at once, and every live
-  // process is one TSan fiber, so the TSan build runs 4k.
-#if defined(__SANITIZE_THREAD__)
-  constexpr int kProcs = 4000;
-#else
+  // One OS thread per process would need 10k threads here.
   constexpr int kProcs = 10000;
-#endif
   Simulator sim;
   int done = 0;
   for (int i = 0; i < kProcs; ++i) {

@@ -160,6 +160,11 @@ TEST(Strings, FlagNumbersNameTheFlagAndValue) {
             "usage error: --slowdown wants a number, got 'nan'");
   EXPECT_EQ(message([] { mu::flagDouble("--quantum", "inf"); }),
             "usage error: --quantum wants a number, got 'inf'");
+  EXPECT_EQ(message([] { mu::flagDouble("--progress", "1e300", 0.001, 86400); }),
+            "usage error: --progress wants a number in [0.001, 86400], got '1e300'");
+  EXPECT_EQ(message([] { mu::flagDouble("--progress", "1e-9", 0.001, 86400); }),
+            "usage error: --progress wants a number in [0.001, 86400], got '1e-9'");
+  EXPECT_DOUBLE_EQ(mu::flagDouble("--progress", "0.001", 0.001, 86400), 0.001);
 }
 
 // ------------------------------------------------------------------ units --
