@@ -38,10 +38,7 @@ util::Trace traceOf(core::Platform& platform, sim::SimTime interval, npb::Benchm
   core::Launcher launcher(platform, registry);
   launcher.startServices();
 
-  sim.timeline().setBaseWidth(interval);
-  sim::TelemetrySampler::Options sopts;
-  sopts.interval_ns = interval;
-  sim::TelemetrySampler sampler(sim, sopts);
+  sim::TelemetrySampler sampler(sim, interval);
   sampler.addLevel(sensor, [&gauge](std::int64_t) { return gauge.value(); });
   sampler.start();
   auto result = launcher.run("npb." + util::toLower(npb::benchmarkName(b)), "A",
@@ -50,7 +47,7 @@ util::Trace traceOf(core::Platform& platform, sim::SimTime interval, npb::Benchm
     std::cerr << "FATAL: instrumented run failed: " << result.error << "\n";
     std::exit(1);
   }
-  return sim.timeline().trace(sensor);
+  return sampler.timeline().trace(sensor);
 }
 
 }  // namespace

@@ -189,12 +189,8 @@ RunResult runWorkload(const core::VirtualGridConfig& cfg, const Options& opt,
 
   std::unique_ptr<sim::TelemetrySampler> sampler;
   if (!timeline_path.empty()) {
-    sim::Simulator& sim = platform.simulator();
-    sim.timeline().setBaseWidth(sim::fromSeconds(opt.timeline_interval_s));
-    sim::TelemetrySampler::Options sopts;
-    sopts.interval_ns = sim::fromSeconds(opt.timeline_interval_s);
-    sampler =
-        std::make_unique<sim::TelemetrySampler>(sim, sopts);
+    sampler = std::make_unique<sim::TelemetrySampler>(
+        platform.simulator(), sim::fromSeconds(opt.timeline_interval_s));
     platform.registerTelemetry(*sampler);
     sampler->start();
   }
@@ -206,7 +202,7 @@ RunResult runWorkload(const core::VirtualGridConfig& cfg, const Options& opt,
 
   if (sampler) {
     sampler->finish();
-    const obs::TimeSeriesRecorder& tl = platform.simulator().timeline();
+    const obs::TimeSeriesRecorder& tl = sampler->timeline();
     std::ofstream out(timeline_path, std::ios::binary | std::ios::trunc);
     if (!out) throw mg::UsageError("cannot open --timeline file " + timeline_path);
     out << tl.csv();

@@ -71,6 +71,8 @@
 //   --broker P         placement policy: cost | deadline (default) | locality
 //   --jobs N           override the [workload] job count
 //
+// Every flag that takes a value accepts both `--flag V` and `--flag=V`
+// (--progress takes only the `=S` form, since its value is optional).
 // A bare (non-flag) argument is taken as the config file, so
 // `mgrun --trace-out=ep.json examples/grids/alpha4.ini` works; a second
 // config path, bare or by --config, is a usage error.
@@ -148,80 +150,90 @@ Options parseArgs(int argc, char** argv) {
     opt.config_path = std::move(path);
   };
   for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> std::string {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      opt.given.emplace_back("--config");
+      setConfig(arg);
+      continue;
+    }
+    // Every value flag takes "--flag V" and "--flag=V"; split at the first '='.
+    const std::size_t eq = arg.find('=');
+    const bool inline_value = eq != std::string::npos;
+    const std::string flag = arg.substr(0, eq);
+    opt.given.push_back(flag);
+    auto value = [&]() -> std::string {
+      if (inline_value) return arg.substr(eq + 1);
       if (i + 1 >= argc) throw mg::UsageError("missing value for " + flag);
       return argv[++i];
     };
-    opt.given.push_back(flag.rfind("--", 0) == 0 ? flag.substr(0, flag.find('=')) : "--config");
+    auto noValue = [&] {
+      if (inline_value) throw mg::UsageError(flag + " takes no value");
+    };
     if (flag == "--config") {
-      setConfig(next());
+      setConfig(value());
     } else if (flag == "--platform") {
-      opt.platform = next();
+      opt.platform = value();
       if (opt.platform != "mgrid" && opt.platform != "pgrid") {
         throw mg::UsageError("--platform must be mgrid or pgrid");
       }
     } else if (flag == "--exe") {
-      opt.exe = next();
+      opt.exe = value();
     } else if (flag == "--args") {
-      opt.args = next();
+      opt.args = value();
     } else if (flag == "--parts") {
-      opt.parts = next();
+      opt.parts = value();
     } else if (flag == "--quantum") {
-      opt.quantum_ms = util::flagDouble(flag, next());
+      opt.quantum_ms = util::flagDouble(flag, value());
     } else if (flag == "--slowdown") {
-      opt.slowdown = util::flagDouble(flag, next());
-    } else if (flag == "--netmodel" || flag.rfind("--netmodel=", 0) == 0) {
-      opt.netmodel = (flag == "--netmodel") ? next() : flag.substr(11);
-    } else if (flag == "--netmodel-detail" || flag.rfind("--netmodel-detail=", 0) == 0) {
-      const std::string val = (flag == "--netmodel-detail") ? next() : flag.substr(18);
-      for (const auto& p : util::splitTrim(val, ',')) opt.netmodel_detail.push_back(p);
-    } else if (flag == "--faults" || flag.rfind("--faults=", 0) == 0) {
-      opt.faults_path = (flag == "--faults") ? next() : flag.substr(9);
-    } else if (flag == "--explore" || flag.rfind("--explore=", 0) == 0) {
-      opt.explore_path = (flag == "--explore") ? next() : flag.substr(10);
-    } else if (flag == "--explore-budget" || flag.rfind("--explore-budget=", 0) == 0) {
-      opt.explore_budget = static_cast<int>(util::flagInt(
-          "--explore-budget", (flag == "--explore-budget") ? next() : flag.substr(17), 1, kIntMax));
+      opt.slowdown = util::flagDouble(flag, value());
+    } else if (flag == "--netmodel") {
+      opt.netmodel = value();
+    } else if (flag == "--netmodel-detail") {
+      for (const auto& p : util::splitTrim(value(), ',')) opt.netmodel_detail.push_back(p);
+    } else if (flag == "--faults") {
+      opt.faults_path = value();
+    } else if (flag == "--explore") {
+      opt.explore_path = value();
+    } else if (flag == "--explore-budget") {
+      opt.explore_budget = static_cast<int>(util::flagInt(flag, value(), 1, kIntMax));
     } else if (flag == "--resubmits") {
-      opt.resubmits = static_cast<int>(util::flagInt(flag, next(), 0, kIntMax));
-    } else if (flag == "--metrics" || flag.rfind("--metrics=", 0) == 0) {
-      opt.metrics = (flag == "--metrics") ? next() : flag.substr(10);
+      opt.resubmits = static_cast<int>(util::flagInt(flag, value(), 0, kIntMax));
+    } else if (flag == "--metrics") {
+      opt.metrics = value();
       if (opt.metrics != "table" && opt.metrics != "json" && opt.metrics != "csv") {
         throw mg::UsageError("--metrics must be table, json, or csv");
       }
-    } else if (flag == "--trace-out" || flag.rfind("--trace-out=", 0) == 0) {
-      opt.trace_out = (flag == "--trace-out") ? next() : flag.substr(12);
-    } else if (flag == "--timeline" || flag.rfind("--timeline=", 0) == 0) {
-      opt.timeline_out = (flag == "--timeline") ? next() : flag.substr(11);
-    } else if (flag == "--timeline-interval" || flag.rfind("--timeline-interval=", 0) == 0) {
-      opt.timeline_interval_s = util::flagDouble(
-          "--timeline-interval", (flag == "--timeline-interval") ? next() : flag.substr(20),
-          sim::kTickSeconds, sim::kMaxSeconds);
+    } else if (flag == "--trace-out") {
+      opt.trace_out = value();
+    } else if (flag == "--timeline") {
+      opt.timeline_out = value();
+    } else if (flag == "--timeline-interval") {
+      opt.timeline_interval_s =
+          util::flagDouble(flag, value(), sim::kTickSeconds, sim::kMaxSeconds);
     } else if (flag == "--progress") {
-      opt.progress_s = 2.0;
-    } else if (flag.rfind("--progress=", 0) == 0) {
-      opt.progress_s = util::flagDouble("--progress", flag.substr(11), obs::kMinProgressInterval,
-                                        obs::kMaxProgressInterval);
-    } else if (flag == "--profile" || flag.rfind("--profile=", 0) == 0) {
-      opt.profile = (flag == "--profile") ? next() : flag.substr(10);
+      // The value is optional, so only the "=S" form carries one.
+      opt.progress_s = inline_value ? util::flagDouble(flag, value(), obs::kMinProgressInterval,
+                                                       obs::kMaxProgressInterval)
+                                    : 2.0;
+    } else if (flag == "--profile") {
+      opt.profile = value();
       if (opt.profile != "table" && opt.profile != "json") {
         throw mg::UsageError("--profile must be table or json");
       }
-    } else if (flag == "--workload" || flag.rfind("--workload=", 0) == 0) {
-      opt.workload_path = (flag == "--workload") ? next() : flag.substr(11);
-    } else if (flag == "--broker" || flag.rfind("--broker=", 0) == 0) {
-      opt.broker = (flag == "--broker") ? next() : flag.substr(9);
-    } else if (flag == "--jobs" || flag.rfind("--jobs=", 0) == 0) {
-      opt.jobs = util::flagInt("--jobs", (flag == "--jobs") ? next() : flag.substr(7), 1);
+    } else if (flag == "--workload") {
+      opt.workload_path = value();
+    } else if (flag == "--broker") {
+      opt.broker = value();
+    } else if (flag == "--jobs") {
+      opt.jobs = util::flagInt(flag, value(), 1);
     } else if (flag == "--verbose") {
+      noValue();
       opt.verbose = true;
     } else if (flag == "--list-executables") {
+      noValue();
       opt.list = true;
-    } else if (flag.rfind("--", 0) != 0) {
-      setConfig(flag);
     } else {
-      throw mg::UsageError("unknown flag " + flag + " (see the header of mgrun.cpp)");
+      throw mg::UsageError("unknown flag " + arg + " (see the header of mgrun.cpp)");
     }
   }
   return opt;
@@ -312,16 +324,6 @@ void printMetrics(obs::MetricsRegistry& metrics, const std::string& fmt) {
   }
 }
 
-/// Build a telemetry sampler over the simulator's recorder, with the bucket
-/// width matched to the interval so early buckets hold one sample each. The
-/// caller registers probes, then calls start().
-std::unique_ptr<sim::TelemetrySampler> makeSampler(sim::Simulator& sim, double interval_s) {
-  sim.timeline().setBaseWidth(sim::fromSeconds(interval_s));
-  sim::TelemetrySampler::Options sopts;
-  sopts.interval_ns = sim::fromSeconds(interval_s);
-  return std::make_unique<sim::TelemetrySampler>(sim, sopts);
-}
-
 void writeTimeline(const obs::TimeSeriesRecorder& timeline, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw mg::UsageError("cannot open --timeline file " + path);
@@ -402,7 +404,8 @@ int main(int argc, char** argv) {
 
       std::unique_ptr<sim::TelemetrySampler> sampler;
       if (!opt.timeline_out.empty()) {
-        sampler = makeSampler(platform.simulator(), opt.timeline_interval_s);
+        sampler = std::make_unique<sim::TelemetrySampler>(
+            platform.simulator(), sim::fromSeconds(opt.timeline_interval_s));
         platform.registerTelemetry(*sampler);
         economy.registerTelemetry(*sampler);
         sampler->start();
@@ -425,7 +428,7 @@ int main(int argc, char** argv) {
       printMetrics(platform.simulator().metrics(), opt.metrics);
       if (sampler) {
         sampler->finish();
-        writeTimeline(platform.simulator().timeline(), opt.timeline_out);
+        writeTimeline(sampler->timeline(), opt.timeline_out);
       }
       return 0;
     }
@@ -527,7 +530,8 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<sim::TelemetrySampler> sampler;
     if (!opt.timeline_out.empty()) {
-      sampler = makeSampler(mgrid->simulator(), opt.timeline_interval_s);
+      sampler = std::make_unique<sim::TelemetrySampler>(
+          mgrid->simulator(), sim::fromSeconds(opt.timeline_interval_s));
       mgrid->registerTelemetry(*sampler);
       sampler->start();
     }
@@ -556,11 +560,11 @@ int main(int argc, char** argv) {
       if (!out) throw mg::UsageError("cannot open --trace-out file " + opt.trace_out);
       // Sampled series ride along as Perfetto counter tracks.
       out << obs::chromeTraceJson(platform->simulator().spans(),
-                                  sampler ? &platform->simulator().timeline() : nullptr);
+                                  sampler ? &sampler->timeline() : nullptr);
       std::cout << "wrote " << platform->simulator().spans().size() << " span(s) to "
                 << opt.trace_out << "\n";
     }
-    if (sampler) writeTimeline(platform->simulator().timeline(), opt.timeline_out);
+    if (sampler) writeTimeline(sampler->timeline(), opt.timeline_out);
     if (!opt.profile.empty()) {
       const obs::SimProfiler prof(platform->simulator().spans());
       if (opt.profile == "json") {

@@ -109,7 +109,7 @@ void MicroGridPlatform::setHostCpuFactor(const std::string& hostname, double fac
 }
 
 void MicroGridPlatform::registerTelemetry(sim::TelemetrySampler& sampler) {
-  sim::registerKernelProbes(sampler, sim_);
+  sampler.registerKernelProbes();
   net_->registerTelemetry(sampler);
   // schedulers_ is name-ordered, so probe registration order (and with it
   // the recorded series set) is independent of construction order.

@@ -22,9 +22,10 @@
 //   bandwidth = 100Mbps
 //   latency = 0.1ms
 //
-// The same description can be round-tripped through GIS records using the
-// Fig 3 schema (toGis/fromGis) — the paper's MicroGrid builds the NSE input
-// from the virtual network information in the GIS.
+// toGis() publishes the description as GIS records in the Fig 3 schema — the
+// paper's MicroGrid builds the NSE input from the virtual network
+// information in the GIS. Nothing reads a grid back from those records; the
+// readback helpers in gis/schema.h serve the tests.
 #pragma once
 
 #include <string>

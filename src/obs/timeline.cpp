@@ -24,42 +24,32 @@ TimeSeriesRecorder::Bucket mergePair(const TimeSeriesRecorder::Bucket& a,
 
 }  // namespace
 
-TimeSeriesRecorder::TimeSeriesRecorder(Options opts) : opts_(opts) {
-  if (opts_.capacity < 2) throw UsageError("TimeSeriesRecorder wants capacity >= 2");
-  if (opts_.base_width_ns <= 0) throw UsageError("TimeSeriesRecorder wants base_width > 0");
+TimeSeriesRecorder::TimeSeriesRecorder(std::int64_t base_width_ns) : base_width_(base_width_ns) {
+  if (base_width_ <= 0) throw UsageError("TimeSeriesRecorder wants base_width > 0");
 }
 
-void TimeSeriesRecorder::setBaseWidth(std::int64_t width_ns) {
-  if (width_ns <= 0) throw UsageError("TimeSeriesRecorder wants base_width > 0");
-  opts_.base_width_ns = width_ns;
-}
-
-TimeSeriesRecorder::Series& TimeSeriesRecorder::getOrCreate(std::string_view name) {
+std::size_t TimeSeriesRecorder::resolve(std::string_view name) {
   auto it = index_.find(name);
-  if (it != index_.end()) return *it->second;
-  series_.emplace_back();
-  Series& s = series_.back();
+  if (it != index_.end()) return it->second;
+  Series& s = series_.emplace_back();
   s.name = std::string(name);
-  s.width = opts_.base_width_ns;
-  index_.emplace(s.name, &s);
-  return s;
+  s.width = base_width_;
+  index_.emplace(s.name, series_.size() - 1);
+  return series_.size() - 1;
 }
 
-void TimeSeriesRecorder::add(std::string_view name, std::int64_t t, double v) {
-  if (index_.size() >= opts_.max_series && index_.find(name) == index_.end()) {
-    ++dropped_series_;
-    return;
-  }
-  Series& s = getOrCreate(name);
+void TimeSeriesRecorder::add(std::size_t series, std::int64_t t, double v) {
+  Series& s = series_[series];
   if (!s.started) {
     // Anchor bucket 0 on the first sample, aligned down to the width grid so
     // bucket bounds are round multiples (and widening keeps them so).
     s.origin = t - (t % s.width);
     if (s.origin > t) s.origin -= s.width;  // negative-time defensive floor
     s.started = true;
+    ++started_;
   }
   std::int64_t idx = t < s.origin ? 0 : (t - s.origin) / s.width;
-  while (idx >= static_cast<std::int64_t>(opts_.capacity)) {
+  while (idx >= static_cast<std::int64_t>(kCapacity)) {
     widen(s);
     idx = (t - s.origin) / s.width;
   }
@@ -98,7 +88,8 @@ void TimeSeriesRecorder::widen(Series& s) {
 
 const TimeSeriesRecorder::Series* TimeSeriesRecorder::find(std::string_view series) const {
   auto it = index_.find(series);
-  return it == index_.end() ? nullptr : it->second;
+  if (it == index_.end() || !series_[it->second].started) return nullptr;
+  return &series_[it->second];
 }
 
 util::Trace TimeSeriesRecorder::trace(std::string_view series) const {
@@ -107,31 +98,27 @@ util::Trace TimeSeriesRecorder::trace(std::string_view series) const {
   if (s == nullptr) throw UsageError("no timeline series: " + name);
   if (s->widenings > 0) throw UsageError("timeline series widened: " + name);
   util::Trace out;
-  for (std::size_t i = 0; i < s->buckets.size(); ++i) {
-    const Bucket& b = s->buckets[i];
-    if (b.count == 0) continue;
+  forEachBucket(*s, [&](std::int64_t start, const Bucket& b) {
     if (b.count > 1) throw UsageError("timeline series has a multi-sample bucket: " + name);
-    const std::int64_t start = s->origin + static_cast<std::int64_t>(i) * s->width;
     out.emplace_back(static_cast<double>(start) * 1e-9, b.last);
-  }
+  });
   return out;
 }
 
 std::vector<const TimeSeriesRecorder::Series*> TimeSeriesRecorder::seriesSorted() const {
   std::vector<const Series*> out;
-  out.reserve(index_.size());
-  for (const auto& [name, s] : index_) out.push_back(s);
+  out.reserve(started_);
+  for (const auto& [name, i] : index_) {
+    if (series_[i].started) out.push_back(&series_[i]);
+  }
   return out;
 }
 
 std::string TimeSeriesRecorder::csv() const {
   std::string out = "series,bucket_start_ns,bucket_end_ns,samples,min,max,mean,last\n";
-  for (const auto& [name, s] : index_) {
-    for (std::size_t i = 0; i < s->buckets.size(); ++i) {
-      const Bucket& b = s->buckets[i];
-      if (b.count == 0) continue;
-      const std::int64_t start = s->origin + static_cast<std::int64_t>(i) * s->width;
-      out += name;
+  for (const Series* s : seriesSorted()) {
+    forEachBucket(*s, [&](std::int64_t start, const Bucket& b) {
+      out += s->name;
       out += ',' + std::to_string(start);
       out += ',' + std::to_string(start + s->width);
       out += ',' + std::to_string(b.count);
@@ -140,7 +127,7 @@ std::string TimeSeriesRecorder::csv() const {
       out += ',' + formatDouble(b.sum / static_cast<double>(b.count));
       out += ',' + formatDouble(b.last);
       out += '\n';
-    }
+    });
   }
   return out;
 }
@@ -148,24 +135,22 @@ std::string TimeSeriesRecorder::csv() const {
 std::string TimeSeriesRecorder::json() const {
   std::string out = "{\"series\":[";
   bool first_series = true;
-  for (const auto& [name, s] : index_) {
+  for (const Series* s : seriesSorted()) {
     if (!first_series) out += ',';
     first_series = false;
-    out += "{\"name\":\"" + jsonEscape(name) + "\",\"origin_ns\":" + std::to_string(s->origin) +
+    out += "{\"name\":\"" + jsonEscape(s->name) +
+           "\",\"origin_ns\":" + std::to_string(s->origin) +
            ",\"width_ns\":" + std::to_string(s->width) +
            ",\"widenings\":" + std::to_string(s->widenings) + ",\"buckets\":[";
     bool first_bucket = true;
-    for (std::size_t i = 0; i < s->buckets.size(); ++i) {
-      const Bucket& b = s->buckets[i];
-      if (b.count == 0) continue;
+    forEachBucket(*s, [&](std::int64_t start, const Bucket& b) {
       if (!first_bucket) out += ',';
       first_bucket = false;
-      const std::int64_t start = s->origin + static_cast<std::int64_t>(i) * s->width;
       out += '[' + std::to_string(start) + ',' + std::to_string(b.count) + ',' +
              formatDouble(b.min) + ',' + formatDouble(b.max) + ',' +
              formatDouble(b.sum / static_cast<double>(b.count)) + ',' + formatDouble(b.last) +
              ']';
-    }
+    });
     out += "]}";
   }
   out += "]}";

@@ -1,27 +1,31 @@
 // Deterministic time-series recording (DESIGN.md §10 "Time-resolved
-// telemetry").
+// telemetry"). A sim::TelemetrySampler owns one and is its only writer.
 //
 // A TimeSeriesRecorder holds named series of fixed-capacity, multi-resolution
 // bucket rings: each bucket aggregates the samples that fell inside one
 // window of `width` nanoseconds as {count, min, max, sum, last}. When a new
-// sample lands past the last bucket the ring would hold, the series *widens*
+// sample lands past the last of the kCapacity buckets, the series *widens*
 // — the bucket width doubles and adjacent bucket pairs merge — so memory
-// stays O(capacity) per series for arbitrarily long runs while the recorded
+// stays O(kCapacity) per series for arbitrarily long runs while the recorded
 // aggregates remain an exact function of the sample stream (power-of-two
 // widening keeps every original bucket boundary aligned to some later
 // boundary, so no sample ever straddles two buckets retroactively).
+//
+// A series is resolved to an index once (resolve()), and add() takes that
+// index, so recording a sample does no name lookup. A series with no sample
+// yet is absent from every export and from find()/seriesCount().
 //
 // Determinism contract: add() order defines the "last" aggregate, and the
 // kernel's total (time, seq) event order fixes add() order, so csv()/json()
 // are byte-identical across same-seed runs.
 //
 // Exports: csv() (one row per populated bucket, series sorted by name,
-// integer nanosecond bounds, formatDouble values) and json() (same data as
-// one document). Both are byte-stable across identical runs.
+// integer nanosecond bounds, formatDouble values), json() (same data as
+// one document) and trace(); obs::chromeTraceJson renders the same buckets
+// as counter tracks. All are byte-stable across identical runs.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <string_view>
@@ -31,8 +35,14 @@
 
 namespace mg::obs {
 
+class SpanRecorder;
+
 class TimeSeriesRecorder {
  public:
+  /// Buckets per series; the time span covered is kCapacity * width, so a
+  /// run twice as long as the current span halves the resolution once.
+  static constexpr std::size_t kCapacity = 512;
+
   struct Bucket {
     std::int64_t count = 0;
     double min = 0;
@@ -50,32 +60,21 @@ class TimeSeriesRecorder {
     std::vector<Bucket> buckets;
   };
 
-  struct Options {
-    /// Buckets per series; the time span covered is capacity * width, so a
-    /// run twice as long as the current span halves the resolution once.
-    std::size_t capacity = 512;
-    /// Initial bucket width in nanoseconds (callers usually match the
-    /// sampler interval so early buckets hold exactly one sample).
-    std::int64_t base_width_ns = 100'000'000;  // 100 ms
-    /// New series past this cap are dropped (counted in droppedSeries()) —
-    /// a guard against per-link registration on 10k+-link topologies.
-    std::size_t max_series = 4096;
-  };
-
-  TimeSeriesRecorder() : TimeSeriesRecorder(Options{}) {}
-  explicit TimeSeriesRecorder(Options opts);
+  /// Every series starts with buckets `base_width_ns` wide (the sampler's
+  /// interval, so early buckets hold exactly one sample).
+  explicit TimeSeriesRecorder(std::int64_t base_width_ns);
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
 
-  /// Reset the initial bucket width. Affects series created afterwards;
-  /// callers set it before sampling starts (mgrun --timeline-interval).
-  void setBaseWidth(std::int64_t width_ns);
+  /// The index of the series named `name`, created empty on its first
+  /// resolve; the same name always gives the same index.
+  std::size_t resolve(std::string_view name);
 
-  /// Record value `v` for `series` at simulation time `t` (ns).
-  void add(std::string_view series, std::int64_t t, double v);
+  /// Record value `v` for the resolved `series` at simulation time `t` (ns).
+  void add(std::size_t series, std::int64_t t, double v);
 
-  /// Lookup (nullptr when absent). The pointer is stable for the recorder's
-  /// lifetime (series live in a deque).
+  /// Lookup (nullptr when absent or not yet sampled). The pointer is valid
+  /// until the next resolve() of a new name.
   const Series* find(std::string_view series) const;
 
   /// The series as a (seconds, last) util::Trace, one point per populated
@@ -86,12 +85,11 @@ class TimeSeriesRecorder {
   /// holds a bucket with more than one sample.
   util::Trace trace(std::string_view series) const;
 
-  /// Every series in sorted name order (the exporters' iteration order).
+  /// Every sampled series in sorted name order (the exporters' order).
   std::vector<const Series*> seriesSorted() const;
 
-  std::size_t seriesCount() const { return index_.size(); }
+  std::size_t seriesCount() const { return started_; }
   std::int64_t sampleCount() const { return samples_; }
-  std::int64_t droppedSeries() const { return dropped_series_; }
 
   /// One header + one row per populated bucket:
   ///   series,bucket_start_ns,bucket_end_ns,samples,min,max,mean,last
@@ -104,14 +102,24 @@ class TimeSeriesRecorder {
   std::string json() const;
 
  private:
-  Series& getOrCreate(std::string_view name);
+  // The counter-track export walks the buckets too (obs/trace_export.h).
+  friend std::string chromeTraceJson(const SpanRecorder& rec, const TimeSeriesRecorder* timeline);
+
+  /// f(start_ns, bucket) for every populated bucket of `s`, in time order.
+  template <class F>
+  static void forEachBucket(const Series& s, F&& f) {
+    for (std::size_t i = 0; i < s.buckets.size(); ++i) {
+      if (s.buckets[i].count == 0) continue;
+      f(s.origin + static_cast<std::int64_t>(i) * s.width, s.buckets[i]);
+    }
+  }
   static void widen(Series& s);
 
-  Options opts_;
-  std::deque<Series> series_;               // stable addresses
-  std::map<std::string, Series*, std::less<>> index_;
+  std::int64_t base_width_;
+  std::vector<Series> series_;
+  std::map<std::string, std::size_t, std::less<>> index_;  // name -> series_ slot
+  std::size_t started_ = 0;  // series holding at least one sample
   std::int64_t samples_ = 0;
-  std::int64_t dropped_series_ = 0;
 };
 
 }  // namespace mg::obs

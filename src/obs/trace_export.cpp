@@ -66,14 +66,12 @@ std::string chromeTraceJson(const SpanRecorder& rec, const TimeSeriesRecorder* t
     // viewer draws each distinctly-named track as its own step graph under
     // the process, beside the span lanes.
     for (const TimeSeriesRecorder::Series* series : timeline->seriesSorted()) {
-      for (std::size_t i = 0; i < series->buckets.size(); ++i) {
-        const TimeSeriesRecorder::Bucket& b = series->buckets[i];
-        if (b.count == 0) continue;
-        const std::int64_t start = series->origin + static_cast<std::int64_t>(i) * series->width;
-        out += ",\n{\"ph\":\"C\",\"pid\":1,\"name\":\"" + jsonEscape(series->name) +
-               "\",\"ts\":" + micros(start) + ",\"args\":{\"value\":" +
-               formatDouble(b.sum / static_cast<double>(b.count)) + "}}";
-      }
+      TimeSeriesRecorder::forEachBucket(
+          *series, [&](std::int64_t start, const TimeSeriesRecorder::Bucket& b) {
+            out += ",\n{\"ph\":\"C\",\"pid\":1,\"name\":\"" + jsonEscape(series->name) +
+                   "\",\"ts\":" + micros(start) + ",\"args\":{\"value\":" +
+                   formatDouble(b.sum / static_cast<double>(b.count)) + "}}";
+          });
     }
   }
   out += "\n]}\n";

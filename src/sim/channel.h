@@ -1,9 +1,9 @@
-// Typed bounded/unbounded mailbox for process-to-process messaging inside
-// one simulation. vos sockets and the grid services are built on channels.
+// Typed unbounded mailbox for process-to-process messaging inside one
+// simulation: senders never block, receivers block while it is empty. The
+// host runtime's listen backlog (core/platform.cpp) is one.
 #pragma once
 
 #include <deque>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -22,23 +22,16 @@ class ChannelClosed : public mg::Error {
 template <typename T>
 class Channel {
  public:
-  explicit Channel(Simulator& sim, size_t capacity = std::numeric_limits<size_t>::max())
-      : sim_(sim), capacity_(capacity), readable_(sim), writable_(sim) {
-    if (capacity_ == 0) throw mg::UsageError("channel capacity must be >= 1");
-  }
+  explicit Channel(Simulator& sim) : sim_(sim), readable_(sim) {}
 
-  /// Blocking send; waits while the channel is full. Throws ChannelClosed if
-  /// the channel is (or becomes) closed.
+  /// Enqueue without blocking. Throws ChannelClosed if the channel is closed.
   void send(T value) {
-    while (!closed_ && items_.size() >= capacity_) writable_.wait();
-    if (closed_) throw ChannelClosed{};
-    items_.push_back(std::move(value));
-    readable_.notifyOne();
+    if (!trySend(std::move(value))) throw ChannelClosed{};
   }
 
-  /// Non-blocking send; false when full or closed.
+  /// Enqueue without blocking; false once the channel is closed.
   bool trySend(T value) {
-    if (closed_ || items_.size() >= capacity_) return false;
+    if (closed_) return false;
     items_.push_back(std::move(value));
     readable_.notifyOne();
     return true;
@@ -53,7 +46,6 @@ class Channel {
     }
     T v = std::move(items_.front());
     items_.pop_front();
-    writable_.notifyOne();
     return v;
   }
 
@@ -71,16 +63,6 @@ class Channel {
     }
     T v = std::move(items_.front());
     items_.pop_front();
-    writable_.notifyOne();
-    return v;
-  }
-
-  /// Non-blocking receive.
-  std::optional<T> tryRecv() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    writable_.notifyOne();
     return v;
   }
 
@@ -90,7 +72,6 @@ class Channel {
     if (closed_) return;
     closed_ = true;
     readable_.notifyAll();
-    writable_.notifyAll();
   }
 
   bool closed() const { return closed_; }
@@ -99,11 +80,9 @@ class Channel {
 
  private:
   Simulator& sim_;
-  size_t capacity_;
   bool closed_ = false;
   std::deque<T> items_;
   Condition readable_;
-  Condition writable_;
 };
 
 }  // namespace mg::sim

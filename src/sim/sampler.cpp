@@ -5,38 +5,34 @@
 #include "util/error.h"
 
 namespace mg::sim {
-namespace {
 
-/// Probes registered past this cap are ignored (droppedProbes() counts them).
-constexpr std::size_t kMaxProbes = 4096;
-
-}  // namespace
-
-TelemetrySampler::TelemetrySampler(Simulator& sim, Options opts) : sim_(sim), opts_(opts) {
-  if (opts_.interval_ns <= 0) throw UsageError("TelemetrySampler wants interval > 0");
+TelemetrySampler::TelemetrySampler(Simulator& sim, SimTime interval)
+    : sim_(sim), interval_(interval), timeline_(interval) {
+  if (interval_ <= 0) throw UsageError("TelemetrySampler wants interval > 0");
 }
 
-void TelemetrySampler::addProbe(Probe p) {
+void TelemetrySampler::addProbe(std::string_view series,
+                                std::function<double(std::int64_t)> read, bool rate) {
   if (started_) throw UsageError("TelemetrySampler probes must be registered before start()");
   if (probes_.size() >= kMaxProbes) {
     ++dropped_probes_;
     return;
   }
-  probes_.push_back(std::move(p));
+  probes_.push_back(Probe{timeline_.resolve(series), std::move(read), rate, 0});
 }
 
-void TelemetrySampler::addLevel(std::string series, std::function<double(std::int64_t)> read) {
-  addProbe(Probe{std::move(series), std::move(read), /*rate=*/false, 0});
+void TelemetrySampler::addLevel(std::string_view series,
+                                std::function<double(std::int64_t)> read) {
+  addProbe(series, std::move(read), /*rate=*/false);
 }
 
-void TelemetrySampler::addRate(std::string series,
+void TelemetrySampler::addRate(std::string_view series,
                                std::function<double(std::int64_t)> cumulative) {
-  addProbe(Probe{std::move(series), std::move(cumulative), /*rate=*/true, 0});
+  addProbe(series, std::move(cumulative), /*rate=*/true);
 }
 
-void TelemetrySampler::addCounterRate(std::string series, const obs::Counter& counter) {
-  addRate(std::move(series),
-          [&counter](std::int64_t) { return static_cast<double>(counter.value()); });
+void TelemetrySampler::addCounterRate(std::string_view series, const obs::Counter& counter) {
+  addRate(series, [&counter](std::int64_t) { return static_cast<double>(counter.value()); });
 }
 
 void TelemetrySampler::start() {
@@ -55,10 +51,10 @@ void TelemetrySampler::collect(std::int64_t t) {
   for (Probe& p : probes_) {
     const double v = p.read(t);
     if (p.rate) {
-      if (last_tick_ >= 0 && dt_s > 0) sim_.timeline().add(p.series, t, (v - p.prev) / dt_s);
+      if (last_tick_ >= 0 && dt_s > 0) timeline_.add(p.series, t, (v - p.prev) / dt_s);
       p.prev = v;
     } else if (!std::isnan(v)) {
-      sim_.timeline().add(p.series, t, v);
+      timeline_.add(p.series, t, v);
     }
   }
   last_tick_ = t;
@@ -69,7 +65,7 @@ void TelemetrySampler::scheduleNext(std::int64_t t) {
   // Without pending events the run is over (Simulator::run drains to empty);
   // rescheduling would keep it alive forever.
   if (sim_.pendingEventCount() == 0) return;
-  const std::int64_t next = t + opts_.interval_ns;
+  const std::int64_t next = t + interval_;
   sim_.scheduleAt(next, EventFn([this, next] {
     collect(next);
     scheduleNext(next);
@@ -81,15 +77,12 @@ void TelemetrySampler::finish() {
   collect(sim_.now());
 }
 
-void registerKernelProbes(TelemetrySampler& sampler, Simulator& sim) {
-  sampler.addCounterRate("sim.events_per_s",
-                         sim.metrics().counter("sim.kernel.events_executed"));
-  sampler.addLevel("sim.pending_events", [&sim](std::int64_t) {
-    return static_cast<double>(sim.pendingEventCount());
-  });
-  sampler.addLevel("sim.arena_slots", [&sim](std::int64_t) {
-    return static_cast<double>(sim.eventArenaSlots());
-  });
+void TelemetrySampler::registerKernelProbes() {
+  addCounterRate("sim.events_per_s", sim_.metrics().counter("sim.kernel.events_executed"));
+  addLevel("sim.pending_events",
+           [this](std::int64_t) { return static_cast<double>(sim_.pendingEventCount()); });
+  addLevel("sim.arena_slots",
+           [this](std::int64_t) { return static_cast<double>(sim_.eventArenaSlots()); });
 }
 
 }  // namespace mg::sim

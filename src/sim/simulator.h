@@ -23,6 +23,11 @@
 // shutdown every unfinished process is unwound with a ProcessKilled
 // exception; process code must let it propagate (never swallow with
 // catch(...)) and must not issue new blocking calls while unwinding.
+//
+// The simulator carries the run-wide metrics registry, span recorder and
+// progress pulse. It holds no timeline: time-resolved series belong to a
+// sim::TelemetrySampler (sim/sampler.h), so a run that never samples pays
+// nothing for them.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +42,6 @@
 #include "obs/progress.h"
 #include "obs/state_capture.h"
 #include "obs/span.h"
-#include "obs/timeline.h"
 #include "sim/event_fn.h"
 #include "sim/time.h"
 #include "util/error.h"
@@ -317,11 +321,6 @@ class Simulator {
   obs::SpanRecorder& spans() { return spans_; }
   const obs::SpanRecorder& spans() const { return spans_; }
 
-  /// The run-wide telemetry timeline (fed by a sim::TelemetrySampler; see
-  /// sim/sampler.h).
-  obs::TimeSeriesRecorder& timeline() { return timeline_; }
-  const obs::TimeSeriesRecorder& timeline() const { return timeline_; }
-
   /// The live-monitor publication board (mgrun --progress). Enabled while
   /// an obs::ProgressMonitor is started on it; otherwise it costs one
   /// pointer load per dispatched event.
@@ -345,7 +344,6 @@ class Simulator {
   // Declared before the counter handles below, which point into it.
   obs::MetricsRegistry metrics_;
   obs::SpanRecorder spans_{&metrics_};
-  obs::TimeSeriesRecorder timeline_;
   obs::RunPulse pulse_;
 
   std::uint64_t next_process_id_ = 1;

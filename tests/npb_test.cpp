@@ -60,10 +60,7 @@ std::unique_ptr<sim::TelemetrySampler> sensorSampler(core::Platform& platform,
   sim::Simulator& sim = platform.simulator();
   obs::Gauge& gauge = sim.metrics().gauge(sensor);
   gauge.set(std::numeric_limits<double>::quiet_NaN());
-  sim.timeline().setBaseWidth(interval);
-  sim::TelemetrySampler::Options so;
-  so.interval_ns = interval;
-  auto sampler = std::make_unique<sim::TelemetrySampler>(sim, so);
+  auto sampler = std::make_unique<sim::TelemetrySampler>(sim, interval);
   sampler->addLevel(sensor, [&gauge](std::int64_t) { return gauge.value(); });
   return sampler;
 }
@@ -327,7 +324,7 @@ TEST(Autopilot, SamplerRecordsPeriodically) {
   auto sampler = sensorSampler(platform, "app.progress", sim::kSecond);
   sampler->start();
   platform.run();
-  const util::Trace trace = platform.simulator().timeline().trace("app.progress");
+  const util::Trace trace = sampler->timeline().trace("app.progress");
   EXPECT_GE(trace.size(), 8u);
   // Samples arrive on the virtual-second grid.
   EXPECT_NEAR(trace[1].first - trace[0].first, 1.0, 1e-6);
@@ -366,7 +363,7 @@ TEST(Autopilot, Fig17StyleSkewIsSmall) {
     auto sampler = sensorSampler(platform, "app.v", interval);
     sampler->start();
     platform.run();
-    return platform.simulator().timeline().trace("app.v");
+    return sampler->timeline().trace("app.v");
   };
   auto cfg = core::topologies::alphaCluster();
   ReferencePlatform ref(cfg);

@@ -570,10 +570,7 @@ GoldenRun runGoldenEpWithFaults() {
   plan.add(mgtest::lossyEth1(0.05, 60.0));
   h.armFaults(std::move(plan));
 
-  sim.timeline().setBaseWidth(50 * sim::kMillisecond);
-  sim::TelemetrySampler::Options sopts;
-  sopts.interval_ns = 50 * sim::kMillisecond;
-  sim::TelemetrySampler sampler(sim, sopts);
+  sim::TelemetrySampler sampler(sim, 50 * sim::kMillisecond);
   h.platform.registerTelemetry(sampler);
   sampler.start();
 
@@ -584,7 +581,7 @@ GoldenRun runGoldenEpWithFaults() {
 
   GoldenRun out;
   out.metrics = sim.metrics().snapshotJson();
-  out.timeline = sim.timeline().csv();
+  out.timeline = sampler.timeline().csv();
   out.resubmits = result.resubmits;
   return out;
 }
@@ -683,22 +680,21 @@ TEST(ObsEndToEnd, SpansAndCountersCarryDropCausesAndFaultMarkers) {
 
 namespace {
 
-mo::TimeSeriesRecorder::Options tinyRecorder(std::size_t capacity, std::int64_t width_ns,
-                                             std::size_t max_series = 64) {
-  mo::TimeSeriesRecorder::Options o;
-  o.capacity = capacity;
-  o.base_width_ns = width_ns;
-  o.max_series = max_series;
-  return o;
+/// Record `v` for the series named `name`. A sampler resolves each name
+/// once, at registration; the tests resolve on every sample for brevity.
+void addTo(mo::TimeSeriesRecorder& rec, std::string_view name, std::int64_t t, double v) {
+  rec.add(rec.resolve(name), t, v);
 }
+
+constexpr std::int64_t kCap = static_cast<std::int64_t>(mo::TimeSeriesRecorder::kCapacity);
 
 }  // namespace
 
 TEST(Timeline, BucketsAggregateMinMaxMeanLast) {
-  mo::TimeSeriesRecorder rec(tinyRecorder(8, 100));
-  rec.add("s", 0, 1.0);
-  rec.add("s", 50, 3.0);   // same bucket
-  rec.add("s", 120, 2.0);  // next bucket
+  mo::TimeSeriesRecorder rec(100);
+  addTo(rec, "s", 0, 1.0);
+  addTo(rec, "s", 50, 3.0);   // same bucket
+  addTo(rec, "s", 120, 2.0);  // next bucket
   const auto* s = rec.find("s");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->origin, 0);
@@ -716,8 +712,8 @@ TEST(Timeline, BucketsAggregateMinMaxMeanLast) {
 }
 
 TEST(Timeline, OriginAlignsDownToTheWidthGrid) {
-  mo::TimeSeriesRecorder rec(tinyRecorder(8, 100));
-  rec.add("s", 250, 1.0);  // first sample anchors origin at 200
+  mo::TimeSeriesRecorder rec(100);
+  addTo(rec, "s", 250, 1.0);  // first sample anchors origin at 200
   const auto* s = rec.find("s");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->origin, 200);
@@ -725,40 +721,41 @@ TEST(Timeline, OriginAlignsDownToTheWidthGrid) {
 }
 
 TEST(Timeline, WideningDoublesWidthAndMergesPairs) {
-  mo::TimeSeriesRecorder rec(tinyRecorder(2, 100));
-  rec.add("s", 0, 1.0);
-  rec.add("s", 100, 2.0);
-  rec.add("s", 200, 3.0);  // index 2 >= capacity 2 -> widen once
+  // One sample per bucket fills all kCapacity buckets with 1, 2, 1, 2, ...;
+  // the next one lands at index kCapacity and widens once.
+  mo::TimeSeriesRecorder rec(100);
+  for (std::int64_t i = 0; i < kCap; ++i) addTo(rec, "s", i * 100, i % 2 == 0 ? 1.0 : 2.0);
+  addTo(rec, "s", kCap * 100, 3.0);
   const auto* s = rec.find("s");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->width, 200);
   EXPECT_EQ(s->widenings, 1);
-  ASSERT_EQ(s->buckets.size(), 2u);
+  ASSERT_EQ(s->buckets.size(), static_cast<std::size_t>(kCap / 2 + 1));
   // Old buckets 0+1 merged into the new [0, 200) window.
   EXPECT_EQ(s->buckets[0].count, 2);
   EXPECT_DOUBLE_EQ(s->buckets[0].min, 1.0);
   EXPECT_DOUBLE_EQ(s->buckets[0].max, 2.0);
   EXPECT_DOUBLE_EQ(s->buckets[0].last, 2.0);
-  EXPECT_EQ(s->buckets[1].count, 1);
-  EXPECT_DOUBLE_EQ(s->buckets[1].last, 3.0);
+  EXPECT_EQ(s->buckets.back().count, 1);
+  EXPECT_DOUBLE_EQ(s->buckets.back().last, 3.0);
 }
 
 TEST(Timeline, WideningMatchesAnUnboundedReference) {
   // Oracle check for the downsampling path: after many widenings, every
   // bucket must hold exactly the aggregate an unbounded recorder would
   // compute for the same window at the final resolution.
-  mo::TimeSeriesRecorder rec(tinyRecorder(16, 100));
+  mo::TimeSeriesRecorder rec(100);
   std::vector<std::pair<std::int64_t, double>> raw;
-  for (int i = 0; i < 500; ++i) {
+  for (int i = 0; i < 5000; ++i) {
     const std::int64_t t = static_cast<std::int64_t>(i) * 137;
     const double v = static_cast<double>((i * 7919) % 1000) / 10.0;
-    rec.add("s", t, v);
+    addTo(rec, "s", t, v);
     raw.emplace_back(t, v);
   }
   const auto* s = rec.find("s");
   ASSERT_NE(s, nullptr);
   ASSERT_GT(s->widenings, 0);
-  ASSERT_LE(s->buckets.size(), 16u);
+  ASSERT_LE(s->buckets.size(), mo::TimeSeriesRecorder::kCapacity);
 
   std::map<std::int64_t, mo::TimeSeriesRecorder::Bucket> expect;
   for (const auto& [t, v] : raw) {
@@ -789,23 +786,11 @@ TEST(Timeline, WideningMatchesAnUnboundedReference) {
   }
 }
 
-TEST(Timeline, MaxSeriesCapDropsNewSeriesNotSamples) {
-  mo::TimeSeriesRecorder rec(tinyRecorder(8, 100, /*max_series=*/2));
-  rec.add("a", 0, 1.0);
-  rec.add("b", 0, 1.0);
-  rec.add("c", 0, 1.0);  // dropped: cap reached
-  rec.add("a", 50, 2.0); // existing series still records
-  EXPECT_EQ(rec.seriesCount(), 2u);
-  EXPECT_EQ(rec.droppedSeries(), 1);
-  EXPECT_EQ(rec.sampleCount(), 3);
-  EXPECT_EQ(rec.find("c"), nullptr);
-}
-
 TEST(Timeline, CsvAndJsonAreByteStable) {
-  mo::TimeSeriesRecorder rec(tinyRecorder(8, 100));
-  rec.add("z.late", 0, 1.5);
-  rec.add("a.early", 250, 0.25);
-  rec.add("a.early", 260, 0.75);
+  mo::TimeSeriesRecorder rec(100);
+  addTo(rec, "z.late", 0, 1.5);
+  addTo(rec, "a.early", 250, 0.25);
+  addTo(rec, "a.early", 260, 0.75);
   const std::string csv =
       "series,bucket_start_ns,bucket_end_ns,samples,min,max,mean,last\n"
       "a.early,200,300,2,0.25,0.75,0.5,0.75\n"
@@ -824,10 +809,7 @@ TEST(Timeline, CsvAndJsonAreByteStable) {
 
 TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
   sim::Simulator sim;
-  sim.timeline().setBaseWidth(sim::kSecond);
-  sim::TelemetrySampler::Options so;
-  so.interval_ns = sim::kSecond;
-  sim::TelemetrySampler sampler(sim, so);
+  sim::TelemetrySampler sampler(sim, sim::kSecond);
 
   double cum = 0;
   double level = 0;
@@ -846,7 +828,7 @@ TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
   EXPECT_EQ(sim.now(), sim::fromSeconds(3.0));
   EXPECT_EQ(sampler.ticks(), 4);
 
-  const auto* r = sim.timeline().find("r");
+  const auto* r = sampler.timeline().find("r");
   ASSERT_NE(r, nullptr);
   // The t=0 baseline only primes the cumulative, so the first rate sample —
   // and the series origin — land at the 1 s tick.
@@ -856,7 +838,7 @@ TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
   EXPECT_DOUBLE_EQ(r->buckets[1].last, 3.0);  // (5-2)/1s over [1,2]
   EXPECT_DOUBLE_EQ(r->buckets[2].last, 0.0);  // idle tail
 
-  const auto* l = sim.timeline().find("l");
+  const auto* l = sampler.timeline().find("l");
   ASSERT_NE(l, nullptr);
   ASSERT_EQ(l->buckets.size(), 4u);
   EXPECT_DOUBLE_EQ(l->buckets[0].last, 0.0);
@@ -867,11 +849,8 @@ TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
 
 TEST(Sampler, CounterRateAndKernelProbes) {
   sim::Simulator sim;
-  sim.timeline().setBaseWidth(100 * sim::kMillisecond);
-  sim::TelemetrySampler::Options so;
-  so.interval_ns = 100 * sim::kMillisecond;
-  sim::TelemetrySampler sampler(sim, so);
-  sim::registerKernelProbes(sampler, sim);
+  sim::TelemetrySampler sampler(sim, 100 * sim::kMillisecond);
+  sampler.registerKernelProbes();
 
   for (int i = 1; i <= 20; ++i) {
     sim.scheduleAt(i * 25 * sim::kMillisecond, [] {});
@@ -880,35 +859,32 @@ TEST(Sampler, CounterRateAndKernelProbes) {
   sim.run();
   sampler.finish();
 
-  const auto* ev = sim.timeline().find("sim.events_per_s");
+  const auto* ev = sampler.timeline().find("sim.events_per_s");
   ASSERT_NE(ev, nullptr);
   double max_rate = 0;
   for (const auto& b : ev->buckets) max_rate = std::max(max_rate, b.max);
   EXPECT_GT(max_rate, 0.0);  // events really flowed through the rate probe
-  EXPECT_NE(sim.timeline().find("sim.pending_events"), nullptr);
-  EXPECT_NE(sim.timeline().find("sim.arena_slots"), nullptr);
+  EXPECT_NE(sampler.timeline().find("sim.pending_events"), nullptr);
+  EXPECT_NE(sampler.timeline().find("sim.arena_slots"), nullptr);
 }
 
 TEST(Sampler, ProbesAfterStartThrowAndFinishIsIdempotent) {
   sim::Simulator sim;
-  sim::TelemetrySampler sampler(sim);
+  sim::TelemetrySampler sampler(sim, 100 * sim::kMillisecond);
   sampler.addLevel("l", [](std::int64_t) { return 1.0; });
   sampler.start();
   EXPECT_THROW(sampler.addLevel("m", [](std::int64_t) { return 2.0; }), mg::UsageError);
   EXPECT_THROW(sampler.start(), mg::UsageError);
   sampler.finish();
   sampler.finish();  // same-timestamp collect is skipped, not double-counted
-  EXPECT_EQ(sim.timeline().sampleCount(), 1);
+  EXPECT_EQ(sampler.timeline().sampleCount(), 1);
 }
 
 TEST(Sampler, NanLevelRecordsNoSample) {
   // A level probe reading NaN means "no value yet": nothing is recorded, so
   // the series starts at the source's first value (Fig 17's sensors).
   sim::Simulator sim;
-  sim.timeline().setBaseWidth(sim::kSecond);
-  sim::TelemetrySampler::Options so;
-  so.interval_ns = sim::kSecond;
-  sim::TelemetrySampler sampler(sim, so);
+  sim::TelemetrySampler sampler(sim, sim::kSecond);
   double level = std::numeric_limits<double>::quiet_NaN();
   sampler.addLevel("l", [&level](std::int64_t) { return level; });
   sim.scheduleAt(sim::fromSeconds(1.5), [&] { level = 4; });
@@ -919,7 +895,7 @@ TEST(Sampler, NanLevelRecordsNoSample) {
   sim.run();
 
   EXPECT_EQ(sampler.ticks(), 5);  // 0..4 s: NaN ticks still count as ticks
-  const auto* l = sim.timeline().find("l");
+  const auto* l = sampler.timeline().find("l");
   ASSERT_NE(l, nullptr);
   EXPECT_EQ(l->origin, 2 * sim::kSecond);  // first non-NaN reading
   ASSERT_EQ(l->buckets.size(), 3u);
@@ -927,15 +903,77 @@ TEST(Sampler, NanLevelRecordsNoSample) {
   EXPECT_DOUBLE_EQ(l->buckets[0].last, 4.0);
   EXPECT_EQ(l->buckets[1].count, 0);  // the 3 s tick read NaN: a gap
   EXPECT_DOUBLE_EQ(l->buckets[2].last, 6.0);
-  EXPECT_EQ(sim.timeline().sampleCount(), 2);
+  EXPECT_EQ(sampler.timeline().sampleCount(), 2);
+}
+
+TEST(Sampler, SameNameProbesMergeIntoOneSeries) {
+  // Two probes under one name feed one series, as two same-named links do:
+  // every tick puts one sample from each into the same bucket.
+  sim::Simulator sim;
+  sim::TelemetrySampler sampler(sim, sim::kSecond);
+  sampler.addLevel("l", [](std::int64_t) { return 1.0; });
+  sampler.addLevel("l", [](std::int64_t) { return 3.0; });
+  sim.scheduleAt(sim::fromSeconds(2.0), [] {});
+  sampler.start();
+  sim.run();
+
+  EXPECT_EQ(sampler.timeline().seriesCount(), 1u);
+  const auto* l = sampler.timeline().find("l");
+  ASSERT_NE(l, nullptr);
+  ASSERT_EQ(l->buckets.size(), 3u);  // ticks at 0, 1 and 2 s
+  for (const auto& b : l->buckets) {
+    EXPECT_EQ(b.count, 2);
+    EXPECT_DOUBLE_EQ(b.min, 1.0);
+    EXPECT_DOUBLE_EQ(b.max, 3.0);
+    EXPECT_DOUBLE_EQ(b.last, 3.0);  // registration order is add() order
+  }
+  EXPECT_EQ(sampler.timeline().sampleCount(), 6);
+}
+
+TEST(Sampler, AlwaysNanLevelLeavesNoSeries) {
+  // A series is resolved at registration, but one that never records a
+  // sample is in no export.
+  sim::Simulator sim;
+  sim::TelemetrySampler sampler(sim, sim::kSecond);
+  sampler.addLevel("never", [](std::int64_t) { return std::numeric_limits<double>::quiet_NaN(); });
+  sampler.addLevel("always", [](std::int64_t) { return 1.0; });
+  sim.scheduleAt(sim::fromSeconds(2.0), [] {});
+  sampler.start();
+  sim.run();
+
+  const mo::TimeSeriesRecorder& tl = sampler.timeline();
+  EXPECT_EQ(tl.seriesCount(), 1u);
+  EXPECT_EQ(tl.find("never"), nullptr);
+  EXPECT_EQ(tl.seriesSorted().size(), 1u);
+  EXPECT_EQ(tl.csv().find("never"), std::string::npos);
+  EXPECT_EQ(tl.json().find("never"), std::string::npos);
+  EXPECT_NE(tl.csv().find("always,"), std::string::npos);
+}
+
+TEST(Sampler, ProbesPastTheCapAreDroppedAndBoundTheSeries) {
+  // The probe cap is the one bound on series: 4097 distinct probes record
+  // 4096 series and count one dropped probe.
+  sim::Simulator sim;
+  sim::TelemetrySampler sampler(sim, sim::kSecond);
+  ASSERT_EQ(sim::TelemetrySampler::kMaxProbes, 4096u);
+  for (std::size_t i = 0; i <= sim::TelemetrySampler::kMaxProbes; ++i) {
+    sampler.addLevel(mg::util::format("p%zu", i), [](std::int64_t) { return 1.0; });
+  }
+  EXPECT_EQ(sampler.droppedProbes(), 1);
+  sampler.start();
+  sampler.finish();
+  EXPECT_EQ(sampler.timeline().seriesCount(), 4096u);
+  EXPECT_EQ(sampler.timeline().sampleCount(), 4096);
+  EXPECT_EQ(sampler.timeline().find("p4096"), nullptr);
+  EXPECT_NE(sampler.timeline().find("p4095"), nullptr);
 }
 
 TEST(Sampler, RecorderTraceIsSecondsAndLast) {
-  mo::TimeSeriesRecorder rec(tinyRecorder(4, sim::kSecond));
-  rec.add("vos.sched", 1'000'000'000, 0.5);
-  rec.add("vos.sched", 2'000'000'000, 0.75);
-  rec.add("vos.sched", 4'000'000'000, 0.25);  // bucket 3; bucket 2 stays empty
-  rec.add("other", 2'000'000'000, 9.0);
+  mo::TimeSeriesRecorder rec(sim::kSecond);
+  addTo(rec, "vos.sched", 1'000'000'000, 0.5);
+  addTo(rec, "vos.sched", 2'000'000'000, 0.75);
+  addTo(rec, "vos.sched", 4'000'000'000, 0.25);  // bucket 3; bucket 2 stays empty
+  addTo(rec, "other", 2'000'000'000, 9.0);
   const mg::util::Trace t = rec.trace("vos.sched");
   ASSERT_EQ(t.size(), 3u);  // empty buckets are skipped
   EXPECT_DOUBLE_EQ(t[0].first, 1.0);  // nanoseconds -> seconds
@@ -948,16 +986,14 @@ TEST(Sampler, RecorderTraceIsSecondsAndLast) {
 }
 
 TEST(Sampler, RecorderTraceRefusesApproximateSeries) {
-  mo::TimeSeriesRecorder rec(tinyRecorder(2, 100));
+  mo::TimeSeriesRecorder rec(100);
   EXPECT_THROW(rec.trace("missing"), mg::UsageError);
   // Two samples in one bucket: "last" would silently drop one.
-  rec.add("dense", 0, 1.0);
-  rec.add("dense", 50, 2.0);
+  addTo(rec, "dense", 0, 1.0);
+  addTo(rec, "dense", 50, 2.0);
   EXPECT_THROW(rec.trace("dense"), mg::UsageError);
   // A widened series merged buckets pairwise.
-  rec.add("wide", 0, 1.0);
-  rec.add("wide", 100, 2.0);
-  rec.add("wide", 200, 3.0);
+  for (std::int64_t i = 0; i <= kCap; ++i) addTo(rec, "wide", i * 100, 1.0);
   ASSERT_EQ(rec.find("wide")->widenings, 1);
   EXPECT_THROW(rec.trace("wide"), mg::UsageError);
 }
@@ -971,9 +1007,9 @@ TEST(TraceExport, TimelineSeriesBecomeCounterTracks) {
   now = 1000;
   spans.end(id);
 
-  mo::TimeSeriesRecorder rec(tinyRecorder(8, 1000));
-  rec.add("net.link_util.eth0", 0, 0.5);
-  rec.add("net.link_util.eth0", 1500, 0.75);
+  mo::TimeSeriesRecorder rec(1000);
+  addTo(rec, "net.link_util.eth0", 0, 0.5);
+  addTo(rec, "net.link_util.eth0", 1500, 0.75);
 
   const std::string with = mo::chromeTraceJson(spans, &rec);
   EXPECT_NE(with.find("\"ph\":\"C\""), std::string::npos);
