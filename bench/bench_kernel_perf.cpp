@@ -175,7 +175,8 @@ static void BM_FlowChurn(benchmark::State& state) {
   // re-shares and every start re-shares, the exact pattern flow-heavy grid
   // workloads (stage-in/stage-out) generate. Arg(0) runs the full-recompute
   // oracle, Arg(1) the component-scoped incremental engine; the
-  // visits_per_recompute counter is the scoping win (and what CI gates on).
+  // visits_per_recompute counter is the scoping win (and what
+  // e2e.perf.flow_churn gates on).
   const bool incremental = state.range(0) != 0;
   constexpr int kClusters = 8;
   constexpr int kHostsPer = 16;

@@ -1,5 +1,5 @@
 // flow_smoke — scalability and determinism smoke for the fluid network
-// model (CI: the flow-smoke job).
+// model (its gates: tests/e2e/flow.sh, tests/e2e/perf.sh).
 //
 // Generates a two-level tree grid (hosts under edge switches under one
 // core router), runs a deterministic socket workload across it on a
@@ -27,11 +27,13 @@
 //   --timeline FILE    sample the platform's time-resolved series during the
 //                      primary run and write them as CSV (DESIGN.md §10);
 //                      feeds the EXPERIMENTS.md link-utilization table
-//   --timeline-interval S  sampling interval in sim seconds (default 0.1)
+//   --timeline-interval S  sampling interval in sim seconds (default 0.1;
+//                      needs --timeline)
 //   --quiet            suppress the metrics snapshot (timing summary only)
 //
-// Wall-clock seconds go to stderr (stdout stays byte-stable for the CI
-// determinism cmp); the soak job reads them for the flow_smoke_100k timing.
+// Wall-clock seconds go to stderr (stdout stays byte-stable for the
+// e2e.flow determinism cmp); the soak test reads them for the flow_smoke_100k
+// timing.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -67,6 +69,7 @@ struct Options {
 
 Options parseArgs(int argc, char** argv) {
   Options opt;
+  bool interval_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> std::string {
@@ -78,9 +81,9 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--pairs") {
       opt.pairs = static_cast<int>(util::flagInt(flag, next(), kIntMin, kIntMax));
     } else if (flag == "--messages") {
-      opt.messages = static_cast<int>(util::flagInt(flag, next(), kIntMin, kIntMax));
+      opt.messages = static_cast<int>(util::flagInt(flag, next(), 0, kIntMax));
     } else if (flag == "--bytes") {
-      opt.bytes = util::flagInt(flag, next());
+      opt.bytes = util::flagInt(flag, next(), 0);
     } else if (flag == "--netmodel") {
       opt.netmodel = next();
     } else if (flag == "--compare-packet") {
@@ -92,11 +95,15 @@ Options parseArgs(int argc, char** argv) {
     } else if (flag == "--timeline-interval") {
       opt.timeline_interval_s =
           util::flagDouble(flag, next(), sim::kTickSeconds, sim::kMaxSeconds);
+      interval_given = true;
     } else if (flag == "--quiet") {
       opt.quiet = true;
     } else {
       throw mg::UsageError("unknown flag " + flag + " (see the header of flow_smoke.cpp)");
     }
+  }
+  if (interval_given && opt.timeline.empty()) {
+    throw mg::UsageError("--timeline-interval needs --timeline");
   }
   if (opt.hosts < 4) throw mg::UsageError("--hosts wants at least 4");
   if (opt.pairs < 1 || opt.pairs > opt.hosts / 2) {
@@ -207,7 +214,11 @@ RunResult runWorkload(const core::VirtualGridConfig& cfg, const Options& opt,
     if (!out) throw mg::UsageError("cannot open --timeline file " + timeline_path);
     out << tl.csv();
     std::cout << "wrote timeline (" << tl.seriesCount() << " series, " << tl.sampleCount()
-              << " samples) to " << timeline_path << "\n";
+              << " samples";
+    if (sampler->droppedProbes() > 0) {
+      std::cout << ", " << sampler->droppedProbes() << " probe(s) dropped past the cap";
+    }
+    std::cout << ") to " << timeline_path << "\n";
   }
   r.events = platform.simulator().eventsExecuted();
   r.bytes_received = *total;

@@ -324,13 +324,18 @@ void printMetrics(obs::MetricsRegistry& metrics, const std::string& fmt) {
   }
 }
 
-void writeTimeline(const obs::TimeSeriesRecorder& timeline, const std::string& path) {
+void writeTimeline(const sim::TelemetrySampler& sampler, const std::string& path) {
+  const obs::TimeSeriesRecorder& timeline = sampler.timeline();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw mg::UsageError("cannot open --timeline file " + path);
   const bool json = path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   out << (json ? timeline.json() : timeline.csv());
   std::cout << "wrote timeline (" << timeline.seriesCount() << " series, "
-            << timeline.sampleCount() << " samples) to " << path << "\n";
+            << timeline.sampleCount() << " samples";
+  if (sampler.droppedProbes() > 0) {
+    std::cout << ", " << sampler.droppedProbes() << " probe(s) dropped past the cap";
+  }
+  std::cout << ") to " << path << "\n";
 }
 
 std::vector<grid::AllocationPart> parseParts(const std::string& spec,
@@ -428,7 +433,7 @@ int main(int argc, char** argv) {
       printMetrics(platform.simulator().metrics(), opt.metrics);
       if (sampler) {
         sampler->finish();
-        writeTimeline(sampler->timeline(), opt.timeline_out);
+        writeTimeline(*sampler, opt.timeline_out);
       }
       return 0;
     }
@@ -564,7 +569,7 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << platform->simulator().spans().size() << " span(s) to "
                 << opt.trace_out << "\n";
     }
-    if (sampler) writeTimeline(sampler->timeline(), opt.timeline_out);
+    if (sampler) writeTimeline(*sampler, opt.timeline_out);
     if (!opt.profile.empty()) {
       const obs::SimProfiler prof(platform->simulator().spans());
       if (opt.profile == "json") {

@@ -110,12 +110,14 @@ void MicroGridPlatform::setHostCpuFactor(const std::string& hostname, double fac
 
 void MicroGridPlatform::registerTelemetry(sim::TelemetrySampler& sampler) {
   sampler.registerKernelProbes();
-  net_->registerTelemetry(sampler);
   // schedulers_ is name-ordered, so probe registration order (and with it
-  // the recorded series set) is independent of construction order.
+  // the recorded series set) is independent of construction order. They go
+  // before the network's one-per-link probes, which alone can fill the
+  // sampler's cap on a large tree.
   for (auto& [name, sched] : schedulers_) {
     sched->registerTelemetry(sampler, name);
   }
+  net_->registerTelemetry(sampler);
 }
 
 void MicroGridPlatform::saveState(obs::StateWriter& w) const {

@@ -461,8 +461,8 @@ TEST(SpansEndToEnd, ProfilerAggregatesPerHostPerLayer) {
 }
 
 TEST(SpansEndToEnd, ChromeTraceIsWellFormedJson) {
-  // Cheap structural checks (CI runs the real validator, python3 -m
-  // json.tool, on an mgrun-produced trace).
+  // Cheap structural checks (e2e.trace.determinism runs the real
+  // validator, python3 -m json.tool, on an mgrun-produced trace).
   TracedRun r = runTracedEp();
   EXPECT_EQ(r.chrome.rfind("{\"traceEvents\":[", 0), 0u) << r.chrome.substr(0, 80);
   EXPECT_EQ(r.chrome.substr(r.chrome.size() - 4), "\n]}\n");
