@@ -2,8 +2,8 @@
 # Grid economy gates on the shipped workloads.
 #
 #   determinism      two seeded 10k-job econ_smoke runs print a
-#                    byte-identical report and metrics JSON
-#   heap_fallbacks   that run schedules every flow stage-in closure inline:
+#                    byte-identical report and metrics JSON, and the run
+#                    schedules every flow stage-in closure inline:
 #                    sim.kernel.eventfn_heap_fallbacks is 0
 #   broker_policies  grid_economy exits non-zero unless the broker policies
 #                    give measurably different deadline-miss rates and the
@@ -25,9 +25,6 @@ case $check in
     "$mgrun" --metrics json --workload "$econ" > econ_run1.out
     "$mgrun" --metrics json --workload "$econ" > econ_run2.out
     cmp econ_run1.out econ_run2.out
-    ;;
-  heap_fallbacks)
-    "$mgrun" --metrics json --workload "$econ" > econ_run1.out
     n=$(python3 "$src/tests/e2e/metrics.py" counter sim.kernel.eventfn_heap_fallbacks < econ_run1.out)
     echo "sim.kernel.eventfn_heap_fallbacks = $n"
     test "$n" -eq 0

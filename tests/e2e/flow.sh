@@ -14,7 +14,9 @@
 #                      at the ends of its selector: no selector is flow and
 #                      '*' is packet. The job and benchmark-time lines match,
 #                      and so does the metrics JSON minus the counters of the
-#                      half the bound does not build.
+#                      half the bound does not build. Each run writes to a
+#                      file before it is filtered, so a failing run fails
+#                      the check.
 #   timeline_cap       a 10k-host --timeline run fills the sampler's probe
 #                      cap, still records the per-machine vos.cpu.util.*
 #                      series, and names the dropped-probe count
@@ -48,8 +50,8 @@ case $check in
   hybrid_bounds)
     lines() {
       out=$1; shift
-      "$mgrun" --exe npb.is --args S "$@" "$src/examples/grids/alpha4.ini" |
-        grep -E '^(job completed|benchmark time)' > "$out"
+      "$mgrun" --exe npb.is --args S "$@" "$src/examples/grids/alpha4.ini" > "$out.run"
+      grep -E '^(job completed|benchmark time)' "$out.run" > "$out"
       test "$(wc -l < "$out")" -eq 2
     }
     lines flow.lines --netmodel flow
@@ -62,8 +64,8 @@ case $check in
     # keys under each PREFIX.
     metrics() {
       out=$1; drop=$2; shift 2
-      "$mgrun" --exe npb.is --args S --metrics json "$@" "$src/examples/grids/alpha4.ini" |
-        python3 "$src/tests/e2e/metrics.py" drop $drop > "$out"
+      "$mgrun" --exe npb.is --args S --metrics json "$@" "$src/examples/grids/alpha4.ini" > "$out.run"
+      python3 "$src/tests/e2e/metrics.py" drop $drop < "$out.run" > "$out"
     }
     metrics flow.json "" --netmodel flow
     metrics hybrid.json "net.packet. net.tcp." --netmodel hybrid

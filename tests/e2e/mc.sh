@@ -3,15 +3,13 @@
 # examples/grids/alpha4_explore.ini on NPB EP class S.
 #
 #   determinism      two clean explorations print a byte-identical branch log
-#   mutation         MG_MC_MUTATION=1 arms a seeded availability-accounting
-#                    bug in the injector; the explorer must exit 3, report
-#                    fault.availability and print a minimal reproducing
-#                    [fault ...] plan
-#   pruned_verdicts  hash_pruning = false replays every schedule to the end.
-#                    Under the seeded bug, each schedule's outcome (verdict,
+#   pruned_verdicts  MG_MC_MUTATION=1 arms a seeded availability-accounting
+#                    bug in the injector; the explorer must exit 3 and report
+#                    fault.availability. hash_pruning = false replays every
+#                    schedule to the end: each schedule's outcome (verdict,
 #                    end time, final digest) must match between the pruned
 #                    and the full run line for line, with the same violation
-#                    count and the same minimal plan.
+#                    count and the same minimal reproducing [fault ...] plan.
 #   heap_fallbacks   a faulted EP run schedules every fault closure inline:
 #                    sim.kernel.eventfn_heap_fallbacks is 0
 #
@@ -35,15 +33,6 @@ case $check in
     explore "$grids/alpha4_explore.ini" > mc_run2.out
     cmp mc_run1.out mc_run2.out
     ;;
-  mutation)
-    export MG_MC_MUTATION=1
-    status=0
-    explore "$grids/alpha4_explore.ini" > mc_mut.out || status=$?
-    test "$status" -eq 3 || { echo "expected exit 3, got $status"; exit 1; }
-    grep -q "fault.availability" mc_mut.out
-    grep -q "minimal reproducing fault plan" mc_mut.out
-    grep -q "^\[fault " mc_mut.out
-    ;;
   pruned_verdicts)
     export MG_MC_MUTATION=1
     sed 's/^hash_pruning = true/hash_pruning = false/' "$grids/alpha4_explore.ini" > alpha4_full.ini
@@ -60,6 +49,7 @@ case $check in
       grep "^violations:" "$out.out" >> verdicts.txt
       sed -n '/^minimal reproducing fault plan/,$p' "$out.out" > "$out.plan"
     done
+    grep -q "fault.availability" alpha4_explore.ini.out
     cmp alpha4_explore.ini.outcomes alpha4_full.ini.outcomes
     cat verdicts.txt
     test "$(sort -u verdicts.txt | wc -l)" -eq 1

@@ -14,7 +14,9 @@
 #                   the span accounting (obs.span.*); with --timeline minus
 #                   only sim.kernel.events_executed, since the sampler's ticks
 #                   are kernel events. The progress monitor writes to stderr
-#                   only, so there the whole stdout must match.
+#                   only, so there the whole stdout must match. Every run
+#                   writes to a file before it is filtered, so its exit
+#                   status (1 when NPB verification fails) stops the check.
 #
 # Usage: timeline.sh determinism|counter_tracks|observing MGRUN SOURCE_DIR
 check=${1:?usage: timeline.sh determinism|counter_tracks|observing MGRUN SOURCE_DIR}
@@ -52,13 +54,15 @@ case $check in
       run --progress=0.2 > progress.out 2> progress.err
       cmp plain.out progress.out
       observed obs.span. < plain.out > plain.txt
-      run --trace-out observed.json | observed obs.span. > traced.txt
+      run --trace-out observed.json > traced.out
+      observed obs.span. < traced.out > traced.txt
       cmp plain.txt traced.txt
-      run --profile json | observed obs.span. > profiled.txt
+      run --profile json > profiled.out
+      observed obs.span. < profiled.out > profiled.txt
       cmp plain.txt profiled.txt
       observed sim.kernel.events_executed < plain.out > plain_tl.txt
-      run --timeline observed.csv --timeline-interval 0.01 |
-        observed sim.kernel.events_executed > timelined.txt
+      run --timeline observed.csv --timeline-interval 0.01 > timelined.out
+      observed sim.kernel.events_executed < timelined.out > timelined.txt
       cmp plain_tl.txt timelined.txt
     done
     ;;
